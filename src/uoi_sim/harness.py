@@ -135,6 +135,29 @@ class ExperimentConfig:
             raise ConfigError("replications", "must be at least 1")
         if not 0.0 < self.rho <= 1.0:
             raise ConfigError("rho", f"must be in (0, 1], got {self.rho}")
+        if self.v < 0.0:
+            raise ConfigError("v", f"must be nonnegative, got {self.v}")
+        for name, value in (("terminal.p", self.p), ("fleet.p_min", self.p_min),
+                            ("fleet.p_max", self.p_max)):
+            if not 0.0 < value <= 1.0:
+                raise ConfigError(name, f"must be in (0, 1], got {value}")
+        if self.sigma2 <= 0.0:
+            raise ConfigError("sigma2", f"must be positive, got {self.sigma2}")
+        for name, value in (("mdp.q_max", self.q_max), ("mdp.q_step", self.q_step)):
+            if value is not None and value <= 0.0:
+                raise ConfigError(name, f"must be positive, got {value}")
+        if self.n_batches < 1:
+            raise ConfigError("n_batches", f"must be at least 1, got {self.n_batches}")
+        if self.n < 1:
+            raise ConfigError("fleet.n", f"must be at least 1, got {self.n}")
+        if self.k < 1:
+            raise ConfigError("fleet.k", f"must be at least 1, got {self.k}")
+        if self.scenario == "csma" and self.window < self.k:
+            raise ConfigError("contention.w", f"must be at least k = {self.k} so the "
+                                              f"winners fit in the window, got {self.window}")
+        if self.scenario == "csma" and self.mini_slot_us <= 0.0:
+            raise ConfigError("contention.mini_slot_us",
+                              f"must be positive, got {self.mini_slot_us}")
         for w, bound in self.thresholds.items():
             if bound <= 0.0:
                 raise ConfigError("thresholds", f"bound for weight {w} must be positive")
@@ -348,7 +371,10 @@ def _mdp_grid(config: ExperimentConfig, support) -> MdpGrid:
     sigma = math.sqrt(config.sigma2)
     q_max = config.q_max if config.q_max is not None else 25.0 * sigma
     q_step = config.q_step if config.q_step is not None else 0.25 * sigma
-    return MdpGrid(q_max=q_max, q_step=q_step, weight_support=tuple(support))
+    try:
+        return MdpGrid(q_max=q_max, q_step=q_step, weight_support=tuple(support))
+    except ValueError as exc:
+        raise ConfigError("mdp.q_step", str(exc)) from exc
 
 
 def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
@@ -356,8 +382,9 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     policy = waterfill(fleet)
     bound = fleet_uoi_bound(fleet, policy)
     weights = [config.weights] * fleet.n
-    contention = ContentionConfig(w=config.window, k=config.k,
-                                  mini_slot_us=config.mini_slot_us)
+    contention = (ContentionConfig(w=config.window, k=config.k,
+                                   mini_slot_us=config.mini_slot_us)
+                  if config.scenario == "csma" else None)
     out = []
     for pol in config.policies:
         scheduler = MULTI_POLICY_SCHEDULER[pol]

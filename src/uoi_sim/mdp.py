@@ -1,18 +1,20 @@
-"""Frequency-constrained reference policies via relative value iteration.
+"""Frequency-constrained reference policies on the discretized chains.
 
 The single-terminal system with i.i.d. increments and i.i.d. two-point
 weights is Markov in (Q, w_now, w_next); truncating and discretizing Q
-gives a finite average-cost MDP.  The frequency budget enters as a
-Lagrange multiplier lam on the transmit action, calibrated by bisection;
-where no pure policy hits the budget exactly, the two bracketing policies
-are randomized state-wise.  The same machinery solves the age-based chain
-(cost = age) to produce the age-optimal comparison policy.
+gives a finite average-cost MDP, solved by relative value iteration with a
+structured operator.  The frequency budget enters as a Lagrange multiplier
+lam on the transmit action, calibrated by bisection; where no pure policy
+hits the budget exactly, the two bracketing policies are randomized
+state-wise.  The age-based chain (cost = age) that gives the age-optimal
+comparison policy is solved exactly by policy iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +67,8 @@ class StationaryPolicyTable:
     table holds P(transmit | state): shape (nq, nw, nw) for cost_kind "uoi"
     (axes: q bin, current weight, next weight), shape (delta_max,) for "aoi".
     avg_cost excludes the multiplier term; avg_freq is the long-run E[U].
+    iterations counts RVI sweeps for "uoi" and policy-improvement steps for
+    "aoi".
     """
 
     cost_kind: str
@@ -94,29 +98,31 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+@lru_cache(maxsize=16)
+def _kernel(q_max: float, q_step: float, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    nq = 2 * round(q_max / q_step) + 1
+    sigma = math.sqrt(sigma2)
+    # Edge offsets (d + 0.5) * step for integer d; row i needs d = j - i - 1
+    # for interior edge j in 1..nq-1, i.e. d in [-nq + 1, nq - 2].
+    cdf = np.array([_phi((d + 0.5) * q_step / sigma) for d in range(-nq + 1, nq - 1)])
+    # c[i, j - 1] = CDF at the lower edge of bin j seen from q_i, j = 1..nq-1
+    c = cdf[np.arange(nq - 1, -1, -1)[:, None] + np.arange(nq - 1)[None, :]]
+    G = np.empty((nq, nq))
+    G[:, 0] = c[:, 0]
+    G[:, 1:-1] = np.diff(c, axis=1)
+    G[:, -1] = 1.0 - c[:, -1]
+    G.setflags(write=False)
+    return G, G[nq // 2]
+
+
 def gaussian_kernel(grid: MdpGrid, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """(G, g0): G[i, j] = P(bin j | q_i + A), g0 = row from q = 0.
 
     Interior bin edges sit halfway between grid points; tail mass folds
-    into the outermost bins.
+    into the outermost bins.  The arrays are cached per (q_max, q_step,
+    sigma2) and read-only.
     """
-    q = grid.q_values
-    nq = len(q)
-    step = grid.q_step
-    sigma = math.sqrt(sigma2)
-    # Edge offsets (d + 0.5) * step for integer d; row i needs d = j - i - 1
-    # for interior edge j in 1..nq-1, i.e. d in [-nq + 1, nq - 2].
-    d_vals = np.arange(-nq + 1, nq - 1)
-    cdf = np.array([_phi((d + 0.5) * step / sigma) for d in d_vals])
-    G = np.empty((nq, nq))
-    for i in range(nq):
-        # c[j - 1] = CDF at the lower edge of bin j, j = 1..nq-1
-        c = cdf[nq - 1 - i: 2 * nq - 2 - i]
-        G[i, 0] = c[0]
-        G[i, 1:nq - 1] = np.diff(c)
-        G[i, nq - 1] = 1.0 - c[-1]
-    m = nq // 2
-    return G, G[m].copy()
+    return _kernel(grid.q_max, grid.q_step, sigma2)
 
 
 # --------------------------------------------------------------------------
@@ -124,28 +130,11 @@ def gaussian_kernel(grid: MdpGrid, sigma2: float) -> tuple[np.ndarray, np.ndarra
 # --------------------------------------------------------------------------
 
 
-def relative_value_iteration(transitions: np.ndarray, costs: np.ndarray,
-                             span_tol: float = 1e-6, max_iter: int = 100_000,
-                             ref: int = 0, h0: np.ndarray | None = None):
-    """Generic dense average-cost solver.
-
-    transitions: (A, S, S) row-stochastic per action; costs: (S, A).
-    Returns (h, gain, policy, iterations) where policy is the greedy action
-    (ties to the lower action index) and gain the optimal average cost.
-    """
-    n_actions, n_states, _ = transitions.shape
-    h = np.zeros(n_states) if h0 is None else h0.copy()
-    span = math.inf
-    for it in range(1, max_iter + 1):
-        q_vals = costs + np.stack([transitions[a] @ h for a in range(n_actions)], axis=1)
-        th = q_vals.min(axis=1)
-        diff = th - h
-        span = float(diff.max() - diff.min())
-        gain = 0.5 * float(diff.max() + diff.min())
-        h = th - th[ref]
-        if span < span_tol:
-            return h, gain, q_vals.argmin(axis=1), it
-    raise RviConvergenceError(span, max_iter)
+def _weights(grid: MdpGrid) -> tuple[np.ndarray, np.ndarray]:
+    if not grid.weight_support:
+        raise ValueError("uoi cost needs a finite weight support")
+    return (np.array([w for w, _ in grid.weight_support]),
+            np.array([p for _, p in grid.weight_support]))
 
 
 def _uoi_rvi(grid: MdpGrid, params: TerminalParams, span_tol: float = 1e-6,
@@ -155,12 +144,9 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, span_tol: float = 1e-6,
     Exploits that only the q component depends on the action and that the
     weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
     """
-    if not grid.weight_support:
-        raise ValueError("uoi cost needs a finite weight support")
+    w_vals, pw = _weights(grid)
     q = grid.q_values
     nq = len(q)
-    w_vals = np.array([w for w, _ in grid.weight_support])
-    pw = np.array([p for _, p in grid.weight_support])
     nw = len(w_vals)
     G, g0 = gaussian_kernel(grid, params.sigma2)
     base = w_vals[None, :, None] * (q ** 2)[:, None, None]  # (nq, nw, 1)
@@ -185,6 +171,48 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, span_tol: float = 1e-6,
     raise RviConvergenceError(span, max_iter)
 
 
+def _age_chain_bias(send: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gain g and relative values h (h[0] = 0) of the age chain in which age
+    i + 1 pays cost[i], resets to age 1 with probability send[i] and
+    otherwise grows, capped at len(cost) (Puterman §8.2).
+
+    The equations h_i + g = cost_i + send_i h_0 + (1 - send_i) h_up(i) are
+    solved relative to the cap: g = cost[-1] + send[-1] h_0, and
+    back-substitution from the cap writes each h_i as a_i + b_i h_0, so
+    h_0 = a_0 / (1 - b_0).  1 - b_0 > 0 unless the chain has two recurrent
+    classes, which needs p = 1 and a policy that sends below the cap but
+    not at it; no threshold policy does.
+    """
+    s, c = send.tolist(), cost.tolist()
+    a, b = [0.0] * len(c), [0.0] * len(c)
+    for i in range(len(c) - 2, -1, -1):
+        a[i] = c[i] - c[-1] + (1.0 - s[i]) * a[i + 1]
+        b[i] = s[i] - s[-1] + (1.0 - s[i]) * b[i + 1]
+    h0 = a[0] / (1.0 - b[0])
+    return c[-1] + s[-1] * h0, np.array(a) + (np.array(b) - 1.0) * h0
+
+
+def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams, max_iter: int):
+    """Policy iteration on the age chain (Puterman §8.6), starting from never
+    transmitting and evaluating each policy exactly.  Returns (gain, table,
+    improvement steps).  An action changes only where the other one is
+    better by more than rounding; ties keep it, so the iteration ends and
+    untouched ties stay at not transmitting."""
+    n, p, lam = grid.delta_max, params.p, grid.lam
+    ages = np.arange(1, n + 1, dtype=float)
+    up = np.minimum(np.arange(1, n + 1), n - 1)
+    table = np.zeros(n)
+    for it in range(1, max_iter + 1):
+        gain, h = _age_chain_bias(p * table, ages + lam * table)
+        gap = p * h[up] - lam  # waiting minus transmitting: h_up - (lam + (1 - p) h_up)
+        tie = np.abs(gap) <= 1e-10 * (lam + np.abs(p * h[up]))
+        improved = np.where(tie, table, gap > 0.0)
+        if np.array_equal(improved, table):
+            return gain, table, it
+        table = improved
+    raise RviConvergenceError(math.nan, max_iter)
+
+
 # --------------------------------------------------------------------------
 # Exact evaluation of a (possibly randomized) policy on the discrete chain.
 # --------------------------------------------------------------------------
@@ -201,53 +229,35 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return mu / mu.sum()
 
 
-def _uoi_policy_chain(grid: MdpGrid, params: TerminalParams, table: np.ndarray):
-    """Dense transition matrix plus per-state base cost and transmit prob."""
-    q = grid.q_values
-    nq = len(q)
-    w_vals = np.array([w for w, _ in grid.weight_support])
-    pw = np.array([p for _, p in grid.weight_support])
-    nw = len(w_vals)
-    G, g0 = gaussian_kernel(grid, params.sigma2)
-    p = params.p
-    S = nq * nw * nw
-    P6 = np.zeros((nq, nw, nw, nq, nw, nw))
-    for a in range(nw):
-        for b in range(nw):
-            u = table[:, a, b]                       # (nq,)
-            qrows = (1.0 - p * u)[:, None] * G + (p * u)[:, None] * g0[None, :]
-            P6[:, a, b, :, b, :] = qrows[:, :, None] * pw[None, None, :]
-    P = P6.reshape(S, S)
-    base = (w_vals[None, :, None] * (q ** 2)[:, None, None]
-            * np.ones((1, 1, nw))).reshape(S)
-    freq = table.reshape(S)
-    return P, base, freq
-
-
-def _aoi_policy_chain(grid: MdpGrid, params: TerminalParams, table: np.ndarray):
-    dmax = grid.delta_max
-    p = params.p
-    P = np.zeros((dmax, dmax))
-    ages = np.arange(1, dmax + 1, dtype=float)
-    for i in range(dmax):
-        up = min(i + 1, dmax - 1)
-        u = table[i]
-        P[i, 0] += p * u
-        P[i, up] += 1.0 - p * u
-    return P, ages, table.astype(float)
-
-
 def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
                     table: np.ndarray) -> tuple[float, float]:
-    """(avg base cost, avg transmit frequency) of the induced chain."""
-    if cost_kind == "uoi":
-        P, base, freq = _uoi_policy_chain(grid, params, table)
-    elif cost_kind == "aoi":
-        P, base, freq = _aoi_policy_chain(grid, params, table)
-    else:
+    """(avg base cost, avg transmit frequency) of the induced chain.
+
+    uoi: w_next is a fresh draw independent of q, so the stationary law of
+    (q, w_now, w_next) is nu(q, w_now) * pw[w_next], where nu is stationary
+    for the (q, w_now) chain P[(q, a), (q', b)] = pw[b] * K_ab[q, q'] and
+    K_ab mixes the kernel row of q with the reset row g0 by the delivery
+    probability p * table[q, a, b].  aoi: gains of the age chain with the
+    age and the table as costs.
+    """
+    if cost_kind == "aoi":
+        send = params.p * table
+        ages = np.arange(1, grid.delta_max + 1, dtype=float)
+        return _age_chain_bias(send, ages)[0], _age_chain_bias(send, table)[0]
+    if cost_kind != "uoi":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
-    mu = stationary_distribution(P)
-    return float(mu @ base), float(mu @ freq)
+    w_vals, pw = _weights(grid)
+    q = grid.q_values
+    nq, nw = len(q), len(w_vals)
+    G, g0 = gaussian_kernel(grid, params.sigma2)
+    P = np.empty((nq, nw, nq, nw))
+    for a in range(nw):
+        for b in range(nw):
+            send = params.p * table[:, a, b]
+            P[:, a, :, b] = ((1.0 - send)[:, None] * G + send[:, None] * g0) * pw[b]
+    nu = stationary_distribution(P.reshape(nq * nw, nq * nw)).reshape(nq, nw)
+    return (float(np.sum(nu * w_vals[None, :] * (q ** 2)[:, None])),
+            float(np.sum(nu * (table @ pw))))
 
 
 # --------------------------------------------------------------------------
@@ -255,32 +265,20 @@ def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
 # --------------------------------------------------------------------------
 
 
-def _aoi_mdp(grid: MdpGrid, params: TerminalParams):
-    dmax = grid.delta_max
-    p = params.p
-    T = np.zeros((2, dmax, dmax))
-    for i in range(dmax):
-        up = min(i + 1, dmax - 1)
-        T[0, i, up] = 1.0
-        T[1, i, 0] = p
-        T[1, i, up] = 1.0 - p
-    ages = np.arange(1, dmax + 1, dtype=float)
-    costs = np.stack([ages, ages + grid.lam], axis=1)
-    return T, costs
-
-
 def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
               span_tol: float = 1e-6, max_iter: int = 100_000,
               h0: np.ndarray | None = None) -> StationaryPolicyTable:
     """Solve the lam-penalized average-cost problem and evaluate its greedy
-    policy exactly on the discrete chain."""
+    policy exactly on the discrete chain.
+
+    uoi: relative value iteration from h0 until the span is below span_tol.
+    aoi: policy iteration with exact evaluation (span_tol and h0 unused;
+    max_iter caps the improvement steps).
+    """
     if cost_kind == "uoi":
         _, gain, table, iters = _uoi_rvi(grid, params, span_tol, max_iter, h0=h0)
     elif cost_kind == "aoi":
-        T, costs = _aoi_mdp(grid, params)
-        _, gain, actions, iters = relative_value_iteration(
-            T, costs, span_tol, max_iter, h0=h0)
-        table = actions.astype(float)
+        gain, table, iters = _aoi_policy_iteration(grid, params, max_iter)
     else:
         raise ValueError(f"unknown cost kind {cost_kind!r}")
     avg_cost, avg_freq = evaluate_policy(grid, params, cost_kind, table)
@@ -289,19 +287,16 @@ def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
                                  grid=grid, gain=gain, iterations=iters)
 
 
-def _mix_tables(lo: StationaryPolicyTable, hi: StationaryPolicyTable, eta: float) -> np.ndarray:
-    return eta * lo.table + (1.0 - eta) * hi.table
-
-
 def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
                          cost_kind: str, freq_tol: float = 1e-3,
                          max_bisect: int = 60, lam_cap: float = 1e6
                          ) -> tuple[float, StationaryPolicyTable]:
     """Find lam so the policy's long-run transmit frequency meets rho.
 
-    Bisection on lam; if the pure policies jump across rho, the two
-    bracketing policies are randomized state-wise and the mixing weight is
-    itself bisected against the exact chain frequency.
+    Bisection on lam, until the midpoint is no longer strictly inside the
+    bracket; if the pure policies jump across rho, the two bracketing
+    policies are randomized state-wise and the mixing weight is itself
+    bisected against the exact chain frequency.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
@@ -327,6 +322,8 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
     lam_lo = 0.0
     for _ in range(max_bisect):
         lam_mid = 0.5 * (lam_lo + lam_hi)
+        if not lam_lo < lam_mid < lam_hi:
+            break  # bracket narrower than float resolution
         mid_tab = solve(lam_mid)
         if abs(mid_tab.avg_freq - rho) < freq_tol:
             return lam_mid, mid_tab
@@ -342,7 +339,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
     cost = hi_tab.avg_cost
     for _ in range(60):
         eta = 0.5 * (eta_lo + eta_hi)
-        mixed = _mix_tables(lo_tab, hi_tab, eta)
+        mixed = eta * lo_tab.table + (1.0 - eta) * hi_tab.table
         cost, freq = evaluate_policy(grid, params, cost_kind, mixed)
         if abs(freq - rho) < freq_tol:
             break
@@ -351,7 +348,8 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         else:
             eta_lo = eta
     table = StationaryPolicyTable(cost_kind=cost_kind, table=mixed,
-                                  avg_cost=cost, avg_freq=freq, grid=grid,
+                                  avg_cost=cost, avg_freq=freq,
+                                  grid=replace(grid, lam=lam_hi),
                                   gain=hi_tab.gain, iterations=hi_tab.iterations)
     return lam_hi, table
 

@@ -102,7 +102,7 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     widx = ({float(val): i for i, (val, _) in enumerate(policy_table.grid.weight_support)}
             if policy_table is not None and policy_table.cost_kind == "uoi" else {})
 
-    nb = max(1, n_batches)
+    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
     batch_len = max(1, T // nb)
     batch_sums = np.zeros(nb)
     batch_counts = np.zeros(nb, dtype=np.int64)
@@ -221,7 +221,7 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
     c_streams = [factory.stream("channel", i) for i in range(n)]
     incs = [GaussianIncrements(sigma2[i]) for i in range(n)]
 
-    nb = max(1, n_batches)
+    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
     batch_len = max(1, T // nb)
     batch_sums = np.zeros(nb)
     batch_counts = np.zeros(nb, dtype=np.int64)
@@ -354,7 +354,7 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     theta = omega_bar * (1.0 / (p_channel * rho) - 1.0)
     age_m = age_threshold_for_budget(p_channel, rho)
 
-    nb = max(1, n_batches)
+    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
     batch_len = max(1, T // nb)
     track_sums = np.zeros(nb)
     est_sums = np.zeros(nb)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from uoi_sim.core import TerminalParams, TwoPointWeights
+from uoi_sim.mdp import RviConvergenceError
 from uoi_sim.multi import FleetConfig
 
 
@@ -72,3 +75,59 @@ def grid_min_objective(d: np.ndarray, k: int, step: float = 1e-3) -> float:
             g[x:] = np.minimum(g[x:], c[x] + f[: budget + 1 - x])
         f = g
     return float(f.min())
+
+
+def relative_value_iteration(transitions: np.ndarray, costs: np.ndarray,
+                             span_tol: float = 1e-6, max_iter: int = 100_000,
+                             ref: int = 0):
+    """Generic dense average-cost solver.
+
+    transitions: (A, S, S) row-stochastic per action; costs: (S, A).
+    Returns (h, gain, policy, iterations) where policy is the greedy action
+    (ties to the lower action index) and gain the optimal average cost.
+    """
+    n_actions, n_states, _ = transitions.shape
+    h = np.zeros(n_states)
+    span = math.inf
+    for it in range(1, max_iter + 1):
+        q_vals = costs + np.stack([transitions[a] @ h for a in range(n_actions)], axis=1)
+        th = q_vals.min(axis=1)
+        diff = th - h
+        span = float(diff.max() - diff.min())
+        gain = 0.5 * float(diff.max() + diff.min())
+        h = th - th[ref]
+        if span < span_tol:
+            return h, gain, q_vals.argmin(axis=1), it
+    raise RviConvergenceError(span, max_iter)
+
+
+def dense_stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary law of a unichain transition matrix: least-squares solve
+    of mu (P - I) = 0 together with sum(mu) = 1."""
+    n = P.shape[0]
+    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+def dense_uoi_chain(q_values: np.ndarray, G: np.ndarray, g0: np.ndarray, support,
+                    p: float, table: np.ndarray) -> tuple[float, float]:
+    """(average w_now q^2, average transmit probability) of the full
+    (q, w_now, w_next) chain under a P(transmit) table, built state by state."""
+    w = [val for val, _ in support]
+    pw = [pr for _, pr in support]
+    nq, nw = len(q_values), len(w)
+    states = [(i, a, b) for i in range(nq) for a in range(nw) for b in range(nw)]
+    index = {s: k for k, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for (i, a, b), k in index.items():
+        send = p * table[i, a, b]
+        for j in range(nq):
+            row = (1.0 - send) * G[i, j] + send * g0[j]
+            for c in range(nw):
+                P[k, index[(j, b, c)]] += row * pw[c]
+    mu = dense_stationary(P)
+    cost = sum(mu[k] * w[a] * q_values[i] ** 2 for (i, a, b), k in index.items())
+    freq = sum(mu[k] * table[i, a, b] for (i, a, b), k in index.items())
+    return float(cost), float(freq)

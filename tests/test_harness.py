@@ -56,6 +56,29 @@ def test_invalid_values_name_the_field():
     assert "thresholds" in str(err.value)
 
 
+def test_n_batches_validated():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"scenario": "single", "n_batches": 0})
+    assert err.value.field == "n_batches"
+
+
+@pytest.mark.parametrize("raw,field", [
+    ({"terminal": {"p": 0}}, "terminal.p"),
+    ({"terminal": {"sigma2": -1}}, "sigma2"),
+    ({"fleet": {"p_min": 0}}, "fleet.p_min"),
+    ({"mdp": {"q_max": -1}}, "mdp.q_max"),
+])
+def test_invalid_model_parameters_name_the_field(raw, field):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(dict(raw, scenario="single"))
+    assert err.value.field == field
+
+
+def test_mdp_grid_mismatch_is_config_error(capsys):
+    assert cli.main(["mdp", "--qstep", "0.3"]) == 2
+    assert "'mdp.q_step'" in capsys.readouterr().err
+
+
 def test_threshold_keys_parse_to_floats():
     cfg = _cfg(thresholds={"1": 15, "100": 5})
     assert cfg.thresholds == {1.0: 15.0, 100.0: 5.0}
@@ -232,3 +255,32 @@ def test_cli_mdp_emits_policy_table(tmp_path):
     text = out.read_text()
     assert text.startswith("# cost_kind=aoi")
     assert "# age -> P(transmit)" in text
+
+
+def test_cli_negative_v_is_config_error(capsys):
+    assert cli.main(["single", "--v", "-1", "--horizon", "10"]) == 2
+    assert "'v'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["multi", "--k", "0"], "fleet.k"),
+    (["multi", "--n", "0"], "fleet.n"),
+    (["csma", "--window", "1", "--k", "2"], "contention.w"),
+    (["csma", "--mini-slot-us", "0"], "contention.mini_slot_us"),
+])
+def test_cli_invalid_domain_parameter_is_config_error(argv, field, capsys):
+    assert cli.main(argv + ["--horizon", "10"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_cli_multi_ignores_contention_window():
+    # the window only constrains csma; k above the default W = 16 is fine here
+    assert cli.main(["multi", "--n", "20", "--k", "17", "--horizon", "10"]) == 0
+
+
+def test_cli_mdp_header_carries_calibrated_multiplier(tmp_path, capsys):
+    out = tmp_path / "policy.txt"
+    assert cli.main(["mdp", "--rho", "0.25", "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert "lam=3.86581" in header
+    assert "lam=3.86581" in capsys.readouterr().err

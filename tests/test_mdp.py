@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_terminal, desk_weights
+from conftest import (dense_uoi_chain, desk_terminal, desk_weights,
+                      relative_value_iteration)
 from uoi_sim.core import TerminalParams
 from uoi_sim.mdp import (MdpGrid, calibrate_multiplier, evaluate_policy,
-                         format_policy_table, gaussian_kernel,
-                         relative_value_iteration, rvi_solve,
+                         format_policy_table, gaussian_kernel, rvi_solve,
                          stationary_distribution)
 
 
@@ -67,6 +67,48 @@ def test_rvi_matches_policy_enumeration_on_tiny_chain():
     assert gain == pytest.approx(best, abs=1e-9)
     # transmitting only pays off where the error is nonzero
     assert policy[1] == 0
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 8.0, 40.0])
+def test_age_chain_solver_matches_policy_enumeration(lam):
+    # all 2^8 deterministic policies of the age chain capped at 8
+    params = desk_terminal()
+    grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),), lam=lam,
+                   delta_max=8)
+    n, p = grid.delta_max, params.p
+    wait = np.zeros((n, n))
+    wait[np.arange(n), np.minimum(np.arange(1, n + 1), n - 1)] = 1.0
+    send = p * np.tile(np.eye(n)[0], (n, 1)) + (1 - p) * wait
+    ages = np.arange(1, n + 1, dtype=float)
+    best = _enumerate_optimal_average_cost(np.stack([wait, send]),
+                                           np.stack([ages, ages + lam], axis=1))
+    table = rvi_solve(grid, params, "aoi")
+    assert table.gain == pytest.approx(best, abs=1e-9)
+    assert table.avg_cost + lam * table.avg_freq == pytest.approx(best, abs=1e-9)
+    assert set(np.unique(table.table)) <= {0.0, 1.0}
+
+
+def test_uoi_reduced_chain_matches_dense_oracle():
+    params = desk_terminal()
+    support = ((1.0, 0.3), (5.0, 0.7))
+    grid = MdpGrid(q_max=2.0, q_step=0.5, weight_support=support)
+    table = np.random.default_rng(3).random((len(grid.q_values), 2, 2))
+    G, g0 = gaussian_kernel(grid, params.sigma2)
+    cost, freq = evaluate_policy(grid, params, "uoi", table)
+    ref_cost, ref_freq = dense_uoi_chain(grid.q_values, G, g0, support, params.p, table)
+    assert cost == pytest.approx(ref_cost, rel=1e-12)
+    assert freq == pytest.approx(ref_freq, rel=1e-12)
+
+
+def test_gaussian_kernel_is_cached_and_read_only():
+    grid = MdpGrid(q_max=3.0, q_step=0.5, weight_support=((1.0, 1.0),))
+    G, g0 = gaussian_kernel(grid, 2.0)
+    G2, _ = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5, weight_support=((1.0, 1.0),),
+                                    lam=7.0), 2.0)
+    assert G2 is G
+    assert not G.flags.writeable and not g0.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
 
 
 def test_unconstrained_perfect_channel_updates_everywhere():
@@ -183,6 +225,15 @@ def test_constrained_optimum_dominates_adaptive_paired():
     se = math.hypot(stderr_from_batches(adaptive.batch_means),
                     stderr_from_batches(optimal.batch_means))
     assert optimal.avg_uoi <= adaptive.avg_uoi + 3 * se
+
+
+def test_calibrated_table_header_carries_returned_multiplier():
+    # the duality-gap branch mixes two tables; the header shows the lam it returns
+    params = desk_terminal()
+    grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=desk_weights().support())
+    lam, table = calibrate_multiplier(grid, params, rho=0.25, cost_kind="aoi")
+    assert table.grid.lam == lam > 0.0
+    assert f"lam={lam:.6g}" in format_policy_table(table).splitlines()[0]
 
 
 def test_format_policy_table_roundtrip_smoke():

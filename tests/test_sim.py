@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_terminal, desk_weights, fleet_weights, make_fleet
+from uoi_sim.control import LinearPlant, ReferencePath
 from uoi_sim.core import (ErrorQueue, GaussianIncrements, TerminalParams,
                           sample_channel_block, step_error)
 from uoi_sim.csma import ContentionConfig
@@ -187,3 +188,20 @@ def test_baseline_policies_respect_budget(policy, budget_slack):
     res = run_single(desk_terminal(), desk_weights(), rho=0.25, v=1.0,
                      policy=policy, horizon=10**5, factory=StreamFactory(13))
     assert res.update_freq[0] <= 0.25 + budget_slack
+
+
+def test_short_horizon_has_no_empty_batches():
+    # horizon below n_batches: one slot per batch, none left empty
+    single = run_single(desk_terminal(), desk_weights(), 0.25, 1.0, horizon=5,
+                        factory=StreamFactory(1))
+    fleet = make_fleet(3, k=1)
+    multi = run_fleet(fleet, [fleet_weights()] * 3, "round-robin",
+                      pi=np.full(3, 1 / 3), horizon=5, factory=StreamFactory(1))
+    track = run_tracking(LinearPlant(a=1.0, b=1.0, noise_var=1.0), ReferencePath(),
+                         desk_weights(), "periodic", rho=0.25, v=1.0, p_channel=0.8,
+                         horizon=5, factory=StreamFactory(1))
+    for batches, avg in [(single.batch_means, single.avg_uoi),
+                         (multi.batch_means, multi.avg_uoi),
+                         (track.track_batches, track.avg_track_cost)]:
+        assert len(batches) == 5
+        assert float(np.mean(batches)) == pytest.approx(avg, rel=1e-12)
