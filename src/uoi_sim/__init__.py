@@ -1,24 +1,20 @@
 """Urgency-of-information status updating and scheduling simulator."""
 
-from .core import (ChannelDraw, ConstantWeights, ErrorQueue, GaussianIncrements,
-                   PeriodicBurstWeights, TerminalParams, TwoPointWeights,
-                   WeightProcess, sample_channel_block, sample_weight_pair,
-                   step_error, uoi)
+from .core import (ConstantWeights, GaussianIncrements, PeriodicBurstWeights,
+                   TerminalParams, TwoPointWeights, WeightProcess,
+                   sample_channel_block)
 from .csma import (COLLISION, ContentionConfig, ContentionOutcome,
-                   ThresholdState, activate, adapt_threshold, contend,
-                   default_delta_j, expected_window)
-from .control import LinearPlant, ReferencePath, optimal_control, step_plant
+                   ThresholdState, adapt_threshold, contend, default_delta_j,
+                   expected_window)
+from .control import LinearPlant, ReferencePath, optimal_control
 from .harness import (ConfigError, ExperimentConfig, RunMetrics,
                       config_from_dict, export, load_config, run)
 from .mdp import (MdpGrid, StationaryPolicyTable, calibrate_multiplier,
                   rvi_solve)
-from .multi import (AoIState, FleetConfig, StationaryPolicy, fleet_uoi_bound,
-                    kkt_residual, multi_update_index, schedule_aoi,
-                    schedule_round_robin, schedule_topk, step_aoi, waterfill)
+from .multi import (FleetConfig, StationaryPolicy, fleet_uoi_bound,
+                    kkt_residual, schedule_round_robin, waterfill)
 from .rng import StreamFactory
-from .sim import run_fleet, run_single, run_tracking
-from .single import (SingleUpdaterState, VirtualQueue, adaptive_uoi_bound,
-                     decide_update, make_single_updater, step_virtual_queue,
-                     update_index)
+from .sim import (POLICY_TABLE, adaptive_uoi_bound, run_fleet, run_single,
+                  run_tracking)
 
 __version__ = "0.1.0"

@@ -74,76 +74,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDES = ("seed", "horizon", "replications", "rho", "v", "n", "k",
-              "a", "b", "noise_var", "trace")
+# flag -> (section, key) of the config it overrides; "" is the top level
+_OVERRIDES = {
+    "seed": ("", "seed"), "horizon": ("", "horizon"),
+    "replications": ("", "replications"), "policies": ("", "policies"),
+    "trace": ("", "trace"), "rho": ("", "rho"), "v": ("", "v"),
+    "n": ("fleet", "n"), "k": ("fleet", "k"),
+    "window": ("contention", "w"), "mini_slot_us": ("contention", "mini_slot_us"),
+    "a": ("control", "a"), "b": ("control", "b"), "noise_var": ("control", "noise_var"),
+    "cost": ("mdp", "cost"), "qmax": ("mdp", "q_max"), "qstep": ("mdp", "q_step"),
+}
 
 
 def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
+    """Apply the flags to the raw config (the file, or just the scenario)
+    and validate the result once."""
     if args.config:
-        config = harness.load_config(args.config)
-        if config.scenario != args.scenario:
+        raw = harness.read_config(args.config)
+        if "scenario" in raw and raw["scenario"] != args.scenario:
             raise harness.ConfigError(
-                "scenario", f"config says {config.scenario!r} but the "
+                "scenario", f"config says {raw['scenario']!r} but the "
                 f"command line asked for {args.scenario!r}")
     else:
-        config = harness.config_from_dict({"scenario": args.scenario})
-    for name in _OVERRIDES:
-        value = getattr(args, name, None)
-        if value is not None and value is not False:
-            setattr(config, name, value)
-    if getattr(args, "policies", None):
-        config.policies = tuple(args.policies)
-    if getattr(args, "window", None) is not None:
-        config.window = args.window
-    if getattr(args, "mini_slot_us", None) is not None:
-        config.mini_slot_us = args.mini_slot_us
-    if getattr(args, "cost", None) is not None:
-        config.mdp_cost = args.cost
-    if getattr(args, "qmax", None) is not None:
-        config.q_max = args.qmax
-    if getattr(args, "qstep", None) is not None:
-        config.q_step = args.qstep
-    # re-validate after overrides
-    return harness.config_from_dict(_config_to_dict(config))
-
-
-def _config_to_dict(config: harness.ExperimentConfig) -> dict:
-    w = config.weights
-    if hasattr(w, "prob_hi"):
-        weights = {"kind": "two-point", "w_lo": w.w_lo, "w_hi": w.w_hi,
-                   "prob_hi": w.prob_hi}
-    elif hasattr(w, "period"):
-        weights = {"kind": "periodic-burst", "base": w.base, "burst": w.burst,
-                   "period": w.period, "burst_len": w.burst_len}
-    else:
-        weights = {"kind": "constant", "w": w.w}
-    d = {
-        "scenario": config.scenario,
-        "horizon": config.horizon,
-        "replications": config.replications,
-        "seed": config.seed,
-        "policies": list(config.policies),
-        "rho": config.rho,
-        "v": config.v,
-        "terminal": {"p": config.p, "sigma2": config.sigma2},
-        "weights": weights,
-        "fleet": {"n": config.n, "k": config.k,
-                  "p_min": config.p_min, "p_max": config.p_max},
-        "contention": {"w": config.window, "mini_slot_us": config.mini_slot_us},
-        "control": {"a": config.a, "b": config.b, "noise_var": config.noise_var,
-                    "y_ref": {"kind": config.y_ref.kind, "value": config.y_ref.value,
-                              "amplitude": config.y_ref.amplitude,
-                              "period": config.y_ref.period}},
-        "mdp": {"cost": config.mdp_cost},
-        "thresholds": {str(k): v for k, v in config.thresholds.items()},
-        "trace": config.trace,
-        "n_batches": config.n_batches,
-    }
-    if config.q_max is not None:
-        d["mdp"]["q_max"] = config.q_max
-    if config.q_step is not None:
-        d["mdp"]["q_step"] = config.q_step
-    return d
+        raw = {"scenario": args.scenario}
+    for flag, (section, key) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is None or value is False:
+            continue
+        if section and raw.get(section) is None:
+            raw[section] = {}
+        target = raw[section] if section else raw
+        if isinstance(target, dict):  # a malformed section is reported below
+            target[key] = value
+    return harness.config_from_dict(raw)
 
 
 def main(argv: list[str] | None = None) -> int:

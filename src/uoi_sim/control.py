@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .rng import Stream
-
 
 @dataclass(frozen=True)
 class LinearPlant:
@@ -54,15 +52,7 @@ class ReferencePath:
 
 def optimal_control(plant: LinearPlant, y_next: float) -> float:
     """v* = (y - a * x_hat) / b, the weighted-squared-error minimizer."""
-    if plant.b == 0.0:
-        raise ValueError("control gain b must be nonzero")
     return (y_next - plant.a * plant.x_hat) / plant.b
-
-
-def step_plant(plant: LinearPlant, v: float, updated: int, stream: Stream) -> LinearPlant:
-    """Advance the plant one slot and propagate (or correct) the estimate."""
-    r = float(stream.normal(1)[0]) * math.sqrt(plant.noise_var)
-    return step_plant_with_noise(plant, v, updated, r)
 
 
 def step_plant_with_noise(plant: LinearPlant, v: float, updated: int, r: float) -> LinearPlant:

@@ -1,4 +1,4 @@
-"""Domain types and per-slot dynamics shared by every updating scheme.
+"""Domain types and stream sampling shared by every updating scheme.
 
 The estimation error of a terminal behaves like a queue that is emptied on
 every successful delivery and otherwise accumulates random increments:
@@ -132,17 +132,6 @@ class PeriodicBurstWeights:
 WeightProcess = ConstantWeights | TwoPointWeights | PeriodicBurstWeights
 
 
-def sample_weight_pair(process: WeightProcess, slot: int, stream: Stream | None):
-    """Realized weight at `slot` and the known one-step-ahead weight.
-
-    Deterministic given the stream's seed and the slot.  Samples the
-    process from slot 0, so cost is O(slot); the simulators use
-    sample_block directly instead.
-    """
-    block = process.sample_block(stream, 0, slot + 2)
-    return float(block[slot]), float(block[slot + 1])
-
-
 @dataclass(frozen=True)
 class GaussianIncrements:
     """Zero-mean i.i.d. Gaussian error increments with variance sigma2."""
@@ -157,53 +146,7 @@ class GaussianIncrements:
         return stream.normal(count) * math.sqrt(self.sigma2)
 
 
-IncrementProcess = GaussianIncrements
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """Per-slot channel state; delivery happens iff D = U * S = 1."""
-
-    s: int
-
-    @classmethod
-    def sample(cls, stream: Stream, p: float) -> "ChannelDraw":
-        return cls(int(stream.uniform(1)[0] < p))
-
-
 def sample_channel_block(stream: Stream, p: float, count: int) -> np.ndarray:
     """Boolean channel states, one per slot, P(good) = p."""
     return stream.uniform(count) < p
 
-
-# --------------------------------------------------------------------------
-# Error dynamics and the metric.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ErrorQueue:
-    """Estimation-error state.  `slot` is the queue's own clock."""
-
-    q: float = 0.0
-    last_delivery_slot: int = -1
-    slot: int = 0
-
-
-def step_error(queue: ErrorQueue, u: int, s: int, a: float) -> ErrorQueue:
-    """Advance the error queue one slot: delivery empties it, then the
-    increment lands either way."""
-    delivered = u * s
-    new_q = (1 - delivered) * queue.q + a
-    return ErrorQueue(
-        q=new_q,
-        last_delivery_slot=queue.slot if delivered else queue.last_delivery_slot,
-        slot=queue.slot + 1,
-    )
-
-
-def uoi(weight: float, error: float) -> float:
-    """Urgency of information: context weight times squared error."""
-    if weight <= 0.0:
-        raise ValueError(f"weight must be positive, got {weight}")
-    return weight * error * error

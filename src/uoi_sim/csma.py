@@ -69,11 +69,6 @@ class ContentionOutcome:
         return [t for t in self.reservations.values() if t != COLLISION]
 
 
-def activate(indices: np.ndarray, threshold: ThresholdState) -> list[int]:
-    """Ids whose update index strictly exceeds the threshold."""
-    return np.flatnonzero(np.asarray(indices) > threshold.j_th).tolist()
-
-
 def contend(active: Iterable[int], cfg: ContentionConfig,
             draw_backoff: Callable[[int], int]) -> ContentionOutcome:
     """Resolve one contention window.

@@ -24,19 +24,8 @@ from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
-from .sim import (SimResult, run_fleet, run_single, run_tracking,
-                  stderr_from_batches)
-from .single import adaptive_uoi_bound
-
-SCENARIOS = ("single", "multi", "csma", "mdp", "control", "waterfill")
-
-MULTI_POLICY_SCHEDULER = {
-    "centralized": "centralized",
-    "aoi": "aoi",
-    "round-robin": "round-robin",
-    "stationary": "stationary",
-    "distributed": "csma",
-}
+from .sim import (POLICY_TABLE, SimResult, adaptive_uoi_bound, run_fleet,
+                  run_single, run_tracking, stderr_from_batches)
 
 
 class ConfigError(ValueError):
@@ -53,8 +42,32 @@ def _take(d: dict, field_name: str, caster, default, path: str):
         return default
     try:
         return caster(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}{field_name}", str(exc)) from exc
+
+
+def _integer(value) -> int:
+    """int() that refuses to drop a fraction: 1e6 is fine, 100.7 is not."""
+    number = int(value)
+    if number != value and not isinstance(value, str):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return number
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _section(d: dict, name: str, path: str = "") -> dict:
+    """Pop a nested object; absent or null reads as empty."""
+    value = d.pop(name, None)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}{name}", f"must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def _reject_unknown(d: dict, path: str = ""):
@@ -63,31 +76,35 @@ def _reject_unknown(d: dict, path: str = ""):
         raise ConfigError(f"{path}{key}", "unknown key")
 
 
-def weight_process_from_dict(d: dict | None, path: str = "weights.") -> WeightProcess:
-    if d is None:
-        return TwoPointWeights(w_lo=1.0, w_hi=100.0, prob_hi=0.01)
+def weight_process_from_dict(d: dict, path: str = "weights.") -> WeightProcess:
     d = dict(d)
+
+    def positive(name: str, default: float) -> float:
+        value = _take(d, name, float, default, path)
+        if not value > 0.0:
+            raise ConfigError(f"{path}{name}", f"must be positive, got {value}")
+        return value
+
     kind = _take(d, "kind", str, "two-point", path)
-    try:
-        if kind == "two-point":
-            proc = TwoPointWeights(
-                w_lo=_take(d, "w_lo", float, 1.0, path),
-                w_hi=_take(d, "w_hi", float, 100.0, path),
-                prob_hi=_take(d, "prob_hi", float, 0.01, path))
-        elif kind == "constant":
-            proc = ConstantWeights(w=_take(d, "w", float, 1.0, path))
-        elif kind == "periodic-burst":
-            proc = PeriodicBurstWeights(
-                base=_take(d, "base", float, 1.0, path),
-                burst=_take(d, "burst", float, 100.0, path),
-                period=_take(d, "period", int, 5000, path),
-                burst_len=_take(d, "burst_len", int, 50, path))
-        else:
-            raise ConfigError(f"{path}kind", f"unknown weight process {kind!r}")
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}kind", str(exc)) from exc
+    if kind == "two-point":
+        w_lo, w_hi = positive("w_lo", 1.0), positive("w_hi", 100.0)
+        prob_hi = _take(d, "prob_hi", float, 0.01, path)
+        if not 0.0 <= prob_hi <= 1.0:
+            raise ConfigError(f"{path}prob_hi", f"must be in [0, 1], got {prob_hi}")
+        proc = TwoPointWeights(w_lo=w_lo, w_hi=w_hi, prob_hi=prob_hi)
+    elif kind == "constant":
+        proc = ConstantWeights(w=positive("w", 1.0))
+    elif kind == "periodic-burst":
+        base, burst = positive("base", 1.0), positive("burst", 100.0)
+        period = _take(d, "period", _integer, 5000, path)
+        burst_len = _take(d, "burst_len", _integer, 50, path)
+        if not 0 < burst_len <= period:
+            raise ConfigError(f"{path}burst_len", f"must be in [1, period = {period}], "
+                                                  f"got {burst_len}")
+        proc = PeriodicBurstWeights(base=base, burst=burst, period=period,
+                                    burst_len=burst_len)
+    else:
+        raise ConfigError(f"{path}kind", f"unknown weight process {kind!r}")
     _reject_unknown(d, path)
     return proc
 
@@ -127,12 +144,15 @@ class ExperimentConfig:
     n_batches: int = 10
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {self.scenario!r}")
+        if self.scenario not in POLICY_TABLE:
+            raise ConfigError("scenario", f"must be one of {tuple(POLICY_TABLE)}, "
+                                          f"got {self.scenario!r}")
         if self.horizon < 1:
             raise ConfigError("horizon", "must be at least 1")
         if self.replications < 1:
             raise ConfigError("replications", "must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         if not 0.0 < self.rho <= 1.0:
             raise ConfigError("rho", f"must be in (0, 1], got {self.rho}")
         if self.v < 0.0:
@@ -158,37 +178,21 @@ class ExperimentConfig:
         if self.scenario == "csma" and self.mini_slot_us <= 0.0:
             raise ConfigError("contention.mini_slot_us",
                               f"must be positive, got {self.mini_slot_us}")
+        if self.b == 0.0:
+            raise ConfigError("control.b", "must be nonzero")
+        if not self.noise_var > 0.0:
+            raise ConfigError("control.noise_var", f"must be positive, got {self.noise_var}")
         for w, bound in self.thresholds.items():
-            if bound <= 0.0:
-                raise ConfigError("thresholds", f"bound for weight {w} must be positive")
+            if not (bound > 0.0 and math.isfinite(bound)):
+                raise ConfigError("thresholds", f"bound for weight {w} must be positive "
+                                                f"and finite, got {bound}")
+        entry = POLICY_TABLE[self.scenario]
         if not self.policies:
-            self.policies = _default_policies(self.scenario)
-        unknown = [p for p in self.policies if p not in _allowed_policies(self.scenario)]
+            self.policies = (entry.default,)
+        unknown = [p for p in self.policies if p not in entry.policies]
         if unknown:
             raise ConfigError("policies", f"{unknown[0]!r} not valid for scenario "
                                           f"{self.scenario!r}")
-
-
-def _default_policies(scenario: str) -> tuple[str, ...]:
-    return {
-        "single": ("adaptive",),
-        "multi": ("centralized",),
-        "csma": ("distributed",),
-        "mdp": ("rvi",),
-        "control": ("adaptive",),
-        "waterfill": ("stationary",),
-    }[scenario]
-
-
-def _allowed_policies(scenario: str) -> tuple[str, ...]:
-    return {
-        "single": ("adaptive", "periodic", "random", "age-threshold", "rvi-uoi", "rvi-aoi"),
-        "multi": ("centralized", "aoi", "round-robin", "stationary"),
-        "csma": ("distributed", "centralized"),
-        "mdp": ("rvi",),
-        "control": ("adaptive", "periodic", "random", "age-threshold"),
-        "waterfill": ("stationary",),
-    }[scenario]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -197,16 +201,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if scenario is None:
         raise ConfigError("scenario", "is required")
 
-    weights = weight_process_from_dict(d.pop("weights", None))
+    weights = weight_process_from_dict(_section(d, "weights"))
 
-    terminal = dict(d.pop("terminal", {}) or {})
+    terminal = _section(d, "terminal")
     p = _take(terminal, "p", float, 0.8, "terminal.")
     sigma2 = _take(terminal, "sigma2", float, 1.0, "terminal.")
     _reject_unknown(terminal, "terminal.")
 
-    fleet = dict(d.pop("fleet", {}) or {})
-    n = _take(fleet, "n", int, 10, "fleet.")
-    k = _take(fleet, "k", int, 2, "fleet.")
+    fleet = _section(d, "fleet")
+    n = _take(fleet, "n", _integer, 10, "fleet.")
+    k = _take(fleet, "k", _integer, 2, "fleet.")
     p_min = _take(fleet, "p_min", float, 0.7, "fleet.")
     p_max = _take(fleet, "p_max", float, 1.0, "fleet.")
     fleet_sigma2 = _take(fleet, "sigma2", float, None, "fleet.")
@@ -214,25 +218,30 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sigma2 = fleet_sigma2
     _reject_unknown(fleet, "fleet.")
 
-    contention = dict(d.pop("contention", {}) or {})
-    window = _take(contention, "w", int, 16, "contention.")
+    contention = _section(d, "contention")
+    window = _take(contention, "w", _integer, 16, "contention.")
     mini_slot_us = _take(contention, "mini_slot_us", float, 10.0, "contention.")
     _reject_unknown(contention, "contention.")
 
-    control = dict(d.pop("control", {}) or {})
+    control = _section(d, "control")
     a = _take(control, "a", float, 1.0, "control.")
     b = _take(control, "b", float, 1.0, "control.")
     noise_var = _take(control, "noise_var", float, 1.0, "control.")
-    y_raw = dict(control.pop("y_ref", {}) or {})
-    y_ref = ReferencePath(
-        kind=_take(y_raw, "kind", str, "constant", "control.y_ref."),
-        value=_take(y_raw, "value", float, 0.0, "control.y_ref."),
-        amplitude=_take(y_raw, "amplitude", float, 1.0, "control.y_ref."),
-        period=_take(y_raw, "period", float, 1000.0, "control.y_ref."))
+    y_raw = _section(control, "y_ref", "control.")
+    try:
+        y_ref = ReferencePath(
+            kind=_take(y_raw, "kind", str, "constant", "control.y_ref."),
+            value=_take(y_raw, "value", float, 0.0, "control.y_ref."),
+            amplitude=_take(y_raw, "amplitude", float, 1.0, "control.y_ref."),
+            period=_take(y_raw, "period", float, 1000.0, "control.y_ref."))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError("control.y_ref.kind", str(exc)) from exc
     _reject_unknown(y_raw, "control.y_ref.")
     _reject_unknown(control, "control.")
 
-    mdp = dict(d.pop("mdp", {}) or {})
+    mdp = _section(d, "mdp")
     mdp_cost = _take(mdp, "cost", str, "uoi", "mdp.")
     q_max = _take(mdp, "q_max", float, None, "mdp.")
     q_step = _take(mdp, "q_step", float, None, "mdp.")
@@ -243,6 +252,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     thr_raw = d.pop("thresholds", None)
     if thr_raw is None:
         thresholds = {1.0: 15.0, 100.0: 5.0}
+    elif not isinstance(thr_raw, dict):
+        raise ConfigError("thresholds", f"must be a JSON object mapping weight to bound, "
+                                        f"got {thr_raw!r}")
     else:
         try:
             thresholds = {float(kk): float(vv) for kk, vv in thr_raw.items()}
@@ -255,9 +267,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         scenario=scenario,
-        horizon=_take(d, "horizon", int, 1_000_000, ""),
-        replications=_take(d, "replications", int, 1, ""),
-        seed=_take(d, "seed", int, 12345, ""),
+        horizon=_take(d, "horizon", _integer, 1_000_000, ""),
+        replications=_take(d, "replications", _integer, 1, ""),
+        seed=_take(d, "seed", _integer, 12345, ""),
         policies=tuple(policies) if policies else (),
         rho=_take(d, "rho", float, 0.25, ""),
         v=_take(d, "v", float, 1.0, ""),
@@ -267,14 +279,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         a=a, b=b, noise_var=noise_var, y_ref=y_ref,
         mdp_cost=mdp_cost, q_max=q_max, q_step=q_step,
         thresholds=thresholds,
-        trace=bool(d.pop("trace", False)),
-        n_batches=_take(d, "n_batches", int, 10, ""),
+        trace=_take(d, "trace", _boolean, False, ""),
+        n_batches=_take(d, "n_batches", _integer, 10, ""),
     )
     _reject_unknown(d, "")
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """The raw JSON object of a config file, before validation."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -282,7 +295,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be a JSON object")
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_dict(read_config(path))
 
 
 @dataclass
@@ -317,13 +334,18 @@ def build_fleet(config: ExperimentConfig) -> FleetConfig:
     return FleetConfig(terminals=tuple(terminals), k=config.k)
 
 
-def _aggregate(results: list[SimResult], horizon: int) -> tuple[float, float, np.ndarray, float | None]:
+def _stderr(rep_values: list[float], first_batches: np.ndarray) -> float:
+    """Across replications when there are several, else across the batch
+    means of the only one."""
+    if len(rep_values) > 1:
+        reps = np.array(rep_values)
+        return float(reps.std(ddof=1) / math.sqrt(len(reps)))
+    return stderr_from_batches(first_batches)
+
+
+def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, float | None]:
     avg = float(np.mean([r.avg_uoi for r in results]))
-    if len(results) > 1:
-        reps = np.array([r.avg_uoi for r in results])
-        stderr = float(reps.std(ddof=1) / math.sqrt(len(reps)))
-    else:
-        stderr = stderr_from_batches(results[0].batch_means)
+    stderr = _stderr([r.avg_uoi for r in results], results[0].batch_means)
     freq = np.mean([r.update_freq for r in results], axis=0)
     viols = [r.violation_prob for r in results if r.violation_prob is not None]
     violation = float(np.mean(viols)) if viols else None
@@ -336,11 +358,7 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     tables = {}
     for pol in config.policies:
         if pol in ("rvi-uoi", "rvi-aoi"):
-            support = config.weights.support()
-            if support is None:
-                raise ConfigError("weights.kind",
-                                  "rvi policies need an i.i.d. finite-support weight process")
-            grid = _mdp_grid(config, support)
+            grid = _mdp_grid(config, f"policy {pol!r}")
             _, tables[pol] = calibrate_multiplier(
                 grid, params, config.rho, "uoi" if pol == "rvi-uoi" else "aoi")
 
@@ -355,7 +373,7 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
                 horizon=config.horizon, factory=factory,
                 thresholds=config.thresholds, n_batches=config.n_batches,
                 trace=config.trace and rep == 0, policy_table=tables.get(pol)))
-        avg, stderr, freq, violation = _aggregate(results, config.horizon)
+        avg, stderr, freq, violation = _aggregate(results)
         out.append(RunMetrics(
             scenario="single", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1, "p": config.p},
@@ -367,7 +385,11 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     return out
 
 
-def _mdp_grid(config: ExperimentConfig, support) -> MdpGrid:
+def _mdp_grid(config: ExperimentConfig, user: str) -> MdpGrid:
+    support = config.weights.support()
+    if support is None:
+        raise ConfigError("weights.kind", f"{user} needs an i.i.d. finite-support "
+                                          "weight process")
     sigma = math.sqrt(config.sigma2)
     q_max = config.q_max if config.q_max is not None else 25.0 * sigma
     q_step = config.q_step if config.q_step is not None else 0.25 * sigma
@@ -386,8 +408,9 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
                                    mini_slot_us=config.mini_slot_us)
                   if config.scenario == "csma" else None)
     out = []
+    schedulers = POLICY_TABLE[config.scenario].policies
     for pol in config.policies:
-        scheduler = MULTI_POLICY_SCHEDULER[pol]
+        scheduler = schedulers[pol]
         results = []
         for rep in range(config.replications):
             factory = StreamFactory(config.seed, rep)
@@ -397,7 +420,7 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
                 contention=contention if scheduler == "csma" else None,
                 thresholds=config.thresholds, n_batches=config.n_batches,
                 trace=config.trace and rep == 0))
-        avg, stderr, freq, violation = _aggregate(results, config.horizon)
+        avg, stderr, freq, violation = _aggregate(results)
         params = {"N": fleet.n, "K": fleet.k, "rho": None, "V": None,
                   "W": config.window if scheduler == "csma" else None}
         extras = {"pi": policy.pi.tolist()}
@@ -415,13 +438,9 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    support = config.weights.support()
-    if support is None:
-        raise ConfigError("weights.kind",
-                          "mdp scenario needs an i.i.d. finite-support weight process")
     params = TerminalParams(id=0, p=config.p, sigma2=config.sigma2,
                             omega_bar=config.weights.mean)
-    grid = _mdp_grid(config, support)
+    grid = _mdp_grid(config, "the mdp scenario")
     lam, table = calibrate_multiplier(grid, params, config.rho, config.mdp_cost)
     return [RunMetrics(
         scenario="mdp", policy=f"rvi-{config.mdp_cost}",
@@ -448,11 +467,7 @@ def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
         track = float(np.mean([r.avg_track_cost for r in reps]))
         est = float(np.mean([r.avg_est_cost for r in reps]))
         avg_uoi = float(np.mean([r.avg_uoi for r in reps]))
-        if len(reps) > 1:
-            vals = np.array([r.avg_track_cost for r in reps])
-            stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-        else:
-            stderr = stderr_from_batches(reps[0].track_batches)
+        stderr = _stderr([r.avg_track_cost for r in reps], reps[0].track_batches)
         decomposition = config.a ** 2 * est + reps[0].omega_bar * config.noise_var
         out.append(RunMetrics(
             scenario="control", policy=pol,
@@ -481,15 +496,14 @@ def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 def run(config: ExperimentConfig) -> list[RunMetrics]:
     """Execute the configured scenario, one metrics row per policy."""
-    dispatch = {
+    runners = {
         "single": _run_single_scenario,
-        "multi": _run_fleet_scenario,
-        "csma": _run_fleet_scenario,
+        "fleet": _run_fleet_scenario,
         "mdp": _run_mdp_scenario,
-        "control": _run_control_scenario,
+        "tracking": _run_control_scenario,
         "waterfill": _run_waterfill_scenario,
     }
-    return dispatch[config.scenario](config)
+    return runners[POLICY_TABLE[config.scenario].simulator](config)
 
 
 # --------------------------------------------------------------------------

@@ -138,28 +138,12 @@ def kkt_residual(d: np.ndarray, k: int, policy: StationaryPolicy) -> float:
     return res
 
 
-def multi_update_index(t: TerminalParams, omega_next: float, q: float) -> float:
-    """J_i = (omega_bar_i * (1/(p_i pi_i) - 1) + omega_next) * p_i * q^2."""
-    if t.pi is None or t.pi <= 0.0:
-        raise ValueError(f"terminal {t.id} has pi = {t.pi}; excluded from adaptive scheduling")
-    coeff = t.omega_bar * (1.0 / (t.p * t.pi) - 1.0) + omega_next
-    return coeff * t.p * q * q
-
-
 def index_coefficients(fleet: FleetConfig, pi: np.ndarray) -> np.ndarray:
     """Vectorized constant part of the update index: omega_bar*(1/(p pi) - 1)."""
     p = fleet.array("p")
     if np.any(pi <= 0.0):
         raise ValueError("all pi must be positive for adaptive scheduling")
     return fleet.array("omega_bar") * (1.0 / (p * pi) - 1.0)
-
-
-def schedule_topk(indices: np.ndarray, k: int) -> list[int]:
-    """Ids of the min(k, N) largest values; ties broken by lowest id."""
-    indices = np.asarray(indices, dtype=float)
-    k = min(int(k), len(indices))
-    order = np.argsort(-indices, kind="stable")
-    return order[:k].tolist()
 
 
 def fleet_uoi_bound(fleet: FleetConfig, policy: StationaryPolicy) -> float:
@@ -178,28 +162,6 @@ def schedule_round_robin(slot: int, n: int, k: int) -> list[int]:
     """K consecutive ids modulo N, advancing by K per slot."""
     k = min(k, n)
     return [(slot * k + j) % n for j in range(k)]
-
-
-@dataclass(frozen=True)
-class AoIState:
-    """Ages of the freshest delivered status, one per terminal."""
-
-    delta: np.ndarray
-
-    @classmethod
-    def fresh(cls, n: int) -> "AoIState":
-        return cls(delta=np.ones(n, dtype=np.int64))
-
-
-def step_aoi(aoi: AoIState, delivered: np.ndarray) -> AoIState:
-    """Age resets to 1 exactly on delivered slots, else increments."""
-    return AoIState(delta=np.where(delivered, 1, aoi.delta + 1))
-
-
-def schedule_aoi(aoi: AoIState, fleet: FleetConfig) -> list[int]:
-    """Top-K ids by p_i * delta_i * (delta_i + 1), lowest-id tie-break."""
-    scores = fleet.array("p") * aoi.delta * (aoi.delta + 1.0)
-    return schedule_topk(scores, fleet.k)
 
 
 def schedule_stationary(pi: np.ndarray, u: float) -> list[int]:

@@ -11,6 +11,8 @@ and the per-stream draw counters make that verifiable.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 # Stream kinds.  "weight", "increment" and "channel" are consumed once per
@@ -76,38 +78,20 @@ class StreamFactory:
         }
 
 
-class BufferedInts:
-    """Amortized one-at-a-time integer draws from a stream."""
+class Buffered:
+    """Amortized one-at-a-time draws from a stream: `draw(n)` returns the
+    stream's next n variates, e.g. `stream.uniform`."""
 
-    def __init__(self, stream: Stream, high: int, block: int = 256):
-        self._stream = stream
-        self._high = int(high)
+    def __init__(self, draw: Callable[[int], np.ndarray], block: int = 256):
+        self._draw = draw
         self._block = int(block)
-        self._buf = np.empty(0, dtype=np.int64)
+        self._buf: list = []
         self._pos = 0
 
-    def next(self) -> int:
+    def next(self):
         if self._pos >= len(self._buf):
-            self._buf = self._stream.integers(self._block, self._high)
+            self._buf = self._draw(self._block).tolist()
             self._pos = 0
-        v = int(self._buf[self._pos])
-        self._pos += 1
-        return v
-
-
-class BufferedUniforms:
-    """Amortized one-at-a-time uniform draws from a stream."""
-
-    def __init__(self, stream: Stream, block: int = 256):
-        self._stream = stream
-        self._block = int(block)
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._stream.uniform(self._block)
-            self._pos = 0
-        v = float(self._buf[self._pos])
+        v = self._buf[self._pos]
         self._pos += 1
         return v

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +23,37 @@ from .core import (GaussianIncrements, TerminalParams, WeightProcess,
 from .mdp import StationaryPolicyTable
 from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
                     schedule_stationary)
-from .rng import BufferedInts, BufferedUniforms, StreamFactory
+from .rng import Buffered, StreamFactory
 
-SINGLE_POLICIES = ("adaptive", "periodic", "random", "age-threshold", "rvi-uoi", "rvi-aoi")
-FLEET_SCHEDULERS = ("centralized", "aoi", "round-robin", "stationary", "csma")
+
+class ScenarioPolicies(NamedTuple):
+    """What one scenario runs: the simulator, the default policy, and the
+    policies it accepts, each mapped to the rule or scheduler name the
+    simulator knows it by.  Rows come back in the configured policy order."""
+
+    simulator: str
+    default: str
+    policies: dict[str, str]
+
+
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
+
+
+POLICY_TABLE = {
+    "single": ScenarioPolicies("single", "adaptive", _same(
+        "adaptive", "periodic", "random", "age-threshold", "rvi-uoi", "rvi-aoi")),
+    "multi": ScenarioPolicies("fleet", "centralized", _same(
+        "centralized", "aoi", "round-robin", "stationary")),
+    "csma": ScenarioPolicies("fleet", "distributed",
+                             {"distributed": "csma", "centralized": "centralized"}),
+    "mdp": ScenarioPolicies("mdp", "rvi", _same("rvi")),
+    "control": ScenarioPolicies("tracking", "adaptive", _same(
+        "adaptive", "periodic", "random", "age-threshold")),
+    "waterfill": ScenarioPolicies("waterfill", "stationary", _same("stationary")),
+}
+_FLEET_SCHEDULERS = {name for entry in POLICY_TABLE.values() if entry.simulator == "fleet"
+                     for name in entry.policies.values()}
 
 
 @dataclass
@@ -49,7 +78,7 @@ def _threshold_array(w: np.ndarray, thresholds: dict[float, float] | None) -> np
     mapped bound never violate."""
     if not thresholds:
         return None
-    thr = np.full(len(w), np.inf)
+    thr = np.full(np.shape(w), np.inf)
     for value, bound in thresholds.items():
         thr[w == float(value)] = float(bound)
     return thr
@@ -62,6 +91,69 @@ def age_threshold_for_budget(p: float, rho: float) -> int:
     is (m - 1) waiting slots plus Geometric(p) attempts.
     """
     return max(1, math.ceil(1.0 + (1.0 / rho - 1.0) / p - 1e-12))
+
+
+def adaptive_uoi_bound(params: TerminalParams, rho: float, v: float) -> float:
+    """Guaranteed ceiling on the long-run average UoI of the adaptive scheme:
+    omega_bar * sigma2 / (p * rho) + V / 2."""
+    p_rho = params.p * rho
+    if p_rho <= 0.0:
+        raise ValueError("p * rho must be positive")
+    return params.omega_bar * params.sigma2 / p_rho + v / 2.0
+
+
+def _batch_layout(T: int, n_batches: int) -> tuple[int, int]:
+    """(batches, slots per batch); the last batch also takes the remainder."""
+    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
+    return nb, max(1, T // nb)
+
+
+def _adaptive_rule(omega_bar: float, p: float, rho: float, v: float):
+    """The adaptive update rule as `step(q, h, w_next) -> (u, h')`.
+
+    A virtual queue H tracks how much of the budget rho has been used.  The
+    terminal transmits iff its update index (w_next + theta) * p * q^2
+    strictly exceeds V * H, with theta = omega_bar * (1/(p rho) - 1), and
+    then H' = max(0, H - rho + U).
+    """
+    theta = omega_bar * (1.0 / (p * rho) - 1.0)
+
+    def step(q, h, w_next):
+        u = 1 if (w_next + theta) * p * q * q > v * h else 0
+        return u, max(0.0, h - rho + u)
+    return step
+
+
+def _blind_plan(policy: str, p: float, rho: float, coin: Buffered,
+                s_good: np.ndarray) -> list[int] | None:
+    """Every slot's decision of a rule that never reads the error, or None.
+
+    periodic transmits whenever the accumulated credit rho reaches one;
+    random flips the policy coin each slot; age-threshold transmits once the
+    age since the last delivery reaches age_threshold_for_budget(p, rho).
+    """
+    T = len(s_good)
+    if policy == "periodic":
+        plan, credit = [], 0.0
+        for _ in range(T):
+            credit += rho
+            if credit >= 1.0 - 1e-12:
+                credit -= 1.0
+                plan.append(1)
+            else:
+                plan.append(0)
+        return plan
+    if policy == "random":
+        return [1 if coin.next() < rho else 0 for _ in range(T)]
+    if policy == "age-threshold":
+        age_m = age_threshold_for_budget(p, rho)
+        plan, age = [], 1
+        for s in s_good.tolist():
+            u = 1 if age >= age_m else 0
+            plan.append(u)
+            age = 1 if u and s else age + 1
+        return plan
+    return None
 
 
 def _table_lookup(table: StationaryPolicyTable, widx: dict[float, int],
@@ -81,7 +173,7 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                n_batches: int = 10, trace: bool = False,
                policy_table: StationaryPolicyTable | None = None) -> SimResult:
     """Simulate one terminal under an update policy for `horizon` slots."""
-    if policy not in SINGLE_POLICIES:
+    if policy not in POLICY_TABLE["single"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     if policy.startswith("rvi") and policy_table is None:
         raise ValueError(f"policy {policy!r} needs a solved policy_table")
@@ -95,22 +187,19 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     s_good = sample_channel_block(factory.stream("channel", tid), params.p, T)
     thr = _threshold_array(w[:T], thresholds)
 
-    theta = params.omega_bar * (1.0 / (params.p * rho) - 1.0)
-    p = params.p
-    coin = BufferedUniforms(factory.stream("policy", tid))
-    age_m = age_threshold_for_budget(p, rho)
+    coin = Buffered(factory.stream("policy", tid).uniform)
+    plan = _blind_plan(policy, params.p, rho, coin, s_good)
+    adaptive = _adaptive_rule(params.omega_bar, params.p, rho, v)
     widx = ({float(val): i for i, (val, _) in enumerate(policy_table.grid.weight_support)}
             if policy_table is not None and policy_table.cost_kind == "uoi" else {})
 
-    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
-    batch_len = max(1, T // nb)
+    nb, batch_len = _batch_layout(T, n_batches)
     batch_sums = np.zeros(nb)
     batch_counts = np.zeros(nb, dtype=np.int64)
 
     q = 0.0
     h = 0.0
     age = 1
-    credit = 0.0
     attempts = 0
     violations = 0
     rows = [] if trace else None
@@ -123,32 +212,21 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
         batch_counts[b] += 1
         if thr is not None and abs(q) > thr[t]:
             violations += 1
+        if rows is not None:
+            rows.append((t, h, q, f_t))
 
-        if policy == "adaptive":
-            u = 1 if (w[t + 1] + theta) * p * q * q > v * h else 0
-        elif policy == "periodic":
-            credit += rho
-            if credit >= 1.0 - 1e-12:
-                credit -= 1.0
-                u = 1
-            else:
-                u = 0
-        elif policy == "random":
-            u = 1 if coin.next() < rho else 0
-        elif policy == "age-threshold":
-            u = 1 if age >= age_m else 0
+        if plan is not None:
+            u = plan[t]
+        elif policy == "adaptive":
+            u, h = adaptive(q, h, w[t + 1])
         else:  # rvi table, possibly randomized per state
             prob = _table_lookup(policy_table, widx, q, w_t, w[t + 1], age)
             u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
 
         attempts += u
         delivered = u and s_good[t]
-        if rows is not None:
-            rows.append((t, h, q, f_t))
         q = inc[t] if delivered else q + inc[t]
         age = 1 if delivered else age + 1
-        if policy == "adaptive":
-            h = max(0.0, h - rho + u)
 
     total = float(batch_sums.sum())
     return SimResult(
@@ -186,7 +264,7 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
     increments carry variance slot_scale * sigma2; all schedulers consume
     the same per-slot stream variates either way.
     """
-    if scheduler not in FLEET_SCHEDULERS:
+    if scheduler not in _FLEET_SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}")
     factory = factory or StreamFactory(0)
     T = int(horizon)
@@ -202,27 +280,25 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
         if contention.k != k:
             raise ValueError("contention sub-channels must match fleet.k")
         slot_scale = contention.slot_scale
+        backoffs = [Buffered(partial(factory.stream("backoff", i).integers, high=contention.w))
+                    for i in range(n)]
+        if delta_j is None:
+            delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
+        th_state = csma_mod.ThresholdState(j_th=0.0, delta_j=delta_j)
     inc_scale = math.sqrt(slot_scale)
 
     coefs = None
     if scheduler in ("centralized", "csma"):
         coefs = index_coefficients(fleet, pi)
-    sched_coin = (BufferedUniforms(factory.stream("scheduler", 0))
+    sched_coin = (Buffered(factory.stream("scheduler", 0).uniform)
                   if scheduler == "stationary" else None)
-    backoffs = ([BufferedInts(factory.stream("backoff", i), contention.w) for i in range(n)]
-                if scheduler == "csma" else None)
-    if scheduler == "csma":
-        if delta_j is None:
-            delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
-        th_state = csma_mod.ThresholdState(j_th=0.0, delta_j=delta_j)
 
     w_streams = [factory.stream("weight", i) for i in range(n)]
     a_streams = [factory.stream("increment", i) for i in range(n)]
     c_streams = [factory.stream("channel", i) for i in range(n)]
     incs = [GaussianIncrements(sigma2[i]) for i in range(n)]
 
-    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
-    batch_len = max(1, T // nb)
+    nb, batch_len = _batch_layout(T, n_batches)
     batch_sums = np.zeros(nb)
     batch_counts = np.zeros(nb, dtype=np.int64)
 
@@ -247,11 +323,7 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
         if slot_scale != 1.0:
             a_blk *= inc_scale
         s_blk = np.stack([sample_channel_block(c_streams[i], p[i], nblk) for i in range(n)])
-        thr_blk = None
-        if thresholds:
-            thr_blk = np.full((n, nblk), np.inf)
-            for value, bound in thresholds.items():
-                thr_blk[w_buf[:, :nblk] == float(value)] = float(bound)
+        thr_blk = _threshold_array(w_buf[:, :nblk], thresholds)
 
         for j in range(nblk):
             t = t0 + j
@@ -267,8 +339,9 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
             transmit = np.zeros(n, dtype=bool)
             eligible = None
             aux = 0.0
-            if scheduler == "centralized":
+            if coefs is not None:  # the update index of centralized and csma
                 indices = (coefs + w_buf[:, j + 1]) * p * q2
+            if scheduler == "centralized":
                 transmit[_topk_ids(indices, k)] = True
             elif scheduler == "aoi":
                 scores = p * delta * (delta + 1.0)
@@ -278,7 +351,6 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
             elif scheduler == "stationary":
                 transmit[schedule_stationary(pi, sched_coin.next())] = True
             else:  # csma
-                indices = (coefs + w_buf[:, j + 1]) * p * q2
                 max_index = max(max_index, float(indices.max()))
                 active = np.flatnonzero(indices > th_state.j_th).tolist()
                 outcome = csma_mod.contend(
@@ -330,9 +402,6 @@ class TrackingResult:
     noise_var: float
 
 
-CONTROL_POLICIES = ("adaptive", "periodic", "random", "age-threshold")
-
-
 def run_tracking(plant: LinearPlant, reference: ReferencePath,
                  weights: WeightProcess, policy: str, rho: float, v: float,
                  p_channel: float, horizon: int = 1_000_000,
@@ -340,7 +409,7 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
                  n_batches: int = 10) -> TrackingResult:
     """Drive the plant with certainty-equivalent control while the chosen
     policy decides when the terminal uplinks its true state."""
-    if policy not in CONTROL_POLICIES:
+    if policy not in POLICY_TABLE["control"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     factory = factory or StreamFactory(0)
     T = int(horizon)
@@ -349,21 +418,17 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     w = weights.sample_block(factory.stream("weight", 0), 0, T + 1)
     noise = factory.stream("increment", 0).normal(T) * math.sqrt(plant.noise_var)
     s_good = sample_channel_block(factory.stream("channel", 0), p_channel, T)
-    coin = BufferedUniforms(factory.stream("policy", 0))
+    coin = Buffered(factory.stream("policy", 0).uniform)
+    plan = _blind_plan(policy, p_channel, rho, coin, s_good)
+    adaptive = _adaptive_rule(omega_bar, p_channel, rho, v)
 
-    theta = omega_bar * (1.0 / (p_channel * rho) - 1.0)
-    age_m = age_threshold_for_budget(p_channel, rho)
-
-    nb = max(1, min(n_batches, T))  # no empty batch on short horizons
-    batch_len = max(1, T // nb)
+    nb, batch_len = _batch_layout(T, n_batches)
     track_sums = np.zeros(nb)
     est_sums = np.zeros(nb)
     batch_counts = np.zeros(nb, dtype=np.int64)
 
     state = plant
     h = 0.0
-    age = 1
-    credit = 0.0
     attempts = 0
     uoi_total = 0.0
 
@@ -382,27 +447,14 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
 
         q_pre = state.x - state.x_hat
         uoi_total += w_t * q_pre * q_pre
-        if policy == "adaptive":
-            u = 1 if (w[t + 1] + theta) * p_channel * q_pre * q_pre > v * h else 0
-        elif policy == "periodic":
-            credit += rho
-            if credit >= 1.0 - 1e-12:
-                credit -= 1.0
-                u = 1
-            else:
-                u = 0
-        elif policy == "random":
-            u = 1 if coin.next() < rho else 0
+        if plan is not None:
+            u = plan[t]
         else:
-            u = 1 if age >= age_m else 0
+            u, h = adaptive(q_pre, h, w[t + 1])
 
         attempts += u
-        delivered = u and s_good[t]
-        if delivered:
+        if u and s_good[t]:
             state = replace(state, x_hat=state.x)
-        age = 1 if delivered else age + 1
-        if policy == "adaptive":
-            h = max(0.0, h - rho + u)
 
     counts = np.maximum(batch_counts, 1)
     return TrackingResult(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,3 +132,125 @@ def dense_uoi_chain(q_values: np.ndarray, G: np.ndarray, g0: np.ndarray, support
     cost = sum(mu[k] * w[a] * q_values[i] ** 2 for (i, a, b), k in index.items())
     freq = sum(mu[k] * table[i, a, b] for (i, a, b), k in index.items())
     return float(cost), float(freq)
+
+
+# --------------------------------------------------------------------------
+# Step operations: the per-slot dynamics and update rules written one slot
+# and one terminal at a time, as the paper states them.  The reference runs
+# in test_sim.py rebuild the simulators' loops from these.
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ErrorQueue:
+    """Estimation-error state.  `slot` is the queue's own clock."""
+
+    q: float = 0.0
+    last_delivery_slot: int = -1
+    slot: int = 0
+
+    @property
+    def age(self) -> int:
+        """Slots since the last delivery, counting the current one."""
+        return self.slot - self.last_delivery_slot
+
+
+def step_error(queue: ErrorQueue, u: int, s: int, a: float) -> ErrorQueue:
+    """Q' = (1 - U S) Q + A: delivery empties the queue, then the increment
+    lands either way."""
+    delivered = u * s
+    return ErrorQueue(
+        q=(1 - delivered) * queue.q + a,
+        last_delivery_slot=queue.slot if delivered else queue.last_delivery_slot,
+        slot=queue.slot + 1)
+
+
+def uoi(weight: float, error: float) -> float:
+    """Urgency of information: context weight times squared error."""
+    return weight * error * error
+
+
+@dataclass(frozen=True)
+class VirtualQueue:
+    """Budget-tracking queue H of the adaptive updater."""
+
+    h: float
+    rho: float
+    v: float
+
+
+def step_virtual_queue(vq: VirtualQueue, u: int) -> VirtualQueue:
+    """H' = max(0, H - rho + U)."""
+    return VirtualQueue(h=max(0.0, vq.h - vq.rho + u), rho=vq.rho, v=vq.v)
+
+
+def update_index(params: TerminalParams, rho: float, omega_next: float, q: float) -> float:
+    """J = (omega_next - omega_bar + omega_bar / (p * rho)) * p * q^2."""
+    coeff = omega_next - params.omega_bar + params.omega_bar / (params.p * rho)
+    return coeff * params.p * q * q
+
+
+def drift_coefficient(params: TerminalParams, rho: float) -> float:
+    """theta = omega_bar * (1 - p*rho) / (p*rho), the Lyapunov weight on Q^2."""
+    p_rho = params.p * rho
+    return params.omega_bar * (1.0 - p_rho) / p_rho
+
+
+@dataclass(frozen=True)
+class SingleUpdaterState:
+    params: TerminalParams
+    vq: VirtualQueue
+    eq: ErrorQueue
+
+
+def make_single_updater(params: TerminalParams, rho: float, v: float) -> SingleUpdaterState:
+    """Fresh updater with H_0 = 0 and Q_0 = 0."""
+    return SingleUpdaterState(params=params, vq=VirtualQueue(h=0.0, rho=rho, v=v),
+                              eq=ErrorQueue())
+
+
+def decide_update(state: SingleUpdaterState, omega_next: float) -> int:
+    """Transmit iff the update index strictly exceeds V * H (ties hold)."""
+    j = update_index(state.params, state.vq.rho, omega_next, state.eq.q)
+    return 1 if j > state.vq.v * state.vq.h else 0
+
+
+def periodic_step(credit: float, rho: float) -> tuple[int, float]:
+    """Accumulate rho of credit per slot; transmit and spend one unit once
+    the credit reaches one."""
+    credit += rho
+    if credit >= 1.0 - 1e-12:
+        return 1, credit - 1.0
+    return 0, credit
+
+
+def multi_update_index(t: TerminalParams, omega_next: float, q: float) -> float:
+    """J_i = (omega_bar_i * (1/(p_i pi_i) - 1) + omega_next) * p_i * q^2."""
+    coeff = t.omega_bar * (1.0 / (t.p * t.pi) - 1.0) + omega_next
+    return coeff * t.p * q * q
+
+
+def schedule_topk(values, k: int) -> list[int]:
+    """Ids of the min(k, N) largest values; ties to the lowest id."""
+    return sorted(range(len(values)), key=lambda i: (-values[i], i))[:k]
+
+
+@dataclass(frozen=True)
+class AoIState:
+    """Ages of the freshest delivered status, one per terminal."""
+
+    delta: np.ndarray
+
+    @classmethod
+    def fresh(cls, n: int) -> "AoIState":
+        return cls(delta=np.ones(n, dtype=np.int64))
+
+
+def step_aoi(aoi: AoIState, delivered: np.ndarray) -> AoIState:
+    """Age resets to 1 exactly on delivered slots, else increments."""
+    return AoIState(delta=np.where(delivered, 1, aoi.delta + 1))
+
+
+def schedule_aoi(aoi: AoIState, fleet: FleetConfig) -> list[int]:
+    """Top-K ids by p_i * delta_i * (delta_i + 1), lowest-id tie-break."""
+    return schedule_topk(fleet.array("p") * aoi.delta * (aoi.delta + 1.0), fleet.k)

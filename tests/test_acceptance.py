@@ -18,9 +18,8 @@ from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, calibrate_multiplier
 from uoi_sim.multi import kkt_residual, fleet_uoi_bound, waterfill, waterfill_from_widths
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import (CONTROL_POLICIES, run_fleet, run_single, run_tracking,
-                         stderr_from_batches)
-from uoi_sim.single import adaptive_uoi_bound
+from uoi_sim.sim import (POLICY_TABLE, adaptive_uoi_bound, run_fleet, run_single,
+                         run_tracking, stderr_from_batches)
 
 SEED = 20240817
 HORIZON = 10**6
@@ -235,7 +234,7 @@ def test_criterion_8_control_decomposition():
     plant = LinearPlant(a=1.0, b=1.0, noise_var=1.0)
     details = []
     ok = True
-    for policy in CONTROL_POLICIES:
+    for policy in POLICY_TABLE["control"].policies:
         res = run_tracking(plant, ReferencePath(), desk_weights(), policy,
                            rho=0.25, v=1.0, p_channel=0.8, horizon=HORIZON,
                            factory=StreamFactory(SEED))

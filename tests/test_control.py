@@ -7,10 +7,12 @@ import pytest
 
 from conftest import desk_weights
 from uoi_sim.control import (LinearPlant, ReferencePath, optimal_control,
-                             step_plant, step_plant_with_noise)
+                             step_plant_with_noise)
 from uoi_sim.core import ConstantWeights
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import CONTROL_POLICIES, run_single, run_tracking
+from uoi_sim.sim import POLICY_TABLE, run_single, run_tracking
+
+CONTROL_POLICIES = tuple(POLICY_TABLE["control"].policies)
 
 
 def test_optimal_control_examples():
@@ -31,14 +33,6 @@ def test_step_plant_estimate_tracking():
     stale = step_plant_with_noise(plant, v=0.3, updated=0, r=0.4)
     # estimation error grows by exactly the noise when a = 1
     assert (stale.x - stale.x_hat) == pytest.approx((plant.x - plant.x_hat) + 0.4)
-
-
-def test_step_plant_draws_from_stream():
-    plant = LinearPlant(a=1.0, b=1.0, noise_var=4.0)
-    stream = StreamFactory(3).stream("increment", 0)
-    stepped = step_plant(plant, v=1.0, updated=0, stream=stream)
-    assert stepped.x != plant.x
-    assert stream.draws == 1
 
 
 def test_reference_paths():

@@ -1,4 +1,4 @@
-"""Domain types, error dynamics and the UoI metric."""
+"""Domain types, stream sampling, and the error and UoI step operations."""
 
 import math
 
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uoi_sim.core import (ConstantWeights, ErrorQueue, GaussianIncrements,
+from conftest import ErrorQueue, step_error, uoi
+from uoi_sim.core import (ConstantWeights, GaussianIncrements,
                           PeriodicBurstWeights, TerminalParams, TwoPointWeights,
-                          sample_channel_block, sample_weight_pair, step_error,
-                          uoi)
+                          sample_channel_block)
 from uoi_sim.rng import StreamFactory
 
 
@@ -21,10 +21,14 @@ def test_uoi_examples():
 
 
 def test_uoi_rejects_nonpositive_weight():
+    # the context weight of the metric comes from a weight process, and
+    # every weight process refuses a nonpositive value
     with pytest.raises(ValueError):
-        uoi(0.0, 1.0)
+        ConstantWeights(0.0)
     with pytest.raises(ValueError):
-        uoi(-2.0, 1.0)
+        TwoPointWeights(-2.0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        PeriodicBurstWeights(1.0, 0.0, 10, 2)
 
 
 def test_step_error_examples():
@@ -76,22 +80,31 @@ def test_weight_process_means():
     assert PeriodicBurstWeights(1.0, 100.0, 5000, 50).mean == pytest.approx(1.99)
 
 
+def _weight_pair(process, slot, stream):
+    """Realized weight at `slot` and the one-step-ahead weight the
+    simulators read, from a block sampled from slot 0."""
+    block = process.sample_block(stream, 0, slot + 2)
+    return float(block[slot]), float(block[slot + 1])
+
+
 def test_sample_weight_pair_constant_and_burst():
-    assert sample_weight_pair(ConstantWeights(7.0), 123, None) == (7.0, 7.0)
+    assert _weight_pair(ConstantWeights(7.0), 123, None) == (7.0, 7.0)
     burst = PeriodicBurstWeights(1.0, 100.0, 5000, 50)
-    w_t, w_next = sample_weight_pair(burst, 4975, None)
+    w_t, w_next = _weight_pair(burst, 4975, None)
     assert w_t == 100.0
-    assert sample_weight_pair(burst, 4949, None)[0] == 1.0
-    assert sample_weight_pair(burst, 4949, None)[1] == 100.0  # lookahead sees the burst
+    assert _weight_pair(burst, 4949, None)[0] == 1.0
+    assert _weight_pair(burst, 4949, None)[1] == 100.0  # lookahead sees the burst
+    # a block started mid-period (as the fleet loop samples) keeps the phase
+    assert burst.sample_block(None, 4949, 2).tolist() == [1.0, 100.0]
 
 
 def test_sample_weight_pair_deterministic_given_seed_and_slot():
     proc = TwoPointWeights(1.0, 100.0, 0.3)
-    first = sample_weight_pair(proc, 57, StreamFactory(5).stream("weight", 0))
-    again = sample_weight_pair(proc, 57, StreamFactory(5).stream("weight", 0))
+    first = _weight_pair(proc, 57, StreamFactory(5).stream("weight", 0))
+    again = _weight_pair(proc, 57, StreamFactory(5).stream("weight", 0))
     assert first == again
     # consecutive slots overlap consistently: pair(t)[1] == pair(t+1)[0]
-    nxt = sample_weight_pair(proc, 58, StreamFactory(5).stream("weight", 0))
+    nxt = _weight_pair(proc, 58, StreamFactory(5).stream("weight", 0))
     assert first[1] == nxt[0]
 
 
@@ -118,13 +131,13 @@ def test_channel_block_rate():
 
 
 def test_channel_draw_delivery_indicator():
-    from uoi_sim.core import ChannelDraw
     stream = StreamFactory(3).stream("channel", 1)
-    draw = ChannelDraw.sample(stream, p=1.0)
-    assert draw.s == 1
+    s = sample_channel_block(stream, 1.0, 100)
+    assert s.dtype == bool and s.all()
     for u in (0, 1):
-        assert u * draw.s in (0, 1)
-    assert ChannelDraw.sample(stream, p=0.0).s == 0
+        assert set((u * s).tolist()) == {u}
+    assert not sample_channel_block(stream, 0.0, 100).any()
+    assert stream.draws == 200
 
 
 def test_always_update_perfect_channel_average():

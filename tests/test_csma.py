@@ -1,4 +1,4 @@
-"""CSMA/CA contention: activation, backoff resolution, threshold adaptation."""
+"""CSMA/CA contention: backoff resolution and threshold adaptation."""
 
 import itertools
 import math
@@ -8,15 +8,8 @@ import numpy as np
 import pytest
 
 from uoi_sim.csma import (COLLISION, ContentionConfig, ContentionOutcome,
-                          ThresholdState, activate, adapt_threshold, contend,
+                          ThresholdState, adapt_threshold, contend,
                           default_delta_j, expected_window)
-
-
-def test_activate_strict_threshold():
-    th = ThresholdState(j_th=1.0, delta_j=1.0)
-    assert activate(np.array([5.0, 0.1, 9.0]), th) == [0, 2]
-    assert activate(np.array([0.0, 0.0]), ThresholdState(0.0, 1.0)) == []
-    assert activate(np.array([5.0]), ThresholdState(5.0, 1.0)) == []
 
 
 def _contend(backoffs: dict[int, int], w: int, k: int) -> ContentionOutcome:

@@ -10,7 +10,7 @@ from uoi_sim import cli
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
                              build_fleet, config_from_dict, export,
                              load_config, run)
-from uoi_sim.sim import run_fleet
+from uoi_sim.sim import POLICY_TABLE, run_fleet
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 
@@ -67,11 +67,45 @@ def test_n_batches_validated():
     ({"terminal": {"sigma2": -1}}, "sigma2"),
     ({"fleet": {"p_min": 0}}, "fleet.p_min"),
     ({"mdp": {"q_max": -1}}, "mdp.q_max"),
+    # a section that is not a JSON object
+    ({"terminal": "abc"}, "terminal"),
+    ({"thresholds": [1, 2]}, "thresholds"),
+    ({"weights": 3}, "weights"),
+    ({"fleet": [4]}, "fleet"),
+    ({"contention": "w"}, "contention"),
+    ({"control": 1.5}, "control"),
+    ({"control": {"y_ref": "up"}}, "control.y_ref"),
+    ({"mdp": True}, "mdp"),
+    # domain values
+    ({"control": {"b": 0}}, "control.b"),
+    ({"control": {"noise_var": 0}}, "control.noise_var"),
+    ({"control": {"y_ref": {"kind": "sawtooth"}}}, "control.y_ref.kind"),
+    ({"seed": -1}, "seed"),
+    ({"weights": {"kind": "constant", "w": 0}}, "weights.w"),
+    ({"weights": {"kind": "periodic-burst", "period": 10, "burst_len": 11}},
+     "weights.burst_len"),
+    # values that used to be coerced
+    ({"trace": "no"}, "trace"),
+    ({"horizon": 100.7}, "horizon"),
+    ({"fleet": {"n": 2.5}}, "fleet.n"),
+    ({"horizon": float("inf")}, "horizon"),
+    ({"thresholds": {"1": float("nan")}}, "thresholds"),
 ])
-def test_invalid_model_parameters_name_the_field(raw, field):
+def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         config_from_dict(dict(raw, scenario="single"))
     assert err.value.field == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(raw, scenario="single")))
+    assert cli.main(["single", "--config", str(path)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_integral_floats_accepted_as_integers():
+    cfg = config_from_dict({"scenario": "multi", "horizon": 1e6, "seed": 7.0,
+                            "fleet": {"n": 4.0, "k": 2}})
+    assert (cfg.horizon, cfg.seed, cfg.n) == (10**6, 7, 4)
+    assert all(type(x) is int for x in (cfg.horizon, cfg.seed, cfg.n))
 
 
 def test_mdp_grid_mismatch_is_config_error(capsys):
@@ -222,6 +256,32 @@ def test_cli_scenario_mismatch_is_config_error(tmp_path):
     assert cli.main(["single", "--config", str(cfgf)]) == 2
 
 
+def test_cli_flags_override_the_config_file_before_validation(tmp_path, capsys):
+    # the flags replace the file's invalid horizon and fleet size, and the
+    # result is validated once
+    cfgf = tmp_path / "multi.json"
+    cfgf.write_text(json.dumps({"scenario": "multi", "horizon": 0,
+                                "fleet": {"n": 0, "k": 1}}))
+    assert cli.main(["multi", "--config", str(cfgf), "--horizon", "50", "--n", "3"]) == 0
+    # a malformed section is still reported when a flag targets it
+    cfgf.write_text(json.dumps({"scenario": "multi", "fleet": "abc"}))
+    assert cli.main(["multi", "--config", str(cfgf), "--n", "3"]) == 2
+    assert "config field 'fleet'" in capsys.readouterr().err
+
+
+def test_every_policy_of_the_table_runs_in_order():
+    for scenario, entry in POLICY_TABLE.items():
+        assert config_from_dict({"scenario": scenario}).policies == (entry.default,)
+        policies = list(entry.policies)[::-1]
+        cfg = config_from_dict({"scenario": scenario, "horizon": 200, "seed": 5,
+                                "policies": policies, "fleet": {"n": 4, "k": 2},
+                                "mdp": {"q_max": 5.0, "q_step": 0.5}})
+        rows = run(cfg)
+        # the mdp scenario labels its row with the solved cost kind
+        labels = [f"rvi-{cfg.mdp_cost}" if p == "rvi" else p for p in policies]
+        assert [m.policy for m in rows] == labels, scenario
+
+
 def test_cli_assert_bounds_exit_code(monkeypatch):
     fake = RunMetrics(scenario="single", policy="adaptive", params={"rho": 0.25},
                       avg_uoi=99.0, stderr_uoi=0.1,
@@ -267,6 +327,9 @@ def test_cli_negative_v_is_config_error(capsys):
     (["multi", "--n", "0"], "fleet.n"),
     (["csma", "--window", "1", "--k", "2"], "contention.w"),
     (["csma", "--mini-slot-us", "0"], "contention.mini_slot_us"),
+    (["control", "--b", "0"], "control.b"),
+    (["control", "--noise-var", "-1"], "control.noise_var"),
+    (["single", "--seed", "-1"], "seed"),
 ])
 def test_cli_invalid_domain_parameter_is_config_error(argv, field, capsys):
     assert cli.main(argv + ["--horizon", "10"]) == 2

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fleet_weights, grid_min_objective, make_fleet
+from conftest import (AoIState, grid_min_objective, make_fleet,
+                      multi_update_index, schedule_aoi, step_aoi)
 from uoi_sim.core import TerminalParams
-from uoi_sim.multi import (AoIState, FleetConfig, StationaryPolicy,
-                           allocation_widths, index_coefficients, kkt_residual,
-                           multi_update_index, schedule_aoi,
-                           schedule_round_robin, schedule_stationary,
-                           schedule_topk, step_aoi, fleet_uoi_bound, waterfill,
+from uoi_sim.multi import (FleetConfig, StationaryPolicy, index_coefficients,
+                           kkt_residual, schedule_round_robin,
+                           schedule_stationary, fleet_uoi_bound, waterfill,
                            waterfill_from_widths)
+from uoi_sim.sim import _topk_ids
+
+
+def schedule_topk(values, k):
+    """The fleet simulator's top-K rule, as a list of ids."""
+    return _topk_ids(np.asarray(values, dtype=float), k).tolist()
 
 
 def test_waterfill_examples():
@@ -68,9 +73,10 @@ def test_multi_update_index_examples():
 
 
 def test_multi_update_index_rejects_unscheduled_terminal():
-    t = TerminalParams(id=3, p=0.7, sigma2=1.0, omega_bar=1.0, pi=None)
+    # the index coefficient omega_bar * (1/(p pi) - 1) needs pi > 0
+    fleet = make_fleet(3, k=1)
     with pytest.raises(ValueError):
-        multi_update_index(t, omega_next=1.0, q=1.0)
+        index_coefficients(fleet, np.array([0.5, 0.0, 0.5]))
 
 
 def test_schedule_topk_examples():

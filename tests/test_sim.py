@@ -1,58 +1,120 @@
 """Simulator loops against step-operation references and stream contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import desk_terminal, desk_weights, fleet_weights, make_fleet
-from uoi_sim.control import LinearPlant, ReferencePath
-from uoi_sim.core import (ErrorQueue, GaussianIncrements, TerminalParams,
-                          sample_channel_block, step_error)
+from conftest import (AoIState, ErrorQueue, decide_update, desk_terminal,
+                      desk_weights, fleet_weights, make_fleet,
+                      make_single_updater, multi_update_index, periodic_step,
+                      schedule_aoi, schedule_topk, step_aoi, step_error,
+                      step_virtual_queue, uoi)
+from uoi_sim.control import (LinearPlant, ReferencePath, optimal_control,
+                             step_plant_with_noise)
+from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
 from uoi_sim.csma import ContentionConfig
-from uoi_sim.multi import multi_update_index, schedule_topk, waterfill
+from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import (age_threshold_for_budget, run_fleet, run_single,
-                         run_tracking)
-from uoi_sim.single import (VirtualQueue, decide_update, drift_coefficient,
-                            make_single_updater, step_virtual_queue)
+from uoi_sim.sim import (POLICY_TABLE, age_threshold_for_budget, run_fleet,
+                         run_single, run_tracking)
+
+SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
 
 
-def _reference_single_run(params, weights, rho, v, horizon, seed):
+def _decide(policy, state, w_next, coin, credit, age_m):
+    """One slot of a single-terminal rule from the step operations:
+    (transmit decision, periodic credit after the slot)."""
+    if policy == "adaptive":
+        return decide_update(state, omega_next=w_next), credit
+    if policy == "periodic":
+        return periodic_step(credit, state.vq.rho)
+    if policy == "random":
+        return int(coin < state.vq.rho), credit
+    return int(state.eq.age >= age_m), credit
+
+
+def _reference_single_run(params, weights, rho, v, horizon, seed, policy):
     """Slot loop built purely from the step operations and domain types."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", params.id), 0, horizon + 1)
     inc = GaussianIncrements(params.sigma2).sample_block(
         factory.stream("increment", params.id), 0, horizon)
     s = sample_channel_block(factory.stream("channel", params.id), params.p, horizon)
+    coins = factory.stream("policy", params.id).uniform(horizon)
+    age_m = age_threshold_for_budget(params.p, rho)
     state = make_single_updater(params, rho, v)
     total = 0.0
     attempts = 0
+    credit = 0.0
     for t in range(horizon):
-        total += w[t] * state.eq.q ** 2
-        u = decide_update(state, omega_next=w[t + 1])
+        total += uoi(w[t], state.eq.q)
+        u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
         attempts += u
-        state = type(state)(
-            params=state.params,
-            vq=step_virtual_queue(state.vq, u),
-            eq=step_error(state.eq, u, int(s[t]), inc[t]),
-            theta=state.theta)
+        state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
+                        else state.vq,
+                        eq=step_error(state.eq, u, int(s[t]), inc[t]))
     return total / horizon, attempts / horizon, state.vq.h
 
 
-def test_run_single_matches_step_operation_reference():
+@pytest.mark.parametrize("policy", SINGLE_RULES)
+def test_run_single_matches_step_operation_reference(policy):
     params = desk_terminal()
     avg_ref, freq_ref, h_ref = _reference_single_run(
-        params, desk_weights(), 0.25, 1.0, horizon=5000, seed=909)
+        params, desk_weights(), 0.25, 1.0, horizon=5000, seed=909, policy=policy)
     res = run_single(params, desk_weights(), rho=0.25, v=1.0,
-                     policy="adaptive", horizon=5000, factory=StreamFactory(909))
+                     policy=policy, horizon=5000, factory=StreamFactory(909))
     assert res.avg_uoi == pytest.approx(avg_ref, rel=1e-12)
     assert res.update_freq[0] == pytest.approx(freq_ref, abs=0)
     assert res.extras["final_h"] == pytest.approx(h_ref, rel=1e-12)
 
 
-def _reference_fleet_run(fleet, weights, pi, horizon, seed):
-    """Centralized scheduling rebuilt from the public operations."""
+def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed):
+    """The tracking loop rebuilt from the plant step and the step operations;
+    the error queue holds the estimation error x - x_hat."""
+    factory = StreamFactory(seed)
+    w = weights.sample_block(factory.stream("weight", 0), 0, horizon + 1)
+    noise = factory.stream("increment", 0).normal(horizon) * math.sqrt(plant.noise_var)
+    s = sample_channel_block(factory.stream("channel", 0), p, horizon)
+    coins = factory.stream("policy", 0).uniform(horizon)
+    age_m = age_threshold_for_budget(p, rho)
+    params = TerminalParams(id=0, p=p, sigma2=plant.noise_var, omega_bar=weights.mean)
+    state = make_single_updater(params, rho, v)
+    track = est = 0.0
+    attempts = 0
+    credit = 0.0
+    for t in range(horizon):
+        est += uoi(w[t], plant.x - plant.x_hat)
+        y = reference.at(t)
+        plant = step_plant_with_noise(plant, optimal_control(plant, y), 0, noise[t])
+        track += uoi(w[t], plant.x - y)
+        state = replace(state, eq=replace(state.eq, q=plant.x - plant.x_hat))
+        u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
+        attempts += u
+        if u and s[t]:
+            plant = replace(plant, x_hat=plant.x)
+        state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
+                        else state.vq,
+                        eq=step_error(state.eq, u, int(s[t]), 0.0))
+    return track / horizon, est / horizon, attempts / horizon
+
+
+@pytest.mark.parametrize("policy", SINGLE_RULES)
+def test_run_tracking_matches_step_operation_reference(policy):
+    plant = LinearPlant(a=0.9, b=0.5, noise_var=1.0)
+    reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=200.0)
+    track_ref, est_ref, freq_ref = _reference_tracking_run(
+        plant, reference, desk_weights(), policy, 0.25, 1.0, 0.8, horizon=4000, seed=404)
+    res = run_tracking(plant, reference, desk_weights(), policy, rho=0.25, v=1.0,
+                       p_channel=0.8, horizon=4000, factory=StreamFactory(404))
+    assert res.avg_track_cost == pytest.approx(track_ref, rel=1e-12)
+    assert res.avg_est_cost == pytest.approx(est_ref, rel=1e-12)
+    assert res.update_freq == pytest.approx(freq_ref, abs=0)
+
+
+def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centralized"):
+    """Centralized index or AoI scheduling rebuilt from the step operations."""
     factory = StreamFactory(seed)
     n = fleet.n
     w = [weights[i].sample_block(factory.stream("weight", i), 0, horizon + 1)
@@ -65,12 +127,18 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed):
                                 omega_bar=t.omega_bar, pi=pi[i])
                  for i, t in enumerate(fleet.terminals)]
     queues = [ErrorQueue() for _ in range(n)]
+    ages = AoIState.fresh(n)
     total = 0.0
     for t in range(horizon):
-        total += sum(w[i][t] * queues[i].q ** 2 for i in range(n)) / n
-        indices = np.array([multi_update_index(terminals[i], w[i][t + 1], queues[i].q)
-                            for i in range(n)])
-        chosen = set(schedule_topk(indices, fleet.k))
+        total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
+        if scheduler == "aoi":
+            chosen = set(schedule_aoi(ages, fleet))
+        else:
+            indices = [multi_update_index(terminals[i], w[i][t + 1], queues[i].q)
+                       for i in range(n)]
+            chosen = set(schedule_topk(indices, fleet.k))
+        delivered = np.array([i in chosen and bool(s[i][t]) for i in range(n)])
+        ages = step_aoi(ages, delivered)
         queues = [step_error(queues[i], int(i in chosen), int(s[i][t]), inc[i][t])
                   for i in range(n)]
     return total / horizon
@@ -83,6 +151,15 @@ def test_run_fleet_matches_operation_reference():
     ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=31)
     res = run_fleet(fleet, weights, "centralized", pi=pi, horizon=2000,
                     factory=StreamFactory(31))
+    assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+
+
+def test_run_fleet_aoi_matches_operation_reference():
+    fleet = make_fleet(5, k=2)
+    pi = waterfill(fleet).pi
+    weights = [fleet_weights()] * 5
+    ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=32, scheduler="aoi")
+    res = run_fleet(fleet, weights, "aoi", pi=pi, horizon=2000, factory=StreamFactory(32))
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 

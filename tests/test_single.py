@@ -1,4 +1,5 @@
-"""Single-terminal updater: virtual queue, index rule, and drift bound."""
+"""Single-terminal updater: the virtual-queue and index step operations
+that the simulator references replay, budget compliance and the bound."""
 
 import math
 
@@ -7,13 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import desk_terminal, desk_weights
-from uoi_sim.core import ErrorQueue, TerminalParams
+from conftest import (ErrorQueue, SingleUpdaterState, VirtualQueue,
+                      decide_update, desk_terminal, desk_weights,
+                      drift_coefficient, step_virtual_queue, update_index)
+from uoi_sim.core import TerminalParams
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import run_single
-from uoi_sim.single import (SingleUpdaterState, VirtualQueue, decide_update,
-                            drift_coefficient, make_single_updater,
-                            step_virtual_queue, adaptive_uoi_bound, update_index)
+from uoi_sim.sim import adaptive_uoi_bound, run_single
 
 
 def test_step_virtual_queue_examples():
@@ -30,11 +30,6 @@ def test_update_index_examples():
     assert update_index(unit, 1.0, omega_next=1.0, q=2.0) == pytest.approx(4.0)
 
 
-def test_update_index_rejects_zero_budget():
-    with pytest.raises(ValueError):
-        update_index(desk_terminal(), 0.0, omega_next=1.0, q=1.0)
-
-
 @given(omega_next=st.floats(min_value=1e-3, max_value=1e3),
        q=st.floats(min_value=-1e3, max_value=1e3),
        rho=st.floats(min_value=0.01, max_value=1.0))
@@ -44,11 +39,8 @@ def test_update_index_nonnegative(omega_next, q, rho):
 
 def _state(q: float, h: float, rho: float = 1.0, v: float = 1.0) -> SingleUpdaterState:
     params = TerminalParams(id=0, p=1.0, sigma2=1.0, omega_bar=1.0)
-    return SingleUpdaterState(
-        params=params,
-        vq=VirtualQueue(h=h, rho=rho, v=v),
-        eq=ErrorQueue(q=q),
-        theta=drift_coefficient(params, rho))
+    return SingleUpdaterState(params=params, vq=VirtualQueue(h=h, rho=rho, v=v),
+                              eq=ErrorQueue(q=q))
 
 
 def test_decide_update_examples():
@@ -76,15 +68,6 @@ def test_adaptive_uoi_bound_examples():
     assert adaptive_uoi_bound(unit, 1.0, 1e-12) == pytest.approx(1.0)
     t = TerminalParams(id=0, p=0.5, sigma2=2.0, omega_bar=1.0)
     assert adaptive_uoi_bound(t, 0.5, 2.0) == pytest.approx(9.0)
-
-
-def test_theta_fixed_at_construction():
-    state = make_single_updater(desk_terminal(), rho=0.25, v=1.0)
-    assert state.theta == pytest.approx(1.99 * (1 - 0.2) / 0.2)
-    with pytest.raises(ValueError):
-        SingleUpdaterState(params=desk_terminal(),
-                           vq=VirtualQueue(h=0.0, rho=0.25, v=1.0),
-                           eq=ErrorQueue(), theta=1.0)
 
 
 @given(u=st.integers(0, 1),
