@@ -11,12 +11,12 @@ policies by weighted estimation error ranks them by control performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class LinearPlant:
-    """x' = a*x + b*v + r with r ~ N(0, noise_var)."""
+    """x' = a*x + b*v + r with r ~ N(0, noise_var), from state x and estimate x_hat."""
 
     a: float
     b: float
@@ -50,12 +50,13 @@ class ReferencePath:
         return self.value + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
 
 
-def optimal_control(plant: LinearPlant, y_next: float) -> float:
+def optimal_control(a: float, b: float, x_hat: float, y_next: float) -> float:
     """v* = (y - a * x_hat) / b, the weighted-squared-error minimizer."""
-    return (y_next - plant.a * plant.x_hat) / plant.b
+    return (y_next - a * x_hat) / b
 
 
-def step_plant_with_noise(plant: LinearPlant, v: float, updated: int, r: float) -> LinearPlant:
-    x_new = plant.a * plant.x + plant.b * v + r
-    x_hat_new = x_new if updated else plant.a * plant.x_hat + plant.b * v
-    return replace(plant, x=x_new, x_hat=x_hat_new)
+def step_plant_with_noise(a: float, b: float, x: float, x_hat: float, v: float,
+                          updated: int, r: float) -> tuple[float, float]:
+    """(x', x_hat'): the estimate is exact after an update, else propagated by the model."""
+    x_new = a * x + b * v + r
+    return x_new, (x_new if updated else a * x_hat + b * v)

@@ -155,14 +155,14 @@ class ExperimentConfig:
             raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         if not 0.0 < self.rho <= 1.0:
             raise ConfigError("rho", f"must be in (0, 1], got {self.rho}")
-        if self.v < 0.0:
-            raise ConfigError("v", f"must be nonnegative, got {self.v}")
+        if not 0.0 <= self.v < math.inf:
+            raise ConfigError("v", f"must be nonnegative and finite, got {self.v}")
         for name, value in (("terminal.p", self.p), ("fleet.p_min", self.p_min),
                             ("fleet.p_max", self.p_max)):
             if not 0.0 < value <= 1.0:
                 raise ConfigError(name, f"must be in (0, 1], got {value}")
-        if self.sigma2 <= 0.0:
-            raise ConfigError("sigma2", f"must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ConfigError("sigma2", f"must be positive and finite, got {self.sigma2}")
         for name, value in (("mdp.q_max", self.q_max), ("mdp.q_step", self.q_step)):
             if value is not None and value <= 0.0:
                 raise ConfigError(name, f"must be positive, got {value}")
@@ -178,8 +178,17 @@ class ExperimentConfig:
         if self.scenario == "csma" and self.mini_slot_us <= 0.0:
             raise ConfigError("contention.mini_slot_us",
                               f"must be positive, got {self.mini_slot_us}")
+        for name, value in (("contention.mini_slot_us", self.mini_slot_us),
+                            ("control.a", self.a), ("control.b", self.b),
+                            ("control.y_ref.value", self.y_ref.value),
+                            ("control.y_ref.amplitude", self.y_ref.amplitude)):
+            if not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value}")
         if self.b == 0.0:
             raise ConfigError("control.b", "must be nonzero")
+        if not 0.0 < self.y_ref.period < math.inf:
+            raise ConfigError("control.y_ref.period",
+                              f"must be positive and finite, got {self.y_ref.period}")
         if not self.noise_var > 0.0:
             raise ConfigError("control.noise_var", f"must be positive, got {self.noise_var}")
         for w, bound in self.thresholds.items():
@@ -228,17 +237,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     b = _take(control, "b", float, 1.0, "control.")
     noise_var = _take(control, "noise_var", float, 1.0, "control.")
     y_raw = _section(control, "y_ref", "control.")
-    try:
-        y_ref = ReferencePath(
-            kind=_take(y_raw, "kind", str, "constant", "control.y_ref."),
-            value=_take(y_raw, "value", float, 0.0, "control.y_ref."),
-            amplitude=_take(y_raw, "amplitude", float, 1.0, "control.y_ref."),
-            period=_take(y_raw, "period", float, 1000.0, "control.y_ref."))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("control.y_ref.kind", str(exc)) from exc
+    kind = _take(y_raw, "kind", str, "constant", "control.y_ref.")
+    y_numbers = {name: _take(y_raw, name, float, default, "control.y_ref.")
+                 for name, default in (("value", 0.0), ("amplitude", 1.0), ("period", 1000.0))}
     _reject_unknown(y_raw, "control.y_ref.")
+    try:
+        y_ref = ReferencePath(kind=kind, **y_numbers)
+    except ValueError as exc:  # kind is the only field ReferencePath checks
+        raise ConfigError("control.y_ref.kind", str(exc)) from exc
     _reject_unknown(control, "control.")
 
     mdp = _section(d, "mdp")
@@ -291,7 +297,9 @@ def read_config(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be a JSON object")

@@ -246,14 +246,24 @@ def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
         return _age_chain_bias(send, ages)[0], _age_chain_bias(send, table)[0]
     if cost_kind != "uoi":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
+    return _uoi_averages(MdpGrid(grid.q_max, grid.q_step, tuple(map(tuple, grid.weight_support))),
+                         params.p, params.sigma2, np.shape(table),
+                         np.asarray(table, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _uoi_averages(grid: MdpGrid, p: float, sigma2: float, shape: tuple[int, ...],
+                  table_bytes: bytes) -> tuple[float, float]:
+    """evaluate_policy("uoi"), cached on the table's contents; lam and delta_max do not enter."""
+    table = np.frombuffer(table_bytes).reshape(shape)
     w_vals, pw = _weights(grid)
     q = grid.q_values
     nq, nw = len(q), len(w_vals)
-    G, g0 = gaussian_kernel(grid, params.sigma2)
+    G, g0 = gaussian_kernel(grid, sigma2)
     P = np.empty((nq, nw, nq, nw))
     for a in range(nw):
         for b in range(nw):
-            send = params.p * table[:, a, b]
+            send = p * table[:, a, b]
             P[:, a, :, b] = ((1.0 - send)[:, None] * G + send[:, None] * g0) * pw[b]
     nu = stationary_distribution(P.reshape(nq * nw, nq * nw)).reshape(nq, nw)
     return (float(np.sum(nu * w_vals[None, :] * (q ** 2)[:, None])),

@@ -10,7 +10,7 @@ policy's own coin flips live on separate streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -156,14 +156,21 @@ def _blind_plan(policy: str, p: float, rho: float, coin: Buffered,
     return None
 
 
-def _table_lookup(table: StationaryPolicyTable, widx: dict[float, int],
-                  q: float, w_now: float, w_next: float, age: int) -> float:
-    grid = table.grid
-    if table.cost_kind == "aoi":
-        return float(table.table[min(age, grid.delta_max) - 1])
-    qc = min(max(q, -grid.q_max), grid.q_max)
-    iq = int(round((qc + grid.q_max) / grid.q_step))
-    return float(table.table[iq, widx[w_now], widx[w_next]])
+# Slots of stream arrays the single-terminal loops turn into Python lists at a
+# time: per-block lists keep a long run's memory near that of its arrays.
+_BLOCK = 4096
+
+
+def _blocks(T: int, nb: int, batch_len: int) -> list[tuple[int, int, int]]:
+    """(batch, first slot, end slot) of blocks of at most _BLOCK slots in one batch."""
+    ends = [b * batch_len for b in range(1, nb)] + [T]
+    return [(b, t0, min(t0 + _BLOCK, end)) for b, end in enumerate(ends)
+            for t0 in range(b * batch_len, end, _BLOCK)]
+
+
+def _batch_means(sums: list[float], T: int, batch_len: int) -> np.ndarray:
+    nb = len(sums)
+    return np.array(sums) / ([batch_len] * (nb - 1) + [T - (nb - 1) * batch_len])
 
 
 def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: float,
@@ -189,14 +196,14 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
     coin = Buffered(factory.stream("policy", tid).uniform)
     plan = _blind_plan(policy, params.p, rho, coin, s_good)
-    adaptive = _adaptive_rule(params.omega_bar, params.p, rho, v)
+    adaptive = _adaptive_rule(params.omega_bar, params.p, rho, v) if policy == "adaptive" else None
+    if policy_table is not None:  # P(transmit) by age or by (q bin, w_now, w_next)
+        grid, tab = policy_table.grid, policy_table.table.tolist()
     widx = ({float(val): i for i, (val, _) in enumerate(policy_table.grid.weight_support)}
             if policy_table is not None and policy_table.cost_kind == "uoi" else {})
 
     nb, batch_len = _batch_layout(T, n_batches)
-    batch_sums = np.zeros(nb)
-    batch_counts = np.zeros(nb, dtype=np.int64)
-
+    sums = [0.0] * nb
     q = 0.0
     h = 0.0
     age = 1
@@ -204,34 +211,46 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     violations = 0
     rows = [] if trace else None
 
-    for t in range(T):
-        w_t = w[t]
-        f_t = w_t * q * q
-        b = min(t // batch_len, nb - 1)
-        batch_sums[b] += f_t
-        batch_counts[b] += 1
-        if thr is not None and abs(q) > thr[t]:
-            violations += 1
-        if rows is not None:
-            rows.append((t, h, q, f_t))
+    for b, t0, t1 in _blocks(T, nb, batch_len):
+        w_b = w[t0:t1 + 1].tolist()
+        inc_b = inc[t0:t1].tolist()
+        s_b = s_good[t0:t1].tolist()
+        thr_b = thr[t0:t1].tolist() if thr is not None else None
+        plan_b = plan[t0:t1] if plan is not None else None
+        wi = [widx[x] for x in w_b] if widx else None
+        acc = sums[b]
+        for j in range(t1 - t0):
+            f_t = w_b[j] * q * q
+            acc += f_t
+            if thr_b is not None and abs(q) > thr_b[j]:
+                violations += 1
+            if rows is not None:
+                rows.append((t0 + j, h, q, f_t))
 
-        if plan is not None:
-            u = plan[t]
-        elif policy == "adaptive":
-            u, h = adaptive(q, h, w[t + 1])
-        else:  # rvi table, possibly randomized per state
-            prob = _table_lookup(policy_table, widx, q, w_t, w[t + 1], age)
-            u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
+            if plan_b is not None:
+                u = plan_b[j]
+            elif adaptive is not None:
+                u, h = adaptive(q, h, w_b[j + 1])
+            else:  # rvi table, possibly randomized per state
+                if wi is not None:
+                    qc = min(max(q, -grid.q_max), grid.q_max)
+                    prob = tab[int(round((qc + grid.q_max) / grid.q_step))][wi[j]][wi[j + 1]]
+                else:
+                    prob = tab[min(age, grid.delta_max) - 1]
+                u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
 
-        attempts += u
-        delivered = u and s_good[t]
-        q = inc[t] if delivered else q + inc[t]
-        age = 1 if delivered else age + 1
+            attempts += u
+            if u and s_b[j]:
+                q = inc_b[j]
+                age = 1
+            else:
+                q += inc_b[j]
+                age += 1
+        sums[b] = acc
 
-    total = float(batch_sums.sum())
     return SimResult(
-        avg_uoi=total / T,
-        batch_means=batch_sums / np.maximum(batch_counts, 1),
+        avg_uoi=float(np.array(sums).sum()) / T,
+        batch_means=_batch_means(sums, T, batch_len),
         update_freq=np.array([attempts / T]),
         violation_prob=(violations / T) if thr is not None else None,
         extras={"h_over_t": h / T if policy == "adaptive" else None,
@@ -423,47 +442,49 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     adaptive = _adaptive_rule(omega_bar, p_channel, rho, v)
 
     nb, batch_len = _batch_layout(T, n_batches)
-    track_sums = np.zeros(nb)
-    est_sums = np.zeros(nb)
-    batch_counts = np.zeros(nb, dtype=np.int64)
-
-    state = plant
+    track_sums = [0.0] * nb
+    est_sums = [0.0] * nb
+    a, gain, x, x_hat = plant.a, plant.b, plant.x, plant.x_hat
     h = 0.0
     attempts = 0
     uoi_total = 0.0
 
-    for t in range(T):
-        w_t = w[t]
-        b = min(t // batch_len, nb - 1)
-        est_err = state.x - state.x_hat
-        est_sums[b] += w_t * est_err * est_err
-        batch_counts[b] += 1
+    for b, t0, t1 in _blocks(T, nb, batch_len):
+        w_b = w[t0:t1 + 1].tolist()
+        noise_b = noise[t0:t1].tolist()
+        s_b = s_good[t0:t1].tolist()
+        plan_b = plan[t0:t1] if plan is not None else None
+        track_acc, est_acc = track_sums[b], est_sums[b]
+        for j in range(t1 - t0):
+            w_t = w_b[j]
+            err = x - x_hat
+            est_acc += w_t * err * err
 
-        y_t = reference.at(t)
-        v_t = optimal_control(state, y_t)
-        state = step_plant_with_noise(state, v_t, 0, noise[t])
-        track_err = state.x - y_t
-        track_sums[b] += w_t * track_err * track_err
+            y_t = reference.at(t0 + j)
+            v_t = optimal_control(a, gain, x_hat, y_t)
+            x, x_hat = step_plant_with_noise(a, gain, x, x_hat, v_t, 0, noise_b[j])
+            err = x - y_t
+            track_acc += w_t * err * err
 
-        q_pre = state.x - state.x_hat
-        uoi_total += w_t * q_pre * q_pre
-        if plan is not None:
-            u = plan[t]
-        else:
-            u, h = adaptive(q_pre, h, w[t + 1])
+            q_pre = x - x_hat
+            uoi_total += w_t * q_pre * q_pre
+            if plan_b is not None:
+                u = plan_b[j]
+            else:
+                u, h = adaptive(q_pre, h, w_b[j + 1])
 
-        attempts += u
-        if u and s_good[t]:
-            state = replace(state, x_hat=state.x)
+            attempts += u
+            if u and s_b[j]:
+                x_hat = x
+        track_sums[b], est_sums[b] = track_acc, est_acc
 
-    counts = np.maximum(batch_counts, 1)
     return TrackingResult(
-        avg_track_cost=float(track_sums.sum()) / T,
-        avg_est_cost=float(est_sums.sum()) / T,
+        avg_track_cost=float(np.array(track_sums).sum()) / T,
+        avg_est_cost=float(np.array(est_sums).sum()) / T,
         avg_uoi=uoi_total / T,
         update_freq=attempts / T,
-        track_batches=track_sums / counts,
-        est_batches=est_sums / counts,
+        track_batches=_batch_means(track_sums, T, batch_len),
+        est_batches=_batch_means(est_sums, T, batch_len),
         omega_bar=omega_bar,
         noise_var=plant.noise_var,
     )

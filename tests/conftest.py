@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams, TwoPointWeights
-from uoi_sim.mdp import RviConvergenceError
+from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig
 
 
@@ -254,3 +255,29 @@ def step_aoi(aoi: AoIState, delivered: np.ndarray) -> AoIState:
 def schedule_aoi(aoi: AoIState, fleet: FleetConfig) -> list[int]:
     """Top-K ids by p_i * delta_i * (delta_i + 1), lowest-id tie-break."""
     return schedule_topk(fleet.array("p") * aoi.delta * (aoi.delta + 1.0), fleet.k)
+
+
+def table_lookup(table: StationaryPolicyTable, q: float, w_now: float, w_next: float,
+                 age: int) -> float:
+    """P(transmit) of a policy table: by age, capped at delta_max, for "aoi";
+    at the nearest q bin (clipped to the grid) and the weight pair for "uoi"."""
+    grid = table.grid
+    if table.cost_kind == "aoi":
+        return float(table.table[min(age, grid.delta_max) - 1])
+    widx = {float(val): i for i, (val, _) in enumerate(grid.weight_support)}
+    qc = min(max(q, -grid.q_max), grid.q_max)
+    iq = int(round((qc + grid.q_max) / grid.q_step))
+    return float(table.table[iq, widx[w_now], widx[w_next]])
+
+
+def certainty_equivalent_control(plant: LinearPlant, y_next: float) -> float:
+    """v = (y - a x_hat) / b: the input that puts the estimated next state on y."""
+    return (y_next - plant.a * plant.x_hat) / plant.b
+
+
+def step_plant(plant: LinearPlant, v: float, updated: int, r: float) -> LinearPlant:
+    """x' = a x + b v + r; the estimate becomes exact after an update and is
+    otherwise propagated through the model without the noise."""
+    x_new = plant.a * plant.x + plant.b * v + r
+    x_hat_new = x_new if updated else plant.a * plant.x_hat + plant.b * v
+    return replace(plant, x=x_new, x_hat=x_hat_new)

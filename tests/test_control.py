@@ -16,9 +16,9 @@ CONTROL_POLICIES = tuple(POLICY_TABLE["control"].policies)
 
 
 def test_optimal_control_examples():
-    assert optimal_control(LinearPlant(a=1, b=1, noise_var=1, x_hat=0), 5.0) == pytest.approx(5.0)
-    assert optimal_control(LinearPlant(a=1, b=1, noise_var=1, x_hat=3.0), 3.0) == 0.0
-    assert optimal_control(LinearPlant(a=2, b=0.5, noise_var=1, x_hat=1.0), 3.0) == pytest.approx(2.0)
+    assert optimal_control(1, 1, 0, 5.0) == pytest.approx(5.0)
+    assert optimal_control(1, 1, 3.0, 3.0) == 0.0
+    assert optimal_control(2, 0.5, 1.0, 3.0) == pytest.approx(2.0)
 
 
 def test_plant_rejects_zero_gain():
@@ -27,12 +27,12 @@ def test_plant_rejects_zero_gain():
 
 
 def test_step_plant_estimate_tracking():
-    plant = LinearPlant(a=1.0, b=1.0, noise_var=1.0, x=2.0, x_hat=1.5)
-    updated = step_plant_with_noise(plant, v=0.3, updated=1, r=0.7)
-    assert updated.x_hat == updated.x  # perfect feedback after delivery
-    stale = step_plant_with_noise(plant, v=0.3, updated=0, r=0.4)
+    x, x_hat = 2.0, 1.5
+    x_up, x_hat_up = step_plant_with_noise(1.0, 1.0, x, x_hat, v=0.3, updated=1, r=0.7)
+    assert x_hat_up == x_up  # perfect feedback after delivery
+    x_stale, x_hat_stale = step_plant_with_noise(1.0, 1.0, x, x_hat, v=0.3, updated=0, r=0.4)
     # estimation error grows by exactly the noise when a = 1
-    assert (stale.x - stale.x_hat) == pytest.approx((plant.x - plant.x_hat) + 0.4)
+    assert (x_stale - x_hat_stale) == pytest.approx((x - x_hat) + 0.4)
 
 
 def test_reference_paths():

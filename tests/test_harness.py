@@ -90,6 +90,18 @@ def test_n_batches_validated():
     ({"fleet": {"n": 2.5}}, "fleet.n"),
     ({"horizon": float("inf")}, "horizon"),
     ({"thresholds": {"1": float("nan")}}, "thresholds"),
+    # non-finite values that pass a "< 0" check
+    ({"v": float("nan")}, "v"),
+    ({"v": float("inf")}, "v"),
+    ({"terminal": {"sigma2": float("nan")}}, "sigma2"),
+    ({"control": {"a": float("nan")}}, "control.a"),
+    ({"control": {"b": float("nan")}}, "control.b"),
+    ({"contention": {"mini_slot_us": float("nan")}}, "contention.mini_slot_us"),
+    ({"control": {"y_ref": {"value": float("nan")}}}, "control.y_ref.value"),
+    ({"control": {"y_ref": {"amplitude": float("inf")}}}, "control.y_ref.amplitude"),
+    # a period that would divide by zero
+    ({"control": {"y_ref": {"kind": "sinusoid", "period": 0}}}, "control.y_ref.period"),
+    ({"control": {"y_ref": {"period": float("nan")}}}, "control.y_ref.period"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -248,6 +260,11 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "single", "rho": 99}))
     assert cli.main(["single", "--config", str(bad)]) == 2
+
+
+def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
+    assert cli.main(["single", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "config field '<file>'" in capsys.readouterr().err
 
 
 def test_cli_scenario_mismatch_is_config_error(tmp_path):

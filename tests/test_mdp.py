@@ -205,6 +205,22 @@ def test_evaluate_policy_always_vs_never():
     assert cost_n > 20.0  # random walk pinned only by truncation
 
 
+def test_evaluate_policy_reads_the_table_contents_on_every_call():
+    # the uoi averages are cached; a table changed in place is a new policy
+    params = TerminalParams(id=0, p=0.8, sigma2=1.0, omega_bar=1.0)
+    grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=((1.0, 1.0),))
+    table = np.zeros((len(grid.q_values), 1, 1))
+    table[np.abs(grid.q_values) >= 2.0] = 1.0
+    first = evaluate_policy(grid, params, "uoi", table)
+    table[np.abs(grid.q_values) >= 1.0] = 1.0
+    second = evaluate_policy(grid, params, "uoi", table)
+    assert second[1] > first[1] and second[0] < first[0]
+    dense = dense_uoi_chain(grid.q_values, *gaussian_kernel(grid, 1.0),
+                            grid.weight_support, 0.8, table)
+    assert second == pytest.approx(dense, rel=1e-10)
+    assert evaluate_policy(grid, params, "uoi", table.copy()) == second
+
+
 def test_constrained_optimum_dominates_adaptive_paired():
     """The calibrated UoI-optimal policy, simulated on the continuous system
     with the same streams, performs at least as well as the adaptive scheme

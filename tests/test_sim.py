@@ -6,21 +6,36 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (AoIState, ErrorQueue, decide_update, desk_terminal,
-                      desk_weights, fleet_weights, make_fleet,
-                      make_single_updater, multi_update_index, periodic_step,
-                      schedule_aoi, schedule_topk, step_aoi, step_error,
-                      step_virtual_queue, uoi)
-from uoi_sim.control import (LinearPlant, ReferencePath, optimal_control,
-                             step_plant_with_noise)
+from conftest import (AoIState, ErrorQueue, certainty_equivalent_control,
+                      decide_update, desk_terminal, desk_weights, fleet_weights,
+                      make_fleet, make_single_updater, multi_update_index,
+                      periodic_step, schedule_aoi, schedule_topk, step_aoi,
+                      step_error, step_plant, step_virtual_queue, table_lookup, uoi)
+from uoi_sim import sim
+from uoi_sim.control import LinearPlant, ReferencePath
 from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
 from uoi_sim.csma import ContentionConfig
+from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, age_threshold_for_budget, run_fleet,
                          run_single, run_tracking)
 
 SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
+
+
+def _fractional_table(cost_kind: str) -> StationaryPolicyTable:
+    """A hand-made policy table with many states between never and always
+    transmitting, so the policy coin is drawn."""
+    grid = MdpGrid.default(1.0, desk_weights().support())
+    if cost_kind == "aoi":
+        table = np.clip((np.arange(1, grid.delta_max + 1) - 3.0) / 4.0, 0.0, 1.0)
+    else:  # lower threshold when the next weight is high
+        q = np.abs(grid.q_values)[:, None, None]
+        table = np.clip((q - np.array([1.0, 0.5])[None, None, :]) / 2.0, 0.0, 1.0)
+        table = np.broadcast_to(table, (len(grid.q_values), 2, 2)).copy()
+    return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=0.0,
+                                 avg_freq=0.0, grid=grid, gain=0.0, iterations=0)
 
 
 def _decide(policy, state, w_next, coin, credit, age_m):
@@ -35,8 +50,9 @@ def _decide(policy, state, w_next, coin, credit, age_m):
     return int(state.eq.age >= age_m), credit
 
 
-def _reference_single_run(params, weights, rho, v, horizon, seed, policy):
-    """Slot loop built purely from the step operations and domain types."""
+def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=None):
+    """Slot loop built purely from the step operations and domain types; a
+    table policy draws the policy coin only where it is fractional."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", params.id), 0, horizon + 1)
     inc = GaussianIncrements(params.sigma2).sample_block(
@@ -48,9 +64,17 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy):
     total = 0.0
     attempts = 0
     credit = 0.0
+    n_coins = 0
     for t in range(horizon):
         total += uoi(w[t], state.eq.q)
-        u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
+        if table is None:
+            u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
+        else:
+            prob = table_lookup(table, state.eq.q, w[t], w[t + 1], state.eq.age)
+            u = int(prob >= 1.0)
+            if 0.0 < prob < 1.0:
+                u = int(coins[n_coins] < prob)
+                n_coins += 1
         attempts += u
         state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
                         else state.vq,
@@ -58,21 +82,24 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy):
     return total / horizon, attempts / horizon, state.vq.h
 
 
-@pytest.mark.parametrize("policy", SINGLE_RULES)
+@pytest.mark.parametrize("policy", SINGLE_RULES + ("rvi-uoi", "rvi-aoi"))
 def test_run_single_matches_step_operation_reference(policy):
     params = desk_terminal()
+    table = _fractional_table(policy[4:]) if policy.startswith("rvi") else None
     avg_ref, freq_ref, h_ref = _reference_single_run(
-        params, desk_weights(), 0.25, 1.0, horizon=5000, seed=909, policy=policy)
+        params, desk_weights(), 0.25, 1.0, horizon=5000, seed=909, policy=policy,
+        table=table)
     res = run_single(params, desk_weights(), rho=0.25, v=1.0,
-                     policy=policy, horizon=5000, factory=StreamFactory(909))
+                     policy=policy, horizon=5000, factory=StreamFactory(909),
+                     policy_table=table)
     assert res.avg_uoi == pytest.approx(avg_ref, rel=1e-12)
     assert res.update_freq[0] == pytest.approx(freq_ref, abs=0)
     assert res.extras["final_h"] == pytest.approx(h_ref, rel=1e-12)
 
 
 def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed):
-    """The tracking loop rebuilt from the plant step and the step operations;
-    the error queue holds the estimation error x - x_hat."""
+    """The tracking loop rebuilt from the plant-level step and the step
+    operations; the error queue holds the estimation error x - x_hat."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", 0), 0, horizon + 1)
     noise = factory.stream("increment", 0).normal(horizon) * math.sqrt(plant.noise_var)
@@ -87,7 +114,7 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
     for t in range(horizon):
         est += uoi(w[t], plant.x - plant.x_hat)
         y = reference.at(t)
-        plant = step_plant_with_noise(plant, optimal_control(plant, y), 0, noise[t])
+        plant = step_plant(plant, certainty_equivalent_control(plant, y), 0, noise[t])
         track += uoi(w[t], plant.x - y)
         state = replace(state, eq=replace(state.eq, q=plant.x - plant.x_hat))
         u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
@@ -111,6 +138,40 @@ def test_run_tracking_matches_step_operation_reference(policy):
     assert res.avg_track_cost == pytest.approx(track_ref, rel=1e-12)
     assert res.avg_est_cost == pytest.approx(est_ref, rel=1e-12)
     assert res.update_freq == pytest.approx(freq_ref, abs=0)
+
+
+def _single_outputs(res):
+    return (res.avg_uoi, res.batch_means.tolist(), res.update_freq.tolist(),
+            res.violation_prob, res.extras, res.trace)
+
+
+def _tracking_outputs(res):
+    return (res.avg_track_cost, res.avg_est_cost, res.avg_uoi, res.update_freq,
+            res.track_batches.tolist(), res.est_batches.tolist())
+
+
+def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
+    # 7-slot blocks split every batch (50 slots, the last 53) at odd places
+    params, weights = desk_terminal(), desk_weights()
+    plant = LinearPlant(a=0.9, b=0.5, noise_var=1.0)
+    reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=40.0)
+
+    def runs():
+        out = []
+        for policy in POLICY_TABLE["single"].policies:
+            table = _fractional_table(policy[4:]) if policy.startswith("rvi") else None
+            out.append(_single_outputs(run_single(
+                params, weights, 0.25, 1.0, policy, horizon=503, factory=StreamFactory(5),
+                thresholds={1.0: 2.0, 100.0: 1.0}, trace=True, policy_table=table)))
+        for policy in POLICY_TABLE["control"].policies:
+            out.append(_tracking_outputs(run_tracking(
+                plant, reference, weights, policy, 0.25, 1.0, 0.8, horizon=503,
+                factory=StreamFactory(5))))
+        return out
+
+    default = runs()
+    monkeypatch.setattr(sim, "_BLOCK", 7)
+    assert runs() == default
 
 
 def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centralized"):
