@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Bitwise fingerprint of the simulator's outputs.
+
+Runs a fixed set of single, multi, csma and control configs through
+`harness.run` at two seeds and prints one line per output item:
+
+    <sha256>  <config> seed=<seed> <policy>   every RunMetrics field
+    <sha256>  <config> seed=<seed> draws      per-(kind, terminal) draw counts
+
+Floats are hashed as hex floats, so two checkouts print the same lines
+exactly when they compute the same bits.  Diff the output of two checkouts:
+
+    PYTHONPATH=src python3 scripts/fingerprint.py > after.txt
+
+The draw counts come from every StreamFactory the harness creates during
+the config's run, in creation order.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+
+from uoi_sim import harness
+from uoi_sim.rng import StreamFactory
+
+FLEET_WEIGHTS = {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0, "prob_hi": 0.05}
+BURST_WEIGHTS = {"kind": "periodic-burst", "base": 1.0, "burst": 100.0,
+                 "period": 500, "burst_len": 20}
+MULTI = ["centralized", "aoi", "round-robin", "stationary"]
+
+
+def _fleet(n: int, k: int = 2) -> dict:
+    return {"n": n, "k": k, "p_min": 0.7, "p_max": 1.0, "sigma2": 1.0}
+
+
+CONFIGS = {
+    "single": {"scenario": "single", "horizon": 3000, "replications": 2, "trace": True,
+               "policies": ["adaptive", "periodic", "random", "age-threshold",
+                            "rvi-uoi", "rvi-aoi"],
+               "mdp": {"q_max": 8.0, "q_step": 0.5}},
+    "single-burst": {"scenario": "single", "horizon": 3000, "weights": BURST_WEIGHTS,
+                     "policies": ["adaptive", "age-threshold"]},
+    "multi-n10": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,
+                  "policies": MULTI, "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
+    "multi-n30": {"scenario": "multi", "horizon": 3000, "replications": 2,
+                  "policies": MULTI, "fleet": _fleet(30), "weights": FLEET_WEIGHTS},
+    "multi-n1": {"scenario": "multi", "horizon": 500, "policies": MULTI,
+                 "fleet": _fleet(1, k=1)},
+    "multi-burst": {"scenario": "multi", "horizon": 1200, "n_batches": 7,
+                    "policies": ["stationary", "centralized", "round-robin"],
+                    "fleet": _fleet(5, k=3), "weights": BURST_WEIGHTS},
+    "csma-n10-w16": {"scenario": "csma", "horizon": 3000, "replications": 2, "trace": True,
+                     "policies": ["distributed", "centralized"], "fleet": _fleet(10),
+                     "contention": {"w": 16}, "weights": FLEET_WEIGHTS},
+    "csma-n30-w4": {"scenario": "csma", "horizon": 3000, "replications": 2,
+                    "policies": ["distributed"], "fleet": _fleet(30),
+                    "contention": {"w": 4}, "weights": FLEET_WEIGHTS},
+    "csma-n4-w2": {"scenario": "csma", "horizon": 1000, "policies": ["distributed"],
+                   "fleet": _fleet(4), "contention": {"w": 2}},
+    "control": {"scenario": "control", "horizon": 3000, "replications": 2,
+                "policies": ["adaptive", "periodic", "random", "age-threshold"],
+                "control": {"a": 0.9, "b": 0.5,
+                            "y_ref": {"kind": "sinusoid", "amplitude": 3.0,
+                                      "period": 200.0}}},
+}
+
+
+def canonical(obj):
+    """JSON-ready form with every float as a hex string."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [str(obj.dtype), list(obj.shape), canonical(obj.ravel().tolist())]
+    if isinstance(obj, (list, tuple)):
+        return [canonical(x) for x in obj]
+    if isinstance(obj, dict):
+        return sorted([repr(k), canonical(v)] for k, v in obj.items())
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__] + [[f.name, canonical(getattr(obj, f.name))]
+                                       for f in dataclasses.fields(obj)]
+    raise TypeError(f"cannot fingerprint {type(obj).__name__}")
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(canonical(obj)).encode()).hexdigest()
+
+
+def fingerprint(name: str, raw: dict, seed: int) -> list[str]:
+    """The output lines of one raw config at one seed."""
+    made = []
+
+    class RecordingFactory(StreamFactory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    harness.StreamFactory = RecordingFactory
+    try:
+        rows = harness.run(harness.config_from_dict(dict(raw, seed=seed)))
+    finally:
+        harness.StreamFactory = StreamFactory
+    lines = [f"{digest(m)}  {name} seed={seed} {m.policy}" for m in rows]
+    lines.append(f"{digest([f.draw_counts() for f in made])}  {name} seed={seed} draws")
+    return lines
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
+    args = ap.parse_args()
+    for seed in args.seeds:
+        for name, raw in CONFIGS.items():
+            for line in fingerprint(name, raw, seed):
+                print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -25,10 +25,12 @@ class LinearPlant:
     x_hat: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"a and b must be finite, got a={self.a}, b={self.b}")
         if self.b == 0.0:
             raise ValueError("control gain b must be nonzero")
-        if self.noise_var <= 0.0:
-            raise ValueError("noise_var must be positive")
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,11 @@ class ReferencePath:
     def __post_init__(self):
         if self.kind not in ("constant", "sinusoid"):
             raise ValueError(f"unknown reference kind {self.kind!r}")
+        if not (math.isfinite(self.value) and math.isfinite(self.amplitude)):
+            raise ValueError(f"value and amplitude must be finite, got value={self.value}, "
+                             f"amplitude={self.amplitude}")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     def at(self, t: int) -> float:
         if self.kind == "constant":

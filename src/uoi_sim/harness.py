@@ -24,8 +24,8 @@ from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
-from .sim import (POLICY_TABLE, SimResult, adaptive_uoi_bound, run_fleet,
-                  run_single, run_tracking, stderr_from_batches)
+from .sim import (POLICY_TABLE, FleetLane, SimResult, adaptive_uoi_bound, run_fleet,
+                  run_fleet_lanes, run_single, run_tracking, stderr_from_batches)
 
 
 class ConfigError(ValueError):
@@ -179,18 +179,14 @@ class ExperimentConfig:
             raise ConfigError("contention.mini_slot_us",
                               f"must be positive, got {self.mini_slot_us}")
         for name, value in (("contention.mini_slot_us", self.mini_slot_us),
-                            ("control.a", self.a), ("control.b", self.b),
-                            ("control.y_ref.value", self.y_ref.value),
-                            ("control.y_ref.amplitude", self.y_ref.amplitude)):
+                            ("control.a", self.a), ("control.b", self.b)):
             if not math.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value}")
         if self.b == 0.0:
             raise ConfigError("control.b", "must be nonzero")
-        if not 0.0 < self.y_ref.period < math.inf:
-            raise ConfigError("control.y_ref.period",
-                              f"must be positive and finite, got {self.y_ref.period}")
-        if not self.noise_var > 0.0:
-            raise ConfigError("control.noise_var", f"must be positive, got {self.noise_var}")
+        if not 0.0 < self.noise_var < math.inf:
+            raise ConfigError("control.noise_var",
+                              f"must be positive and finite, got {self.noise_var}")
         for w, bound in self.thresholds.items():
             if not (bound > 0.0 and math.isfinite(bound)):
                 raise ConfigError("thresholds", f"bound for weight {w} must be positive "
@@ -241,9 +237,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     y_numbers = {name: _take(y_raw, name, float, default, "control.y_ref.")
                  for name, default in (("value", 0.0), ("amplitude", 1.0), ("period", 1000.0))}
     _reject_unknown(y_raw, "control.y_ref.")
+    for name, value in y_numbers.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"control.y_ref.{name}", f"must be finite, got {value}")
+    if not y_numbers["period"] > 0.0:
+        raise ConfigError("control.y_ref.period",
+                          f"must be positive, got {y_numbers['period']}")
     try:
         y_ref = ReferencePath(kind=kind, **y_numbers)
-    except ValueError as exc:  # kind is the only field ReferencePath checks
+    except ValueError as exc:  # the numbers are checked above
         raise ConfigError("control.y_ref.kind", str(exc)) from exc
     _reject_unknown(control, "control.")
 
@@ -411,37 +413,36 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     fleet = build_fleet(config)
     policy = waterfill(fleet)
     bound = fleet_uoi_bound(fleet, policy)
-    weights = [config.weights] * fleet.n
     contention = (ContentionConfig(w=config.window, k=config.k,
                                    mini_slot_us=config.mini_slot_us)
                   if config.scenario == "csma" else None)
-    out = []
     schedulers = POLICY_TABLE[config.scenario].policies
-    for pol in config.policies:
+    reps = config.replications
+    # Every (policy, replication) is a lane of one fleet loop.
+    results = run_fleet_lanes(
+        fleet, [config.weights] * fleet.n,
+        [FleetLane(schedulers[pol], StreamFactory(config.seed, rep), config.trace and rep == 0)
+         for pol in config.policies for rep in range(reps)],
+        pi=policy.pi, horizon=config.horizon, contention=contention,
+        thresholds=config.thresholds, n_batches=config.n_batches)
+    out = []
+    for i, pol in enumerate(config.policies):
         scheduler = schedulers[pol]
-        results = []
-        for rep in range(config.replications):
-            factory = StreamFactory(config.seed, rep)
-            results.append(run_fleet(
-                fleet, weights, scheduler, pi=policy.pi, horizon=config.horizon,
-                factory=factory,
-                contention=contention if scheduler == "csma" else None,
-                thresholds=config.thresholds, n_batches=config.n_batches,
-                trace=config.trace and rep == 0))
-        avg, stderr, freq, violation = _aggregate(results)
+        lane_results = results[i * reps:(i + 1) * reps]
+        avg, stderr, freq, violation = _aggregate(lane_results)
         params = {"N": fleet.n, "K": fleet.k, "rho": None, "V": None,
                   "W": config.window if scheduler == "csma" else None}
         extras = {"pi": policy.pi.tolist()}
         if scheduler == "csma":
             extras["wallclock_avg_uoi"] = float(np.mean(
-                [r.extras["wallclock_avg_uoi"] for r in results]))
+                [r.extras["wallclock_avg_uoi"] for r in lane_results]))
             extras["slot_scale"] = contention.slot_scale
         out.append(RunMetrics(
             scenario=config.scenario, policy=pol, params=params,
             avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
             violation_prob=violation,
             bound_value=bound if pol in ("centralized", "stationary") else None,
-            extras=extras, trace=results[0].trace))
+            extras=extras, trace=lane_results[0].trace))
     return out
 
 

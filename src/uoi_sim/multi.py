@@ -158,24 +158,30 @@ def fleet_uoi_bound(fleet: FleetConfig, policy: StationaryPolicy) -> float:
     return float(terms.sum()) / fleet.n
 
 
-def schedule_round_robin(slot: int, n: int, k: int) -> list[int]:
-    """K consecutive ids modulo N, advancing by K per slot."""
+def schedule_round_robin(slots: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Round-robin decisions of `slots`, shape (len(slots), N): K consecutive
+    ids modulo N, advancing by K per slot."""
     k = min(k, n)
-    return [(slot * k + j) % n for j in range(k)]
+    ids = (np.asarray(slots, dtype=np.int64)[:, None] * k + np.arange(k)) % n
+    out = np.zeros((len(ids), n), dtype=bool)
+    np.put_along_axis(out, ids, True, axis=1)
+    return out
 
 
-def schedule_stationary(pi: np.ndarray, u: float) -> list[int]:
-    """Systematic probability-proportional draw of terminals.
+def schedule_stationary(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Systematic probability-proportional draws, one slot per uniform in
+    `u`, as decisions of shape (len(u), N).
 
-    Selects floor-or-ceil of sum(pi) terminals with inclusion probability
-    exactly pi_i, never more than K when sum(pi) <= K; one uniform u drives
-    the whole slot.  With all pi = 1 every terminal is selected.
+    A slot selects floor-or-ceil of sum(pi) terminals with inclusion
+    probability exactly pi_i, never more than K when sum(pi) <= K: the
+    points u, u + 1, ... below sum(pi) each pick the terminal whose
+    cumsum(pi) interval holds them.  With all pi = 1 every terminal is
+    selected.
     """
     cum = np.cumsum(pi)
     total = cum[-1]
-    if total <= 0.0:
-        return []
-    points = u + np.arange(int(np.floor(total - u)) + 1)
-    points = points[points < total]
-    ids = np.searchsorted(cum, points, side="right")
-    return np.unique(ids).tolist()
+    points = np.asarray(u, dtype=float)[:, None] + np.arange(int(np.floor(total)) + 1)
+    slot, point = np.nonzero(points < total)
+    out = np.zeros((len(points), len(cum)), dtype=bool)
+    out[slot, np.searchsorted(cum, points[slot, point], side="right")] = True
+    return out

@@ -10,6 +10,7 @@ policy's own coin flips live on separate streams.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -161,11 +162,11 @@ def _blind_plan(policy: str, p: float, rho: float, coin: Buffered,
 _BLOCK = 4096
 
 
-def _blocks(T: int, nb: int, batch_len: int) -> list[tuple[int, int, int]]:
-    """(batch, first slot, end slot) of blocks of at most _BLOCK slots in one batch."""
+def _blocks(T: int, nb: int, batch_len: int, size: int) -> list[tuple[int, int, int]]:
+    """(batch, first slot, end slot) of blocks of at most `size` slots in one batch."""
     ends = [b * batch_len for b in range(1, nb)] + [T]
-    return [(b, t0, min(t0 + _BLOCK, end)) for b, end in enumerate(ends)
-            for t0 in range(b * batch_len, end, _BLOCK)]
+    return [(b, t0, min(t0 + size, end)) for b, end in enumerate(ends)
+            for t0 in range(b * batch_len, end, size)]
 
 
 def _batch_means(sums: list[float], T: int, batch_len: int) -> np.ndarray:
@@ -211,7 +212,7 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     violations = 0
     rows = [] if trace else None
 
-    for b, t0, t1 in _blocks(T, nb, batch_len):
+    for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
         w_b = w[t0:t1 + 1].tolist()
         inc_b = inc[t0:t1].tolist()
         s_b = s_good[t0:t1].tolist()
@@ -264,9 +265,24 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 # --------------------------------------------------------------------------
 
 
+class FleetLane(NamedTuple):
+    """One fleet run of a lane call: its scheduler, its own streams, and
+    whether it records the per-slot trace."""
+
+    scheduler: str
+    factory: StreamFactory
+    trace: bool = False
+
+
 def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
-    """Largest-k ids, ties to the lowest id (stable sort on descending value)."""
-    return np.argsort(-values, kind="stable")[:k]
+    """Largest-k ids along the last axis, ties to the lowest id (stable sort
+    on descending value)."""
+    return np.argsort(-values, axis=-1, kind="stable")[..., :k]
+
+
+# Elements of one (lane, terminal, slot) block array: blocks get shorter as
+# lanes and terminals are added, so memory does not grow with the lane count.
+_LANE_ELEMENTS = 1 << 17
 
 
 def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
@@ -277,15 +293,47 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
               thresholds: dict[float, float] | None = None,
               n_batches: int = 10, block: int = 32768,
               trace: bool = False) -> SimResult:
-    """Simulate N terminals under one scheduler for `horizon` slots.
+    """Simulate N terminals under one scheduler for `horizon` slots: the
+    one-lane call of `run_fleet_lanes`.
 
     The csma scheduler stretches the slot to (1 + W/100) ms, so its error
     increments carry variance slot_scale * sigma2; all schedulers consume
-    the same per-slot stream variates either way.
+    the same per-slot stream variates either way.  `block` caps the slots
+    of stream variates sampled at a time.
     """
-    if scheduler not in _FLEET_SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    factory = factory or StreamFactory(0)
+    lane = FleetLane(scheduler, factory or StreamFactory(0), trace)
+    return run_fleet_lanes(fleet, weights, [lane], pi, horizon, contention, delta_j,
+                           thresholds, n_batches, block)[0]
+
+
+def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
+                    lanes: list[FleetLane], pi: np.ndarray, horizon: int = 1_000_000,
+                    contention: csma_mod.ContentionConfig | None = None,
+                    delta_j: float | None = None,
+                    thresholds: dict[float, float] | None = None,
+                    n_batches: int = 10, block: int = 32768) -> list[SimResult]:
+    """`run_fleet` for every lane in one slot loop over (lane, terminal) arrays.
+
+    Each lane draws only from its own factory, so its result is bitwise the
+    result of `run_fleet` on that lane alone.  `contention` and `delta_j`
+    apply to the csma lanes.  Results come back in lane order.
+    """
+    if not lanes:
+        return []
+    for lane in lanes:
+        if lane.scheduler not in _FLEET_SCHEDULERS:
+            raise ValueError(f"unknown scheduler {lane.scheduler!r}")
+    # Lanes sorted by scheduler name make every scheduler group a slice: aoi
+    # [0, c0), centralized [c0, x0), csma [x0, r0), round-robin [r0, s0),
+    # stationary [s0, L).
+    order = sorted(range(len(lanes)), key=lambda i: lanes[i].scheduler)
+    names = [lanes[i].scheduler for i in order]
+    factories = [lanes[i].factory for i in order]
+    L = len(order)
+    c0, x0, r0, s0 = (bisect_left(names, s)
+                      for s in ("centralized", "csma", "round-robin", "stationary"))
+    indexed = slice(c0, r0)
+
     T = int(horizon)
     n, k = fleet.n, fleet.k
     p = fleet.array("p")
@@ -293,115 +341,143 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
     omega_bar = fleet.array("omega_bar")
 
     slot_scale = 1.0
-    if scheduler == "csma":
+    th_states = []
+    if r0 > x0:
         if contention is None:
             raise ValueError("csma scheduling needs a ContentionConfig")
         if contention.k != k:
             raise ValueError("contention sub-channels must match fleet.k")
         slot_scale = contention.slot_scale
-        backoffs = [Buffered(partial(factory.stream("backoff", i).integers, high=contention.w))
-                    for i in range(n)]
         if delta_j is None:
             delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
-        th_state = csma_mod.ThresholdState(j_th=0.0, delta_j=delta_j)
-    inc_scale = math.sqrt(slot_scale)
+        th_states = [csma_mod.ThresholdState(j_th=0.0, delta_j=delta_j)] * (r0 - x0)
+    backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=contention.w))
+                 for i in range(n)] for f in factories[x0:r0]]
+    draw_backoff = [lambda tid, b=b: b[tid].next() for b in backoffs]
+    max_index = np.zeros(r0 - x0)
 
-    coefs = None
-    if scheduler in ("centralized", "csma"):
-        coefs = index_coefficients(fleet, pi)
-    sched_coin = (Buffered(factory.stream("scheduler", 0).uniform)
-                  if scheduler == "stationary" else None)
+    coefs = index_coefficients(fleet, pi) if r0 > c0 else None
+    coins = [Buffered(f.stream("scheduler", 0).uniform) for f in factories[s0:]]
 
-    w_streams = [factory.stream("weight", i) for i in range(n)]
-    a_streams = [factory.stream("increment", i) for i in range(n)]
-    c_streams = [factory.stream("channel", i) for i in range(n)]
+    streams = {kind: [[f.stream(kind, i) for i in range(n)] for f in factories]
+               for kind in ("weight", "increment", "channel")}
     incs = [GaussianIncrements(sigma2[i]) for i in range(n)]
 
+    def draw(sample) -> np.ndarray:
+        """(lane, terminal, slot) array of per-(lane, terminal) samples."""
+        return np.array([[sample(lane, i) for i in range(n)] for lane in range(L)])
+
     nb, batch_len = _batch_layout(T, n_batches)
-    batch_sums = np.zeros(nb)
-    batch_counts = np.zeros(nb, dtype=np.int64)
+    batch_sums = np.zeros((L, nb))
+    q = np.zeros((L, n))
+    delta = np.ones((c0, n), dtype=np.int64)   # ages of the aoi lanes
+    scores = np.empty((x0, n))                  # top-K scores of the aoi and centralized lanes
+    rank_rows = np.arange(x0)[:, None] * n      # their flat offsets in a (lane, terminal) array
+    attempts = np.zeros((L, n), dtype=np.int64)
+    violations = np.zeros(L, dtype=np.int64)
+    rows = [[] if lanes[i].trace else None for i in order]
+    size = max(1, min(block, _LANE_ELEMENTS // (L * n)))
 
-    q = np.zeros(n)
-    delta = np.ones(n, dtype=np.int64)
-    attempts = np.zeros(n, dtype=np.int64)
-    violations = 0
-    max_index = 0.0
-    rows = [] if trace else None
+    w_buf = None
+    for b, t0, t1 in _blocks(T, nb, batch_len, size):
+        nblk = t1 - t0
+        # Weight lookahead: w_buf covers slots [t0, t1].
+        if w_buf is None:
+            w_buf = draw(lambda lane, i: weights[i].sample_block(
+                streams["weight"][lane][i], 0, nblk + 1))
+        else:
+            fresh = draw(lambda lane, i: weights[i].sample_block(
+                streams["weight"][lane][i], t0 + 1, nblk))
+            w_buf = np.concatenate([w_buf[:, :, -1:], fresh], axis=2)
+        a_blk = draw(lambda lane, i: incs[i].sample_block(
+            streams["increment"][lane][i], t0, nblk))
+        a_blk[x0:r0] *= math.sqrt(slot_scale)
+        s_blk = draw(lambda lane, i: sample_channel_block(
+            streams["channel"][lane][i], p[i], nblk))
+        w_slots = w_buf.transpose(0, 2, 1)          # (lane, slot, terminal) views
+        a_slots, s_slots = a_blk.transpose(0, 2, 1), s_blk.transpose(0, 2, 1)
 
-    # Weight lookahead: keep a buffer covering slots [t0, t0 + nblk].
-    w_buf = np.stack([weights[i].sample_block(w_streams[i], 0, min(block, T) + 1)
-                      for i in range(n)])
-    t0 = 0
-    while t0 < T:
-        nblk = min(block, T - t0)
-        if t0 > 0:
-            fresh = np.stack([weights[i].sample_block(w_streams[i], t0 + 1, nblk)
-                              for i in range(n)])
-            w_buf = np.concatenate([w_buf[:, -1:], fresh], axis=1)
-        a_blk = np.stack([incs[i].sample_block(a_streams[i], t0, nblk) for i in range(n)])
-        if slot_scale != 1.0:
-            a_blk *= inc_scale
-        s_blk = np.stack([sample_channel_block(c_streams[i], p[i], nblk) for i in range(n)])
-        thr_blk = _threshold_array(w_buf[:, :nblk], thresholds)
-
+        # sent[j, lane] holds the lane's transmissions in slot t0 + j that
+        # can deliver.  Round-robin and stationary never read the error, so
+        # their whole block is decided up front.
+        sent = np.zeros((nblk, L, n), dtype=bool)
+        if s0 > r0:
+            sent[:, r0:s0] = schedule_round_robin(np.arange(t0, t1), n, k)[:, None]
+        for c, coin in enumerate(coins):
+            sent[:, s0 + c] = schedule_stationary(
+                pi, np.array([coin.next() for _ in range(nblk)]))
+        q_hist = np.empty((nblk, L, n))
+        j_hist = [[] for _ in range(r0 - x0)]
+        collided = ([], [])
         for j in range(nblk):
-            t = t0 + j
-            w_t = w_buf[:, j]
-            q2 = q * q
-            f_slot = float(w_t @ q2) / n
-            b = min(t // batch_len, nb - 1)
-            batch_sums[b] += f_slot
-            batch_counts[b] += 1
-            if thr_blk is not None:
-                violations += int(np.count_nonzero(np.abs(q) > thr_blk[:, j]))
+            q_hist[j] = q
+            sent_j = sent[j]
+            if r0 > c0:  # the update index of centralized and csma
+                q_ix = q[indexed]
+                indices = (coefs + w_slots[indexed, j + 1]) * p * (q_ix * q_ix)
+            if x0:
+                if c0:
+                    scores[:c0] = p * delta * (delta + 1.0)
+                if x0 > c0:
+                    scores[c0:] = indices[:x0 - c0]
+                sent_j.reshape(-1)[_topk_ids(scores, k) + rank_rows] = True
+            if r0 > x0:
+                winners = ([], [])
+                for c in range(r0 - x0):
+                    active = (indices[x0 - c0 + c] > th_states[c].j_th).nonzero()[0].tolist()
+                    outcome = csma_mod.contend(active, contention, draw_backoff[c])
+                    won = outcome.winners()
+                    winners[0].extend([x0 + c] * len(won))
+                    winners[1].extend(won)
+                    collided[0].extend([x0 + c] * len(outcome.collided))
+                    collided[1].extend(outcome.collided)
+                    th_states[c] = csma_mod.adapt_threshold(th_states[c], outcome, contention)
+                    j_hist[c].append(th_states[c].j_th)
+                sent_j[winners] = True
 
-            transmit = np.zeros(n, dtype=bool)
-            eligible = None
-            aux = 0.0
-            if coefs is not None:  # the update index of centralized and csma
-                indices = (coefs + w_buf[:, j + 1]) * p * q2
-            if scheduler == "centralized":
-                transmit[_topk_ids(indices, k)] = True
-            elif scheduler == "aoi":
-                scores = p * delta * (delta + 1.0)
-                transmit[_topk_ids(scores, k)] = True
-            elif scheduler == "round-robin":
-                transmit[schedule_round_robin(t, n, k)] = True
-            elif scheduler == "stationary":
-                transmit[schedule_stationary(pi, sched_coin.next())] = True
-            else:  # csma
-                max_index = max(max_index, float(indices.max()))
-                active = np.flatnonzero(indices > th_state.j_th).tolist()
-                outcome = csma_mod.contend(
-                    active, contention, lambda tid: backoffs[tid].next())
-                winners = outcome.winners()
-                transmit[winners] = True
-                eligible = transmit.copy()
-                transmit[list(outcome.collided)] = True  # data sent and wasted
-                th_state = csma_mod.adapt_threshold(th_state, outcome, contention)
-                aux = th_state.j_th
+            delivered = sent_j & s_slots[:, j]
+            q = np.where(delivered, 0.0, q) + a_slots[:, j]
+            if c0:
+                delta = np.where(delivered[:c0], 1, delta + 1)
 
-            attempts += transmit
-            delivered = (transmit if eligible is None else eligible) & s_blk[:, j]
-            if rows is not None:
-                rows.append((t, aux, f_slot))
-            q = np.where(delivered, 0.0, q) + a_blk[:, j]
-            delta = np.where(delivered, 1, delta + 1)
-        t0 += nblk
+        # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
+        # strided: its summation order is part of the bitwise contract.  The
+        # cumsum adds them into the batch slot by slot.
+        q_lanes = q_hist.transpose(1, 0, 2)       # (lane, slot, terminal) views
+        q2 = q_lanes * q_lanes
+        f = np.matmul(w_slots[:, :nblk, None, :], q2[:, :, :, None])[:, :, 0, 0] / n
+        batch_sums[:, b] = np.cumsum(np.concatenate([batch_sums[:, b, None], f], axis=1),
+                                     axis=1)[:, -1]
+        attempts += sent.sum(axis=0)
+        np.add.at(attempts, collided, 1)  # csma data sent and wasted
+        if r0 > x0:
+            csma_idx = (coefs + w_slots[x0:r0, 1:]) * p * q2[x0:r0]
+            np.maximum(max_index, csma_idx.max(axis=(1, 2)), out=max_index)
+        if thresholds:
+            thr = _threshold_array(w_slots[:, :nblk], thresholds)
+            violations += np.count_nonzero(np.abs(q_lanes) > thr, axis=(1, 2))
+        for lane, trace in enumerate(rows):
+            if trace is not None:
+                aux = j_hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk
+                trace.extend(zip(range(t0, t1), aux, f[lane].tolist()))
 
-    total = float(batch_sums.sum())
-    return SimResult(
-        avg_uoi=total / T,
-        batch_means=batch_sums / np.maximum(batch_counts, 1),
-        update_freq=attempts / T,
-        violation_prob=(violations / (n * T)) if thresholds else None,
-        extras={"slot_scale": slot_scale,
-                "wallclock_avg_uoi": total / T / slot_scale,
-                "final_j_th": th_state.j_th if scheduler == "csma" else None,
-                "max_index": max_index if scheduler == "csma" else None,
-                "delta_j": delta_j if scheduler == "csma" else None},
-        trace=rows,
-    )
+    out = [None] * L
+    for lane, i in enumerate(order):
+        total = float(batch_sums[lane].sum())
+        csma = x0 <= lane < r0
+        scale = slot_scale if csma else 1.0
+        out[i] = SimResult(
+            avg_uoi=total / T,
+            batch_means=_batch_means(batch_sums[lane], T, batch_len),
+            update_freq=attempts[lane] / T,
+            violation_prob=(int(violations[lane]) / (n * T)) if thresholds else None,
+            extras={"slot_scale": scale,
+                    "wallclock_avg_uoi": total / T / scale,
+                    "final_j_th": th_states[lane - x0].j_th if csma else None,
+                    "max_index": float(max_index[lane - x0]) if csma else None,
+                    "delta_j": delta_j if csma else None},
+            trace=rows[lane])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +525,7 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     attempts = 0
     uoi_total = 0.0
 
-    for b, t0, t1 in _blocks(T, nb, batch_len):
+    for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
         w_b = w[t0:t1 + 1].tolist()
         noise_b = noise[t0:t1].tolist()
         s_b = s_good[t0:t1].tolist()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -229,6 +230,25 @@ def multi_update_index(t: TerminalParams, omega_next: float, q: float) -> float:
     """J_i = (omega_bar_i * (1/(p_i pi_i) - 1) + omega_next) * p_i * q^2."""
     coeff = t.omega_bar * (1.0 / (t.p * t.pi) - 1.0) + omega_next
     return coeff * t.p * q * q
+
+
+def round_robin_ids(slot: int, n: int, k: int) -> list[int]:
+    """Round-robin ids of one slot: K consecutive ids modulo N, advancing by
+    K per slot."""
+    k = min(k, n)
+    return [(slot * k + j) % n for j in range(k)]
+
+
+def stationary_ids(pi, u: float) -> list[int]:
+    """Systematic draw of one slot: each point u, u + 1, ... below sum(pi)
+    picks the first terminal whose cumulative pi exceeds it."""
+    cum = list(itertools.accumulate(float(x) for x in pi))
+    chosen = set()
+    points = itertools.takewhile(lambda point: point < cum[-1],
+                                 (u + i for i in itertools.count()))
+    for point in points:
+        chosen.add(next(i for i, c in enumerate(cum) if point < c))
+    return sorted(chosen)
 
 
 def schedule_topk(values, k: int) -> list[int]:

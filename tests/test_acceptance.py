@@ -18,8 +18,8 @@ from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, calibrate_multiplier
 from uoi_sim.multi import kkt_residual, fleet_uoi_bound, waterfill, waterfill_from_widths
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import (POLICY_TABLE, adaptive_uoi_bound, run_fleet, run_single,
-                         run_tracking, stderr_from_batches)
+from uoi_sim.sim import (POLICY_TABLE, FleetLane, adaptive_uoi_bound, run_fleet_lanes,
+                         run_single, run_tracking, stderr_from_batches)
 
 SEED = 20240817
 HORIZON = 10**6
@@ -145,18 +145,18 @@ def test_criterion_4_contention_window_law():
 
 @pytest.fixture(scope="module")
 def fleet_runs():
+    # the four policies of one N run as lanes of one fleet loop, each on its
+    # own StreamFactory(SEED): common random numbers across the policies
     out = {}
     for n in FLEET_SIZES:
         fleet = make_fleet(n, k=2)
         pi = waterfill(fleet).pi
-        weights = [fleet_weights()] * n
-        for policy in FLEET_POLICIES:
-            res = run_fleet(
-                fleet, weights, policy, pi=pi, horizon=HORIZON,
-                factory=StreamFactory(SEED),
-                contention=ContentionConfig(w=16, k=2) if policy == "csma" else None,
-                thresholds={1.0: 15.0, 100.0: 5.0})
-            out[(n, policy)] = res
+        results = run_fleet_lanes(
+            fleet, [fleet_weights()] * n,
+            [FleetLane(policy, StreamFactory(SEED)) for policy in FLEET_POLICIES],
+            pi=pi, horizon=HORIZON, contention=ContentionConfig(w=16, k=2),
+            thresholds={1.0: 15.0, 100.0: 5.0})
+        out.update({(n, policy): res for policy, res in zip(FLEET_POLICIES, results)})
         out[(n, "bound")] = fleet_uoi_bound(fleet, waterfill(fleet))
     return out
 

@@ -43,6 +43,22 @@ def test_reference_paths():
         ReferencePath(kind="sawtooth")
 
 
+@pytest.mark.parametrize("fields", [
+    {"period": 0.0}, {"period": -5.0}, {"period": math.nan}, {"period": math.inf},
+    {"value": math.nan}, {"amplitude": math.nan}, {"amplitude": -math.inf}])
+def test_reference_path_rejects_bad_numbers(fields):
+    with pytest.raises(ValueError):
+        ReferencePath(kind="sinusoid", **fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"a": math.nan}, {"b": math.nan}, {"a": math.inf}, {"noise_var": math.nan},
+    {"noise_var": math.inf}, {"noise_var": 0.0}])
+def test_plant_rejects_bad_numbers(fields):
+    with pytest.raises(ValueError):
+        LinearPlant(**dict({"a": 1.0, "b": 1.0, "noise_var": 1.0}, **fields))
+
+
 def test_always_update_perfect_channel_floor():
     # updating every slot over a perfect channel leaves only the noise floor
     plant = LinearPlant(a=1.0, b=1.0, noise_var=1.0)

@@ -10,6 +10,7 @@ from uoi_sim import cli
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
                              build_fleet, config_from_dict, export,
                              load_config, run)
+from uoi_sim.csma import ContentionConfig
 from uoi_sim.sim import POLICY_TABLE, run_fleet
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
@@ -102,6 +103,8 @@ def test_n_batches_validated():
     # a period that would divide by zero
     ({"control": {"y_ref": {"kind": "sinusoid", "period": 0}}}, "control.y_ref.period"),
     ({"control": {"y_ref": {"period": float("nan")}}}, "control.y_ref.period"),
+    ({"control": {"y_ref": {"period": -1.0}}}, "control.y_ref.period"),
+    ({"control": {"noise_var": float("inf")}}, "control.noise_var"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -199,6 +202,25 @@ def test_common_random_numbers_within_run():
                   factory=factory)
         counts.append(factory.draw_counts(kinds=("weight", "increment", "channel")))
     assert counts[0] == counts[1]
+
+
+def test_fleet_rows_are_their_policies_runs():
+    # one lane call per config; each row averages its own policy's replications
+    cfg = config_from_dict({"scenario": "csma", "horizon": 400, "replications": 2,
+                            "seed": 3, "fleet": {"n": 4, "k": 2}, "contention": {"w": 4},
+                            "policies": ["distributed", "centralized"]})
+    fleet = build_fleet(cfg)
+    pi = waterfill(fleet).pi
+    rows = run(cfg)
+    for row, sched in zip(rows, ("csma", "centralized")):
+        reps = [run_fleet(fleet, [cfg.weights] * 4, sched, pi=pi, horizon=400,
+                          factory=StreamFactory(3, rep), contention=ContentionConfig(w=4, k=2),
+                          thresholds=cfg.thresholds)
+                for rep in (0, 1)]
+        assert row.avg_uoi == float(np.mean([r.avg_uoi for r in reps]))
+        assert row.violation_prob == float(np.mean([r.violation_prob for r in reps]))
+        assert row.avg_update_freq.tolist() == np.mean(
+            [r.update_freq for r in reps], axis=0).tolist()
 
 
 def test_single_scenario_with_rvi_policy():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (AoIState, grid_min_objective, make_fleet,
-                      multi_update_index, schedule_aoi, step_aoi)
+                      multi_update_index, round_robin_ids, schedule_aoi,
+                      stationary_ids, step_aoi)
 from uoi_sim.core import TerminalParams
 from uoi_sim.multi import (FleetConfig, StationaryPolicy, index_coefficients,
                            kkt_residual, schedule_round_robin,
@@ -115,10 +116,39 @@ def test_fleet_uoi_bound_examples():
     assert fleet_uoi_bound(fleet_w, pol) == pytest.approx(4.5)
 
 
+def _ids(decisions: np.ndarray) -> list[list[int]]:
+    return [np.flatnonzero(row).tolist() for row in decisions]
+
+
 def test_round_robin_examples():
-    assert schedule_round_robin(0, 4, 2) == [0, 1]
-    assert schedule_round_robin(1, 4, 2) == [2, 3]
-    assert schedule_round_robin(1, 3, 2) == [2, 0]
+    assert _ids(schedule_round_robin(np.arange(2), 4, 2)) == [[0, 1], [2, 3]]
+    assert _ids(schedule_round_robin(np.array([1]), 3, 2)) == [[0, 2]]
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 2), (5, 5), (7, 3), (2, 4)])
+def test_round_robin_kernel_matches_oracle(n, k):
+    slots = np.arange(1000, 1000 + 3 * n)
+    assert _ids(schedule_round_robin(slots, n, k)) == [
+        sorted(round_robin_ids(int(t), n, k)) for t in slots]
+
+
+@settings(max_examples=60)
+@given(pi=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=9),
+       uniforms=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                         min_size=1, max_size=20))
+def test_stationary_kernel_matches_oracle(pi, uniforms):
+    pi = np.array(pi)
+    assert _ids(schedule_stationary(pi, np.array(uniforms))) == [
+        stationary_ids(pi, u) for u in uniforms]
+
+
+def test_stationary_kernel_edge_cases():
+    ones = np.ones(4)
+    assert _ids(schedule_stationary(ones, np.array([0.0, 0.5, 0.999]))) == [[0, 1, 2, 3]] * 3
+    assert _ids(schedule_stationary(np.zeros(3), np.array([0.0, 0.7]))) == [[], []]
+    # a zero-probability terminal is never picked
+    assert _ids(schedule_stationary(np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.5]))) == [
+        [0], [2]]
 
 
 def test_schedule_aoi_examples():
@@ -181,11 +211,7 @@ def test_waterfill_random_instances_against_grid_oracle():
 def test_stationary_schedule_marginals_and_feasibility():
     fleet = make_fleet(6, k=2)
     pi = waterfill(fleet).pi
-    rng = np.random.default_rng(5)
-    counts = np.zeros(6)
     trials = 20000
-    for _ in range(trials):
-        ids = schedule_stationary(pi, float(rng.random()))
-        assert len(ids) <= 2
-        counts[ids] += 1
-    assert counts / trials == pytest.approx(pi, abs=0.01)
+    decisions = schedule_stationary(pi, np.random.default_rng(5).random(trials))
+    assert decisions.sum(axis=1).max() <= 2
+    assert decisions.mean(axis=0) == pytest.approx(pi, abs=0.01)

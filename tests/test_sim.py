@@ -9,8 +9,9 @@ import pytest
 from conftest import (AoIState, ErrorQueue, certainty_equivalent_control,
                       decide_update, desk_terminal, desk_weights, fleet_weights,
                       make_fleet, make_single_updater, multi_update_index,
-                      periodic_step, schedule_aoi, schedule_topk, step_aoi,
-                      step_error, step_plant, step_virtual_queue, table_lookup, uoi)
+                      periodic_step, round_robin_ids, schedule_aoi, schedule_topk,
+                      stationary_ids, step_aoi, step_error, step_plant,
+                      step_virtual_queue, table_lookup, uoi)
 from uoi_sim import sim
 from uoi_sim.control import LinearPlant, ReferencePath
 from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
@@ -175,7 +176,8 @@ def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
 
 
 def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centralized"):
-    """Centralized index or AoI scheduling rebuilt from the step operations."""
+    """Centralized index, AoI, round-robin or stationary scheduling rebuilt
+    from the step operations."""
     factory = StreamFactory(seed)
     n = fleet.n
     w = [weights[i].sample_block(factory.stream("weight", i), 0, horizon + 1)
@@ -187,6 +189,7 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
     terminals = [TerminalParams(id=t.id, p=t.p, sigma2=t.sigma2,
                                 omega_bar=t.omega_bar, pi=pi[i])
                  for i, t in enumerate(fleet.terminals)]
+    coins = factory.stream("scheduler", 0).uniform(horizon).tolist()
     queues = [ErrorQueue() for _ in range(n)]
     ages = AoIState.fresh(n)
     total = 0.0
@@ -194,6 +197,10 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
         total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
         if scheduler == "aoi":
             chosen = set(schedule_aoi(ages, fleet))
+        elif scheduler == "round-robin":
+            chosen = set(round_robin_ids(t, n, fleet.k))
+        elif scheduler == "stationary":
+            chosen = set(stationary_ids(pi, coins[t]))
         else:
             indices = [multi_update_index(terminals[i], w[i][t + 1], queues[i].q)
                        for i in range(n)]
@@ -224,14 +231,75 @@ def test_run_fleet_aoi_matches_operation_reference():
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
-def test_run_fleet_block_size_invariance():
-    fleet = make_fleet(3, k=1)
+@pytest.mark.parametrize("scheduler", ["round-robin", "stationary"])
+def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
+    fleet = make_fleet(5, k=2)
     pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 3
-    runs = [run_fleet(fleet, weights, "centralized", pi=pi, horizon=1500,
-                      factory=StreamFactory(77), block=blk)
-            for blk in (64, 997, 10**6)]
-    assert runs[0].avg_uoi == runs[1].avg_uoi == runs[2].avg_uoi
+    weights = [fleet_weights()] * 5
+    ref = _reference_fleet_run(fleet, weights, pi, horizon=1000, seed=33, scheduler=scheduler)
+    res = run_fleet(fleet, weights, scheduler, pi=pi, horizon=1000, factory=StreamFactory(33))
+    assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+
+
+FLEET_THRESHOLDS = {1.0: 4.0, 100.0: 1.5}
+
+
+def _fleet_outputs(res, factory):
+    """Every output of a fleet run, floats as hex, and its stream draw counts."""
+    return (res.avg_uoi.hex(), [x.hex() for x in res.batch_means],
+            [x.hex() for x in res.update_freq], res.violation_prob, res.extras,
+            res.trace, factory.draw_counts())
+
+
+def _one_lane(fleet, pi, scheduler, seed, rep, trace=False, **kw):
+    factory = StreamFactory(seed, rep)
+    res = run_fleet(fleet, [fleet_weights()] * fleet.n, scheduler, pi=pi, horizon=503,
+                    factory=factory, contention=ContentionConfig(w=4, k=fleet.k),
+                    thresholds=FLEET_THRESHOLDS, n_batches=7, trace=trace, **kw)
+    return _fleet_outputs(res, factory)
+
+
+def test_run_fleet_block_size_invariance():
+    # every scheduler in 1-slot blocks, blocks that do not divide the
+    # 503-slot horizon or its 71-slot batches, and one block for the run
+    fleet = make_fleet(4, k=2)
+    pi = waterfill(fleet).pi
+    for scheduler in sorted(sim._FLEET_SCHEDULERS):
+        runs = [_one_lane(fleet, pi, scheduler, 77, 0, trace=True, block=blk)
+                for blk in (1, 7, 64, 10**6)]
+        assert all(run == runs[0] for run in runs), scheduler
+
+
+def test_fleet_lanes_match_their_one_lane_runs():
+    # every scheduler, csma's centralized, 2 replications, trace on
+    # replication 0; lanes given out of scheduler order
+    fleet = make_fleet(5, k=2)
+    pi = waterfill(fleet).pi
+    schedulers = ("stationary", "csma", "aoi", "round-robin", "centralized", "centralized")
+    lanes = [sim.FleetLane(sched, StreamFactory(41, rep), trace=rep == 0)
+             for sched in schedulers for rep in (0, 1)]
+    results = sim.run_fleet_lanes(
+        fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
+        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7,
+        block=37)
+    for lane, res in zip(lanes, results):
+        assert _fleet_outputs(res, lane.factory) == _one_lane(
+            fleet, pi, lane.scheduler, 41, lane.factory.replication, trace=lane.trace)
+
+
+def test_fleet_lanes_reject_bad_input():
+    fleet = make_fleet(3, k=2)
+    pi = waterfill(fleet).pi
+    lane = sim.FleetLane("csma", StreamFactory(1))
+    with pytest.raises(ValueError, match="unknown scheduler"):
+        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3,
+                            [lane, sim.FleetLane("fifo", StreamFactory(1))], pi=pi)
+    with pytest.raises(ValueError, match="ContentionConfig"):
+        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=pi)
+    with pytest.raises(ValueError, match="must match"):
+        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=pi,
+                            contention=ContentionConfig(w=4, k=1))
+    assert sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [], pi=pi) == []
 
 
 def test_common_random_numbers_across_schedulers():
