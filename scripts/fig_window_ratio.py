@@ -9,7 +9,7 @@ per-slot error variance) by 1 + W/100.  Writes one curve of
 import argparse
 
 from uoi_sim.csma import ContentionConfig
-from uoi_sim.harness import build_fleet, config_from_dict
+from uoi_sim.harness import config_from_dict
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import run_fleet
@@ -28,7 +28,7 @@ def main():
         "scenario": "csma", "fleet": {"n": args.n, "k": 2},
         "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
                     "prob_hi": 0.05}})
-    fleet = build_fleet(cfg)
+    fleet = cfg.fleet
     pi = waterfill(fleet).pi
     weights = [cfg.weights] * args.n
 

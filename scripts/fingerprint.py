@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bitwise fingerprint of the simulator's outputs.
 
-Runs a fixed set of single, multi, csma and control configs through
-`harness.run` at two seeds and prints one line per output item:
+Runs a fixed set of single, multi, csma, control, mdp and waterfill configs
+through `harness.run` at two seeds and prints one line per output item:
 
     <sha256>  <config> seed=<seed> <policy>   every RunMetrics field
     <sha256>  <config> seed=<seed> draws      per-(kind, terminal) draw counts
@@ -65,6 +65,9 @@ CONFIGS = {
                 "control": {"a": 0.9, "b": 0.5,
                             "y_ref": {"kind": "sinusoid", "amplitude": 3.0,
                                       "period": 200.0}}},
+    "mdp-uoi": {"scenario": "mdp", "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},
+    "mdp-aoi": {"scenario": "mdp", "mdp": {"cost": "aoi", "q_max": 8.0, "q_step": 0.5}},
+    "waterfill": {"scenario": "waterfill", "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
 }
 
 

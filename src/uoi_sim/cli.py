@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--window", type=int, help="contention window W in mini-slots")
-    sp.add_argument("--mini-slot-us", type=float, dest="mini_slot_us")
 
     sp = sub.add_parser("mdp", help="reference policies by relative value iteration")
     common(sp)
@@ -80,7 +79,7 @@ _OVERRIDES = {
     "replications": ("", "replications"), "policies": ("", "policies"),
     "trace": ("", "trace"), "rho": ("", "rho"), "v": ("", "v"),
     "n": ("fleet", "n"), "k": ("fleet", "k"),
-    "window": ("contention", "w"), "mini_slot_us": ("contention", "mini_slot_us"),
+    "window": ("contention", "w"),
     "a": ("control", "a"), "b": ("control", "b"), "noise_var": ("control", "noise_var"),
     "cost": ("mdp", "cost"), "qmax": ("mdp", "q_max"), "qstep": ("mdp", "q_step"),
 }

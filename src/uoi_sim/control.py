@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import require
+
 
 @dataclass(frozen=True)
 class LinearPlant:
@@ -25,12 +27,10 @@ class LinearPlant:
     x_hat: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"a and b must be finite, got a={self.a}, b={self.b}")
-        if self.b == 0.0:
-            raise ValueError("control gain b must be nonzero")
-        if not 0.0 < self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
+        require(math.isfinite(self.a), "a", self.a, "finite")
+        require(math.isfinite(self.b) and self.b != 0.0, "b", self.b, "finite and nonzero")
+        require(0.0 < self.noise_var < math.inf, "noise_var", self.noise_var,
+                "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,11 @@ class ReferencePath:
     period: float = 1000.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "sinusoid"):
-            raise ValueError(f"unknown reference kind {self.kind!r}")
-        if not (math.isfinite(self.value) and math.isfinite(self.amplitude)):
-            raise ValueError(f"value and amplitude must be finite, got value={self.value}, "
-                             f"amplitude={self.amplitude}")
-        if not 0.0 < self.period < math.inf:
-            raise ValueError(f"period must be positive and finite, got {self.period}")
+        require(self.kind in ("constant", "sinusoid"), "kind", self.kind,
+                "'constant' or 'sinusoid'")
+        require(math.isfinite(self.value), "value", self.value, "finite")
+        require(math.isfinite(self.amplitude), "amplitude", self.amplitude, "finite")
+        require(0.0 < self.period < math.inf, "period", self.period, "positive and finite")
 
     def at(self, t: int) -> float:
         if self.kind == "constant":

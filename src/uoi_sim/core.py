@@ -20,6 +20,22 @@ import numpy as np
 from .rng import Stream
 
 
+class FieldError(ValueError):
+    """A domain value out of range; `field` names the offending attribute."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def require(ok: bool, field: str, value, requirement: str) -> None:
+    """Raise FieldError(field) unless `ok`.  Write `ok` as the range the
+    value must lie in: NaN fails every comparison, so it never passes."""
+    if not ok:
+        raise FieldError(field, f"must be {requirement}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TerminalParams:
     """Per-terminal constants.
@@ -37,14 +53,12 @@ class TerminalParams:
     pi: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.omega_bar <= 0.0:
-            raise ValueError(f"omega_bar must be positive, got {self.omega_bar}")
-        if self.pi is not None and not 0.0 <= self.pi <= 1.0:
-            raise ValueError(f"pi must be in [0, 1], got {self.pi}")
+        require(0.0 < self.p <= 1.0, "p", self.p, "in (0, 1]")
+        require(0.0 < self.sigma2 < math.inf, "sigma2", self.sigma2, "positive and finite")
+        require(0.0 < self.omega_bar < math.inf, "omega_bar", self.omega_bar,
+                "positive and finite")
+        if self.pi is not None:
+            require(0.0 <= self.pi <= 1.0, "pi", self.pi, "in [0, 1]")
 
 
 # --------------------------------------------------------------------------
@@ -54,13 +68,16 @@ class TerminalParams:
 # --------------------------------------------------------------------------
 
 
+def _require_weight(value: float, field: str) -> None:
+    require(0.0 < value < math.inf, field, value, "positive and finite")
+
+
 @dataclass(frozen=True)
 class ConstantWeights:
     w: float
 
     def __post_init__(self):
-        if self.w <= 0.0:
-            raise ValueError("weight must be positive")
+        _require_weight(self.w, "w")
 
     @property
     def mean(self) -> float:
@@ -82,10 +99,9 @@ class TwoPointWeights:
     prob_hi: float
 
     def __post_init__(self):
-        if self.w_lo <= 0.0 or self.w_hi <= 0.0:
-            raise ValueError("weight values must be positive")
-        if not 0.0 <= self.prob_hi <= 1.0:
-            raise ValueError("prob_hi must be in [0, 1]")
+        _require_weight(self.w_lo, "w_lo")
+        _require_weight(self.w_hi, "w_hi")
+        require(0.0 <= self.prob_hi <= 1.0, "prob_hi", self.prob_hi, "in [0, 1]")
 
     @property
     def mean(self) -> float:
@@ -110,10 +126,11 @@ class PeriodicBurstWeights:
     burst_len: int
 
     def __post_init__(self):
-        if self.base <= 0.0 or self.burst <= 0.0:
-            raise ValueError("weight values must be positive")
-        if not 0 < self.burst_len <= self.period:
-            raise ValueError("need 0 < burst_len <= period")
+        _require_weight(self.base, "base")
+        _require_weight(self.burst, "burst")
+        require(1 <= self.period < math.inf, "period", self.period, "at least 1 and finite")
+        require(0 < self.burst_len <= self.period, "burst_len", self.burst_len,
+                f"in [1, period = {self.period}]")
 
     @property
     def mean(self) -> float:
@@ -139,8 +156,7 @@ class GaussianIncrements:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        require(0.0 < self.sigma2 < math.inf, "sigma2", self.sigma2, "positive and finite")
 
     def sample_block(self, stream: Stream, start: int, count: int) -> np.ndarray:
         return stream.normal(count) * math.sqrt(self.sigma2)

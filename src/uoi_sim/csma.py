@@ -19,29 +19,30 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .core import require
+
 # Marker for a sub-channel whose reservation mini-slot carried two or more
 # simultaneous intentions.
 COLLISION = -1
+
+# A contention mini-slot lasts 10 us, a fixed figure of the channel model.
+MINI_SLOTS_PER_MS = 100
 
 
 @dataclass(frozen=True)
 class ContentionConfig:
     w: int
     k: int
-    mini_slot_us: float = 10.0
 
     def __post_init__(self):
-        if self.k < 1 or self.w < 1:
-            raise ValueError("w and k must be positive")
-        if self.w < self.k:
-            raise ValueError(f"need w >= k so {self.k} winners fit in the window")
-        if self.mini_slot_us <= 0.0:
-            raise ValueError("mini_slot_us must be positive")
+        require(self.k >= 1, "k", self.k, "at least 1")
+        require(self.w >= self.k, "w", self.w,
+                f"at least k = {self.k} so the winners fit in the window")
 
     @property
     def slot_scale(self) -> float:
-        """Slot length in ms: 1 ms data phase plus W mini-slots of 10 us."""
-        return 1.0 + self.w / 100.0
+        """Slot length in ms: 1 ms data phase plus W mini-slots."""
+        return 1.0 + self.w / MINI_SLOTS_PER_MS
 
 
 @dataclass(frozen=True)

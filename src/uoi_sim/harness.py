@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import LinearPlant, ReferencePath
-from .core import (ConstantWeights, PeriodicBurstWeights, TerminalParams,
+from .core import (ConstantWeights, FieldError, PeriodicBurstWeights, TerminalParams,
                    TwoPointWeights, WeightProcess)
 from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
@@ -60,6 +60,12 @@ def _boolean(value) -> bool:
     return value
 
 
+def _policy_names(value) -> tuple[str, ...]:
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+        raise ValueError("must be a list of policy names")
+    return tuple(value)
+
+
 def _section(d: dict, name: str, path: str = "") -> dict:
     """Pop a nested object; absent or null reads as empty."""
     value = d.pop(name, None)
@@ -76,68 +82,58 @@ def _reject_unknown(d: dict, path: str = ""):
         raise ConfigError(f"{path}{key}", "unknown key")
 
 
+def _domain(build, path: str, names: dict[str, str] | None = None, **fields):
+    """build(**fields), reporting a domain FieldError as the config field
+    `path + attribute`, or as names[attribute] where the key lives elsewhere."""
+    try:
+        return build(**fields)
+    except FieldError as exc:
+        raise ConfigError((names or {}).get(exc.field, path + exc.field), exc.reason) from exc
+
+
+# kind -> (type, {key: (caster, default)})
+_WEIGHT_KINDS = {
+    "two-point": (TwoPointWeights, {"w_lo": (float, 1.0), "w_hi": (float, 100.0),
+                                    "prob_hi": (float, 0.01)}),
+    "constant": (ConstantWeights, {"w": (float, 1.0)}),
+    "periodic-burst": (PeriodicBurstWeights, {"base": (float, 1.0), "burst": (float, 100.0),
+                                              "period": (_integer, 5000),
+                                              "burst_len": (_integer, 50)}),
+}
+
+
 def weight_process_from_dict(d: dict, path: str = "weights.") -> WeightProcess:
     d = dict(d)
-
-    def positive(name: str, default: float) -> float:
-        value = _take(d, name, float, default, path)
-        if not value > 0.0:
-            raise ConfigError(f"{path}{name}", f"must be positive, got {value}")
-        return value
-
     kind = _take(d, "kind", str, "two-point", path)
-    if kind == "two-point":
-        w_lo, w_hi = positive("w_lo", 1.0), positive("w_hi", 100.0)
-        prob_hi = _take(d, "prob_hi", float, 0.01, path)
-        if not 0.0 <= prob_hi <= 1.0:
-            raise ConfigError(f"{path}prob_hi", f"must be in [0, 1], got {prob_hi}")
-        proc = TwoPointWeights(w_lo=w_lo, w_hi=w_hi, prob_hi=prob_hi)
-    elif kind == "constant":
-        proc = ConstantWeights(w=positive("w", 1.0))
-    elif kind == "periodic-burst":
-        base, burst = positive("base", 1.0), positive("burst", 100.0)
-        period = _take(d, "period", _integer, 5000, path)
-        burst_len = _take(d, "burst_len", _integer, 50, path)
-        if not 0 < burst_len <= period:
-            raise ConfigError(f"{path}burst_len", f"must be in [1, period = {period}], "
-                                                  f"got {burst_len}")
-        proc = PeriodicBurstWeights(base=base, burst=burst, period=period,
-                                    burst_len=burst_len)
-    else:
+    if kind not in _WEIGHT_KINDS:
         raise ConfigError(f"{path}kind", f"unknown weight process {kind!r}")
+    cls, keys = _WEIGHT_KINDS[kind]
+    fields = {name: _take(d, name, caster, default, path)
+              for name, (caster, default) in keys.items()}
     _reject_unknown(d, path)
-    return proc
+    return _domain(cls, path, **fields)
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment.  The domain objects check their own fields;
+    __post_init__ checks the run settings that no domain type holds."""
+
     scenario: str
+    terminal: TerminalParams
+    weights: WeightProcess
+    fleet: FleetConfig
+    plant: LinearPlant
+    y_ref: ReferencePath
+    contention: ContentionConfig | None = None  # csma only
+    grid: MdpGrid | None = None                 # mdp scenario and rvi policies only
     horizon: int = 1_000_000
     replications: int = 1
     seed: int = 12345
     policies: tuple[str, ...] = ()
     rho: float = 0.25
     v: float = 1.0
-    p: float = 0.8
-    sigma2: float = 1.0
-    weights: WeightProcess = field(default_factory=lambda: TwoPointWeights(1.0, 100.0, 0.01))
-    # fleet
-    n: int = 10
-    k: int = 2
-    p_min: float = 0.7
-    p_max: float = 1.0
-    # csma
-    window: int = 16
-    mini_slot_us: float = 10.0
-    # control
-    a: float = 1.0
-    b: float = 1.0
-    noise_var: float = 1.0
-    y_ref: ReferencePath = field(default_factory=ReferencePath)
-    # mdp
     mdp_cost: str = "uoi"
-    q_max: float | None = None
-    q_step: float | None = None
     # metrics
     thresholds: dict[float, float] = field(default_factory=lambda: {1.0: 15.0, 100.0: 5.0})
     trace: bool = False
@@ -157,40 +153,15 @@ class ExperimentConfig:
             raise ConfigError("rho", f"must be in (0, 1], got {self.rho}")
         if not 0.0 <= self.v < math.inf:
             raise ConfigError("v", f"must be nonnegative and finite, got {self.v}")
-        for name, value in (("terminal.p", self.p), ("fleet.p_min", self.p_min),
-                            ("fleet.p_max", self.p_max)):
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(name, f"must be in (0, 1], got {value}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ConfigError("sigma2", f"must be positive and finite, got {self.sigma2}")
-        for name, value in (("mdp.q_max", self.q_max), ("mdp.q_step", self.q_step)):
-            if value is not None and value <= 0.0:
-                raise ConfigError(name, f"must be positive, got {value}")
+        if self.mdp_cost not in ("uoi", "aoi"):
+            raise ConfigError("mdp.cost", f"must be 'uoi' or 'aoi', got {self.mdp_cost!r}")
         if self.n_batches < 1:
             raise ConfigError("n_batches", f"must be at least 1, got {self.n_batches}")
-        if self.n < 1:
-            raise ConfigError("fleet.n", f"must be at least 1, got {self.n}")
-        if self.k < 1:
-            raise ConfigError("fleet.k", f"must be at least 1, got {self.k}")
-        if self.scenario == "csma" and self.window < self.k:
-            raise ConfigError("contention.w", f"must be at least k = {self.k} so the "
-                                              f"winners fit in the window, got {self.window}")
-        if self.scenario == "csma" and self.mini_slot_us <= 0.0:
-            raise ConfigError("contention.mini_slot_us",
-                              f"must be positive, got {self.mini_slot_us}")
-        for name, value in (("contention.mini_slot_us", self.mini_slot_us),
-                            ("control.a", self.a), ("control.b", self.b)):
-            if not math.isfinite(value):
-                raise ConfigError(name, f"must be finite, got {value}")
-        if self.b == 0.0:
-            raise ConfigError("control.b", "must be nonzero")
-        if not 0.0 < self.noise_var < math.inf:
-            raise ConfigError("control.noise_var",
-                              f"must be positive and finite, got {self.noise_var}")
         for w, bound in self.thresholds.items():
-            if not (bound > 0.0 and math.isfinite(bound)):
-                raise ConfigError("thresholds", f"bound for weight {w} must be positive "
-                                                f"and finite, got {bound}")
+            # a weight that is not positive and finite is never realized
+            if not (0.0 < w < math.inf and 0.0 < bound < math.inf):
+                raise ConfigError("thresholds", f"weight {w} and its bound {bound} must "
+                                                "be positive and finite")
         entry = POLICY_TABLE[self.scenario]
         if not self.policies:
             self.policies = (entry.default,)
@@ -205,6 +176,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     scenario = _take(d, "scenario", str, None, "")
     if scenario is None:
         raise ConfigError("scenario", "is required")
+    policies = _take(d, "policies", _policy_names, (), "")
 
     weights = weight_process_from_dict(_section(d, "weights"))
 
@@ -212,50 +184,48 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     p = _take(terminal, "p", float, 0.8, "terminal.")
     sigma2 = _take(terminal, "sigma2", float, 1.0, "terminal.")
     _reject_unknown(terminal, "terminal.")
-
     fleet = _section(d, "fleet")
-    n = _take(fleet, "n", _integer, 10, "fleet.")
-    k = _take(fleet, "k", _integer, 2, "fleet.")
-    p_min = _take(fleet, "p_min", float, 0.7, "fleet.")
-    p_max = _take(fleet, "p_max", float, 1.0, "fleet.")
-    fleet_sigma2 = _take(fleet, "sigma2", float, None, "fleet.")
-    if fleet_sigma2 is not None:
-        sigma2 = fleet_sigma2
+    spread = {"n": _take(fleet, "n", _integer, 10, "fleet."),
+              "k": _take(fleet, "k", _integer, 2, "fleet."),
+              "p_min": _take(fleet, "p_min", float, 0.7, "fleet."),
+              "p_max": _take(fleet, "p_max", float, 1.0, "fleet.")}
+    sigma2 = _take(fleet, "sigma2", float, sigma2, "fleet.")
     _reject_unknown(fleet, "fleet.")
+    # sigma2 may come from either section; omega_bar is the weights' mean
+    params = _domain(TerminalParams, "terminal.", {"sigma2": "sigma2", "omega_bar": "weights"},
+                     id=0, p=p, sigma2=sigma2, omega_bar=weights.mean)
+    fleet_cfg = _domain(FleetConfig.spread, "fleet.", sigma2=sigma2,
+                        omega_bar=params.omega_bar, **spread)
 
     contention = _section(d, "contention")
     window = _take(contention, "w", _integer, 16, "contention.")
-    mini_slot_us = _take(contention, "mini_slot_us", float, 10.0, "contention.")
     _reject_unknown(contention, "contention.")
 
     control = _section(d, "control")
-    a = _take(control, "a", float, 1.0, "control.")
-    b = _take(control, "b", float, 1.0, "control.")
-    noise_var = _take(control, "noise_var", float, 1.0, "control.")
+    plant = {name: _take(control, name, float, 1.0, "control.")
+             for name in ("a", "b", "noise_var")}
     y_raw = _section(control, "y_ref", "control.")
-    kind = _take(y_raw, "kind", str, "constant", "control.y_ref.")
-    y_numbers = {name: _take(y_raw, name, float, default, "control.y_ref.")
-                 for name, default in (("value", 0.0), ("amplitude", 1.0), ("period", 1000.0))}
+    y_ref = {name: _take(y_raw, name, caster, default, "control.y_ref.")
+             for name, caster, default in (("kind", str, "constant"), ("value", float, 0.0),
+                                           ("amplitude", float, 1.0), ("period", float, 1000.0))}
     _reject_unknown(y_raw, "control.y_ref.")
-    for name, value in y_numbers.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"control.y_ref.{name}", f"must be finite, got {value}")
-    if not y_numbers["period"] > 0.0:
-        raise ConfigError("control.y_ref.period",
-                          f"must be positive, got {y_numbers['period']}")
-    try:
-        y_ref = ReferencePath(kind=kind, **y_numbers)
-    except ValueError as exc:  # the numbers are checked above
-        raise ConfigError("control.y_ref.kind", str(exc)) from exc
     _reject_unknown(control, "control.")
 
     mdp = _section(d, "mdp")
     mdp_cost = _take(mdp, "cost", str, "uoi", "mdp.")
-    q_max = _take(mdp, "q_max", float, None, "mdp.")
-    q_step = _take(mdp, "q_step", float, None, "mdp.")
+    sigma = math.sqrt(sigma2)
+    bounds = {"q_max": _take(mdp, "q_max", float, 25.0 * sigma, "mdp."),
+              "q_step": _take(mdp, "q_step", float, 0.25 * sigma, "mdp.")}
     _reject_unknown(mdp, "mdp.")
-    if mdp_cost not in ("uoi", "aoi"):
-        raise ConfigError("mdp.cost", f"must be 'uoi' or 'aoi', got {mdp_cost!r}")
+    grid = None
+    if scenario == "mdp" or any(pol in ("rvi-uoi", "rvi-aoi") for pol in policies):
+        support = weights.support()
+        if support is None:
+            raise ConfigError("weights.kind", "reference policies need an i.i.d. "
+                                              "finite-support weight process")
+        grid = _domain(MdpGrid, "mdp.", weight_support=tuple(support), **bounds)
+    else:
+        _domain(MdpGrid.check_bounds, "mdp.", **bounds)
 
     thr_raw = d.pop("thresholds", None)
     if thr_raw is None:
@@ -269,23 +239,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError("thresholds", str(exc)) from exc
 
-    policies = d.pop("policies", None)
-    if policies is not None and not isinstance(policies, (list, tuple)):
-        raise ConfigError("policies", "must be a list of policy names")
-
     cfg = ExperimentConfig(
-        scenario=scenario,
+        scenario=scenario, terminal=params, weights=weights, fleet=fleet_cfg,
+        plant=_domain(LinearPlant, "control.", **plant),
+        y_ref=_domain(ReferencePath, "control.y_ref.", **y_ref),
+        contention=(_domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k)
+                    if scenario == "csma" else None),
+        grid=grid,
         horizon=_take(d, "horizon", _integer, 1_000_000, ""),
         replications=_take(d, "replications", _integer, 1, ""),
         seed=_take(d, "seed", _integer, 12345, ""),
-        policies=tuple(policies) if policies else (),
+        policies=policies,
         rho=_take(d, "rho", float, 0.25, ""),
         v=_take(d, "v", float, 1.0, ""),
-        p=p, sigma2=sigma2, weights=weights,
-        n=n, k=k, p_min=p_min, p_max=p_max,
-        window=window, mini_slot_us=mini_slot_us,
-        a=a, b=b, noise_var=noise_var, y_ref=y_ref,
-        mdp_cost=mdp_cost, q_max=q_max, q_step=q_step,
+        mdp_cost=mdp_cost,
         thresholds=thresholds,
         trace=_take(d, "trace", _boolean, False, ""),
         n_batches=_take(d, "n_batches", _integer, 10, ""),
@@ -331,19 +298,6 @@ class RunMetrics:
 # --------------------------------------------------------------------------
 
 
-def build_fleet(config: ExperimentConfig) -> FleetConfig:
-    """Terminals with success probabilities spread linearly over
-    [p_min, p_max]; all share the weight process mean and sigma2."""
-    omega_bar = config.weights.mean
-    terminals = []
-    for i in range(config.n):
-        frac = i / (config.n - 1) if config.n > 1 else 0.0
-        terminals.append(TerminalParams(
-            id=i, p=config.p_min + (config.p_max - config.p_min) * frac,
-            sigma2=config.sigma2, omega_bar=omega_bar))
-    return FleetConfig(terminals=tuple(terminals), k=config.k)
-
-
 def _stderr(rep_values: list[float], first_batches: np.ndarray) -> float:
     """Across replications when there are several, else across the batch
     means of the only one."""
@@ -363,14 +317,12 @@ def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, floa
 
 
 def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    params = TerminalParams(id=0, p=config.p, sigma2=config.sigma2,
-                            omega_bar=config.weights.mean)
+    params = config.terminal
     tables = {}
     for pol in config.policies:
         if pol in ("rvi-uoi", "rvi-aoi"):
-            grid = _mdp_grid(config, f"policy {pol!r}")
             _, tables[pol] = calibrate_multiplier(
-                grid, params, config.rho, "uoi" if pol == "rvi-uoi" else "aoi")
+                config.grid, params, config.rho, "uoi" if pol == "rvi-uoi" else "aoi")
 
     out = []
     bound = adaptive_uoi_bound(params, config.rho, config.v)
@@ -386,7 +338,7 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
         avg, stderr, freq, violation = _aggregate(results)
         out.append(RunMetrics(
             scenario="single", policy=pol,
-            params={"rho": config.rho, "V": config.v, "N": 1, "p": config.p},
+            params={"rho": config.rho, "V": config.v, "N": 1, "p": params.p},
             avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
             violation_prob=violation,
             bound_value=bound if pol == "adaptive" else None,
@@ -395,27 +347,10 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     return out
 
 
-def _mdp_grid(config: ExperimentConfig, user: str) -> MdpGrid:
-    support = config.weights.support()
-    if support is None:
-        raise ConfigError("weights.kind", f"{user} needs an i.i.d. finite-support "
-                                          "weight process")
-    sigma = math.sqrt(config.sigma2)
-    q_max = config.q_max if config.q_max is not None else 25.0 * sigma
-    q_step = config.q_step if config.q_step is not None else 0.25 * sigma
-    try:
-        return MdpGrid(q_max=q_max, q_step=q_step, weight_support=tuple(support))
-    except ValueError as exc:
-        raise ConfigError("mdp.q_step", str(exc)) from exc
-
-
 def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    fleet = build_fleet(config)
+    fleet, contention = config.fleet, config.contention
     policy = waterfill(fleet)
     bound = fleet_uoi_bound(fleet, policy)
-    contention = (ContentionConfig(w=config.window, k=config.k,
-                                   mini_slot_us=config.mini_slot_us)
-                  if config.scenario == "csma" else None)
     schedulers = POLICY_TABLE[config.scenario].policies
     reps = config.replications
     # Every (policy, replication) is a lane of one fleet loop.
@@ -431,7 +366,7 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
         lane_results = results[i * reps:(i + 1) * reps]
         avg, stderr, freq, violation = _aggregate(lane_results)
         params = {"N": fleet.n, "K": fleet.k, "rho": None, "V": None,
-                  "W": config.window if scheduler == "csma" else None}
+                  "W": contention.w if scheduler == "csma" else None}
         extras = {"pi": policy.pi.tolist()}
         if scheduler == "csma":
             extras["wallclock_avg_uoi"] = float(np.mean(
@@ -447,13 +382,11 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    params = TerminalParams(id=0, p=config.p, sigma2=config.sigma2,
-                            omega_bar=config.weights.mean)
-    grid = _mdp_grid(config, "the mdp scenario")
-    lam, table = calibrate_multiplier(grid, params, config.rho, config.mdp_cost)
+    lam, table = calibrate_multiplier(config.grid, config.terminal, config.rho,
+                                      config.mdp_cost)
     return [RunMetrics(
         scenario="mdp", policy=f"rvi-{config.mdp_cost}",
-        params={"rho": config.rho, "N": 1, "p": config.p,
+        params={"rho": config.rho, "N": 1, "p": config.terminal.p,
                 "q_max": table.grid.q_max, "q_step": table.grid.q_step},
         avg_uoi=table.avg_cost, stderr_uoi=0.0,
         avg_update_freq=np.array([table.avg_freq]),
@@ -463,7 +396,7 @@ def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    plant = LinearPlant(a=config.a, b=config.b, noise_var=config.noise_var)
+    plant = config.plant
     out = []
     for pol in config.policies:
         reps = []
@@ -471,28 +404,28 @@ def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
             factory = StreamFactory(config.seed, rep)
             reps.append(run_tracking(
                 plant, config.y_ref, config.weights, pol, config.rho, config.v,
-                p_channel=config.p, horizon=config.horizon, factory=factory,
+                p_channel=config.terminal.p, horizon=config.horizon, factory=factory,
                 n_batches=config.n_batches))
         track = float(np.mean([r.avg_track_cost for r in reps]))
         est = float(np.mean([r.avg_est_cost for r in reps]))
         avg_uoi = float(np.mean([r.avg_uoi for r in reps]))
         stderr = _stderr([r.avg_track_cost for r in reps], reps[0].track_batches)
-        decomposition = config.a ** 2 * est + reps[0].omega_bar * config.noise_var
+        decomposition = plant.a ** 2 * est + reps[0].omega_bar * plant.noise_var
         out.append(RunMetrics(
             scenario="control", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1,
-                    "a": config.a, "b": config.b},
+                    "a": plant.a, "b": plant.b},
             avg_uoi=avg_uoi, stderr_uoi=stderr,
             avg_update_freq=np.array([float(np.mean([r.update_freq for r in reps]))]),
             violation_prob=None, bound_value=None,
             extras={"avg_track_cost": track, "avg_est_cost": est,
                     "decomposition_rhs": decomposition,
-                    "noise_floor": reps[0].omega_bar * config.noise_var}))
+                    "noise_floor": reps[0].omega_bar * plant.noise_var}))
     return out
 
 
 def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    fleet = build_fleet(config)
+    fleet = config.fleet
     policy = waterfill(fleet)
     return [RunMetrics(
         scenario="waterfill", policy="stationary",

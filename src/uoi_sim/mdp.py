@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import TerminalParams
+from .core import TerminalParams, require
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,21 @@ class MdpGrid:
     delta_max: int = 200
 
     def __post_init__(self):
+        self.check_bounds(self.q_max, self.q_step)
         ratio = self.q_max / self.q_step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("q_max must be an integer multiple of q_step")
+        require(math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9, "q_step",
+                self.q_step, f"such that q_max = {self.q_max} is a whole multiple of it")
         probs = sum(p for _, p in self.weight_support)
-        if self.weight_support and abs(probs - 1.0) > 1e-9:
-            raise ValueError(f"weight probabilities sum to {probs}, expected 1")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
-        if self.delta_max < 2:
-            raise ValueError("delta_max must be at least 2")
+        require(not self.weight_support or abs(probs - 1.0) <= 1e-9, "weight_support",
+                self.weight_support, "probabilities that sum to 1")
+        require(0.0 <= self.lam < math.inf, "lam", self.lam, "nonnegative and finite")
+        require(self.delta_max >= 2, "delta_max", self.delta_max, "at least 2")
+
+    @staticmethod
+    def check_bounds(q_max: float, q_step: float) -> None:
+        """The grid's range rule, also applied to bounds no grid is built from."""
+        require(0.0 < q_max < math.inf, "q_max", q_max, "positive and finite")
+        require(0.0 < q_step < math.inf, "q_step", q_step, "positive and finite")
 
     @property
     def q_values(self) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TerminalParams
+from .core import TerminalParams, require
 
 log = logging.getLogger(__name__)
 
@@ -25,10 +25,21 @@ class FleetConfig:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if len(self.terminals) < 1:
-            raise ValueError("need at least one terminal")
+        require(len(self.terminals) >= 1, "terminals", self.terminals, "nonempty")
+        require(self.k >= 1, "k", self.k, "at least 1")
+
+    @classmethod
+    def spread(cls, n: int, k: int, p_min: float, p_max: float, sigma2: float,
+               omega_bar: float) -> FleetConfig:
+        """n terminals with success probabilities spread linearly over
+        [p_min, p_max], all sharing sigma2 and omega_bar."""
+        require(n >= 1, "n", n, "at least 1")
+        require(0.0 < p_min <= 1.0, "p_min", p_min, "in (0, 1]")
+        require(0.0 < p_max <= 1.0, "p_max", p_max, "in (0, 1]")
+        return cls(terminals=tuple(
+            TerminalParams(id=i, p=p_min + (p_max - p_min) * (i / (n - 1) if n > 1 else 0.0),
+                           sigma2=sigma2, omega_bar=omega_bar)
+            for i in range(n)), k=k)
 
     @property
     def n(self) -> int:

@@ -22,13 +22,19 @@ def test_uoi_examples():
 
 def test_uoi_rejects_nonpositive_weight():
     # the context weight of the metric comes from a weight process, and
-    # every weight process refuses a nonpositive value
+    # every weight process refuses a nonpositive or non-finite value
     with pytest.raises(ValueError):
         ConstantWeights(0.0)
     with pytest.raises(ValueError):
         TwoPointWeights(-2.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         PeriodicBurstWeights(1.0, 0.0, 10, 2)
+    with pytest.raises(ValueError):
+        ConstantWeights(math.inf)
+    with pytest.raises(ValueError):
+        TwoPointWeights(math.nan, 100.0, 0.01)
+    with pytest.raises(ValueError):
+        PeriodicBurstWeights(1.0, math.nan, 10, 2)
 
 
 def test_step_error_examples():
@@ -68,6 +74,8 @@ def test_error_recursion_exact(q, u, s, a):
     dict(id=0, p=0.5, sigma2=0.0, omega_bar=1.0),
     dict(id=0, p=0.5, sigma2=1.0, omega_bar=0.0),
     dict(id=0, p=0.5, sigma2=1.0, omega_bar=1.0, pi=1.5),
+    dict(id=0, p=0.5, sigma2=math.nan, omega_bar=1.0),
+    dict(id=0, p=0.5, sigma2=1.0, omega_bar=math.inf),
 ])
 def test_terminal_params_validation(params):
     with pytest.raises(ValueError):
@@ -122,6 +130,8 @@ def test_gaussian_increment_moments():
     a = proc.sample_block(stream, 0, 10**6)
     assert np.mean(a) == pytest.approx(0.0, abs=0.01)
     assert np.var(a) == pytest.approx(2.5, rel=0.01)
+    with pytest.raises(ValueError):
+        GaussianIncrements(math.nan)
 
 
 def test_channel_block_rate():

@@ -8,8 +8,7 @@ import pytest
 
 from uoi_sim import cli
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
-                             build_fleet, config_from_dict, export,
-                             load_config, run)
+                             config_from_dict, export, load_config, run)
 from uoi_sim.csma import ContentionConfig
 from uoi_sim.sim import POLICY_TABLE, run_fleet
 from uoi_sim.multi import waterfill
@@ -105,6 +104,13 @@ def test_n_batches_validated():
     ({"control": {"y_ref": {"period": float("nan")}}}, "control.y_ref.period"),
     ({"control": {"y_ref": {"period": -1.0}}}, "control.y_ref.period"),
     ({"control": {"noise_var": float("inf")}}, "control.noise_var"),
+    ({"mdp": {"q_max": float("inf")}}, "mdp.q_max"),
+    ({"weights": {"w_hi": float("inf")}}, "weights.w_hi"),
+    ({"weights": {"kind": "constant", "w": float("inf")}}, "weights.w"),
+    ({"weights": {"kind": "periodic-burst", "burst": float("inf")}}, "weights.burst"),
+    # a weight that is never realized would make its bound dead
+    ({"thresholds": {"nan": 3}}, "thresholds"),
+    ({"policies": [{}]}, "policies"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -119,8 +125,8 @@ def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
 def test_integral_floats_accepted_as_integers():
     cfg = config_from_dict({"scenario": "multi", "horizon": 1e6, "seed": 7.0,
                             "fleet": {"n": 4.0, "k": 2}})
-    assert (cfg.horizon, cfg.seed, cfg.n) == (10**6, 7, 4)
-    assert all(type(x) is int for x in (cfg.horizon, cfg.seed, cfg.n))
+    assert (cfg.horizon, cfg.seed, cfg.fleet.n) == (10**6, 7, 4)
+    assert all(type(x) is int for x in (cfg.horizon, cfg.seed, cfg.fleet.n))
 
 
 def test_mdp_grid_mismatch_is_config_error(capsys):
@@ -193,7 +199,7 @@ def test_common_random_numbers_within_run():
     cfg = config_from_dict({"scenario": "multi", "horizon": 2000,
                             "fleet": {"n": 4, "k": 2},
                             "policies": ["centralized", "round-robin"]})
-    fleet = build_fleet(cfg)
+    fleet = cfg.fleet
     pi = waterfill(fleet).pi
     counts = []
     for sched in ("centralized", "round-robin"):
@@ -209,7 +215,7 @@ def test_fleet_rows_are_their_policies_runs():
     cfg = config_from_dict({"scenario": "csma", "horizon": 400, "replications": 2,
                             "seed": 3, "fleet": {"n": 4, "k": 2}, "contention": {"w": 4},
                             "policies": ["distributed", "centralized"]})
-    fleet = build_fleet(cfg)
+    fleet = cfg.fleet
     pi = waterfill(fleet).pi
     rows = run(cfg)
     for row, sched in zip(rows, ("csma", "centralized")):
@@ -365,10 +371,11 @@ def test_cli_negative_v_is_config_error(capsys):
     (["multi", "--k", "0"], "fleet.k"),
     (["multi", "--n", "0"], "fleet.n"),
     (["csma", "--window", "1", "--k", "2"], "contention.w"),
-    (["csma", "--mini-slot-us", "0"], "contention.mini_slot_us"),
+    (["mdp", "--qmax", "inf"], "mdp.q_max"),
     (["control", "--b", "0"], "control.b"),
     (["control", "--noise-var", "-1"], "control.noise_var"),
     (["single", "--seed", "-1"], "seed"),
+    (["mdp", "--qstep", "inf"], "mdp.q_step"),
 ])
 def test_cli_invalid_domain_parameter_is_config_error(argv, field, capsys):
     assert cli.main(argv + ["--horizon", "10"]) == 2

@@ -19,6 +19,11 @@ def test_grid_validation():
         MdpGrid(q_max=1.0, q_step=0.3, weight_support=((1.0, 1.0),))
     with pytest.raises(ValueError):
         MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 0.5), (2.0, 0.4)))
+    for bad in ({"q_step": 0.0}, {"q_max": math.inf}, {"q_step": math.inf},
+                {"lam": math.nan}):
+        with pytest.raises(ValueError):
+            MdpGrid(**dict({"q_max": 10.0, "q_step": 0.5, "weight_support": ((1.0, 1.0),)},
+                           **bad))
     grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),))
     assert grid.q_values.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
