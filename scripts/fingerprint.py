@@ -60,6 +60,9 @@ CONFIGS = {
                     "contention": {"w": 4}, "weights": FLEET_WEIGHTS},
     "csma-n4-w2": {"scenario": "csma", "horizon": 1000, "policies": ["distributed"],
                    "fleet": _fleet(4), "contention": {"w": 2}},
+    "csma-n20-k3-w8": {"scenario": "csma", "horizon": 8000, "n_batches": 7,
+                       "policies": ["distributed"], "fleet": _fleet(20, k=3),
+                       "contention": {"w": 8}, "weights": FLEET_WEIGHTS},
     "control": {"scenario": "control", "horizon": 3000, "replications": 2,
                 "policies": ["adaptive", "periodic", "random", "age-threshold"],
                 "control": {"a": 0.9, "b": 0.5,

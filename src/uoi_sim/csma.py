@@ -13,7 +13,6 @@ the window closes faster than its expected length K/(K+1) * (W+1).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -45,19 +44,7 @@ class ContentionConfig:
         return 1.0 + self.w / MINI_SLOTS_PER_MS
 
 
-@dataclass(frozen=True)
-class ThresholdState:
-    j_th: float
-    delta_j: float
-
-    def __post_init__(self):
-        if self.j_th < 0.0:
-            raise ValueError("threshold must be nonnegative")
-        if self.delta_j <= 0.0:
-            raise ValueError("delta_j must be positive")
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContentionOutcome:
     """reservations maps sub-channel (1-based) to terminal id or COLLISION."""
 
@@ -81,33 +68,34 @@ def contend(active: Iterable[int], cfg: ContentionConfig,
     terminals that fire in the same mini-slot target the same lowest idle
     sub-channel, so each mini-slot claims at most one channel.
     """
-    by_mini_slot: dict[int, list[int]] = defaultdict(list)
+    w, k = cfg.w, cfg.k
+    by_backoff: dict[int, list[int]] = {}
     for tid in active:
         l = draw_backoff(tid)
-        if not 0 <= l < cfg.w:
-            raise ValueError(f"backoff {l} outside [0, {cfg.w - 1}]")
-        by_mini_slot[l + 1].append(tid)
+        if not 0 <= l < w:
+            raise ValueError(f"backoff {l} outside [0, {w - 1}]")
+        senders = by_backoff.get(l)
+        if senders is None:
+            by_backoff[l] = [tid]
+        else:
+            senders.append(tid)
 
     reservations: dict[int, int] = {}
     collided: list[int] = []
-    window_len = cfg.w
-    for mini_slot in sorted(by_mini_slot):
-        channel = len(reservations) + 1
-        senders = by_mini_slot[mini_slot]
+    window_len = w
+    channel = 0
+    for l in sorted(by_backoff):
+        channel += 1
+        senders = by_backoff[l]
         if len(senders) == 1:
             reservations[channel] = senders[0]
         else:
             reservations[channel] = COLLISION
             collided.extend(sorted(senders))
-        if len(reservations) == cfg.k:
-            window_len = mini_slot
+        if channel == k:
+            window_len = l + 1
             break
-    return ContentionOutcome(
-        reservations=reservations,
-        window_len=window_len,
-        idle_channels=cfg.k - len(reservations),
-        collided=tuple(collided),
-    )
+    return ContentionOutcome(reservations, window_len, k - channel, tuple(collided))
 
 
 def expected_window(k: int, w: int) -> float:
@@ -119,17 +107,17 @@ def expected_window(k: int, w: int) -> float:
     return k / (k + 1.0) * (w + 1.0)
 
 
-def adapt_threshold(state: ThresholdState, outcome: ContentionOutcome,
-                    cfg: ContentionConfig) -> ThresholdState:
-    """Idle channels mean too few contenders (lower the bar); a window that
-    closed early means too many (raise it).  Clamped at zero."""
+def adapt_threshold(j_th: float, delta_j: float, outcome: ContentionOutcome,
+                    expected: float) -> float:
+    """The next threshold after one window, moved by `delta_j`: idle channels
+    mean too few contenders (lower the bar); a window that closed before its
+    `expected` length, `expected_window(k, w)`, means too many (raise it).
+    Clamped at zero."""
     if outcome.idle_channels > 0:
-        j_th = max(0.0, state.j_th - state.delta_j)
-    elif outcome.window_len < expected_window(cfg.k, cfg.w):
-        j_th = state.j_th + state.delta_j
-    else:
-        j_th = state.j_th
-    return ThresholdState(j_th=j_th, delta_j=state.delta_j)
+        return max(0.0, j_th - delta_j)
+    if outcome.window_len < expected:
+        return j_th + delta_j
+    return j_th
 
 
 def default_delta_j(omega_bar: np.ndarray, sigma2: np.ndarray) -> float:

@@ -301,10 +301,7 @@ class RunMetrics:
 def _stderr(rep_values: list[float], first_batches: np.ndarray) -> float:
     """Across replications when there are several, else across the batch
     means of the only one."""
-    if len(rep_values) > 1:
-        reps = np.array(rep_values)
-        return float(reps.std(ddof=1) / math.sqrt(len(reps)))
-    return stderr_from_batches(first_batches)
+    return stderr_from_batches(rep_values if len(rep_values) > 1 else first_batches)
 
 
 def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, float | None]:

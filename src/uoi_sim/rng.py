@@ -11,6 +11,7 @@ and the per-stream draw counters make that verifiable.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -80,18 +81,13 @@ class StreamFactory:
 
 class Buffered:
     """Amortized one-at-a-time draws from a stream: `draw(n)` returns the
-    stream's next n variates, e.g. `stream.uniform`."""
+    stream's next n variates, e.g. `stream.uniform`.  `next()` returns the
+    next variate; the stream is drawn `block` variates at a time, each block
+    only once the previous one is used up."""
+
+    __slots__ = ("next",)
 
     def __init__(self, draw: Callable[[int], np.ndarray], block: int = 256):
-        self._draw = draw
-        self._block = int(block)
-        self._buf: list = []
-        self._pos = 0
-
-    def next(self):
-        if self._pos >= len(self._buf):
-            self._buf = self._draw(self._block).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+        block = int(block)
+        blocks = iter(lambda: draw(block).tolist(), None)  # lists are never None
+        self.next = itertools.chain.from_iterable(blocks).__next__

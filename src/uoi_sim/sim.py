@@ -19,7 +19,7 @@ import numpy as np
 
 from . import csma as csma_mod
 from .control import LinearPlant, ReferencePath, optimal_control, step_plant_with_noise
-from .core import (GaussianIncrements, TerminalParams, WeightProcess,
+from .core import (GaussianIncrements, TerminalParams, WeightProcess, require,
                    sample_channel_block)
 from .mdp import StationaryPolicyTable
 from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
@@ -68,10 +68,20 @@ class SimResult:
 
 
 def stderr_from_batches(batch_means: np.ndarray) -> float:
-    batch_means = np.asarray(batch_means, dtype=float)
-    if len(batch_means) < 2:
+    """Standard error of the mean of `batch_means` (0 for fewer than two).
+
+    Finite means so large that their squared deviations overflow are
+    rescaled by the largest magnitude first; other inputs keep the plain
+    formula's bits."""
+    x = np.asarray(batch_means, dtype=float)
+    if len(x) < 2:
         return 0.0
-    return float(batch_means.std(ddof=1) / math.sqrt(len(batch_means)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = float(x.std(ddof=1) / math.sqrt(len(x)))
+    if not math.isfinite(se) and np.isfinite(x).all():
+        scale = float(np.abs(x).max())
+        se = float((x / scale).std(ddof=1) / math.sqrt(len(x))) * scale
+    return se
 
 
 def _threshold_array(w: np.ndarray, thresholds: dict[float, float] | None) -> np.ndarray | None:
@@ -277,7 +287,7 @@ class FleetLane(NamedTuple):
 def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
     """Largest-k ids along the last axis, ties to the lowest id (stable sort
     on descending value)."""
-    return np.argsort(-values, axis=-1, kind="stable")[..., :k]
+    return (-values).argsort(axis=-1, kind="stable")[..., :k]
 
 
 # Elements of one (lane, terminal, slot) block array: blocks get shorter as
@@ -316,8 +326,11 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
 
     Each lane draws only from its own factory, so its result is bitwise the
     result of `run_fleet` on that lane alone.  `contention` and `delta_j`
-    apply to the csma lanes.  Results come back in lane order.
+    apply to the csma lanes; `delta_j`, the threshold step, must be positive
+    and finite when given.  Results come back in lane order.
     """
+    if delta_j is not None:
+        require(0.0 < delta_j < math.inf, "delta_j", delta_j, "positive and finite")
     if not lanes:
         return []
     for lane in lanes:
@@ -341,8 +354,9 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     omega_bar = fleet.array("omega_bar")
 
     slot_scale = 1.0
-    th_states = []
-    if r0 > x0:
+    n_csma = r0 - x0
+    j_th = [0.0] * n_csma       # the csma lanes' contention thresholds
+    if n_csma:
         if contention is None:
             raise ValueError("csma scheduling needs a ContentionConfig")
         if contention.k != k:
@@ -350,11 +364,11 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
         slot_scale = contention.slot_scale
         if delta_j is None:
             delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
-        th_states = [csma_mod.ThresholdState(j_th=0.0, delta_j=delta_j)] * (r0 - x0)
-    backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=contention.w))
+        expected = csma_mod.expected_window(k, contention.w)
+    backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=contention.w)).next
                  for i in range(n)] for f in factories[x0:r0]]
-    draw_backoff = [lambda tid, b=b: b[tid].next() for b in backoffs]
-    max_index = np.zeros(r0 - x0)
+    draw_backoff = [lambda tid, b=b: b[tid]() for b in backoffs]
+    max_index = np.zeros(n_csma)
 
     coefs = index_coefficients(fleet, pi) if r0 > c0 else None
     coins = [Buffered(f.stream("scheduler", 0).uniform) for f in factories[s0:]]
@@ -371,8 +385,12 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     batch_sums = np.zeros((L, nb))
     q = np.zeros((L, n))
     delta = np.ones((c0, n), dtype=np.int64)   # ages of the aoi lanes
-    scores = np.empty((x0, n))                  # top-K scores of the aoi and centralized lanes
-    rank_rows = np.arange(x0)[:, None] * n      # their flat offsets in a (lane, terminal) array
+    # Per-slot scores of lanes [0, r0): the aoi lanes' age index, then the
+    # update index of the centralized and csma lanes.  The aoi and
+    # centralized rows, [0, x0), each send their top K.
+    scores = np.empty((r0, n))
+    aoi_scores, index_scores, topk_scores = scores[:c0], scores[c0:], scores[:x0]
+    topk_rows = np.arange(x0)[:, None]
     attempts = np.zeros((L, n), dtype=np.int64)
     violations = np.zeros(L, dtype=np.int64)
     rows = [[] if lanes[i].trace else None for i in order]
@@ -394,8 +412,12 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
         a_blk[x0:r0] *= math.sqrt(slot_scale)
         s_blk = draw(lambda lane, i: sample_channel_block(
             streams["channel"][lane][i], p[i], nblk))
-        w_slots = w_buf.transpose(0, 2, 1)          # (lane, slot, terminal) views
-        a_slots, s_slots = a_blk.transpose(0, 2, 1), s_blk.transpose(0, 2, 1)
+        w_slots = w_buf.transpose(0, 2, 1)          # (lane, slot, terminal) view
+        a_js = np.ascontiguousarray(a_blk.transpose(2, 0, 1))   # (slot, lane, terminal)
+        s_js = np.ascontiguousarray(s_blk.transpose(2, 0, 1))
+        if r0 > c0:  # (coefs + w_next) * p of the update index, per slot
+            index_coef = (coefs + np.ascontiguousarray(
+                w_buf[indexed, :, 1:].transpose(2, 0, 1))) * p
 
         # sent[j, lane] holds the lane's transmissions in slot t0 + j that
         # can deliver.  Round-robin and stationary never read the error, so
@@ -406,53 +428,52 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
         for c, coin in enumerate(coins):
             sent[:, s0 + c] = schedule_stationary(
                 pi, np.array([coin.next() for _ in range(nblk)]))
-        q_hist = np.empty((nblk, L, n))
-        j_hist = [[] for _ in range(r0 - x0)]
+        q_hist = np.empty((nblk + 1, L, n))     # q_hist[j] is q of slot t0 + j
+        q_hist[0] = q
+        j_hist = [[] for _ in range(n_csma)]
         collided = ([], [])
         for j in range(nblk):
-            q_hist[j] = q
+            q = q_hist[j]
             sent_j = sent[j]
-            if r0 > c0:  # the update index of centralized and csma
+            if r0 > c0:
                 q_ix = q[indexed]
-                indices = (coefs + w_slots[indexed, j + 1]) * p * (q_ix * q_ix)
-            if x0:
-                if c0:
-                    scores[:c0] = p * delta * (delta + 1.0)
-                if x0 > c0:
-                    scores[c0:] = indices[:x0 - c0]
-                sent_j.reshape(-1)[_topk_ids(scores, k) + rank_rows] = True
-            if r0 > x0:
-                winners = ([], [])
-                for c in range(r0 - x0):
-                    active = (indices[x0 - c0 + c] > th_states[c].j_th).nonzero()[0].tolist()
-                    outcome = csma_mod.contend(active, contention, draw_backoff[c])
-                    won = outcome.winners()
-                    winners[0].extend([x0 + c] * len(won))
-                    winners[1].extend(won)
-                    collided[0].extend([x0 + c] * len(outcome.collided))
-                    collided[1].extend(outcome.collided)
-                    th_states[c] = csma_mod.adapt_threshold(th_states[c], outcome, contention)
-                    j_hist[c].append(th_states[c].j_th)
-                sent_j[winners] = True
-
-            delivered = sent_j & s_slots[:, j]
-            q = np.where(delivered, 0.0, q) + a_slots[:, j]
+                np.multiply(index_coef[j], q_ix * q_ix, out=index_scores)
             if c0:
-                delta = np.where(delivered[:c0], 1, delta + 1)
+                np.multiply(p * delta, delta + 1.0, out=aoi_scores)
+            if x0:
+                sent_j[topk_rows, _topk_ids(topk_scores, k)] = True
+            for c in range(n_csma):
+                lane = x0 + c
+                active = (scores[lane] > j_th[c]).nonzero()[0].tolist()
+                outcome = csma_mod.contend(active, contention, draw_backoff[c])
+                for tid in outcome.winners():
+                    sent_j[lane, tid] = True
+                if outcome.collided:
+                    collided[0].extend([lane] * len(outcome.collided))
+                    collided[1].extend(outcome.collided)
+                j_th[c] = csma_mod.adapt_threshold(j_th[c], delta_j, outcome, expected)
+                j_hist[c].append(j_th[c])
+
+            delivered = sent_j & s_js[j]
+            np.add(np.where(delivered, 0.0, q), a_js[j], out=q_hist[j + 1])
+            if c0:
+                delta += 1
+                delta[delivered[:c0]] = 1
+        q = q_hist[nblk]
 
         # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
         # strided: its summation order is part of the bitwise contract.  The
         # cumsum adds them into the batch slot by slot.
-        q_lanes = q_hist.transpose(1, 0, 2)       # (lane, slot, terminal) views
+        q_lanes = q_hist[:nblk].transpose(1, 0, 2)   # (lane, slot, terminal) view
         q2 = q_lanes * q_lanes
         f = np.matmul(w_slots[:, :nblk, None, :], q2[:, :, :, None])[:, :, 0, 0] / n
         batch_sums[:, b] = np.cumsum(np.concatenate([batch_sums[:, b, None], f], axis=1),
                                      axis=1)[:, -1]
         attempts += sent.sum(axis=0)
         np.add.at(attempts, collided, 1)  # csma data sent and wasted
-        if r0 > x0:
-            csma_idx = (coefs + w_slots[x0:r0, 1:]) * p * q2[x0:r0]
-            np.maximum(max_index, csma_idx.max(axis=(1, 2)), out=max_index)
+        if n_csma:
+            csma_idx = index_coef[:, x0 - c0:] * q2[x0:r0].transpose(1, 0, 2)
+            np.maximum(max_index, csma_idx.max(axis=(0, 2)), out=max_index)
         if thresholds:
             thr = _threshold_array(w_slots[:, :nblk], thresholds)
             violations += np.count_nonzero(np.abs(q_lanes) > thr, axis=(1, 2))
@@ -473,7 +494,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
             violation_prob=(int(violations[lane]) / (n * T)) if thresholds else None,
             extras={"slot_scale": scale,
                     "wallclock_avg_uoi": total / T / scale,
-                    "final_j_th": th_states[lane - x0].j_th if csma else None,
+                    "final_j_th": j_th[lane - x0] if csma else None,
                     "max_index": float(max_index[lane - x0]) if csma else None,
                     "delta_j": delta_j if csma else None},
             trace=rows[lane])

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams, TwoPointWeights
+from uoi_sim.csma import COLLISION, ContentionConfig, expected_window
 from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig
 
@@ -288,6 +290,65 @@ def table_lookup(table: StationaryPolicyTable, q: float, w_now: float, w_next: f
     qc = min(max(q, -grid.q_max), grid.q_max)
     iq = int(round((qc + grid.q_max) / grid.q_step))
     return float(table.table[iq, widx[w_now], widx[w_next]])
+
+
+class Window(NamedTuple):
+    """One contention window: sub-channel (1-based) -> terminal id or
+    COLLISION, the closing mini-slot, the idle sub-channels and the
+    colliders."""
+
+    reservations: dict[int, int]
+    window_len: int
+    idle_channels: int
+    collided: tuple[int, ...]
+
+
+def contention_window(backoffs: dict[int, int], w: int, k: int) -> Window:
+    """Resolve a window of terminal -> backoff mini-slot by mini-slot: the
+    terminals with backoff l fire in mini-slot l + 1 and claim the lowest
+    sub-channel not yet reserved, two or more of them collide on it, and the
+    window closes at the mini-slot that reserves the K-th sub-channel or
+    after W mini-slots."""
+    reservations, collided = {}, []
+    for mini_slot in range(1, w + 1):
+        senders = sorted(t for t, l in backoffs.items() if l + 1 == mini_slot)
+        if not senders:
+            continue
+        channel = len(reservations) + 1
+        reservations[channel] = senders[0] if len(senders) == 1 else COLLISION
+        if len(senders) > 1:
+            collided += senders
+        if len(reservations) == k:
+            return Window(reservations, mini_slot, 0, tuple(collided))
+    return Window(reservations, w, k - len(reservations), tuple(collided))
+
+
+@dataclass(frozen=True)
+class ThresholdState:
+    """The contention threshold of one csma run and its step delta_j."""
+
+    j_th: float
+    delta_j: float
+
+    def __post_init__(self):
+        if self.j_th < 0.0:
+            raise ValueError("threshold must be nonnegative")
+        if self.delta_j <= 0.0:
+            raise ValueError("delta_j must be positive")
+
+
+def adapt_threshold_state(state: ThresholdState, outcome,
+                          cfg: ContentionConfig) -> ThresholdState:
+    """Lower the threshold by delta_j after a window with idle sub-channels
+    (clamped at zero), raise it after a window that closed before its
+    expected length K/(K+1) (W+1), else keep it."""
+    if outcome.idle_channels > 0:
+        j_th = max(0.0, state.j_th - state.delta_j)
+    elif outcome.window_len < expected_window(cfg.k, cfg.w):
+        j_th = state.j_th + state.delta_j
+    else:
+        j_th = state.j_th
+    return ThresholdState(j_th=j_th, delta_j=state.delta_j)
 
 
 def certainty_equivalent_control(plant: LinearPlant, y_next: float) -> float:

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import ThresholdState, adapt_threshold_state, contention_window
 from uoi_sim.csma import (COLLISION, ContentionConfig, ContentionOutcome,
-                          ThresholdState, adapt_threshold, contend,
-                          default_delta_j, expected_window)
+                          adapt_threshold, contend, default_delta_j, expected_window)
 
 
 def _contend(backoffs: dict[int, int], w: int, k: int) -> ContentionOutcome:
@@ -105,29 +105,60 @@ def test_collision_probability_monotone_in_actives():
 
 
 def test_adapt_threshold_examples():
-    cfg = ContentionConfig(w=16, k=2)
-    th = ThresholdState(j_th=10.0, delta_j=2.0)
+    expected = expected_window(2, 16)
     idle = ContentionOutcome(reservations={1: 0}, window_len=16, idle_channels=1)
-    assert adapt_threshold(th, idle, cfg).j_th == pytest.approx(8.0)
+    assert adapt_threshold(10.0, 2.0, idle, expected) == pytest.approx(8.0)
 
     fast = ContentionOutcome(reservations={1: 0, 2: 1}, window_len=5, idle_channels=0)
-    assert adapt_threshold(th, fast, cfg).j_th == pytest.approx(12.0)  # 5 < 11.33
+    assert adapt_threshold(10.0, 2.0, fast, expected) == pytest.approx(12.0)  # 5 < 11.33
 
     slow = ContentionOutcome(reservations={1: 0, 2: 1}, window_len=12, idle_channels=0)
-    assert adapt_threshold(th, slow, cfg).j_th == pytest.approx(10.0)  # unchanged
+    assert adapt_threshold(10.0, 2.0, slow, expected) == pytest.approx(10.0)  # unchanged
 
-    low = ThresholdState(j_th=1.0, delta_j=2.0)
-    assert adapt_threshold(low, idle, cfg).j_th == 0.0  # clamped
+    assert adapt_threshold(1.0, 2.0, idle, expected) == 0.0  # clamped
 
 
 def test_threshold_returns_to_zero_under_zero_load():
     cfg = ContentionConfig(w=16, k=2)
-    th = ThresholdState(j_th=7.3, delta_j=2.0)
+    j_th = 7.3
     for _ in range(10):
         out = contend([], cfg, lambda tid: 0)
         assert out.idle_channels == cfg.k
-        th = adapt_threshold(th, out, cfg)
-    assert th.j_th == 0.0
+        j_th = adapt_threshold(j_th, 2.0, out, expected_window(cfg.k, cfg.w))
+    assert j_th == 0.0
+
+
+def test_contention_step_matches_oracles_on_random_windows():
+    # 2000 chained windows per (W, K), up to 9 contenders among 12
+    # terminals; one window in 8 puts every contender on one backoff
+    rng = np.random.default_rng(20261018)
+    windows = empty = all_collide = 0
+    for w, k in itertools.product((2, 4, 8, 16), (2, 3)):
+        if k > w:
+            continue
+        cfg = ContentionConfig(w=w, k=k)
+        expected = expected_window(k, w)
+        delta_j = float(rng.uniform(0.1, 3.0))
+        j_th, state = 0.0, ThresholdState(j_th=0.0, delta_j=delta_j)
+        for _ in range(2000):
+            active = sorted(rng.choice(12, size=rng.integers(0, 10), replace=False).tolist())
+            if rng.random() < 0.125:
+                backoffs = dict.fromkeys(active, int(rng.integers(0, w)))
+            else:
+                backoffs = {t: int(rng.integers(0, w)) for t in active}
+            out = contend(active, cfg, backoffs.__getitem__)
+            window = contention_window(backoffs, w, k)
+            assert (out.reservations, out.window_len, out.idle_channels,
+                    out.collided) == window
+            assert out.winners() == [t for t in window.reservations.values()
+                                     if t != COLLISION]
+            j_th = adapt_threshold(j_th, delta_j, out, expected)
+            state = adapt_threshold_state(state, out, cfg)
+            assert j_th == state.j_th
+            windows += 1
+            empty += not active
+            all_collide += len(active) > 1 and len(set(backoffs.values())) == 1
+    assert windows >= 10_000 and empty > 100 and all_collide > 100
 
 
 def test_contention_config_validation():

@@ -155,6 +155,16 @@ def test_run_single_scenario_produces_metrics():
     assert 0 <= adaptive.avg_update_freq[0] <= 1
 
 
+def test_huge_weights_give_a_finite_stderr(recwarn):
+    # w_hi = 1e306 puts the batch means near 1e304: their squared
+    # deviations overflow, and the standard error must still be finite
+    for replications in (1, 3):
+        row = run(_cfg(horizon=3000, replications=replications,
+                       weights={"w_hi": 1e306}))[0]
+        assert 1e303 < row.stderr_uoi < row.avg_uoi < 1e305
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_csv_schema_and_determinism(tmp_path):
     rows = run(_cfg())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,21 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (AoIState, ErrorQueue, certainty_equivalent_control,
-                      decide_update, desk_terminal, desk_weights, fleet_weights,
-                      make_fleet, make_single_updater, multi_update_index,
-                      periodic_step, round_robin_ids, schedule_aoi, schedule_topk,
-                      stationary_ids, step_aoi, step_error, step_plant,
-                      step_virtual_queue, table_lookup, uoi)
+from conftest import (AoIState, ErrorQueue, ThresholdState, adapt_threshold_state,
+                      certainty_equivalent_control, contention_window, decide_update,
+                      desk_terminal, desk_weights, fleet_weights, make_fleet,
+                      make_single_updater, multi_update_index, periodic_step,
+                      round_robin_ids, schedule_aoi, schedule_topk, stationary_ids,
+                      step_aoi, step_error, step_plant, step_virtual_queue,
+                      table_lookup, uoi)
 from uoi_sim import sim
 from uoi_sim.control import LinearPlant, ReferencePath
-from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
-from uoi_sim.csma import ContentionConfig
+from uoi_sim.core import FieldError, GaussianIncrements, TerminalParams, sample_channel_block
+from uoi_sim.csma import COLLISION, ContentionConfig
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, age_threshold_for_budget, run_fleet,
-                         run_single, run_tracking)
+                         run_single, run_tracking, stderr_from_batches)
 
 SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
 
@@ -241,6 +242,60 @@ def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
+def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
+    """(average UoI, attempts, final threshold) of the csma scheduler
+    rebuilt from the step operations, and the run's stream factory."""
+    factory = StreamFactory(seed)
+    n = fleet.n
+    scale = math.sqrt(cfg.slot_scale)
+    w = [weights[i].sample_block(factory.stream("weight", i), 0, horizon + 1)
+         for i in range(n)]
+    inc = [GaussianIncrements(fleet.terminals[i].sigma2).sample_block(
+        factory.stream("increment", i), 0, horizon) * scale for i in range(n)]
+    s = [sample_channel_block(factory.stream("channel", i),
+                              fleet.terminals[i].p, horizon) for i in range(n)]
+    terminals = [replace(t, pi=pi[i]) for i, t in enumerate(fleet.terminals)]
+
+    def backoff_draws(stream):  # 256 backoffs per draw, as the simulator draws them
+        while True:
+            yield from stream.integers(256, cfg.w).tolist()
+
+    backoffs = [backoff_draws(factory.stream("backoff", i)) for i in range(n)]
+    queues = [ErrorQueue() for _ in range(n)]
+    threshold = ThresholdState(j_th=0.0, delta_j=delta_j)
+    attempts = [0] * n
+    total = 0.0
+    for t in range(horizon):
+        total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
+        active = [i for i in range(n)
+                  if multi_update_index(terminals[i], w[i][t + 1], queues[i].q) > threshold.j_th]
+        window = contention_window({i: next(backoffs[i]) for i in active}, cfg.w, cfg.k)
+        threshold = adapt_threshold_state(threshold, window, cfg)
+        sent = set(window.reservations.values()) - {COLLISION}
+        for i in sent.union(window.collided):
+            attempts[i] += 1
+        queues = [step_error(queues[i], int(i in sent), int(s[i][t]), inc[i][t])
+                  for i in range(n)]
+    return total / horizon, attempts, threshold.j_th, factory
+
+
+@pytest.mark.parametrize("w", [2, 4, 16])
+def test_run_fleet_csma_matches_operation_reference(w):
+    fleet = make_fleet(6, k=2)
+    pi = waterfill(fleet).pi
+    weights = [fleet_weights()] * 6
+    cfg = ContentionConfig(w=w, k=2)
+    avg, attempts, j_th, ref_factory = _reference_csma_run(
+        fleet, weights, pi, cfg, delta_j=1.5, horizon=1500, seed=34)
+    factory = StreamFactory(34)
+    res = run_fleet(fleet, weights, "csma", pi=pi, horizon=1500, factory=factory,
+                    contention=cfg, delta_j=1.5, block=97)
+    assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
+    assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
+    assert res.extras["final_j_th"] == pytest.approx(j_th, rel=1e-12)
+    assert factory.draw_counts() == ref_factory.draw_counts()
+
+
 FLEET_THRESHOLDS = {1.0: 4.0, 100.0: 1.5}
 
 
@@ -300,6 +355,17 @@ def test_fleet_lanes_reject_bad_input():
         sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=pi,
                             contention=ContentionConfig(w=4, k=1))
     assert sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [], pi=pi) == []
+
+
+@pytest.mark.parametrize("delta_j", [0.0, -1.0, math.nan, math.inf])
+def test_fleet_lanes_reject_bad_delta_j(delta_j):
+    fleet = make_fleet(3, k=2)
+    lane = sim.FleetLane("csma", StreamFactory(1))
+    with pytest.raises(FieldError) as err:
+        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=waterfill(fleet).pi,
+                            horizon=10, contention=ContentionConfig(w=4, k=2),
+                            delta_j=delta_j)
+    assert err.value.field == "delta_j"
 
 
 def test_common_random_numbers_across_schedulers():
@@ -394,6 +460,18 @@ def test_baseline_policies_respect_budget(policy, budget_slack):
     res = run_single(desk_terminal(), desk_weights(), rho=0.25, v=1.0,
                      policy=policy, horizon=10**5, factory=StreamFactory(13))
     assert res.update_freq[0] <= 0.25 + budget_slack
+
+
+def test_stderr_rescales_only_on_overflow():
+    # ordinary means keep the plain formula's bits; means whose squared
+    # deviations overflow give the rescaled standard error, not inf
+    means = np.random.default_rng(5).uniform(1.0, 50.0, size=10)
+    assert stderr_from_batches(means) == float(means.std(ddof=1) / math.sqrt(10))
+    huge = stderr_from_batches(means * 1e306)
+    assert huge == pytest.approx(stderr_from_batches(means) * 1e306, rel=1e-12)
+    assert stderr_from_batches([1e308, -1e308]) == pytest.approx(1e308)
+    assert not math.isfinite(stderr_from_batches([1.0, math.inf]))  # not rescaled
+    assert stderr_from_batches([3.0]) == 0.0
 
 
 def test_short_horizon_has_no_empty_batches():
