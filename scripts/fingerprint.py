@@ -63,6 +63,10 @@ CONFIGS = {
     "csma-n20-k3-w8": {"scenario": "csma", "horizon": 8000, "n_batches": 7,
                        "policies": ["distributed"], "fleet": _fleet(20, k=3),
                        "contention": {"w": 8}, "weights": FLEET_WEIGHTS},
+    "csma-reps3": {"scenario": "csma", "horizon": 2000, "replications": 3, "n_batches": 7,
+                   "policies": ["distributed", "centralized"], "fleet": _fleet(10),
+                   "contention": {"w": 8}, "thresholds": {"1": 3.0, "100": 1.0},
+                   "weights": FLEET_WEIGHTS},
     "control": {"scenario": "control", "horizon": 3000, "replications": 2,
                 "policies": ["adaptive", "periodic", "random", "age-threshold"],
                 "control": {"a": 0.9, "b": 0.5,

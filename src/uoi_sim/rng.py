@@ -20,6 +20,7 @@ import numpy as np
 # slot by every scheduler (the common-random-number contract); the rest are
 # policy- or scheme-private.
 KINDS = ("weight", "increment", "channel", "backoff", "policy", "scheduler")
+COMMON_KINDS = KINDS[:3]
 _KIND_CODE = {name: i for i, name in enumerate(KINDS)}
 
 
@@ -69,6 +70,20 @@ class StreamFactory:
             st = Stream(np.random.Generator(np.random.Philox(ss)))
             self._streams[key] = st
         return st
+
+    def adopt(self, leader: StreamFactory, kinds: tuple[str, ...]) -> None:
+        """Take `leader`'s streams of `kinds` as this factory's own.
+
+        The two factories then share those Stream objects, variates and draw
+        counters alike: a draw through either advances both.  Both must
+        address the same (seed, replication), and this factory must not hold
+        a stream of `kinds` yet."""
+        if (self.seed, self.replication) != (leader.seed, leader.replication):
+            raise ValueError("adopted streams must come from the same (seed, replication)")
+        if self.draw_counts(kinds):
+            raise ValueError(f"factory already holds a stream of kinds {kinds}")
+        self._streams.update((key, st) for key, st in leader._streams.items()
+                             if key[0] in kinds)
 
     def draw_counts(self, kinds: tuple[str, ...] | None = None) -> dict[tuple[str, int], int]:
         """Draw counters per (kind, terminal), optionally filtered by kind."""

@@ -24,7 +24,7 @@ from .core import (GaussianIncrements, TerminalParams, WeightProcess, require,
 from .mdp import StationaryPolicyTable
 from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
                     schedule_stationary)
-from .rng import Buffered, StreamFactory
+from .rng import COMMON_KINDS, Buffered, StreamFactory
 
 
 class ScenarioPolicies(NamedTuple):
@@ -324,10 +324,13 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
                     n_batches: int = 10, block: int = 32768) -> list[SimResult]:
     """`run_fleet` for every lane in one slot loop over (lane, terminal) arrays.
 
-    Each lane draws only from its own factory, so its result is bitwise the
-    result of `run_fleet` on that lane alone.  `contention` and `delta_j`
-    apply to the csma lanes; `delta_j`, the threshold step, must be positive
-    and finite when given.  Results come back in lane order.
+    Each lane draws only from its own factory, so its result and its
+    factory's draw counts are bitwise those of `run_fleet` on that lane
+    alone.  Lanes whose fresh factories address the same (seed, replication)
+    face the same weight, increment and channel variates, so the first of
+    them samples those and the others adopt its streams.  `contention` and
+    `delta_j` apply to the csma lanes; `delta_j`, the threshold step, must
+    be positive and finite when given.  Results come back in lane order.
     """
     if delta_j is not None:
         require(0.0 < delta_j < math.inf, "delta_j", delta_j, "positive and finite")
@@ -336,6 +339,8 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     for lane in lanes:
         if lane.scheduler not in _FLEET_SCHEDULERS:
             raise ValueError(f"unknown scheduler {lane.scheduler!r}")
+    if len({id(lane.factory) for lane in lanes}) < len(lanes):
+        raise ValueError("each lane needs its own StreamFactory")
     # Lanes sorted by scheduler name make every scheduler group a slice: aoi
     # [0, c0), centralized [c0, x0), csma [x0, r0), round-robin [r0, s0),
     # stationary [s0, L).
@@ -373,13 +378,26 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     coefs = index_coefficients(fleet, pi) if r0 > c0 else None
     coins = [Buffered(f.stream("scheduler", 0).uniform) for f in factories[s0:]]
 
-    streams = {kind: [[f.stream(kind, i) for i in range(n)] for f in factories]
-               for kind in ("weight", "increment", "channel")}
+    # Common-random-number groups: a factory that already holds a common
+    # stream keeps its own, since its next variates are not a fresh one's.
+    groups, leaders, gidx = {}, [], []
+    for lane, f in enumerate(factories):
+        key = lane if f.draw_counts(COMMON_KINDS) else (f.seed, f.replication)
+        if key not in groups:
+            groups[key] = len(leaders)
+            leaders.append(f)
+        gidx.append(groups[key])
+    streams = {kind: [[f.stream(kind, i) for i in range(n)] for f in leaders]
+               for kind in COMMON_KINDS}
+    for f, g in zip(factories, gidx):
+        if f is not leaders[g]:
+            f.adopt(leaders[g], COMMON_KINDS)
     incs = [GaussianIncrements(sigma2[i]) for i in range(n)]
 
     def draw(sample) -> np.ndarray:
-        """(lane, terminal, slot) array of per-(lane, terminal) samples."""
-        return np.array([[sample(lane, i) for i in range(n)] for lane in range(L)])
+        """(lane, terminal, slot) array of per-(group, terminal) samples."""
+        out = np.array([[sample(g, i) for i in range(n)] for g in range(len(leaders))])
+        return out if len(leaders) == L else out[gidx]
 
     nb, batch_len = _batch_layout(T, n_batches)
     batch_sums = np.zeros((L, nb))
@@ -401,17 +419,17 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
         nblk = t1 - t0
         # Weight lookahead: w_buf covers slots [t0, t1].
         if w_buf is None:
-            w_buf = draw(lambda lane, i: weights[i].sample_block(
-                streams["weight"][lane][i], 0, nblk + 1))
+            w_buf = draw(lambda g, i: weights[i].sample_block(
+                streams["weight"][g][i], 0, nblk + 1))
         else:
-            fresh = draw(lambda lane, i: weights[i].sample_block(
-                streams["weight"][lane][i], t0 + 1, nblk))
+            fresh = draw(lambda g, i: weights[i].sample_block(
+                streams["weight"][g][i], t0 + 1, nblk))
             w_buf = np.concatenate([w_buf[:, :, -1:], fresh], axis=2)
-        a_blk = draw(lambda lane, i: incs[i].sample_block(
-            streams["increment"][lane][i], t0, nblk))
+        a_blk = draw(lambda g, i: incs[i].sample_block(
+            streams["increment"][g][i], t0, nblk))
         a_blk[x0:r0] *= math.sqrt(slot_scale)
-        s_blk = draw(lambda lane, i: sample_channel_block(
-            streams["channel"][lane][i], p[i], nblk))
+        s_blk = draw(lambda g, i: sample_channel_block(
+            streams["channel"][g][i], p[i], nblk))
         w_slots = w_buf.transpose(0, 2, 1)          # (lane, slot, terminal) view
         a_js = np.ascontiguousarray(a_blk.transpose(2, 0, 1))   # (slot, lane, terminal)
         s_js = np.ascontiguousarray(s_blk.transpose(2, 0, 1))

@@ -177,6 +177,23 @@ def test_streams_deterministic_and_chunk_invariant():
     assert not np.array_equal(one, other)
 
 
+def test_adopted_streams_are_shared():
+    leader = StreamFactory(5, 1)
+    leader.stream("weight", 0).uniform(4)
+    leader.stream("backoff", 0).uniform(2)
+    follower = StreamFactory(5, 1)
+    follower.stream("policy", 0)          # a private stream does not block adoption
+    follower.adopt(leader, ("weight", "increment"))
+    assert follower.stream("weight", 0) is leader.stream("weight", 0)
+    assert follower.draw_counts() == {("policy", 0): 0, ("weight", 0): 4}
+    with pytest.raises(ValueError, match="already holds"):
+        follower.adopt(leader, ("weight",))
+    with pytest.raises(ValueError, match="same"):
+        StreamFactory(5, 2).adopt(leader, ("weight",))
+    with pytest.raises(ValueError, match="same"):
+        StreamFactory(6, 1).adopt(leader, ("weight",))
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2**63 - 1))
 def test_stream_counters_count_variates(seed):

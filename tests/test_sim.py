@@ -19,7 +19,7 @@ from uoi_sim.core import FieldError, GaussianIncrements, TerminalParams, sample_
 from uoi_sim.csma import COLLISION, ContentionConfig
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
-from uoi_sim.rng import StreamFactory
+from uoi_sim.rng import KINDS, StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, age_threshold_for_budget, run_fleet,
                          run_single, run_tracking, stderr_from_batches)
 
@@ -306,8 +306,15 @@ def _fleet_outputs(res, factory):
             res.trace, factory.draw_counts())
 
 
-def _one_lane(fleet, pi, scheduler, seed, rep, trace=False, **kw):
+def _predrawn(seed, rep):
+    """A factory whose terminal-0 weight stream has drawn 11 variates."""
     factory = StreamFactory(seed, rep)
+    factory.stream("weight", 0).uniform(11)
+    return factory
+
+
+def _one_lane(fleet, pi, scheduler, seed, rep, trace=False, predrawn=False, **kw):
+    factory = _predrawn(seed, rep) if predrawn else StreamFactory(seed, rep)
     res = run_fleet(fleet, [fleet_weights()] * fleet.n, scheduler, pi=pi, horizon=503,
                     factory=factory, contention=ContentionConfig(w=4, k=fleet.k),
                     thresholds=FLEET_THRESHOLDS, n_batches=7, trace=trace, **kw)
@@ -342,6 +349,42 @@ def test_fleet_lanes_match_their_one_lane_runs():
             fleet, pi, lane.scheduler, 41, lane.factory.replication, trace=lane.trace)
 
 
+def test_fleet_lanes_share_common_draws(monkeypatch):
+    # 3 replications of every scheduler, csma beside centralized, lanes out
+    # of order, and one factory of replication 1 whose weight stream drew
+    # before the call: it keeps its own streams.  Each (seed, replication)
+    # group builds the common streams once; the other lanes adopt them.
+    fleet = make_fleet(5, k=2)
+    pi = waterfill(fleet).pi
+    schedulers = ("stationary", "csma", "aoi", "round-robin", "centralized")
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["spawn_key"])
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    lanes = [sim.FleetLane(sched, StreamFactory(43, rep), trace=rep == 2)
+             for rep in (2, 0, 1) for sched in schedulers]
+    lanes.insert(4, sim.FleetLane("centralized", _predrawn(43, 1)))
+    results = sim.run_fleet_lanes(
+        fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
+        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7,
+        block=37)
+    monkeypatch.undo()
+
+    kinds = [KINDS[kind] for _, kind, _ in built]
+    groups = 3 + 1
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "weight": groups * 5, "increment": groups * 5, "channel": groups * 5,
+        "backoff": 3 * 5, "scheduler": 3}
+    for i, (lane, res) in enumerate(zip(lanes, results)):
+        assert _fleet_outputs(res, lane.factory) == _one_lane(
+            fleet, pi, lane.scheduler, 43, lane.factory.replication, trace=lane.trace,
+            predrawn=i == 4), (i, lane.scheduler)
+
+
 def test_fleet_lanes_reject_bad_input():
     fleet = make_fleet(3, k=2)
     pi = waterfill(fleet).pi
@@ -354,6 +397,12 @@ def test_fleet_lanes_reject_bad_input():
     with pytest.raises(ValueError, match="must match"):
         sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=pi,
                             contention=ContentionConfig(w=4, k=1))
+    shared = StreamFactory(1)
+    with pytest.raises(ValueError, match="own StreamFactory"):
+        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3,
+                            [sim.FleetLane("aoi", shared), sim.FleetLane("centralized", shared)],
+                            pi=pi, horizon=10)
+    assert shared.draw_counts() == {}
     assert sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [], pi=pi) == []
 
 
