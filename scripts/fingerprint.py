@@ -49,6 +49,8 @@ CONFIGS = {
                   "policies": MULTI, "fleet": _fleet(30), "weights": FLEET_WEIGHTS},
     "multi-n1": {"scenario": "multi", "horizon": 500, "policies": MULTI,
                  "fleet": _fleet(1, k=1)},
+    "multi-n1-long": {"scenario": "multi", "horizon": 70000, "n_batches": 1,
+                      "policies": ["centralized"], "fleet": _fleet(1, k=1)},
     "multi-burst": {"scenario": "multi", "horizon": 1200, "n_batches": 7,
                     "policies": ["stationary", "centralized", "round-robin"],
                     "fleet": _fleet(5, k=3), "weights": BURST_WEIGHTS},

@@ -3,8 +3,8 @@
     uoi-sim <scenario> [--config FILE] [--seed S] [--out PATH]
             [--format csv|jsonl|plot] [scenario flags]
 
-Exit codes: 0 success, 2 configuration error, 3 bound violation when
---assert-bounds is set.
+Exit codes: 0 success, 2 configuration error or unwritable --out, 3 bound
+violation when --assert-bounds is set.
 """
 
 from __future__ import annotations
@@ -108,6 +108,11 @@ def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     return harness.config_from_dict(raw)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -122,8 +127,11 @@ def main(argv: list[str] | None = None) -> int:
         table = rows[0].extras["policy_table"]
         text = format_policy_table(table)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                return _cannot_write(args.out, exc)
         else:
             sys.stdout.write(text)
         print(f"avg_cost={table.avg_cost:.6f} avg_freq={table.avg_freq:.6f} "
@@ -139,7 +147,10 @@ def main(argv: list[str] | None = None) -> int:
             print("pi = " + " ".join(f"{x:.6f}" for x in m.extras["pi"]))
 
     if args.out:
-        paths = harness.export(rows, args.format, args.out)
+        try:
+            paths = harness.export(rows, args.format, args.out)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         for p in paths:
             print(f"wrote {p}")
 

@@ -43,22 +43,24 @@ class TerminalParams:
     p          channel success probability
     sigma2     variance of the per-slot error increment
     omega_bar  mean of the context weight process
-    pi         stationary schedule probability (None until optimized)
     """
 
     id: int
     p: float
     sigma2: float
     omega_bar: float
-    pi: float | None = None
 
     def __post_init__(self):
         require(0.0 < self.p <= 1.0, "p", self.p, "in (0, 1]")
         require(0.0 < self.sigma2 < math.inf, "sigma2", self.sigma2, "positive and finite")
         require(0.0 < self.omega_bar < math.inf, "omega_bar", self.omega_bar,
                 "positive and finite")
-        if self.pi is not None:
-            require(0.0 <= self.pi <= 1.0, "pi", self.pi, "in [0, 1]")
+
+
+def index_offset(omega_bar, p, share):
+    """theta of the update index (w_next + theta) * p * q^2, for a budget share
+    of rho (one terminal) or pi (a fleet terminal); on floats or arrays."""
+    return omega_bar * (1.0 / (p * share) - 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -46,10 +46,17 @@ def _take(d: dict, field_name: str, caster, default, path: str):
         raise ConfigError(f"{path}{field_name}", str(exc)) from exc
 
 
+def _real(value) -> float:
+    """float() that refuses a JSON boolean: true is not the number 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int() that refuses to drop a fraction: 1e6 is fine, 100.7 is not."""
+    """int() that refuses a JSON boolean and a fraction: 1e6 is fine, 100.7 is not."""
     number = int(value)
-    if number != value and not isinstance(value, str):
+    if isinstance(value, bool) or (number != value and not isinstance(value, str)):
         raise ValueError(f"must be an integer, got {value!r}")
     return number
 
@@ -93,10 +100,10 @@ def _domain(build, path: str, names: dict[str, str] | None = None, **fields):
 
 # kind -> (type, {key: (caster, default)})
 _WEIGHT_KINDS = {
-    "two-point": (TwoPointWeights, {"w_lo": (float, 1.0), "w_hi": (float, 100.0),
-                                    "prob_hi": (float, 0.01)}),
-    "constant": (ConstantWeights, {"w": (float, 1.0)}),
-    "periodic-burst": (PeriodicBurstWeights, {"base": (float, 1.0), "burst": (float, 100.0),
+    "two-point": (TwoPointWeights, {"w_lo": (_real, 1.0), "w_hi": (_real, 100.0),
+                                    "prob_hi": (_real, 0.01)}),
+    "constant": (ConstantWeights, {"w": (_real, 1.0)}),
+    "periodic-burst": (PeriodicBurstWeights, {"base": (_real, 1.0), "burst": (_real, 100.0),
                                               "period": (_integer, 5000),
                                               "burst_len": (_integer, 50)}),
 }
@@ -125,19 +132,19 @@ class ExperimentConfig:
     fleet: FleetConfig
     plant: LinearPlant
     y_ref: ReferencePath
-    contention: ContentionConfig | None = None  # csma only
-    grid: MdpGrid | None = None                 # mdp scenario and rvi policies only
-    horizon: int = 1_000_000
-    replications: int = 1
-    seed: int = 12345
-    policies: tuple[str, ...] = ()
-    rho: float = 0.25
-    v: float = 1.0
-    mdp_cost: str = "uoi"
+    contention: ContentionConfig | None  # csma only
+    grid: MdpGrid | None                 # mdp scenario and rvi policies only
+    horizon: int
+    replications: int
+    seed: int
+    policies: tuple[str, ...]            # empty: the scenario's default policy
+    rho: float
+    v: float
+    mdp_cost: str
     # metrics
-    thresholds: dict[float, float] = field(default_factory=lambda: {1.0: 15.0, 100.0: 5.0})
-    trace: bool = False
-    n_batches: int = 10
+    thresholds: dict[float, float]
+    trace: bool
+    n_batches: int
 
     def __post_init__(self):
         if self.scenario not in POLICY_TABLE:
@@ -181,15 +188,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     weights = weight_process_from_dict(_section(d, "weights"))
 
     terminal = _section(d, "terminal")
-    p = _take(terminal, "p", float, 0.8, "terminal.")
-    sigma2 = _take(terminal, "sigma2", float, 1.0, "terminal.")
+    p = _take(terminal, "p", _real, 0.8, "terminal.")
+    sigma2 = _take(terminal, "sigma2", _real, 1.0, "terminal.")
     _reject_unknown(terminal, "terminal.")
     fleet = _section(d, "fleet")
     spread = {"n": _take(fleet, "n", _integer, 10, "fleet."),
               "k": _take(fleet, "k", _integer, 2, "fleet."),
-              "p_min": _take(fleet, "p_min", float, 0.7, "fleet."),
-              "p_max": _take(fleet, "p_max", float, 1.0, "fleet.")}
-    sigma2 = _take(fleet, "sigma2", float, sigma2, "fleet.")
+              "p_min": _take(fleet, "p_min", _real, 0.7, "fleet."),
+              "p_max": _take(fleet, "p_max", _real, 1.0, "fleet.")}
+    sigma2 = _take(fleet, "sigma2", _real, sigma2, "fleet.")
     _reject_unknown(fleet, "fleet.")
     # sigma2 may come from either section; omega_bar is the weights' mean
     params = _domain(TerminalParams, "terminal.", {"sigma2": "sigma2", "omega_bar": "weights"},
@@ -202,20 +209,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _reject_unknown(contention, "contention.")
 
     control = _section(d, "control")
-    plant = {name: _take(control, name, float, 1.0, "control.")
+    plant = {name: _take(control, name, _real, 1.0, "control.")
              for name in ("a", "b", "noise_var")}
     y_raw = _section(control, "y_ref", "control.")
     y_ref = {name: _take(y_raw, name, caster, default, "control.y_ref.")
-             for name, caster, default in (("kind", str, "constant"), ("value", float, 0.0),
-                                           ("amplitude", float, 1.0), ("period", float, 1000.0))}
+             for name, caster, default in (("kind", str, "constant"), ("value", _real, 0.0),
+                                           ("amplitude", _real, 1.0), ("period", _real, 1000.0))}
     _reject_unknown(y_raw, "control.y_ref.")
     _reject_unknown(control, "control.")
 
     mdp = _section(d, "mdp")
     mdp_cost = _take(mdp, "cost", str, "uoi", "mdp.")
-    sigma = math.sqrt(sigma2)
-    bounds = {"q_max": _take(mdp, "q_max", float, 25.0 * sigma, "mdp."),
-              "q_step": _take(mdp, "q_step", float, 0.25 * sigma, "mdp.")}
+    default = MdpGrid.default(sigma2, ())
+    bounds = {name: _take(mdp, name, _real, getattr(default, name), "mdp.")
+              for name in ("q_max", "q_step")}
     _reject_unknown(mdp, "mdp.")
     grid = None
     if scenario == "mdp" or any(pol in ("rvi-uoi", "rvi-aoi") for pol in policies):
@@ -235,7 +242,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                                         f"got {thr_raw!r}")
     else:
         try:
-            thresholds = {float(kk): float(vv) for kk, vv in thr_raw.items()}
+            thresholds = {_real(kk): _real(vv) for kk, vv in thr_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ConfigError("thresholds", str(exc)) from exc
 
@@ -250,8 +257,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         replications=_take(d, "replications", _integer, 1, ""),
         seed=_take(d, "seed", _integer, 12345, ""),
         policies=policies,
-        rho=_take(d, "rho", float, 0.25, ""),
-        v=_take(d, "v", float, 1.0, ""),
+        rho=_take(d, "rho", _real, 0.25, ""),
+        v=_take(d, "v", _real, 1.0, ""),
         mdp_cost=mdp_cost,
         thresholds=thresholds,
         trace=_take(d, "trace", _boolean, False, ""),
@@ -407,7 +414,8 @@ def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
         est = float(np.mean([r.avg_est_cost for r in reps]))
         avg_uoi = float(np.mean([r.avg_uoi for r in reps]))
         stderr = _stderr([r.avg_track_cost for r in reps], reps[0].track_batches)
-        decomposition = plant.a ** 2 * est + reps[0].omega_bar * plant.noise_var
+        noise_floor = config.weights.mean * plant.noise_var
+        decomposition = plant.a ** 2 * est + noise_floor
         out.append(RunMetrics(
             scenario="control", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1,
@@ -417,7 +425,7 @@ def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
             violation_prob=None, bound_value=None,
             extras={"avg_track_cost": track, "avg_est_cost": est,
                     "decomposition_rhs": decomposition,
-                    "noise_floor": reps[0].omega_bar * plant.noise_var}))
+                    "noise_floor": noise_floor}))
     return out
 
 

@@ -20,6 +20,12 @@ import numpy as np
 
 from .core import TerminalParams, require
 
+_SPAN_TOL = 1e-6      # RVI stops once a sweep changes h by a span below this
+_MAX_ITER = 100_000   # cap on RVI sweeps and on age-chain improvement steps
+_FREQ_TOL = 1e-3      # calibration accepts a frequency this close to rho
+_MAX_BISECT = 60      # cap on the bisection steps on lam
+_LAM_CAP = 1e6        # the largest upper bracket tried for lam
+
 
 @dataclass(frozen=True)
 class MdpGrid:
@@ -59,10 +65,10 @@ class MdpGrid:
         return np.arange(-m, m + 1) * self.q_step
 
     @classmethod
-    def default(cls, sigma2: float, weight_support, lam: float = 0.0) -> "MdpGrid":
+    def default(cls, sigma2: float, weight_support) -> "MdpGrid":
         sigma = math.sqrt(sigma2)
         return cls(q_max=25.0 * sigma, q_step=0.25 * sigma,
-                   weight_support=tuple(weight_support), lam=lam)
+                   weight_support=tuple(weight_support))
 
 
 @dataclass(frozen=True)
@@ -142,9 +148,9 @@ def _weights(grid: MdpGrid) -> tuple[np.ndarray, np.ndarray]:
             np.array([p for _, p in grid.weight_support]))
 
 
-def _uoi_rvi(grid: MdpGrid, params: TerminalParams, span_tol: float = 1e-6,
-             max_iter: int = 100_000, h0: np.ndarray | None = None):
-    """Structured solver for the (q, w_now, w_next) chain.
+def _uoi_rvi(grid: MdpGrid, params: TerminalParams, h0: np.ndarray | None = None):
+    """Structured solver for the (q, w_now, w_next) chain, from the relative
+    values h0 (zero by default).  Returns (gain, greedy table, sweeps).
 
     Exploits that only the q component depends on the action and that the
     weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
@@ -160,7 +166,7 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, span_tol: float = 1e-6,
 
     h = np.zeros((nq, nw, nw)) if h0 is None else h0.copy()
     span = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         hbar = h @ pw                      # (nq, nw): E over next-next weight
         c0 = G @ hbar                      # continuation, no delivery
         r0 = g0 @ hbar                     # continuation after a delivery
@@ -171,9 +177,9 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, span_tol: float = 1e-6,
         span = float(diff.max() - diff.min())
         gain = 0.5 * float(diff.max() + diff.min())
         h = th - th[m, 0, 0]
-        if span < span_tol:
-            return h, gain, (q1 < q0).astype(float), it
-    raise RviConvergenceError(span, max_iter)
+        if span < _SPAN_TOL:
+            return gain, (q1 < q0).astype(float), it
+    raise RviConvergenceError(span, _MAX_ITER)
 
 
 def _age_chain_bias(send: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarray]:
@@ -197,7 +203,7 @@ def _age_chain_bias(send: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarr
     return c[-1] + s[-1] * h0, np.array(a) + (np.array(b) - 1.0) * h0
 
 
-def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams, max_iter: int):
+def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams):
     """Policy iteration on the age chain (Puterman §8.6), starting from never
     transmitting and evaluating each policy exactly.  Returns (gain, table,
     improvement steps).  An action changes only where the other one is
@@ -207,7 +213,7 @@ def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams, max_iter: int):
     ages = np.arange(1, n + 1, dtype=float)
     up = np.minimum(np.arange(1, n + 1), n - 1)
     table = np.zeros(n)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         gain, h = _age_chain_bias(p * table, ages + lam * table)
         gap = p * h[up] - lam  # waiting minus transmitting: h_up - (lam + (1 - p) h_up)
         tie = np.abs(gap) <= 1e-10 * (lam + np.abs(p * h[up]))
@@ -215,7 +221,7 @@ def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams, max_iter: int):
         if np.array_equal(improved, table):
             return gain, table, it
         table = improved
-    raise RviConvergenceError(math.nan, max_iter)
+    raise RviConvergenceError(math.nan, _MAX_ITER)
 
 
 # --------------------------------------------------------------------------
@@ -280,20 +286,17 @@ def _uoi_averages(grid: MdpGrid, p: float, sigma2: float, shape: tuple[int, ...]
 # --------------------------------------------------------------------------
 
 
-def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
-              span_tol: float = 1e-6, max_iter: int = 100_000,
-              h0: np.ndarray | None = None) -> StationaryPolicyTable:
+def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str) -> StationaryPolicyTable:
     """Solve the lam-penalized average-cost problem and evaluate its greedy
     policy exactly on the discrete chain.
 
-    uoi: relative value iteration from h0 until the span is below span_tol.
-    aoi: policy iteration with exact evaluation (span_tol and h0 unused;
-    max_iter caps the improvement steps).
+    uoi: relative value iteration from zero until the span is below
+    _SPAN_TOL.  aoi: policy iteration with exact evaluation.
     """
     if cost_kind == "uoi":
-        _, gain, table, iters = _uoi_rvi(grid, params, span_tol, max_iter, h0=h0)
+        gain, table, iters = _uoi_rvi(grid, params)
     elif cost_kind == "aoi":
-        gain, table, iters = _aoi_policy_iteration(grid, params, max_iter)
+        gain, table, iters = _aoi_policy_iteration(grid, params)
     else:
         raise ValueError(f"unknown cost kind {cost_kind!r}")
     avg_cost, avg_freq = evaluate_policy(grid, params, cost_kind, table)
@@ -303,9 +306,7 @@ def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
 
 
 def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
-                         cost_kind: str, freq_tol: float = 1e-3,
-                         max_bisect: int = 60, lam_cap: float = 1e6
-                         ) -> tuple[float, StationaryPolicyTable]:
+                         cost_kind: str) -> tuple[float, StationaryPolicyTable]:
     """Find lam so the policy's long-run transmit frequency meets rho.
 
     Bisection on lam, until the midpoint is no longer strictly inside the
@@ -320,27 +321,27 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         return rvi_solve(replace(grid, lam=lam), params, cost_kind)
 
     lo_tab = solve(0.0)
-    if lo_tab.avg_freq <= rho + freq_tol:
+    if lo_tab.avg_freq <= rho + _FREQ_TOL:
         return 0.0, lo_tab  # constraint slack at lam = 0
 
     lam_hi, hi_tab = 1.0, None
-    while lam_hi <= lam_cap:
+    while lam_hi <= _LAM_CAP:
         hi_tab = solve(lam_hi)
         if hi_tab.avg_freq <= rho:
             break
         lam_hi *= 4.0
     else:
         raise RuntimeError(
-            f"no multiplier below {lam_cap} meets rho = {rho}; "
+            f"no multiplier below {_LAM_CAP} meets rho = {rho}; "
             f"frequency still {hi_tab.avg_freq:.4f}")
 
     lam_lo = 0.0
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         lam_mid = 0.5 * (lam_lo + lam_hi)
         if not lam_lo < lam_mid < lam_hi:
             break  # bracket narrower than float resolution
         mid_tab = solve(lam_mid)
-        if abs(mid_tab.avg_freq - rho) < freq_tol:
+        if abs(mid_tab.avg_freq - rho) < _FREQ_TOL:
             return lam_mid, mid_tab
         if mid_tab.avg_freq > rho:
             lam_lo, lo_tab = lam_mid, mid_tab
@@ -356,7 +357,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         eta = 0.5 * (eta_lo + eta_hi)
         mixed = eta * lo_tab.table + (1.0 - eta) * hi_tab.table
         cost, freq = evaluate_policy(grid, params, cost_kind, mixed)
-        if abs(freq - rho) < freq_tol:
+        if abs(freq - rho) < _FREQ_TOL:
             break
         if freq > rho:
             eta_hi = eta

@@ -9,14 +9,15 @@ d_i = sqrt(omega_bar_i * sigma2_i / p_i).
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TerminalParams, require
+from .core import TerminalParams, index_offset, require
 
-log = logging.getLogger(__name__)
+_WATER_STEPS = 200   # cap on the water-level halvings, which stop at |sum(pi) - K| < 1e-12
+_WATER_TOL = 1e-9    # the rescaled sum(pi) must end this close to K
 
 
 @dataclass(frozen=True)
@@ -62,68 +63,46 @@ def allocation_widths(fleet: FleetConfig) -> np.ndarray:
     return np.sqrt(fleet.array("omega_bar") * fleet.array("sigma2") / fleet.array("p"))
 
 
-def _objective(d: np.ndarray, pi: np.ndarray) -> float:
-    mask = d > 0.0
-    return float(np.sum(d[mask] ** 2 / pi[mask]))
-
-
-def waterfill(fleet: FleetConfig, tol: float = 1e-9, max_iter: int = 200) -> StationaryPolicy:
+def waterfill(fleet: FleetConfig) -> StationaryPolicy:
     """Minimize sum d_i^2 / pi_i over sum(pi) <= K, 0 <= pi_i <= 1.
 
     Solved by bisection on the water level lam with pi_i(lam) = min(1, d_i/lam);
     sum pi_i(lam) is strictly decreasing in lam on the relevant range, so the
-    level with sum pi = min(K, N) is the unique KKT point.  Terminals with
-    zero width (sigma2 == 0 is rejected by TerminalParams, but widths can be
-    zero if callers construct d manually) get pi = 0 with a diagnostic.
+    level with sum pi = min(K, N) is the unique KKT point.
     """
-    return waterfill_from_widths(allocation_widths(fleet), fleet.k, tol=tol, max_iter=max_iter)
+    return waterfill_from_widths(allocation_widths(fleet), fleet.k)
 
 
-def waterfill_from_widths(d: np.ndarray, k: int, tol: float = 1e-9,
-                          max_iter: int = 200) -> StationaryPolicy:
+def waterfill_from_widths(d: np.ndarray, k: int) -> StationaryPolicy:
+    """`waterfill` over the widths d, each positive and finite, as every
+    fleet's are (TerminalParams keeps omega_bar, sigma2 and p positive)."""
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("widths must be nonnegative")
-    n = len(d)
-    active = d > 0.0
-    if not np.all(active):
-        log.warning("terminals %s have zero width; assigned pi = 0",
-                    np.flatnonzero(~active).tolist())
-    n_active = int(active.sum())
-    if n_active == 0:
-        return StationaryPolicy(pi=np.zeros(n), objective=0.0)
-
-    pi = np.zeros(n)
-    if k >= n_active:
-        # Enough sub-channels for everyone: all always eligible.
-        pi[active] = 1.0
-        return StationaryPolicy(pi=pi, objective=_objective(d, pi))
-
-    target = float(k)
-    da = d[active]
-    # lam <= min(d) saturates everything (sum = n_active > target);
-    # lam = sum(d)/target gives sum <= target.  Bisect between them.
-    lo = float(da.min())
-    hi = float(da.sum()) / target
-    for _ in range(max_iter):
-        lam = 0.5 * (lo + hi)
-        s = float(np.minimum(1.0, da / lam).sum())
-        if abs(s - target) < min(tol, 1e-12):
-            break
-        if s > target:
-            lo = lam
-        else:
-            hi = lam
-    pia = np.minimum(1.0, da / lam)
-    # Exact stationarity on the unsaturated set: rescale so sum(pi) == K.
-    unsat = pia < 1.0
-    deficit = target - float(pia[~unsat].sum())
-    if unsat.any() and deficit > 0.0:
-        pia[unsat] *= deficit / float(pia[unsat].sum())
-    pi[active] = pia
-    if abs(pi.sum() - target) > tol:
-        raise RuntimeError(f"water level bisection failed: sum(pi) = {pi.sum():.12f}")
-    return StationaryPolicy(pi=pi, objective=_objective(d, pi))
+    require(bool(np.all((0.0 < d) & (d < math.inf))), "widths", d.tolist(),
+            "positive and finite")
+    pi = np.ones(len(d))  # enough sub-channels for everyone: all always eligible
+    if k < len(d):
+        target = float(k)
+        # lam <= min(d) saturates everything (sum = n > target);
+        # lam = sum(d)/target gives sum <= target.  Bisect between them.
+        lo, hi = float(d.min()), float(d.sum()) / target
+        for _ in range(_WATER_STEPS):
+            lam = 0.5 * (lo + hi)
+            s = float(np.minimum(1.0, d / lam).sum())
+            if abs(s - target) < 1e-12:
+                break
+            if s > target:
+                lo = lam
+            else:
+                hi = lam
+        pi = np.minimum(1.0, d / lam)
+        # Exact stationarity on the unsaturated set: rescale so sum(pi) == K.
+        unsat = pi < 1.0
+        deficit = target - float(pi[~unsat].sum())
+        if unsat.any() and deficit > 0.0:
+            pi[unsat] *= deficit / float(pi[unsat].sum())
+        if abs(pi.sum() - target) > _WATER_TOL:
+            raise RuntimeError(f"water level bisection failed: sum(pi) = {pi.sum():.12f}")
+    return StationaryPolicy(pi=pi, objective=float(np.sum(d ** 2 / pi)))
 
 
 def kkt_residual(d: np.ndarray, k: int, policy: StationaryPolicy) -> float:
@@ -134,38 +113,35 @@ def kkt_residual(d: np.ndarray, k: int, policy: StationaryPolicy) -> float:
     """
     d = np.asarray(d, dtype=float)
     pi = policy.pi
-    active = d > 0.0
-    target = float(min(k, int(active.sum())))
-    res = abs(float(pi[active].sum()) - target)
-    unsat = active & (pi < 1.0)
+    target = float(min(k, len(d)))
+    res = abs(float(pi.sum()) - target)
+    unsat = pi < 1.0
     if unsat.any():
         ratios = d[unsat] / pi[unsat]
         lam = float(ratios.mean())
         res = max(res, float(np.abs(ratios - lam).max()) / max(1.0, lam))
         # Saturated coordinates need d_i >= lam (cap multiplier >= 0).
-        sat = active & (pi >= 1.0)
+        sat = ~unsat
         if sat.any():
             res = max(res, float(np.maximum(0.0, lam - d[sat]).max()) / max(1.0, lam))
     return res
 
 
 def index_coefficients(fleet: FleetConfig, pi: np.ndarray) -> np.ndarray:
-    """Vectorized constant part of the update index: omega_bar*(1/(p pi) - 1)."""
-    p = fleet.array("p")
+    """The constant part of every terminal's update index, `index_offset`
+    with share pi."""
     if np.any(pi <= 0.0):
         raise ValueError("all pi must be positive for adaptive scheduling")
-    return fleet.array("omega_bar") * (1.0 / (p * pi) - 1.0)
+    return index_offset(fleet.array("omega_bar"), fleet.array("p"), pi)
 
 
 def fleet_uoi_bound(fleet: FleetConfig, policy: StationaryPolicy) -> float:
     """(1/N) sum_i omega_bar_i sigma2_i / (p_i pi_i), the average-UoI ceiling
     of the adaptive scheduler parameterized by `policy`."""
     pi = policy.pi
-    sigma2 = fleet.array("sigma2")
-    if np.any((pi <= 0.0) & (sigma2 > 0.0)):
-        raise ValueError("pi must be positive wherever sigma2 > 0")
-    mask = sigma2 > 0.0
-    terms = fleet.array("omega_bar")[mask] * sigma2[mask] / (fleet.array("p")[mask] * pi[mask])
+    if np.any(pi <= 0.0):
+        raise ValueError("pi must be positive")
+    terms = fleet.array("omega_bar") * fleet.array("sigma2") / (fleet.array("p") * pi)
     return float(terms.sum()) / fleet.n
 
 

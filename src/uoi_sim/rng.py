@@ -94,15 +94,18 @@ class StreamFactory:
         }
 
 
+# Variates a Buffered draws from its stream at a time.
+_BUFFER = 256
+
+
 class Buffered:
     """Amortized one-at-a-time draws from a stream: `draw(n)` returns the
     stream's next n variates, e.g. `stream.uniform`.  `next()` returns the
-    next variate; the stream is drawn `block` variates at a time, each block
+    next variate; the stream is drawn _BUFFER variates at a time, each block
     only once the previous one is used up."""
 
     __slots__ = ("next",)
 
-    def __init__(self, draw: Callable[[int], np.ndarray], block: int = 256):
-        block = int(block)
-        blocks = iter(lambda: draw(block).tolist(), None)  # lists are never None
+    def __init__(self, draw: Callable[[int], np.ndarray]):
+        blocks = iter(lambda: draw(_BUFFER).tolist(), None)  # lists are never None
         self.next = itertools.chain.from_iterable(blocks).__next__

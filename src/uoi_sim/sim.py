@@ -19,7 +19,7 @@ import numpy as np
 
 from . import csma as csma_mod
 from .control import LinearPlant, ReferencePath, optimal_control, step_plant_with_noise
-from .core import (GaussianIncrements, TerminalParams, WeightProcess, require,
+from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_offset,
                    sample_channel_block)
 from .mdp import StationaryPolicyTable
 from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
@@ -124,10 +124,10 @@ def _adaptive_rule(omega_bar: float, p: float, rho: float, v: float):
 
     A virtual queue H tracks how much of the budget rho has been used.  The
     terminal transmits iff its update index (w_next + theta) * p * q^2
-    strictly exceeds V * H, with theta = omega_bar * (1/(p rho) - 1), and
+    strictly exceeds V * H, with theta = index_offset(omega_bar, p, rho), and
     then H' = max(0, H - rho + U).
     """
-    theta = omega_bar * (1.0 / (p * rho) - 1.0)
+    theta = index_offset(omega_bar, p, rho)
 
     def step(q, h, w_next):
         u = 1 if (w_next + theta) * p * q * q > v * h else 0
@@ -193,8 +193,10 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     """Simulate one terminal under an update policy for `horizon` slots."""
     if policy not in POLICY_TABLE["single"].policies:
         raise ValueError(f"unknown policy {policy!r}")
-    if policy.startswith("rvi") and policy_table is None:
-        raise ValueError(f"policy {policy!r} needs a solved policy_table")
+    kind = getattr(policy_table, "cost_kind", None)
+    if policy.startswith("rvi") and kind != policy[4:]:
+        raise ValueError(f"policy {policy!r} needs a solved {policy[4:]!r} policy_table, "
+                         f"got {kind!r}")
     factory = factory or StreamFactory(0)
     T = int(horizon)
     tid = params.id
@@ -208,10 +210,10 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     coin = Buffered(factory.stream("policy", tid).uniform)
     plan = _blind_plan(policy, params.p, rho, coin, s_good)
     adaptive = _adaptive_rule(params.omega_bar, params.p, rho, v) if policy == "adaptive" else None
-    if policy_table is not None:  # P(transmit) by age or by (q bin, w_now, w_next)
+    if policy.startswith("rvi"):  # P(transmit) by age or by (q bin, w_now, w_next)
         grid, tab = policy_table.grid, policy_table.table.tolist()
-    widx = ({float(val): i for i, (val, _) in enumerate(policy_table.grid.weight_support)}
-            if policy_table is not None and policy_table.cost_kind == "uoi" else {})
+    widx = ({float(val): i for i, (val, _) in enumerate(grid.weight_support)}
+            if policy == "rvi-uoi" else {})
 
     nb, batch_len = _batch_layout(T, n_batches)
     sums = [0.0] * nb
@@ -299,41 +301,36 @@ def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
               pi: np.ndarray, horizon: int = 1_000_000,
               factory: StreamFactory | None = None,
               contention: csma_mod.ContentionConfig | None = None,
-              delta_j: float | None = None,
               thresholds: dict[float, float] | None = None,
-              n_batches: int = 10, block: int = 32768,
-              trace: bool = False) -> SimResult:
+              n_batches: int = 10, trace: bool = False) -> SimResult:
     """Simulate N terminals under one scheduler for `horizon` slots: the
     one-lane call of `run_fleet_lanes`.
 
     The csma scheduler stretches the slot to (1 + W/100) ms, so its error
     increments carry variance slot_scale * sigma2; all schedulers consume
-    the same per-slot stream variates either way.  `block` caps the slots
-    of stream variates sampled at a time.
+    the same per-slot stream variates either way.
     """
     lane = FleetLane(scheduler, factory or StreamFactory(0), trace)
-    return run_fleet_lanes(fleet, weights, [lane], pi, horizon, contention, delta_j,
-                           thresholds, n_batches, block)[0]
+    return run_fleet_lanes(fleet, weights, [lane], pi, horizon, contention,
+                           thresholds, n_batches)[0]
 
 
 def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
                     lanes: list[FleetLane], pi: np.ndarray, horizon: int = 1_000_000,
                     contention: csma_mod.ContentionConfig | None = None,
-                    delta_j: float | None = None,
                     thresholds: dict[float, float] | None = None,
-                    n_batches: int = 10, block: int = 32768) -> list[SimResult]:
+                    n_batches: int = 10) -> list[SimResult]:
     """`run_fleet` for every lane in one slot loop over (lane, terminal) arrays.
 
     Each lane draws only from its own factory, so its result and its
     factory's draw counts are bitwise those of `run_fleet` on that lane
     alone.  Lanes whose fresh factories address the same (seed, replication)
     face the same weight, increment and channel variates, so the first of
-    them samples those and the others adopt its streams.  `contention` and
-    `delta_j` apply to the csma lanes; `delta_j`, the threshold step, must
-    be positive and finite when given.  Results come back in lane order.
+    them samples those and the others adopt its streams.  `contention`
+    applies to the csma lanes, whose threshold step is
+    `csma.default_delta_j` of the stretched slot.  Results come back in
+    lane order.
     """
-    if delta_j is not None:
-        require(0.0 < delta_j < math.inf, "delta_j", delta_j, "positive and finite")
     if not lanes:
         return []
     for lane in lanes:
@@ -367,8 +364,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
         if contention.k != k:
             raise ValueError("contention sub-channels must match fleet.k")
         slot_scale = contention.slot_scale
-        if delta_j is None:
-            delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
+        delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
         expected = csma_mod.expected_window(k, contention.w)
     backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=contention.w)).next
                  for i in range(n)] for f in factories[x0:r0]]
@@ -412,7 +408,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     attempts = np.zeros((L, n), dtype=np.int64)
     violations = np.zeros(L, dtype=np.int64)
     rows = [[] if lanes[i].trace else None for i in order]
-    size = max(1, min(block, _LANE_ELEMENTS // (L * n)))
+    size = max(1, _LANE_ELEMENTS // (L * n))
 
     w_buf = None
     for b, t0, t1 in _blocks(T, nb, batch_len, size):
@@ -532,8 +528,6 @@ class TrackingResult:
     update_freq: float
     track_batches: np.ndarray
     est_batches: np.ndarray
-    omega_bar: float
-    noise_var: float
 
 
 def run_tracking(plant: LinearPlant, reference: ReferencePath,
@@ -547,14 +541,13 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
         raise ValueError(f"unknown policy {policy!r}")
     factory = factory or StreamFactory(0)
     T = int(horizon)
-    omega_bar = weights.mean
 
     w = weights.sample_block(factory.stream("weight", 0), 0, T + 1)
     noise = factory.stream("increment", 0).normal(T) * math.sqrt(plant.noise_var)
     s_good = sample_channel_block(factory.stream("channel", 0), p_channel, T)
     coin = Buffered(factory.stream("policy", 0).uniform)
     plan = _blind_plan(policy, p_channel, rho, coin, s_good)
-    adaptive = _adaptive_rule(omega_bar, p_channel, rho, v)
+    adaptive = _adaptive_rule(weights.mean, p_channel, rho, v)
 
     nb, batch_len = _batch_layout(T, n_batches)
     track_sums = [0.0] * nb
@@ -600,6 +593,4 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
         update_freq=attempts / T,
         track_batches=_batch_means(track_sums, T, batch_len),
         est_batches=_batch_means(est_sums, T, batch_len),
-        omega_bar=omega_bar,
-        noise_var=plant.noise_var,
     )

@@ -228,9 +228,9 @@ def periodic_step(credit: float, rho: float) -> tuple[int, float]:
     return 0, credit
 
 
-def multi_update_index(t: TerminalParams, omega_next: float, q: float) -> float:
+def multi_update_index(t: TerminalParams, pi: float, omega_next: float, q: float) -> float:
     """J_i = (omega_bar_i * (1/(p_i pi_i) - 1) + omega_next) * p_i * q^2."""
-    coeff = t.omega_bar * (1.0 / (t.p * t.pi) - 1.0) + omega_next
+    coeff = t.omega_bar * (1.0 / (t.p * pi) - 1.0) + omega_next
     return coeff * t.p * q * q
 
 

@@ -238,7 +238,7 @@ def test_criterion_8_control_decomposition():
         res = run_tracking(plant, ReferencePath(), desk_weights(), policy,
                            rho=0.25, v=1.0, p_channel=0.8, horizon=HORIZON,
                            factory=StreamFactory(SEED))
-        rhs = res.avg_est_cost + res.omega_bar * res.noise_var
+        rhs = res.avg_est_cost + desk_weights().mean * plant.noise_var
         rel = abs(res.avg_track_cost - rhs) / rhs
         ok &= rel <= 0.02
         details.append(f"{policy}: track {res.avg_track_cost:.3f} vs "

@@ -75,7 +75,7 @@ def test_cost_decomposition_each_policy(policy):
     res = run_tracking(plant, ReferencePath(), desk_weights(), policy,
                        rho=0.25, v=1.0, p_channel=0.8, horizon=2 * 10**5,
                        factory=StreamFactory(5))
-    rhs = 1.0 * res.avg_est_cost + res.omega_bar * res.noise_var
+    rhs = 1.0 * res.avg_est_cost + desk_weights().mean * plant.noise_var
     assert res.avg_track_cost == pytest.approx(rhs, rel=0.03)
 
 
@@ -85,7 +85,7 @@ def test_general_a_decomposition():
     res = run_tracking(plant, ReferencePath(kind="sinusoid", amplitude=3.0),
                        desk_weights(), "adaptive", rho=0.25, v=1.0,
                        p_channel=0.8, horizon=2 * 10**5, factory=StreamFactory(6))
-    rhs = 0.9 ** 2 * res.avg_est_cost + res.omega_bar * res.noise_var
+    rhs = 0.9 ** 2 * res.avg_est_cost + desk_weights().mean * plant.noise_var
     assert res.avg_track_cost == pytest.approx(rhs, rel=0.03)
 
 

@@ -73,7 +73,7 @@ def test_error_recursion_exact(q, u, s, a):
     dict(id=0, p=1.1, sigma2=1.0, omega_bar=1.0),
     dict(id=0, p=0.5, sigma2=0.0, omega_bar=1.0),
     dict(id=0, p=0.5, sigma2=1.0, omega_bar=0.0),
-    dict(id=0, p=0.5, sigma2=1.0, omega_bar=1.0, pi=1.5),
+    dict(id=0, p=math.nan, sigma2=1.0, omega_bar=1.0),
     dict(id=0, p=0.5, sigma2=math.nan, omega_bar=1.0),
     dict(id=0, p=0.5, sigma2=1.0, omega_bar=math.inf),
 ])

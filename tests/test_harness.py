@@ -111,6 +111,15 @@ def test_n_batches_validated():
     # a weight that is never realized would make its bound dead
     ({"thresholds": {"nan": 3}}, "thresholds"),
     ({"policies": [{}]}, "policies"),
+    # JSON booleans are not the numbers 1 and 0
+    ({"rho": True}, "rho"),
+    ({"v": False}, "v"),
+    ({"n_batches": True}, "n_batches"),
+    ({"seed": True}, "seed"),
+    ({"weights": {"w_hi": True}}, "weights.w_hi"),
+    ({"fleet": {"n": True}}, "fleet.n"),
+    ({"fleet": {"k": True}}, "fleet.k"),
+    ({"thresholds": {"1": True}}, "thresholds"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -370,6 +379,16 @@ def test_cli_mdp_emits_policy_table(tmp_path):
     text = out.read_text()
     assert text.startswith("# cost_kind=aoi")
     assert "# age -> P(transmit)" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["single", "--horizon", "10"],
+    ["mdp", "--cost", "aoi", "--qmax", "4", "--qstep", "0.5"],
+])
+def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
 def test_cli_negative_v_is_config_error(capsys):

@@ -1,6 +1,7 @@
 """Water-filling optimizer, top-K rule and baseline schedulers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (AoIState, grid_min_objective, make_fleet,
                       multi_update_index, round_robin_ids, schedule_aoi,
                       stationary_ids, step_aoi)
-from uoi_sim.core import TerminalParams
+from uoi_sim.core import FieldError, TerminalParams
 from uoi_sim.multi import (FleetConfig, StationaryPolicy, index_coefficients,
                            kkt_residual, schedule_round_robin,
                            schedule_stationary, fleet_uoi_bound, waterfill,
@@ -45,12 +46,12 @@ def test_waterfill_k_at_least_n_gives_all_ones():
     assert pol.pi == pytest.approx([1.0, 1.0])
 
 
-def test_waterfill_zero_width_terminal_gets_zero(caplog):
-    with caplog.at_level("WARNING"):
-        pol = waterfill_from_widths(np.array([1.0, 0.0, 1.0]), 1)
-    assert pol.pi[1] == 0.0
-    assert pol.pi[[0, 2]] == pytest.approx([0.5, 0.5])
-    assert "zero width" in caplog.text
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_waterfill_rejects_a_width_that_is_not_positive_and_finite(bad):
+    # every fleet's widths are positive: TerminalParams keeps their factors so
+    with pytest.raises(FieldError) as err:
+        waterfill_from_widths(np.array([1.0, bad, 1.0]), 1)
+    assert err.value.field == "widths"
 
 
 def test_waterfill_proportional_case():
@@ -66,11 +67,11 @@ def test_waterfill_proportional_case():
 
 
 def test_multi_update_index_examples():
-    unit = TerminalParams(id=0, p=1.0, sigma2=1.0, omega_bar=1.0, pi=1.0)
-    assert multi_update_index(unit, omega_next=1.0, q=2.0) == pytest.approx(4.0)
-    assert multi_update_index(unit, omega_next=50.0, q=0.0) == 0.0
-    t = TerminalParams(id=0, p=0.7, sigma2=1.0, omega_bar=5.95, pi=0.2)
-    assert multi_update_index(t, omega_next=100.0, q=1.0) == pytest.approx(95.585)
+    unit = TerminalParams(id=0, p=1.0, sigma2=1.0, omega_bar=1.0)
+    assert multi_update_index(unit, 1.0, omega_next=1.0, q=2.0) == pytest.approx(4.0)
+    assert multi_update_index(unit, 1.0, omega_next=50.0, q=0.0) == 0.0
+    t = TerminalParams(id=0, p=0.7, sigma2=1.0, omega_bar=5.95)
+    assert multi_update_index(t, 0.2, omega_next=100.0, q=1.0) == pytest.approx(95.585)
 
 
 def test_multi_update_index_rejects_unscheduled_terminal():

@@ -15,8 +15,8 @@ from conftest import (AoIState, ErrorQueue, ThresholdState, adapt_threshold_stat
                       table_lookup, uoi)
 from uoi_sim import sim
 from uoi_sim.control import LinearPlant, ReferencePath
-from uoi_sim.core import FieldError, GaussianIncrements, TerminalParams, sample_channel_block
-from uoi_sim.csma import COLLISION, ContentionConfig
+from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
+from uoi_sim.csma import COLLISION, ContentionConfig, default_delta_j
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import KINDS, StreamFactory
@@ -38,6 +38,15 @@ def _fractional_table(cost_kind: str) -> StationaryPolicyTable:
         table = np.broadcast_to(table, (len(grid.q_values), 2, 2)).copy()
     return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=0.0,
                                  avg_freq=0.0, grid=grid, gain=0.0, iterations=0)
+
+
+@pytest.mark.parametrize("policy,kind", [("rvi-uoi", "aoi"), ("rvi-aoi", "uoi")])
+def test_run_single_rejects_a_policy_table_of_the_other_kind(policy, kind):
+    factory = StreamFactory(3)
+    with pytest.raises(ValueError, match=f"needs a solved '{policy[4:]}' policy_table"):
+        run_single(desk_terminal(), desk_weights(), 0.25, 1.0, policy=policy, horizon=100,
+                   factory=factory, policy_table=_fractional_table(kind))
+    assert factory.draw_counts() == {}
 
 
 def _decide(policy, state, w_next, coin, credit, age_m):
@@ -187,9 +196,6 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
         factory.stream("increment", i), 0, horizon) for i in range(n)]
     s = [sample_channel_block(factory.stream("channel", i),
                               fleet.terminals[i].p, horizon) for i in range(n)]
-    terminals = [TerminalParams(id=t.id, p=t.p, sigma2=t.sigma2,
-                                omega_bar=t.omega_bar, pi=pi[i])
-                 for i, t in enumerate(fleet.terminals)]
     coins = factory.stream("scheduler", 0).uniform(horizon).tolist()
     queues = [ErrorQueue() for _ in range(n)]
     ages = AoIState.fresh(n)
@@ -203,7 +209,7 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
         elif scheduler == "stationary":
             chosen = set(stationary_ids(pi, coins[t]))
         else:
-            indices = [multi_update_index(terminals[i], w[i][t + 1], queues[i].q)
+            indices = [multi_update_index(fleet.terminals[i], pi[i], w[i][t + 1], queues[i].q)
                        for i in range(n)]
             chosen = set(schedule_topk(indices, fleet.k))
         delivered = np.array([i in chosen and bool(s[i][t]) for i in range(n)])
@@ -254,7 +260,6 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
         factory.stream("increment", i), 0, horizon) * scale for i in range(n)]
     s = [sample_channel_block(factory.stream("channel", i),
                               fleet.terminals[i].p, horizon) for i in range(n)]
-    terminals = [replace(t, pi=pi[i]) for i, t in enumerate(fleet.terminals)]
 
     def backoff_draws(stream):  # 256 backoffs per draw, as the simulator draws them
         while True:
@@ -268,7 +273,8 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
     for t in range(horizon):
         total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
         active = [i for i in range(n)
-                  if multi_update_index(terminals[i], w[i][t + 1], queues[i].q) > threshold.j_th]
+                  if multi_update_index(fleet.terminals[i], pi[i], w[i][t + 1], queues[i].q)
+                  > threshold.j_th]
         window = contention_window({i: next(backoffs[i]) for i in active}, cfg.w, cfg.k)
         threshold = adapt_threshold_state(threshold, window, cfg)
         sent = set(window.reservations.values()) - {COLLISION}
@@ -280,19 +286,22 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
 
 
 @pytest.mark.parametrize("w", [2, 4, 16])
-def test_run_fleet_csma_matches_operation_reference(w):
+def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
     fleet = make_fleet(6, k=2)
     pi = waterfill(fleet).pi
     weights = [fleet_weights()] * 6
     cfg = ContentionConfig(w=w, k=2)
+    delta_j = default_delta_j(fleet.array("omega_bar"), fleet.array("sigma2") * cfg.slot_scale)
     avg, attempts, j_th, ref_factory = _reference_csma_run(
-        fleet, weights, pi, cfg, delta_j=1.5, horizon=1500, seed=34)
+        fleet, weights, pi, cfg, delta_j=delta_j, horizon=1500, seed=34)
     factory = StreamFactory(34)
+    monkeypatch.setattr(sim, "_LANE_ELEMENTS", 97 * fleet.n)   # 97-slot blocks
     res = run_fleet(fleet, weights, "csma", pi=pi, horizon=1500, factory=factory,
-                    contention=cfg, delta_j=1.5, block=97)
+                    contention=cfg)
     assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
     assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
     assert res.extras["final_j_th"] == pytest.approx(j_th, rel=1e-12)
+    assert res.extras["delta_j"] == delta_j
     assert factory.draw_counts() == ref_factory.draw_counts()
 
 
@@ -313,37 +322,43 @@ def _predrawn(seed, rep):
     return factory
 
 
-def _one_lane(fleet, pi, scheduler, seed, rep, trace=False, predrawn=False, **kw):
+def _one_lane(fleet, pi, scheduler, seed, rep, trace=False, predrawn=False):
     factory = _predrawn(seed, rep) if predrawn else StreamFactory(seed, rep)
     res = run_fleet(fleet, [fleet_weights()] * fleet.n, scheduler, pi=pi, horizon=503,
                     factory=factory, contention=ContentionConfig(w=4, k=fleet.k),
-                    thresholds=FLEET_THRESHOLDS, n_batches=7, trace=trace, **kw)
+                    thresholds=FLEET_THRESHOLDS, n_batches=7, trace=trace)
     return _fleet_outputs(res, factory)
 
 
-def test_run_fleet_block_size_invariance():
+def test_run_fleet_block_size_invariance(monkeypatch):
     # every scheduler in 1-slot blocks, blocks that do not divide the
     # 503-slot horizon or its 71-slot batches, and one block for the run
     fleet = make_fleet(4, k=2)
     pi = waterfill(fleet).pi
+
+    def runs(scheduler):
+        for blk in (1, 7, 64, 10**6):
+            monkeypatch.setattr(sim, "_LANE_ELEMENTS", blk * fleet.n)
+            yield _one_lane(fleet, pi, scheduler, 77, 0, trace=True)
+
     for scheduler in sorted(sim._FLEET_SCHEDULERS):
-        runs = [_one_lane(fleet, pi, scheduler, 77, 0, trace=True, block=blk)
-                for blk in (1, 7, 64, 10**6)]
-        assert all(run == runs[0] for run in runs), scheduler
+        outputs = list(runs(scheduler))
+        assert all(run == outputs[0] for run in outputs), scheduler
 
 
-def test_fleet_lanes_match_their_one_lane_runs():
+def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
     # every scheduler, csma's centralized, 2 replications, trace on
-    # replication 0; lanes given out of scheduler order
+    # replication 0; lanes given out of scheduler order; 37-slot blocks
     fleet = make_fleet(5, k=2)
     pi = waterfill(fleet).pi
     schedulers = ("stationary", "csma", "aoi", "round-robin", "centralized", "centralized")
     lanes = [sim.FleetLane(sched, StreamFactory(41, rep), trace=rep == 0)
              for sched in schedulers for rep in (0, 1)]
+    monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)
     results = sim.run_fleet_lanes(
         fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
-        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7,
-        block=37)
+        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7)
+    monkeypatch.undo()
     for lane, res in zip(lanes, results):
         assert _fleet_outputs(res, lane.factory) == _one_lane(
             fleet, pi, lane.scheduler, 41, lane.factory.replication, trace=lane.trace)
@@ -368,10 +383,10 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
     lanes = [sim.FleetLane(sched, StreamFactory(43, rep), trace=rep == 2)
              for rep in (2, 0, 1) for sched in schedulers]
     lanes.insert(4, sim.FleetLane("centralized", _predrawn(43, 1)))
+    monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)   # 37-slot blocks
     results = sim.run_fleet_lanes(
         fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
-        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7,
-        block=37)
+        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7)
     monkeypatch.undo()
 
     kinds = [KINDS[kind] for _, kind, _ in built]
@@ -404,17 +419,6 @@ def test_fleet_lanes_reject_bad_input():
                             pi=pi, horizon=10)
     assert shared.draw_counts() == {}
     assert sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [], pi=pi) == []
-
-
-@pytest.mark.parametrize("delta_j", [0.0, -1.0, math.nan, math.inf])
-def test_fleet_lanes_reject_bad_delta_j(delta_j):
-    fleet = make_fleet(3, k=2)
-    lane = sim.FleetLane("csma", StreamFactory(1))
-    with pytest.raises(FieldError) as err:
-        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=waterfill(fleet).pi,
-                            horizon=10, contention=ContentionConfig(w=4, k=2),
-                            delta_j=delta_j)
-    assert err.value.field == "delta_j"
 
 
 def test_common_random_numbers_across_schedulers():
