@@ -41,6 +41,9 @@ CONFIGS = {
                "policies": ["adaptive", "periodic", "random", "age-threshold",
                             "rvi-uoi", "rvi-aoi"],
                "mdp": {"q_max": 8.0, "q_step": 0.5}},
+    "single-rare": {"scenario": "single", "horizon": 3000, "rho": 0.004,
+                    "policies": ["age-threshold", "rvi-aoi"],
+                    "mdp": {"q_max": 8.0, "q_step": 0.5}},
     "single-burst": {"scenario": "single", "horizon": 3000, "weights": BURST_WEIGHTS,
                      "policies": ["adaptive", "age-threshold"]},
     "multi-n10": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,

@@ -10,6 +10,7 @@ violation when --assert-bounds is set.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -108,9 +109,20 @@ def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     return harness.config_from_dict(raw)
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+def _cannot_write(path: str, reason: OSError | str) -> int:
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
     return 2
+
+
+def _unwritable(path: str, directory: bool) -> str | None:
+    """Why `path` cannot be written, as far as a check before the run can
+    tell; makedirs creates the missing parents of a plot directory."""
+    if directory:
+        return "is not a directory" if os.path.exists(path) and not os.path.isdir(path) else None
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(path) or "."
+    return None if os.path.isdir(parent) else f"no such directory {parent!r}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,6 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        reason = args.out and _unwritable(
+            args.out, args.format == "plot" and config.scenario != "mdp")
+        if reason:
+            return _cannot_write(args.out, reason)
         rows = harness.run(config)
     except harness.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

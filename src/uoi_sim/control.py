@@ -18,13 +18,11 @@ from .core import require
 
 @dataclass(frozen=True)
 class LinearPlant:
-    """x' = a*x + b*v + r with r ~ N(0, noise_var), from state x and estimate x_hat."""
+    """x' = a*x + b*v + r with r ~ N(0, noise_var)."""
 
     a: float
     b: float
     noise_var: float
-    x: float = 0.0
-    x_hat: float = 0.0
 
     def __post_init__(self):
         require(math.isfinite(self.a), "a", self.a, "finite")
@@ -61,7 +59,7 @@ def optimal_control(a: float, b: float, x_hat: float, y_next: float) -> float:
 
 
 def step_plant_with_noise(a: float, b: float, x: float, x_hat: float, v: float,
-                          updated: int, r: float) -> tuple[float, float]:
-    """(x', x_hat'): the estimate is exact after an update, else propagated by the model."""
-    x_new = a * x + b * v + r
-    return x_new, (x_new if updated else a * x_hat + b * v)
+                          r: float) -> tuple[float, float]:
+    """(x', x_hat'): the estimate is propagated by the model, without the
+    noise; a delivery then makes it exact (x_hat' = x'), which the caller applies."""
+    return a * x + b * v + r, a * x_hat + b * v

@@ -109,8 +109,8 @@ _WEIGHT_KINDS = {
 }
 
 
-def weight_process_from_dict(d: dict, path: str = "weights.") -> WeightProcess:
-    d = dict(d)
+def weight_process_from_dict(d: dict) -> WeightProcess:
+    d, path = dict(d), "weights."
     kind = _take(d, "kind", str, "two-point", path)
     if kind not in _WEIGHT_KINDS:
         raise ConfigError(f"{path}kind", f"unknown weight process {kind!r}")
@@ -133,7 +133,7 @@ class ExperimentConfig:
     plant: LinearPlant
     y_ref: ReferencePath
     contention: ContentionConfig | None  # csma only
-    grid: MdpGrid | None                 # mdp scenario and rvi policies only
+    grid: MdpGrid
     horizon: int
     replications: int
     seed: int
@@ -224,15 +224,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     bounds = {name: _take(mdp, name, _real, getattr(default, name), "mdp.")
               for name in ("q_max", "q_step")}
     _reject_unknown(mdp, "mdp.")
-    grid = None
-    if scenario == "mdp" or any(pol in ("rvi-uoi", "rvi-aoi") for pol in policies):
-        support = weights.support()
-        if support is None:
-            raise ConfigError("weights.kind", "reference policies need an i.i.d. "
-                                              "finite-support weight process")
-        grid = _domain(MdpGrid, "mdp.", weight_support=tuple(support), **bounds)
-    else:
-        _domain(MdpGrid.check_bounds, "mdp.", **bounds)
+    support = weights.support()
+    if support is None and (scenario == "mdp" or {"rvi-uoi", "rvi-aoi"} & set(policies)):
+        raise ConfigError("weights.kind", "reference policies need an i.i.d. "
+                                          "finite-support weight process")
+    grid = _domain(MdpGrid, "mdp.", weight_support=support or (), **bounds)
 
     thr_raw = d.pop("thresholds", None)
     if thr_raw is None:
@@ -322,11 +318,8 @@ def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, floa
 
 def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     params = config.terminal
-    tables = {}
-    for pol in config.policies:
-        if pol in ("rvi-uoi", "rvi-aoi"):
-            _, tables[pol] = calibrate_multiplier(
-                config.grid, params, config.rho, "uoi" if pol == "rvi-uoi" else "aoi")
+    tables = {pol: calibrate_multiplier(config.grid, params, config.rho, pol[4:])[1]
+              for pol in config.policies if pol in ("rvi-uoi", "rvi-aoi")}
 
     out = []
     bound = adaptive_uoi_bound(params, config.rho, config.v)

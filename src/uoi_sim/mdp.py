@@ -13,7 +13,7 @@ comparison policy is solved exactly by policy iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,35 +29,30 @@ _LAM_CAP = 1e6        # the largest upper bracket tried for lam
 
 @dataclass(frozen=True)
 class MdpGrid:
-    """Discretization of the error state plus the constraint multiplier.
+    """Discretization of the error state (q bins, weight pairs) and of the age.
 
     q_max / q_step must be an integer; Gaussian increment mass outside
-    [-q_max, q_max] folds into the boundary bins.  delta_max caps the age
-    chain used for the age-cost variant.
+    [-q_max, q_max] folds into the boundary bins.  weight_support's (value,
+    probability) pairs are kept as tuples, so the grid is hashable.  delta_max
+    caps the age chain used for the age-cost variant.
     """
 
     q_max: float
     q_step: float
     weight_support: tuple[tuple[float, float], ...]
-    lam: float = 0.0
     delta_max: int = 200
 
     def __post_init__(self):
-        self.check_bounds(self.q_max, self.q_step)
+        require(0.0 < self.q_max < math.inf, "q_max", self.q_max, "positive and finite")
+        require(0.0 < self.q_step < math.inf, "q_step", self.q_step, "positive and finite")
+        object.__setattr__(self, "weight_support", tuple(map(tuple, self.weight_support)))
         ratio = self.q_max / self.q_step
         require(math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9, "q_step",
                 self.q_step, f"such that q_max = {self.q_max} is a whole multiple of it")
         probs = sum(p for _, p in self.weight_support)
         require(not self.weight_support or abs(probs - 1.0) <= 1e-9, "weight_support",
                 self.weight_support, "probabilities that sum to 1")
-        require(0.0 <= self.lam < math.inf, "lam", self.lam, "nonnegative and finite")
         require(self.delta_max >= 2, "delta_max", self.delta_max, "at least 2")
-
-    @staticmethod
-    def check_bounds(q_max: float, q_step: float) -> None:
-        """The grid's range rule, also applied to bounds no grid is built from."""
-        require(0.0 < q_max < math.inf, "q_max", q_max, "positive and finite")
-        require(0.0 < q_step < math.inf, "q_step", q_step, "positive and finite")
 
     @property
     def q_values(self) -> np.ndarray:
@@ -67,8 +62,7 @@ class MdpGrid:
     @classmethod
     def default(cls, sigma2: float, weight_support) -> "MdpGrid":
         sigma = math.sqrt(sigma2)
-        return cls(q_max=25.0 * sigma, q_step=0.25 * sigma,
-                   weight_support=tuple(weight_support))
+        return cls(q_max=25.0 * sigma, q_step=0.25 * sigma, weight_support=weight_support)
 
 
 @dataclass(frozen=True)
@@ -77,15 +71,16 @@ class StationaryPolicyTable:
 
     table holds P(transmit | state): shape (nq, nw, nw) for cost_kind "uoi"
     (axes: q bin, current weight, next weight), shape (delta_max,) for "aoi".
-    avg_cost excludes the multiplier term; avg_freq is the long-run E[U].
-    iterations counts RVI sweeps for "uoi" and policy-improvement steps for
-    "aoi".
+    lam is the transmit multiplier it was solved at, whose term avg_cost
+    excludes; avg_freq is the long-run E[U].  iterations counts RVI sweeps
+    for "uoi" and policy-improvement steps for "aoi".
     """
 
     cost_kind: str
     table: np.ndarray
     avg_cost: float
     avg_freq: float
+    lam: float
     grid: MdpGrid
     gain: float
     iterations: int
@@ -148,9 +143,10 @@ def _weights(grid: MdpGrid) -> tuple[np.ndarray, np.ndarray]:
             np.array([p for _, p in grid.weight_support]))
 
 
-def _uoi_rvi(grid: MdpGrid, params: TerminalParams, h0: np.ndarray | None = None):
-    """Structured solver for the (q, w_now, w_next) chain, from the relative
-    values h0 (zero by default).  Returns (gain, greedy table, sweeps).
+def _uoi_rvi(grid: MdpGrid, params: TerminalParams, lam: float, h0: np.ndarray | None = None):
+    """Structured solver for the (q, w_now, w_next) chain with transmit cost
+    lam, from relative values h0 (zero by default).  Returns (gain, greedy
+    table, sweeps).
 
     Exploits that only the q component depends on the action and that the
     weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
@@ -171,7 +167,7 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, h0: np.ndarray | None = None
         c0 = G @ hbar                      # continuation, no delivery
         r0 = g0 @ hbar                     # continuation after a delivery
         q0 = base + c0[:, None, :]
-        q1 = base + grid.lam + (p * r0)[None, None, :] + (1.0 - p) * c0[:, None, :]
+        q1 = base + lam + (p * r0)[None, None, :] + (1.0 - p) * c0[:, None, :]
         th = np.minimum(q0, q1)
         diff = th - h
         span = float(diff.max() - diff.min())
@@ -203,13 +199,13 @@ def _age_chain_bias(send: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarr
     return c[-1] + s[-1] * h0, np.array(a) + (np.array(b) - 1.0) * h0
 
 
-def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams):
-    """Policy iteration on the age chain (Puterman §8.6), starting from never
-    transmitting and evaluating each policy exactly.  Returns (gain, table,
-    improvement steps).  An action changes only where the other one is
-    better by more than rounding; ties keep it, so the iteration ends and
-    untouched ties stay at not transmitting."""
-    n, p, lam = grid.delta_max, params.p, grid.lam
+def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams, lam: float):
+    """Policy iteration on the age chain with transmit cost lam (Puterman
+    §8.6), starting from never transmitting and evaluating each policy
+    exactly.  Returns (gain, table, improvement steps).  An action changes
+    only where the other one is better by more than rounding; ties keep it,
+    so the iteration ends and untouched ties stay at not transmitting."""
+    n, p = grid.delta_max, params.p
     ages = np.arange(1, n + 1, dtype=float)
     up = np.minimum(np.arange(1, n + 1), n - 1)
     table = np.zeros(n)
@@ -257,15 +253,14 @@ def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
         return _age_chain_bias(send, ages)[0], _age_chain_bias(send, table)[0]
     if cost_kind != "uoi":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
-    return _uoi_averages(MdpGrid(grid.q_max, grid.q_step, tuple(map(tuple, grid.weight_support))),
-                         params.p, params.sigma2, np.shape(table),
+    return _uoi_averages(grid, params.p, params.sigma2, np.shape(table),
                          np.asarray(table, dtype=float).tobytes())
 
 
 @lru_cache(maxsize=64)
 def _uoi_averages(grid: MdpGrid, p: float, sigma2: float, shape: tuple[int, ...],
                   table_bytes: bytes) -> tuple[float, float]:
-    """evaluate_policy("uoi"), cached on the table's contents; lam and delta_max do not enter."""
+    """evaluate_policy("uoi"), cached on the table's contents."""
     table = np.frombuffer(table_bytes).reshape(shape)
     w_vals, pw = _weights(grid)
     q = grid.q_values
@@ -286,22 +281,24 @@ def _uoi_averages(grid: MdpGrid, p: float, sigma2: float, shape: tuple[int, ...]
 # --------------------------------------------------------------------------
 
 
-def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str) -> StationaryPolicyTable:
-    """Solve the lam-penalized average-cost problem and evaluate its greedy
-    policy exactly on the discrete chain.
+def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
+              lam: float) -> StationaryPolicyTable:
+    """Solve the average-cost problem with cost lam per transmission and
+    evaluate its greedy policy exactly on the discrete chain.
 
     uoi: relative value iteration from zero until the span is below
     _SPAN_TOL.  aoi: policy iteration with exact evaluation.
     """
+    require(0.0 <= lam < math.inf, "lam", lam, "nonnegative and finite")
     if cost_kind == "uoi":
-        gain, table, iters = _uoi_rvi(grid, params)
+        gain, table, iters = _uoi_rvi(grid, params, lam)
     elif cost_kind == "aoi":
-        gain, table, iters = _aoi_policy_iteration(grid, params)
+        gain, table, iters = _aoi_policy_iteration(grid, params, lam)
     else:
         raise ValueError(f"unknown cost kind {cost_kind!r}")
     avg_cost, avg_freq = evaluate_policy(grid, params, cost_kind, table)
     return StationaryPolicyTable(cost_kind=cost_kind, table=table,
-                                 avg_cost=avg_cost, avg_freq=avg_freq,
+                                 avg_cost=avg_cost, avg_freq=avg_freq, lam=lam,
                                  grid=grid, gain=gain, iterations=iters)
 
 
@@ -317,16 +314,13 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
 
-    def solve(lam: float) -> StationaryPolicyTable:
-        return rvi_solve(replace(grid, lam=lam), params, cost_kind)
-
-    lo_tab = solve(0.0)
+    lo_tab = rvi_solve(grid, params, cost_kind, 0.0)
     if lo_tab.avg_freq <= rho + _FREQ_TOL:
         return 0.0, lo_tab  # constraint slack at lam = 0
 
     lam_hi, hi_tab = 1.0, None
     while lam_hi <= _LAM_CAP:
-        hi_tab = solve(lam_hi)
+        hi_tab = rvi_solve(grid, params, cost_kind, lam_hi)
         if hi_tab.avg_freq <= rho:
             break
         lam_hi *= 4.0
@@ -340,7 +334,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         lam_mid = 0.5 * (lam_lo + lam_hi)
         if not lam_lo < lam_mid < lam_hi:
             break  # bracket narrower than float resolution
-        mid_tab = solve(lam_mid)
+        mid_tab = rvi_solve(grid, params, cost_kind, lam_mid)
         if abs(mid_tab.avg_freq - rho) < _FREQ_TOL:
             return lam_mid, mid_tab
         if mid_tab.avg_freq > rho:
@@ -350,9 +344,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
 
     # Duality gap: randomize between the bracketing policies.
     eta_lo, eta_hi = 0.0, 1.0  # eta = weight on the more aggressive policy
-    mixed = hi_tab.table
-    freq = hi_tab.avg_freq
-    cost = hi_tab.avg_cost
+    mixed, cost, freq = hi_tab.table, hi_tab.avg_cost, hi_tab.avg_freq
     for _ in range(60):
         eta = 0.5 * (eta_lo + eta_hi)
         mixed = eta * lo_tab.table + (1.0 - eta) * hi_tab.table
@@ -364,8 +356,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         else:
             eta_lo = eta
     table = StationaryPolicyTable(cost_kind=cost_kind, table=mixed,
-                                  avg_cost=cost, avg_freq=freq,
-                                  grid=replace(grid, lam=lam_hi),
+                                  avg_cost=cost, avg_freq=freq, lam=lam_hi, grid=grid,
                                   gain=hi_tab.gain, iterations=hi_tab.iterations)
     return lam_hi, table
 
@@ -373,7 +364,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
 def format_policy_table(table: StationaryPolicyTable) -> str:
     """Human-readable dump of the decision map."""
     lines = [f"# cost_kind={table.cost_kind} avg_cost={table.avg_cost:.6f} "
-             f"avg_freq={table.avg_freq:.6f} lam={table.grid.lam:.6g}"]
+             f"avg_freq={table.avg_freq:.6f} lam={table.lam:.6g}"]
     if table.cost_kind == "aoi":
         lines.append("# age -> P(transmit)")
         for i, u in enumerate(table.table):

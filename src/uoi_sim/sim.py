@@ -135,13 +135,15 @@ def _adaptive_rule(omega_bar: float, p: float, rho: float, v: float):
     return step
 
 
-def _blind_plan(policy: str, p: float, rho: float, coin: Buffered,
-                s_good: np.ndarray) -> list[int] | None:
+def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.ndarray,
+                policy_table: StationaryPolicyTable | None = None) -> list[int] | None:
     """Every slot's decision of a rule that never reads the error, or None.
 
     periodic transmits whenever the accumulated credit rho reaches one;
-    random flips the policy coin each slot; age-threshold transmits once the
-    age since the last delivery reaches age_threshold_for_budget(p, rho).
+    random flips the policy coin each slot.  The age rules send at age a
+    (since the last delivery) with probability send[min(a, len(send)) - 1],
+    flipping the coin only where it is strictly between 0 and 1: age-threshold
+    from age_threshold_for_budget(p, rho) on, rvi-aoi by its table.
     """
     T = len(s_good)
     if policy == "periodic":
@@ -157,14 +159,22 @@ def _blind_plan(policy: str, p: float, rho: float, coin: Buffered,
     if policy == "random":
         return [1 if coin.next() < rho else 0 for _ in range(T)]
     if policy == "age-threshold":
-        age_m = age_threshold_for_budget(p, rho)
-        plan, age = [], 1
-        for s in s_good.tolist():
-            u = 1 if age >= age_m else 0
-            plan.append(u)
-            age = 1 if u and s else age + 1
-        return plan
-    return None
+        send = [0] * (age_threshold_for_budget(p, rho) - 1) + [1]
+    elif policy == "rvi-aoi":  # 0/1 entries as ints: only a float one flips the coin
+        send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
+    else:
+        return None
+    plan, i, last = [], 0, len(send) - 1  # send[i] holds the rule at age i + 1
+    for s in s_good.tolist():
+        u = send[i]
+        if u.__class__ is float:
+            u = 1 if coin.next() < u else 0
+        plan.append(u)
+        if u and s:
+            i = 0
+        elif i < last:
+            i += 1
+    return plan
 
 
 # Slots of stream arrays the single-terminal loops turn into Python lists at a
@@ -208,9 +218,9 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     thr = _threshold_array(w[:T], thresholds)
 
     coin = Buffered(factory.stream("policy", tid).uniform)
-    plan = _blind_plan(policy, params.p, rho, coin, s_good)
+    plan = _blind_plan(policy, params.p, rho, coin, s_good, policy_table)
     adaptive = _adaptive_rule(params.omega_bar, params.p, rho, v) if policy == "adaptive" else None
-    if policy.startswith("rvi"):  # P(transmit) by age or by (q bin, w_now, w_next)
+    if policy == "rvi-uoi":  # P(transmit) by (q bin, w_now, w_next)
         grid, tab = policy_table.grid, policy_table.table.tolist()
     widx = ({float(val): i for i, (val, _) in enumerate(grid.weight_support)}
             if policy == "rvi-uoi" else {})
@@ -219,7 +229,6 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     sums = [0.0] * nb
     q = 0.0
     h = 0.0
-    age = 1
     attempts = 0
     violations = 0
     rows = [] if trace else None
@@ -244,21 +253,13 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                 u = plan_b[j]
             elif adaptive is not None:
                 u, h = adaptive(q, h, w_b[j + 1])
-            else:  # rvi table, possibly randomized per state
-                if wi is not None:
-                    qc = min(max(q, -grid.q_max), grid.q_max)
-                    prob = tab[int(round((qc + grid.q_max) / grid.q_step))][wi[j]][wi[j + 1]]
-                else:
-                    prob = tab[min(age, grid.delta_max) - 1]
+            else:  # rvi-uoi table, possibly randomized per state
+                qc = min(max(q, -grid.q_max), grid.q_max)
+                prob = tab[int(round((qc + grid.q_max) / grid.q_step))][wi[j]][wi[j + 1]]
                 u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
 
             attempts += u
-            if u and s_b[j]:
-                q = inc_b[j]
-                age = 1
-            else:
-                q += inc_b[j]
-                age += 1
+            q = inc_b[j] if u and s_b[j] else q + inc_b[j]
         sums[b] = acc
 
     return SimResult(
@@ -535,8 +536,8 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
                  p_channel: float, horizon: int = 1_000_000,
                  factory: StreamFactory | None = None,
                  n_batches: int = 10) -> TrackingResult:
-    """Drive the plant with certainty-equivalent control while the chosen
-    policy decides when the terminal uplinks its true state."""
+    """Drive the plant, from x = x_hat = 0, with certainty-equivalent control
+    while the chosen policy decides when the terminal uplinks its true state."""
     if policy not in POLICY_TABLE["control"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     factory = factory or StreamFactory(0)
@@ -552,7 +553,7 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     nb, batch_len = _batch_layout(T, n_batches)
     track_sums = [0.0] * nb
     est_sums = [0.0] * nb
-    a, gain, x, x_hat = plant.a, plant.b, plant.x, plant.x_hat
+    a, gain, x, x_hat = plant.a, plant.b, 0.0, 0.0
     h = 0.0
     attempts = 0
     uoi_total = 0.0
@@ -570,7 +571,7 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
 
             y_t = reference.at(t0 + j)
             v_t = optimal_control(a, gain, x_hat, y_t)
-            x, x_hat = step_plant_with_noise(a, gain, x, x_hat, v_t, 0, noise_b[j])
+            x, x_hat = step_plant_with_noise(a, gain, x, x_hat, v_t, noise_b[j])
             err = x - y_t
             track_acc += w_t * err * err
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -351,14 +351,13 @@ def adapt_threshold_state(state: ThresholdState, outcome,
     return ThresholdState(j_th=j_th, delta_j=state.delta_j)
 
 
-def certainty_equivalent_control(plant: LinearPlant, y_next: float) -> float:
+def certainty_equivalent_control(plant: LinearPlant, x_hat: float, y_next: float) -> float:
     """v = (y - a x_hat) / b: the input that puts the estimated next state on y."""
-    return (y_next - plant.a * plant.x_hat) / plant.b
+    return (y_next - plant.a * x_hat) / plant.b
 
 
-def step_plant(plant: LinearPlant, v: float, updated: int, r: float) -> LinearPlant:
-    """x' = a x + b v + r; the estimate becomes exact after an update and is
-    otherwise propagated through the model without the noise."""
-    x_new = plant.a * plant.x + plant.b * v + r
-    x_hat_new = x_new if updated else plant.a * plant.x_hat + plant.b * v
-    return replace(plant, x=x_new, x_hat=x_hat_new)
+def step_plant(plant: LinearPlant, x: float, x_hat: float, v: float,
+               r: float) -> tuple[float, float]:
+    """(x', x_hat') with x' = a x + b v + r and the estimate propagated
+    through the model without the noise; a delivery then sets x_hat' = x'."""
+    return plant.a * x + plant.b * v + r, plant.a * x_hat + plant.b * v

@@ -28,9 +28,7 @@ def test_plant_rejects_zero_gain():
 
 def test_step_plant_estimate_tracking():
     x, x_hat = 2.0, 1.5
-    x_up, x_hat_up = step_plant_with_noise(1.0, 1.0, x, x_hat, v=0.3, updated=1, r=0.7)
-    assert x_hat_up == x_up  # perfect feedback after delivery
-    x_stale, x_hat_stale = step_plant_with_noise(1.0, 1.0, x, x_hat, v=0.3, updated=0, r=0.4)
+    x_stale, x_hat_stale = step_plant_with_noise(1.0, 1.0, x, x_hat, v=0.3, r=0.4)
     # estimation error grows by exactly the noise when a = 1
     assert (x_stale - x_hat_stale) == pytest.approx((x - x_hat) + 0.4)
 

@@ -143,6 +143,19 @@ def test_mdp_grid_mismatch_is_config_error(capsys):
     assert "'mdp.q_step'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", [s for s in POLICY_TABLE if s != "mdp"])
+def test_mdp_section_is_checked_in_every_scenario(scenario, tmp_path, capsys):
+    # q_step = 0.3 does not divide the default q_max = 25
+    raw = {"scenario": scenario, "mdp": {"q_step": 0.3}}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.field == "mdp.q_step"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([scenario, "--config", str(path)]) == 2
+    assert "'mdp.q_step'" in capsys.readouterr().err
+
+
 def test_threshold_keys_parse_to_floats():
     cfg = _cfg(thresholds={"1": 15, "100": 5})
     assert cfg.thresholds == {1.0: 15.0, 100.0: 5.0}
@@ -389,6 +402,27 @@ def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["single"], "missing/x.csv"),
+    (["multi", "--format", "jsonl"], "missing/x.jsonl"),
+    (["mdp"], "missing/table.txt"),
+    (["mdp", "--format", "plot"], "missing/table.txt"),  # the mdp table is one file
+    (["single"], "adir"),                        # a directory where a file goes
+    (["single", "--format", "plot"], "afile"),   # a file where a directory goes
+])
+def test_cli_unwritable_out_is_found_before_the_run(argv, out, tmp_path, capsys,
+                                                      monkeypatch):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+
+    def no_run(config):
+        raise AssertionError("ran with an unwritable --out")
+    monkeypatch.setattr(cli.harness, "run", no_run)
+    path = tmp_path / out
+    assert cli.main(argv + ["--out", str(path)]) == 2
+    assert f"error: cannot write {path}: " in capsys.readouterr().err
 
 
 def test_cli_negative_v_is_config_error(capsys):

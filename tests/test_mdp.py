@@ -19,13 +19,23 @@ def test_grid_validation():
         MdpGrid(q_max=1.0, q_step=0.3, weight_support=((1.0, 1.0),))
     with pytest.raises(ValueError):
         MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 0.5), (2.0, 0.4)))
-    for bad in ({"q_step": 0.0}, {"q_max": math.inf}, {"q_step": math.inf},
-                {"lam": math.nan}):
+    for bad in ({"q_step": 0.0}, {"q_max": math.inf}, {"q_step": math.inf}):
         with pytest.raises(ValueError):
             MdpGrid(**dict({"q_max": 10.0, "q_step": 0.5, "weight_support": ((1.0, 1.0),)},
                            **bad))
     grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),))
     assert grid.q_values.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    # pairs given as lists are stored as tuples: the grid keys a cache
+    assert MdpGrid(q_max=1.0, q_step=0.5, weight_support=[[1.0, 1.0]]) == grid
+    assert hash(MdpGrid(q_max=1.0, q_step=0.5, weight_support=[[1.0, 1.0]])) == hash(grid)
+
+
+@pytest.mark.parametrize("cost_kind", ["uoi", "aoi"])
+@pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
+def test_rvi_solve_rejects_a_bad_multiplier(cost_kind, lam):
+    grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),))
+    with pytest.raises(ValueError, match="lam"):
+        rvi_solve(grid, desk_terminal(), cost_kind, lam)
 
 
 def test_gaussian_kernel_is_stochastic_and_centered():
@@ -78,8 +88,7 @@ def test_rvi_matches_policy_enumeration_on_tiny_chain():
 def test_age_chain_solver_matches_policy_enumeration(lam):
     # all 2^8 deterministic policies of the age chain capped at 8
     params = desk_terminal()
-    grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),), lam=lam,
-                   delta_max=8)
+    grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),), delta_max=8)
     n, p = grid.delta_max, params.p
     wait = np.zeros((n, n))
     wait[np.arange(n), np.minimum(np.arange(1, n + 1), n - 1)] = 1.0
@@ -87,7 +96,7 @@ def test_age_chain_solver_matches_policy_enumeration(lam):
     ages = np.arange(1, n + 1, dtype=float)
     best = _enumerate_optimal_average_cost(np.stack([wait, send]),
                                            np.stack([ages, ages + lam], axis=1))
-    table = rvi_solve(grid, params, "aoi")
+    table = rvi_solve(grid, params, "aoi", lam)
     assert table.gain == pytest.approx(best, abs=1e-9)
     assert table.avg_cost + lam * table.avg_freq == pytest.approx(best, abs=1e-9)
     assert set(np.unique(table.table)) <= {0.0, 1.0}
@@ -108,8 +117,8 @@ def test_uoi_reduced_chain_matches_dense_oracle():
 def test_gaussian_kernel_is_cached_and_read_only():
     grid = MdpGrid(q_max=3.0, q_step=0.5, weight_support=((1.0, 1.0),))
     G, g0 = gaussian_kernel(grid, 2.0)
-    G2, _ = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5, weight_support=((1.0, 1.0),),
-                                    lam=7.0), 2.0)
+    G2, _ = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5, weight_support=((7.0, 1.0),),
+                                    delta_max=5), 2.0)
     assert G2 is G
     assert not G.flags.writeable and not g0.flags.writeable
     with pytest.raises(ValueError):
@@ -119,7 +128,7 @@ def test_gaussian_kernel_is_cached_and_read_only():
 def test_unconstrained_perfect_channel_updates_everywhere():
     params = TerminalParams(id=0, p=1.0, sigma2=1.0, omega_bar=1.0)
     grid = MdpGrid.default(1.0, ((1.0, 1.0),))
-    table = rvi_solve(grid, params, "uoi")
+    table = rvi_solve(grid, params, "uoi", 0.0)
     nonzero = grid.q_values != 0.0
     assert np.all(table.table[nonzero, 0, 0] == 1.0)
     # Q resets every slot, so the average UoI is omega_bar * sigma2 up to
@@ -129,12 +138,11 @@ def test_unconstrained_perfect_channel_updates_everywhere():
 
 def test_rvi_policy_stable_across_initializations():
     params = desk_terminal()
-    grid = MdpGrid(q_max=10.0, q_step=0.25,
-                   weight_support=desk_weights().support(), lam=3.0)
-    t1 = rvi_solve(grid, params, "uoi")
+    grid = MdpGrid(q_max=10.0, q_step=0.25, weight_support=desk_weights().support())
+    t1 = rvi_solve(grid, params, "uoi", 3.0)
     rng = np.random.default_rng(1)
     h0 = rng.normal(size=(len(grid.q_values), 2, 2)) * 50.0
-    _, table2, _ = _uoi_rvi(grid, params, h0=h0)
+    _, table2, _ = _uoi_rvi(grid, params, 3.0, h0=h0)
     agreement = np.mean(t1.table == table2)
     assert agreement >= 0.99
     cost2, _ = evaluate_policy(grid, params, "uoi", table2)
@@ -163,10 +171,10 @@ def test_grid_refinement_changes_average_cost_little():
     # halving the default q_step = 0.25 sigma moves the value by < 2%
     params = desk_terminal()
     support = desk_weights().support()
-    default = MdpGrid(q_max=15.0, q_step=0.25, weight_support=support, lam=4.0)
-    halved = MdpGrid(q_max=15.0, q_step=0.125, weight_support=support, lam=4.0)
-    c = rvi_solve(default, params, "uoi")
-    f = rvi_solve(halved, params, "uoi")
+    default = MdpGrid(q_max=15.0, q_step=0.25, weight_support=support)
+    halved = MdpGrid(q_max=15.0, q_step=0.125, weight_support=support)
+    c = rvi_solve(default, params, "uoi", 4.0)
+    f = rvi_solve(halved, params, "uoi", 4.0)
     rel = abs(c.avg_cost - f.avg_cost) / f.avg_cost
     print(f"grid refinement diagnostic: default {c.avg_cost:.4f} halved {f.avg_cost:.4f} "
           f"rel change {rel:.4f}")
@@ -188,8 +196,8 @@ def test_vanishing_budget_limit_reported():
 
 def test_aoi_policy_is_age_threshold():
     params = desk_terminal()
-    grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=((1.0, 1.0),), lam=8.0)
-    table = rvi_solve(grid, params, "aoi")
+    grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=((1.0, 1.0),))
+    table = rvi_solve(grid, params, "aoi", 8.0)
     t = table.table
     # monotone in age: once transmitting, always transmitting
     first = int(np.argmax(t > 0))
@@ -254,14 +262,15 @@ def test_calibrated_table_header_carries_returned_multiplier():
     params = desk_terminal()
     grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=desk_weights().support())
     lam, table = calibrate_multiplier(grid, params, rho=0.25, cost_kind="aoi")
-    assert table.grid.lam == lam > 0.0
+    assert table.lam == lam > 0.0
+    assert table.grid == grid
     assert f"lam={lam:.6g}" in format_policy_table(table).splitlines()[0]
 
 
 def test_format_policy_table_roundtrip_smoke():
     params = desk_terminal()
-    grid = MdpGrid(q_max=2.0, q_step=1.0, weight_support=desk_weights().support(), lam=1.0)
-    text = format_policy_table(rvi_solve(grid, params, "uoi"))
+    grid = MdpGrid(q_max=2.0, q_step=1.0, weight_support=desk_weights().support())
+    text = format_policy_table(rvi_solve(grid, params, "uoi", 1.0))
     lines = text.strip().splitlines()
     assert lines[0].startswith("# cost_kind=uoi")
     assert len(lines) == 2 + 5 * 2 * 2

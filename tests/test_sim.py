@@ -37,7 +37,7 @@ def _fractional_table(cost_kind: str) -> StationaryPolicyTable:
         table = np.clip((q - np.array([1.0, 0.5])[None, None, :]) / 2.0, 0.0, 1.0)
         table = np.broadcast_to(table, (len(grid.q_values), 2, 2)).copy()
     return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=0.0,
-                                 avg_freq=0.0, grid=grid, gain=0.0, iterations=0)
+                                 avg_freq=0.0, lam=0.0, grid=grid, gain=0.0, iterations=0)
 
 
 @pytest.mark.parametrize("policy,kind", [("rvi-uoi", "aoi"), ("rvi-aoi", "uoi")])
@@ -122,16 +122,18 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
     track = est = 0.0
     attempts = 0
     credit = 0.0
+    x = x_hat = 0.0
     for t in range(horizon):
-        est += uoi(w[t], plant.x - plant.x_hat)
+        est += uoi(w[t], x - x_hat)
         y = reference.at(t)
-        plant = step_plant(plant, certainty_equivalent_control(plant, y), 0, noise[t])
-        track += uoi(w[t], plant.x - y)
-        state = replace(state, eq=replace(state.eq, q=plant.x - plant.x_hat))
+        x, x_hat = step_plant(plant, x, x_hat, certainty_equivalent_control(plant, x_hat, y),
+                              noise[t])
+        track += uoi(w[t], x - y)
+        state = replace(state, eq=replace(state.eq, q=x - x_hat))
         u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
         attempts += u
         if u and s[t]:
-            plant = replace(plant, x_hat=plant.x)
+            x_hat = x
         state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
                         else state.vq,
                         eq=step_error(state.eq, u, int(s[t]), 0.0))
