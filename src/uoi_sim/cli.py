@@ -116,9 +116,13 @@ def _cannot_write(path: str, reason: OSError | str) -> int:
 
 def _unwritable(path: str, directory: bool) -> str | None:
     """Why `path` cannot be written, as far as a check before the run can
-    tell; makedirs creates the missing parents of a plot directory."""
+    tell; makedirs creates the missing parents of a plot directory, so its
+    nearest existing ancestor must be a directory."""
     if directory:
-        return "is not a directory" if os.path.exists(path) and not os.path.isdir(path) else None
+        existing = path
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing) or "."
+        return None if os.path.isdir(existing) else f"{existing!r} is not a directory"
     if os.path.isdir(path):
         return "is a directory"
     parent = os.path.dirname(path) or "."

@@ -4,9 +4,12 @@ The single-terminal system with i.i.d. increments and i.i.d. two-point
 weights is Markov in (Q, w_now, w_next); truncating and discretizing Q
 gives a finite average-cost MDP, solved by relative value iteration with a
 structured operator.  The frequency budget enters as a Lagrange multiplier
-lam on the transmit action, calibrated by bisection; where no pure policy
-hits the budget exactly, the two bracketing policies are randomized
-state-wise.  The age-based chain (cost = age) that gives the age-optimal
+lam on the transmit action, calibrated by Kelley's cutting planes on the
+concave, piecewise-linear dual: each solved table's Lagrangian is the line
+avg_cost + lam * avg_freq, and the next lam is where the lines of the two
+bracketing tables cross.  Where no pure policy hits the budget exactly, the
+two tables optimal at the critical lam are randomized state-wise (Beutler
+& Ross 1985).  The age-based chain (cost = age) that gives the age-optimal
 comparison policy is solved exactly by policy iteration.
 """
 
@@ -23,7 +26,7 @@ from .core import TerminalParams, require
 _SPAN_TOL = 1e-6      # RVI stops once a sweep changes h by a span below this
 _MAX_ITER = 100_000   # cap on RVI sweeps and on age-chain improvement steps
 _FREQ_TOL = 1e-3      # calibration accepts a frequency this close to rho
-_MAX_BISECT = 60      # cap on the bisection steps on lam
+_MAX_CUTS = 60        # cap on the cutting-plane steps on lam
 _LAM_CAP = 1e6        # the largest upper bracket tried for lam
 
 
@@ -306,10 +309,13 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
                          cost_kind: str) -> tuple[float, StationaryPolicyTable]:
     """Find lam so the policy's long-run transmit frequency meets rho.
 
-    Bisection on lam, until the midpoint is no longer strictly inside the
-    bracket; if the pure policies jump across rho, the two bracketing
-    policies are randomized state-wise and the mixing weight is itself
-    bisected against the exact chain frequency.
+    Kelley's cut: solve at the lam where the Lagrangian lines c + lam * f
+    of the two bracketing tables cross, and let the new table replace the
+    bracket end on its side of rho, until one hits rho or the cut returns a
+    bracketing table again.  Then the pure policies jump across rho at that
+    lam: the two bracketing policies are randomized state-wise and the
+    mixing weight is bisected against the exact chain frequency.  The mixed
+    table reports the lam, gain and iterations of the last solve.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
@@ -329,18 +335,22 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
             f"no multiplier below {_LAM_CAP} meets rho = {rho}; "
             f"frequency still {hi_tab.avg_freq:.4f}")
 
-    lam_lo = 0.0
-    for _ in range(_MAX_BISECT):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if not lam_lo < lam_mid < lam_hi:
-            break  # bracket narrower than float resolution
-        mid_tab = rvi_solve(grid, params, cost_kind, lam_mid)
-        if abs(mid_tab.avg_freq - rho) < _FREQ_TOL:
-            return lam_mid, mid_tab
-        if mid_tab.avg_freq > rho:
-            lam_lo, lo_tab = lam_mid, mid_tab
+    cut_tab = hi_tab
+    for _ in range(_MAX_CUTS):
+        # lo_tab sends more than rho and hi_tab at most rho: the slope is positive
+        lam = (hi_tab.avg_cost - lo_tab.avg_cost) / (lo_tab.avg_freq - hi_tab.avg_freq)
+        if not lo_tab.lam < lam < hi_tab.lam:
+            break  # the lines cross at a bracket end, up to rounding
+        cut_tab = rvi_solve(grid, params, cost_kind, lam)
+        if abs(cut_tab.avg_freq - rho) < _FREQ_TOL:
+            return lam, cut_tab
+        if (np.array_equal(cut_tab.table, lo_tab.table)
+                or np.array_equal(cut_tab.table, hi_tab.table)):
+            break  # both tables are optimal at lam, the critical multiplier
+        if cut_tab.avg_freq > rho:
+            lo_tab = cut_tab
         else:
-            lam_hi, hi_tab = lam_mid, mid_tab
+            hi_tab = cut_tab
 
     # Duality gap: randomize between the bracketing policies.
     eta_lo, eta_hi = 0.0, 1.0  # eta = weight on the more aggressive policy
@@ -356,9 +366,9 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         else:
             eta_lo = eta
     table = StationaryPolicyTable(cost_kind=cost_kind, table=mixed,
-                                  avg_cost=cost, avg_freq=freq, lam=lam_hi, grid=grid,
-                                  gain=hi_tab.gain, iterations=hi_tab.iterations)
-    return lam_hi, table
+                                  avg_cost=cost, avg_freq=freq, lam=cut_tab.lam, grid=grid,
+                                  gain=cut_tab.gain, iterations=cut_tab.iterations)
+    return cut_tab.lam, table
 
 
 def format_policy_table(table: StationaryPolicyTable) -> str:

@@ -411,6 +411,7 @@ def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
     (["mdp", "--format", "plot"], "missing/table.txt"),  # the mdp table is one file
     (["single"], "adir"),                        # a directory where a file goes
     (["single", "--format", "plot"], "afile"),   # a file where a directory goes
+    (["single", "--format", "plot"], "afile/sub"),  # a file among the parents
 ])
 def test_cli_unwritable_out_is_found_before_the_run(argv, out, tmp_path, capsys,
                                                       monkeypatch):

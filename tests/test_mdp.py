@@ -8,8 +8,9 @@ import pytest
 
 from conftest import (dense_uoi_chain, desk_terminal, desk_weights,
                       relative_value_iteration)
+from uoi_sim import mdp
 from uoi_sim.core import TerminalParams
-from uoi_sim.mdp import (MdpGrid, _uoi_rvi, calibrate_multiplier, evaluate_policy,
+from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _uoi_rvi, calibrate_multiplier, evaluate_policy,
                          format_policy_table, gaussian_kernel, rvi_solve,
                          stationary_distribution)
 
@@ -165,6 +166,51 @@ def test_calibrated_frequency_within_tolerance(cost_kind):
     lam, table = calibrate_multiplier(grid, params, rho=0.25, cost_kind=cost_kind)
     assert 0.249 <= table.avg_freq <= 0.251
     assert lam > 0.0
+
+
+DEFAULT_CALIBRATIONS = [(kind, rho) for kind in ("uoi", "aoi") for rho in (0.1, 0.25, 0.5)]
+
+
+@pytest.mark.parametrize("cost_kind,rho", DEFAULT_CALIBRATIONS)
+def test_calibration_cuts_to_the_breakpoint_in_few_solves(cost_kind, rho, monkeypatch):
+    # Kelley's cut lands on the crossing of the bracketing tables' Lagrangian
+    # lines; bisecting lam to float resolution took 55-60 solves
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    solves = []
+
+    def counted(*args):
+        solves.append(args[3])
+        return rvi_solve(*args)
+    monkeypatch.setattr(mdp, "rvi_solve", counted)
+    _, table = calibrate_multiplier(grid, params, rho, cost_kind)
+    assert len(solves) <= 15, solves
+    assert abs(table.avg_freq - rho) < _FREQ_TOL
+
+
+@pytest.mark.parametrize("cost_kind,rho", DEFAULT_CALIBRATIONS)
+def test_calibrated_table_is_lagrangian_optimal_at_its_multiplier(cost_kind, rho):
+    # the (possibly mixed) table reports the lam it returns and the gain of the
+    # solve at that lam, which its exact averages attain
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    lam, table = calibrate_multiplier(grid, params, rho, cost_kind)
+    assert table.lam == lam
+    assert table.gain == rvi_solve(grid, params, cost_kind, lam).gain
+    assert abs(table.avg_cost + lam * table.avg_freq - table.gain) <= 1e-6 * table.gain
+
+
+def test_default_grid_overstates_the_calibrated_optimum_by_under_one_percent():
+    params = desk_terminal()
+    support = desk_weights().support()
+    _, default = calibrate_multiplier(MdpGrid(q_max=25.0, q_step=0.25, weight_support=support),
+                                      params, 0.25, "uoi")
+    _, fine = calibrate_multiplier(MdpGrid(q_max=25.0, q_step=0.1, weight_support=support),
+                                   params, 0.25, "uoi")
+    rel = (default.avg_cost - fine.avg_cost) / fine.avg_cost
+    print(f"grid bias diagnostic: q_step 0.25 {default.avg_cost:.4f}, "
+          f"0.1 {fine.avg_cost:.4f}, rel {rel:.4f}")
+    assert abs(rel) < 0.01
 
 
 def test_grid_refinement_changes_average_cost_little():
