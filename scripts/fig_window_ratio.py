@@ -12,7 +12,7 @@ from uoi_sim.csma import ContentionConfig
 from uoi_sim.harness import config_from_dict
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import run_fleet
+from uoi_sim.sim import FleetLane, run_fleet_lanes
 
 
 def main():
@@ -32,13 +32,16 @@ def main():
     pi = waterfill(fleet).pi
     weights = [cfg.weights] * args.n
 
-    central = run_fleet(fleet, weights, "centralized", pi=pi,
-                        horizon=args.horizon, factory=StreamFactory(args.seed))
+    # One lane call: the centralized lane and a csma lane per window, each on
+    # a fresh StreamFactory(seed), so all face the same random numbers.
+    central, *distributed = run_fleet_lanes(
+        fleet, weights,
+        [FleetLane("centralized", StreamFactory(args.seed))]
+        + [FleetLane("csma", StreamFactory(args.seed), contention=ContentionConfig(w=w, k=2))
+           for w in args.windows],
+        pi=pi, horizon=args.horizon)
     lines = ["w,ratio,avg_uoi_distributed,avg_uoi_centralized"]
-    for w in args.windows:
-        res = run_fleet(fleet, weights, "csma", pi=pi, horizon=args.horizon,
-                        factory=StreamFactory(args.seed),
-                        contention=ContentionConfig(w=w, k=2))
+    for w, res in zip(args.windows, distributed):
         ratio = res.avg_uoi / central.avg_uoi
         lines.append(f"{w},{ratio:.4f},{res.avg_uoi:.4f},{central.avg_uoi:.4f}")
         print(f"W={w:<3d} distributed {res.avg_uoi:8.3f} ratio {ratio:.3f}")

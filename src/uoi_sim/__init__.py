@@ -13,7 +13,7 @@ from .mdp import (MdpGrid, StationaryPolicyTable, calibrate_multiplier,
 from .multi import (FleetConfig, StationaryPolicy, fleet_uoi_bound,
                     kkt_residual, schedule_round_robin, waterfill)
 from .rng import StreamFactory
-from .sim import (POLICY_TABLE, FleetLane, adaptive_uoi_bound, run_fleet,
-                  run_fleet_lanes, run_single, run_tracking)
+from .sim import (POLICY_TABLE, FleetLane, adaptive_uoi_bound, run_fleet_lanes,
+                  run_single, run_tracking)
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
-from .sim import (POLICY_TABLE, FleetLane, SimResult, adaptive_uoi_bound, run_fleet,
-                  run_fleet_lanes, run_single, run_tracking, stderr_from_batches)
+from .sim import (POLICY_TABLE, FleetLane, SimResult, adaptive_uoi_bound, run_fleet_lanes,
+                  run_single, run_tracking, stderr_from_batches)
 
 
 class ConfigError(ValueError):
@@ -353,9 +353,10 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     # Every (policy, replication) is a lane of one fleet loop.
     results = run_fleet_lanes(
         fleet, [config.weights] * fleet.n,
-        [FleetLane(schedulers[pol], StreamFactory(config.seed, rep), config.trace and rep == 0)
+        [FleetLane(schedulers[pol], StreamFactory(config.seed, rep), config.trace and rep == 0,
+                   contention if schedulers[pol] == "csma" else None)
          for pol in config.policies for rep in range(reps)],
-        pi=policy.pi, horizon=config.horizon, contention=contention,
+        pi=policy.pi, horizon=config.horizon,
         thresholds=config.thresholds, n_batches=config.n_batches)
     out = []
     for i, pol in enumerate(config.policies):

@@ -159,7 +159,8 @@ def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.nd
     if policy == "random":
         return [1 if coin.next() < rho else 0 for _ in range(T)]
     if policy == "age-threshold":
-        send = [0] * (age_threshold_for_budget(p, rho) - 1) + [1]
+        # ages past T + 1 are never reached, so the list stops there
+        send = [0] * (min(age_threshold_for_budget(p, rho), T + 1) - 1) + [1]
     elif policy == "rvi-aoi":  # 0/1 entries as ints: only a float one flips the coin
         send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
     else:
@@ -279,12 +280,14 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
 
 class FleetLane(NamedTuple):
-    """One fleet run of a lane call: its scheduler, its own streams, and
-    whether it records the per-slot trace."""
+    """One fleet run of a lane call: its scheduler, its own streams, whether
+    it records the per-slot trace, and the contention window of a csma lane
+    (None for every other scheduler)."""
 
     scheduler: str
     factory: StreamFactory
     trace: bool = False
+    contention: csma_mod.ContentionConfig | None = None
 
 
 def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
@@ -298,45 +301,32 @@ def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
 _LANE_ELEMENTS = 1 << 17
 
 
-def run_fleet(fleet: FleetConfig, weights: list[WeightProcess], scheduler: str,
-              pi: np.ndarray, horizon: int = 1_000_000,
-              factory: StreamFactory | None = None,
-              contention: csma_mod.ContentionConfig | None = None,
-              thresholds: dict[float, float] | None = None,
-              n_batches: int = 10, trace: bool = False) -> SimResult:
-    """Simulate N terminals under one scheduler for `horizon` slots: the
-    one-lane call of `run_fleet_lanes`.
-
-    The csma scheduler stretches the slot to (1 + W/100) ms, so its error
-    increments carry variance slot_scale * sigma2; all schedulers consume
-    the same per-slot stream variates either way.
-    """
-    lane = FleetLane(scheduler, factory or StreamFactory(0), trace)
-    return run_fleet_lanes(fleet, weights, [lane], pi, horizon, contention,
-                           thresholds, n_batches)[0]
-
-
 def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
                     lanes: list[FleetLane], pi: np.ndarray, horizon: int = 1_000_000,
-                    contention: csma_mod.ContentionConfig | None = None,
                     thresholds: dict[float, float] | None = None,
                     n_batches: int = 10) -> list[SimResult]:
-    """`run_fleet` for every lane in one slot loop over (lane, terminal) arrays.
+    """Simulate N terminals for `horizon` slots under each lane's scheduler,
+    all lanes in one slot loop over (lane, terminal) arrays.
 
     Each lane draws only from its own factory, so its result and its
-    factory's draw counts are bitwise those of `run_fleet` on that lane
-    alone.  Lanes whose fresh factories address the same (seed, replication)
-    face the same weight, increment and channel variates, so the first of
-    them samples those and the others adopt its streams.  `contention`
-    applies to the csma lanes, whose threshold step is
-    `csma.default_delta_j` of the stretched slot.  Results come back in
-    lane order.
+    factory's draw counts are bitwise those of a call on that lane alone.
+    Lanes whose fresh factories address the same (seed, replication) face
+    the same weight, increment and channel variates, so the first of them
+    samples those and the others adopt its streams.  A csma lane contends in
+    its own window W, which stretches its slot to (1 + W/100) ms: its error
+    increments carry variance slot_scale * sigma2 and its threshold step is
+    `csma.default_delta_j` of the stretched slot.  Results come back in lane
+    order.
     """
     if not lanes:
         return []
     for lane in lanes:
         if lane.scheduler not in _FLEET_SCHEDULERS:
             raise ValueError(f"unknown scheduler {lane.scheduler!r}")
+        if (lane.contention is None) == (lane.scheduler == "csma"):
+            raise ValueError("a csma lane needs a ContentionConfig, other lanes take none")
+        if lane.contention is not None and lane.contention.k != fleet.k:
+            raise ValueError("contention sub-channels must match fleet.k")
     if len({id(lane.factory) for lane in lanes}) < len(lanes):
         raise ValueError("each lane needs its own StreamFactory")
     # Lanes sorted by scheduler name make every scheduler group a slice: aoi
@@ -356,19 +346,16 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     sigma2 = fleet.array("sigma2")
     omega_bar = fleet.array("omega_bar")
 
-    slot_scale = 1.0
+    # Each csma lane's window, slot scale, threshold step, expected window
+    # length and contention threshold.
     n_csma = r0 - x0
-    j_th = [0.0] * n_csma       # the csma lanes' contention thresholds
-    if n_csma:
-        if contention is None:
-            raise ValueError("csma scheduling needs a ContentionConfig")
-        if contention.k != k:
-            raise ValueError("contention sub-channels must match fleet.k")
-        slot_scale = contention.slot_scale
-        delta_j = csma_mod.default_delta_j(omega_bar, sigma2 * slot_scale)
-        expected = csma_mod.expected_window(k, contention.w)
-    backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=contention.w)).next
-                 for i in range(n)] for f in factories[x0:r0]]
+    windows = [lanes[i].contention for i in order[x0:r0]]
+    scales = [c.slot_scale for c in windows]
+    delta_j = [csma_mod.default_delta_j(omega_bar, sigma2 * s) for s in scales]
+    expected = [csma_mod.expected_window(k, c.w) for c in windows]
+    j_th = [0.0] * n_csma
+    backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
+                 for i in range(n)] for f, c in zip(factories[x0:r0], windows)]
     draw_backoff = [lambda tid, b=b: b[tid]() for b in backoffs]
     max_index = np.zeros(n_csma)
 
@@ -424,7 +411,10 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
             w_buf = np.concatenate([w_buf[:, :, -1:], fresh], axis=2)
         a_blk = draw(lambda g, i: incs[i].sample_block(
             streams["increment"][g][i], t0, nblk))
-        a_blk[x0:r0] *= math.sqrt(slot_scale)
+        # Row by row: one broadcast multiply over the csma rows gives the
+        # same bits but raised the fleet benchmark's peak RSS by 2-4 MB.
+        for lane, scale in enumerate(scales, x0):
+            a_blk[lane] *= math.sqrt(scale)
         s_blk = draw(lambda g, i: sample_channel_block(
             streams["channel"][g][i], p[i], nblk))
         w_slots = w_buf.transpose(0, 2, 1)          # (lane, slot, terminal) view
@@ -460,13 +450,13 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
             for c in range(n_csma):
                 lane = x0 + c
                 active = (scores[lane] > j_th[c]).nonzero()[0].tolist()
-                outcome = csma_mod.contend(active, contention, draw_backoff[c])
+                outcome = csma_mod.contend(active, windows[c], draw_backoff[c])
                 for tid in outcome.winners():
                     sent_j[lane, tid] = True
                 if outcome.collided:
                     collided[0].extend([lane] * len(outcome.collided))
                     collided[1].extend(outcome.collided)
-                j_th[c] = csma_mod.adapt_threshold(j_th[c], delta_j, outcome, expected)
+                j_th[c] = csma_mod.adapt_threshold(j_th[c], delta_j[c], outcome, expected[c])
                 j_hist[c].append(j_th[c])
 
             delivered = sent_j & s_js[j]
@@ -501,7 +491,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     for lane, i in enumerate(order):
         total = float(batch_sums[lane].sum())
         csma = x0 <= lane < r0
-        scale = slot_scale if csma else 1.0
+        scale = scales[lane - x0] if csma else 1.0
         out[i] = SimResult(
             avg_uoi=total / T,
             batch_means=_batch_means(batch_sums[lane], T, batch_len),
@@ -511,7 +501,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
                     "wallclock_avg_uoi": total / T / scale,
                     "final_j_th": j_th[lane - x0] if csma else None,
                     "max_index": float(max_index[lane - x0]) if csma else None,
-                    "delta_j": delta_j if csma else None},
+                    "delta_j": delta_j[lane - x0] if csma else None},
             trace=rows[lane])
     return out
 

@@ -153,9 +153,10 @@ def fleet_runs():
         pi = waterfill(fleet).pi
         results = run_fleet_lanes(
             fleet, [fleet_weights()] * n,
-            [FleetLane(policy, StreamFactory(SEED)) for policy in FLEET_POLICIES],
-            pi=pi, horizon=HORIZON, contention=ContentionConfig(w=16, k=2),
-            thresholds={1.0: 15.0, 100.0: 5.0})
+            [FleetLane(policy, StreamFactory(SEED),
+                       contention=ContentionConfig(w=16, k=2) if policy == "csma" else None)
+             for policy in FLEET_POLICIES],
+            pi=pi, horizon=HORIZON, thresholds={1.0: 15.0, 100.0: 5.0})
         out.update({(n, policy): res for policy, res in zip(FLEET_POLICIES, results)})
         out[(n, "bound")] = fleet_uoi_bound(fleet, waterfill(fleet))
     return out

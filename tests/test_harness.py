@@ -10,7 +10,7 @@ from uoi_sim import cli
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
                              config_from_dict, export, load_config, run)
 from uoi_sim.csma import ContentionConfig
-from uoi_sim.sim import POLICY_TABLE, run_fleet
+from uoi_sim.sim import POLICY_TABLE, FleetLane, run_fleet_lanes
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 
@@ -236,8 +236,8 @@ def test_common_random_numbers_within_run():
     counts = []
     for sched in ("centralized", "round-robin"):
         factory = StreamFactory(cfg.seed, 0)
-        run_fleet(fleet, [cfg.weights] * 4, sched, pi=pi, horizon=2000,
-                  factory=factory)
+        run_fleet_lanes(fleet, [cfg.weights] * 4, [FleetLane(sched, factory)], pi=pi,
+                        horizon=2000)
         counts.append(factory.draw_counts(kinds=("weight", "increment", "channel")))
     assert counts[0] == counts[1]
 
@@ -250,10 +250,11 @@ def test_fleet_rows_are_their_policies_runs():
     fleet = cfg.fleet
     pi = waterfill(fleet).pi
     rows = run(cfg)
-    for row, sched in zip(rows, ("csma", "centralized")):
-        reps = [run_fleet(fleet, [cfg.weights] * 4, sched, pi=pi, horizon=400,
-                          factory=StreamFactory(3, rep), contention=ContentionConfig(w=4, k=2),
-                          thresholds=cfg.thresholds)
+    for row, sched, contention in zip(rows, ("csma", "centralized"),
+                                      (ContentionConfig(w=4, k=2), None)):
+        reps = [run_fleet_lanes(fleet, [cfg.weights] * 4,
+                                [FleetLane(sched, StreamFactory(3, rep), contention=contention)],
+                                pi=pi, horizon=400, thresholds=cfg.thresholds)[0]
                 for rep in (0, 1)]
         assert row.avg_uoi == float(np.mean([r.avg_uoi for r in reps]))
         assert row.violation_prob == float(np.mean([r.violation_prob for r in reps]))

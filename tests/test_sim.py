@@ -1,6 +1,7 @@
 """Simulator loops against step-operation references and stream contracts."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from uoi_sim.csma import COLLISION, ContentionConfig, default_delta_j
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import KINDS, StreamFactory
-from uoi_sim.sim import (POLICY_TABLE, age_threshold_for_budget, run_fleet,
+from uoi_sim.sim import (POLICY_TABLE, FleetLane, age_threshold_for_budget, run_fleet_lanes,
                          run_single, run_tracking, stderr_from_batches)
 
 SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
@@ -226,8 +227,8 @@ def test_run_fleet_matches_operation_reference():
     pi = waterfill(fleet).pi
     weights = [fleet_weights()] * 4
     ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=31)
-    res = run_fleet(fleet, weights, "centralized", pi=pi, horizon=2000,
-                    factory=StreamFactory(31))
+    res = run_fleet_lanes(fleet, weights, [FleetLane("centralized", StreamFactory(31))],
+                          pi=pi, horizon=2000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
@@ -236,7 +237,8 @@ def test_run_fleet_aoi_matches_operation_reference():
     pi = waterfill(fleet).pi
     weights = [fleet_weights()] * 5
     ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=32, scheduler="aoi")
-    res = run_fleet(fleet, weights, "aoi", pi=pi, horizon=2000, factory=StreamFactory(32))
+    res = run_fleet_lanes(fleet, weights, [FleetLane("aoi", StreamFactory(32))],
+                          pi=pi, horizon=2000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
@@ -246,7 +248,8 @@ def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
     pi = waterfill(fleet).pi
     weights = [fleet_weights()] * 5
     ref = _reference_fleet_run(fleet, weights, pi, horizon=1000, seed=33, scheduler=scheduler)
-    res = run_fleet(fleet, weights, scheduler, pi=pi, horizon=1000, factory=StreamFactory(33))
+    res = run_fleet_lanes(fleet, weights, [FleetLane(scheduler, StreamFactory(33))],
+                          pi=pi, horizon=1000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
@@ -298,8 +301,8 @@ def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
         fleet, weights, pi, cfg, delta_j=delta_j, horizon=1500, seed=34)
     factory = StreamFactory(34)
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 97 * fleet.n)   # 97-slot blocks
-    res = run_fleet(fleet, weights, "csma", pi=pi, horizon=1500, factory=factory,
-                    contention=cfg)
+    res = run_fleet_lanes(fleet, weights, [FleetLane("csma", factory, contention=cfg)],
+                          pi=pi, horizon=1500)[0]
     assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
     assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
     assert res.extras["final_j_th"] == pytest.approx(j_th, rel=1e-12)
@@ -324,11 +327,19 @@ def _predrawn(seed, rep):
     return factory
 
 
-def _one_lane(fleet, pi, scheduler, seed, rep, trace=False, predrawn=False):
+def _lane(scheduler, factory, trace=False, w=4):
+    """A lane of `scheduler`; a csma lane contends in a window of w mini-slots."""
+    contention = ContentionConfig(w=w, k=2) if scheduler == "csma" else None
+    return FleetLane(scheduler, factory, trace, contention)
+
+
+def _one_lane(fleet, pi, lane, predrawn=False):
+    """Every output of `lane` run alone, on a fresh factory of its seed and
+    replication (predrawn: see `_predrawn`)."""
+    seed, rep = lane.factory.seed, lane.factory.replication
     factory = _predrawn(seed, rep) if predrawn else StreamFactory(seed, rep)
-    res = run_fleet(fleet, [fleet_weights()] * fleet.n, scheduler, pi=pi, horizon=503,
-                    factory=factory, contention=ContentionConfig(w=4, k=fleet.k),
-                    thresholds=FLEET_THRESHOLDS, n_batches=7, trace=trace)
+    res = run_fleet_lanes(fleet, [fleet_weights()] * fleet.n, [lane._replace(factory=factory)],
+                          pi=pi, horizon=503, thresholds=FLEET_THRESHOLDS, n_batches=7)[0]
     return _fleet_outputs(res, factory)
 
 
@@ -341,7 +352,7 @@ def test_run_fleet_block_size_invariance(monkeypatch):
     def runs(scheduler):
         for blk in (1, 7, 64, 10**6):
             monkeypatch.setattr(sim, "_LANE_ELEMENTS", blk * fleet.n)
-            yield _one_lane(fleet, pi, scheduler, 77, 0, trace=True)
+            yield _one_lane(fleet, pi, _lane(scheduler, StreamFactory(77, 0), trace=True))
 
     for scheduler in sorted(sim._FLEET_SCHEDULERS):
         outputs = list(runs(scheduler))
@@ -349,21 +360,22 @@ def test_run_fleet_block_size_invariance(monkeypatch):
 
 
 def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
-    # every scheduler, csma's centralized, 2 replications, trace on
-    # replication 0; lanes given out of scheduler order; 37-slot blocks
+    # every scheduler, csma's centralized, csma lanes at W = 2, 4 and 16 in
+    # one call, 2 replications, trace on replication 0; lanes given out of
+    # scheduler order; 37-slot blocks
     fleet = make_fleet(5, k=2)
     pi = waterfill(fleet).pi
-    schedulers = ("stationary", "csma", "aoi", "round-robin", "centralized", "centralized")
-    lanes = [sim.FleetLane(sched, StreamFactory(41, rep), trace=rep == 0)
-             for sched in schedulers for rep in (0, 1)]
+    schedulers = (("stationary", 4), ("csma", 4), ("aoi", 4), ("csma", 16),
+                  ("round-robin", 4), ("centralized", 4), ("csma", 2), ("centralized", 4))
+    lanes = [_lane(sched, StreamFactory(41, rep), trace=rep == 0, w=w)
+             for sched, w in schedulers for rep in (0, 1)]
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)
     results = sim.run_fleet_lanes(
         fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
-        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7)
+        thresholds=FLEET_THRESHOLDS, n_batches=7)
     monkeypatch.undo()
     for lane, res in zip(lanes, results):
-        assert _fleet_outputs(res, lane.factory) == _one_lane(
-            fleet, pi, lane.scheduler, 41, lane.factory.replication, trace=lane.trace)
+        assert _fleet_outputs(res, lane.factory) == _one_lane(fleet, pi, lane)
 
 
 def test_fleet_lanes_share_common_draws(monkeypatch):
@@ -382,13 +394,13 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
         return seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    lanes = [sim.FleetLane(sched, StreamFactory(43, rep), trace=rep == 2)
+    lanes = [_lane(sched, StreamFactory(43, rep), trace=rep == 2)
              for rep in (2, 0, 1) for sched in schedulers]
     lanes.insert(4, sim.FleetLane("centralized", _predrawn(43, 1)))
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)   # 37-slot blocks
     results = sim.run_fleet_lanes(
         fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
-        contention=ContentionConfig(w=4, k=2), thresholds=FLEET_THRESHOLDS, n_batches=7)
+        thresholds=FLEET_THRESHOLDS, n_batches=7)
     monkeypatch.undo()
 
     kinds = [KINDS[kind] for _, kind, _ in built]
@@ -398,29 +410,32 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
         "backoff": 3 * 5, "scheduler": 3}
     for i, (lane, res) in enumerate(zip(lanes, results)):
         assert _fleet_outputs(res, lane.factory) == _one_lane(
-            fleet, pi, lane.scheduler, 43, lane.factory.replication, trace=lane.trace,
-            predrawn=i == 4), (i, lane.scheduler)
+            fleet, pi, lane, predrawn=i == 4), (i, lane.scheduler)
 
 
 def test_fleet_lanes_reject_bad_input():
     fleet = make_fleet(3, k=2)
     pi = waterfill(fleet).pi
-    lane = sim.FleetLane("csma", StreamFactory(1))
+    weights = [fleet_weights()] * 3
+    lane = _lane("csma", StreamFactory(1))
     with pytest.raises(ValueError, match="unknown scheduler"):
-        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3,
-                            [lane, sim.FleetLane("fifo", StreamFactory(1))], pi=pi)
-    with pytest.raises(ValueError, match="ContentionConfig"):
-        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=pi)
+        sim.run_fleet_lanes(fleet, weights, [lane, sim.FleetLane("fifo", StreamFactory(1))],
+                            pi=pi)
+    for bad in (sim.FleetLane("csma", StreamFactory(1)),
+                sim.FleetLane("centralized", StreamFactory(1),
+                              contention=ContentionConfig(w=4, k=2))):
+        with pytest.raises(ValueError, match="csma lane needs a ContentionConfig"):
+            sim.run_fleet_lanes(fleet, weights, [lane, bad], pi=pi)
     with pytest.raises(ValueError, match="must match"):
-        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [lane], pi=pi,
-                            contention=ContentionConfig(w=4, k=1))
+        sim.run_fleet_lanes(fleet, weights, [lane._replace(
+            contention=ContentionConfig(w=4, k=1))], pi=pi)
     shared = StreamFactory(1)
     with pytest.raises(ValueError, match="own StreamFactory"):
-        sim.run_fleet_lanes(fleet, [fleet_weights()] * 3,
+        sim.run_fleet_lanes(fleet, weights,
                             [sim.FleetLane("aoi", shared), sim.FleetLane("centralized", shared)],
                             pi=pi, horizon=10)
     assert shared.draw_counts() == {}
-    assert sim.run_fleet_lanes(fleet, [fleet_weights()] * 3, [], pi=pi) == []
+    assert sim.run_fleet_lanes(fleet, weights, [], pi=pi) == []
 
 
 def test_common_random_numbers_across_schedulers():
@@ -430,7 +445,7 @@ def test_common_random_numbers_across_schedulers():
     counters = {}
     for sched in ("centralized", "aoi", "round-robin", "stationary"):
         factory = StreamFactory(12)
-        run_fleet(fleet, weights, sched, pi=pi, horizon=3000, factory=factory)
+        run_fleet_lanes(fleet, weights, [FleetLane(sched, factory)], pi=pi, horizon=3000)
         counters[sched] = factory.draw_counts(kinds=("weight", "increment", "channel"))
     baseline = counters["centralized"]
     assert all(c == baseline for c in counters.values())
@@ -441,8 +456,8 @@ def test_fleet_feasibility_every_scheduler():
     pi = waterfill(fleet).pi
     weights = [fleet_weights()] * 6
     for sched in ("centralized", "aoi", "round-robin", "stationary"):
-        res = run_fleet(fleet, weights, sched, pi=pi, horizon=4000,
-                        factory=StreamFactory(3))
+        res = run_fleet_lanes(fleet, weights, [FleetLane(sched, StreamFactory(3))],
+                              pi=pi, horizon=4000)[0]
         assert res.update_freq.sum() <= fleet.k + 1e-12
 
 
@@ -451,9 +466,8 @@ def test_csma_collisions_never_deliver():
     # collisions, and colliding data slots must never reset the error.
     fleet = make_fleet(4, k=2)
     pi = waterfill(fleet).pi
-    res = run_fleet(fleet, [fleet_weights()] * 4, "csma", pi=pi, horizon=3000,
-                    factory=StreamFactory(9),
-                    contention=ContentionConfig(w=2, k=2))
+    lane = FleetLane("csma", StreamFactory(9), contention=ContentionConfig(w=2, k=2))
+    res = run_fleet_lanes(fleet, [fleet_weights()] * 4, [lane], pi=pi, horizon=3000)[0]
     assert res.extras["slot_scale"] == pytest.approx(1.02)
     assert res.avg_uoi > 0.0
 
@@ -463,9 +477,9 @@ def test_csma_threshold_stays_bounded():
     # largest index seen plus one increment
     fleet = make_fleet(10, k=2)
     pi = waterfill(fleet).pi
-    res = run_fleet(fleet, [fleet_weights()] * 10, "csma", pi=pi, horizon=20000,
-                    factory=StreamFactory(4), contention=ContentionConfig(w=16, k=2),
-                    trace=True)
+    lane = FleetLane("csma", StreamFactory(4), trace=True,
+                     contention=ContentionConfig(w=16, k=2))
+    res = run_fleet_lanes(fleet, [fleet_weights()] * 10, [lane], pi=pi, horizon=20000)[0]
     j_th = np.array([row[1] for row in res.trace])
     assert np.isfinite(j_th).all()
     assert j_th.max() <= res.extras["max_index"] + res.extras["delta_j"]
@@ -478,11 +492,10 @@ def test_csma_variance_scaled_by_slot_length():
     fleet = make_fleet(1, k=1)
     pi = np.array([1.0])
     weights = [fleet_weights()]
-    plain = run_fleet(fleet, weights, "centralized", pi=pi, horizon=10**5,
-                      factory=StreamFactory(88))
-    scaled = run_fleet(fleet, weights, "csma", pi=pi, horizon=10**5,
-                       factory=StreamFactory(88),
-                       contention=ContentionConfig(w=100, k=1))
+    plain = run_fleet_lanes(fleet, weights, [FleetLane("centralized", StreamFactory(88))],
+                            pi=pi, horizon=10**5)[0]
+    lane = FleetLane("csma", StreamFactory(88), contention=ContentionConfig(w=100, k=1))
+    scaled = run_fleet_lanes(fleet, weights, [lane], pi=pi, horizon=10**5)[0]
     assert scaled.extras["slot_scale"] == pytest.approx(2.0)
     assert scaled.avg_uoi / plain.avg_uoi == pytest.approx(2.0, rel=0.1)
     assert scaled.extras["wallclock_avg_uoi"] == pytest.approx(scaled.avg_uoi / 2.0)
@@ -507,6 +520,25 @@ def test_age_threshold_budget():
         m = age_threshold_for_budget(p, rho)
         freq = (1 / p) / ((m - 1) + 1 / p)
         assert freq <= rho + 1e-12
+
+
+def test_age_threshold_plan_memory_follows_the_horizon():
+    # at rho = 1e-7 the threshold is about 1.25e7 slots; a 1000-slot run
+    # must not hold a list of that length
+    for run in (lambda: run_single(desk_terminal(), desk_weights(), rho=1e-7, v=1.0,
+                                   policy="age-threshold", horizon=1000,
+                                   factory=StreamFactory(3)),
+                lambda: run_tracking(LinearPlant(a=1.0, b=1.0, noise_var=1.0), ReferencePath(),
+                                     desk_weights(), "age-threshold", rho=1e-7, v=1.0,
+                                     p_channel=0.8, horizon=1000, factory=StreamFactory(3))):
+        tracemalloc.start()
+        try:
+            res = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert np.all(res.update_freq == 0.0)
 
 
 @pytest.mark.parametrize("policy,budget_slack", [
@@ -534,8 +566,9 @@ def test_short_horizon_has_no_empty_batches():
     single = run_single(desk_terminal(), desk_weights(), 0.25, 1.0, horizon=5,
                         factory=StreamFactory(1))
     fleet = make_fleet(3, k=1)
-    multi = run_fleet(fleet, [fleet_weights()] * 3, "round-robin",
-                      pi=np.full(3, 1 / 3), horizon=5, factory=StreamFactory(1))
+    multi = run_fleet_lanes(fleet, [fleet_weights()] * 3,
+                            [FleetLane("round-robin", StreamFactory(1))],
+                            pi=np.full(3, 1 / 3), horizon=5)[0]
     track = run_tracking(LinearPlant(a=1.0, b=1.0, noise_var=1.0), ReferencePath(),
                          desk_weights(), "periodic", rho=0.25, v=1.0, p_channel=0.8,
                          horizon=5, factory=StreamFactory(1))
