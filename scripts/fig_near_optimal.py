@@ -8,11 +8,7 @@ schemes on common random numbers, and writes one curve file per scheme.
 
 import argparse
 
-from uoi_sim.core import TerminalParams, TwoPointWeights
-from uoi_sim.harness import RunMetrics, export
-from uoi_sim.mdp import MdpGrid, calibrate_multiplier
-from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import run_single, stderr_from_batches
+from uoi_sim.harness import config_from_dict, export, run
 
 
 def main():
@@ -24,28 +20,20 @@ def main():
                     default=[0.1, 0.15, 0.2, 0.25, 0.35, 0.5])
     args = ap.parse_args()
 
-    weights = TwoPointWeights(1.0, 100.0, 0.01)
-    params = TerminalParams(id=0, p=0.8, sigma2=1.0, omega_bar=weights.mean)
-    grid = MdpGrid.default(params.sigma2, weights.support())
-
     rows = []
     for rho in args.rhos:
-        _, uoi_tab = calibrate_multiplier(grid, params, rho, "uoi")
-        _, aoi_tab = calibrate_multiplier(grid, params, rho, "aoi")
-        for policy, table in (("adaptive", None), ("rvi-uoi", uoi_tab),
-                              ("rvi-aoi", aoi_tab)):
-            res = run_single(params, weights, rho=rho, v=1.0, policy=policy,
-                             horizon=args.horizon, factory=StreamFactory(args.seed),
-                             policy_table=table)
-            rows.append(RunMetrics(
-                scenario="single", policy=policy,
-                params={"x": rho, "rho": rho, "N": 1},
-                avg_uoi=res.avg_uoi,
-                stderr_uoi=stderr_from_batches(res.batch_means),
-                avg_update_freq=res.update_freq, violation_prob=None,
-                bound_value=None))
-            print(f"rho={rho:.2f} {policy:9s}: avg_uoi {res.avg_uoi:7.3f} "
-                  f"freq {res.update_freq[0]:.4f}")
+        cfg = config_from_dict({
+            "scenario": "single", "horizon": args.horizon, "seed": args.seed,
+            "rho": rho, "v": 1.0, "policies": ["adaptive", "rvi-uoi", "rvi-aoi"],
+            "terminal": {"p": 0.8, "sigma2": 1.0},
+            "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
+                        "prob_hi": 0.01}})
+        rho_rows = run(cfg)
+        for row in rho_rows:
+            print(f"rho={rho:.2f} {row.policy:9s}: avg_uoi {row.avg_uoi:7.3f} "
+                  f"freq {row.avg_update_freq[0]:.4f}")
+        rows += rho_rows
+        uoi_tab = rho_rows[1].extras["policy_table"]  # rows follow the policy order
         print(f"  rvi-uoi chain value {uoi_tab.avg_cost:.3f} "
               f"(lam calibrated to freq {uoi_tab.avg_freq:.4f})")
     paths = export(rows, "plot", args.out)

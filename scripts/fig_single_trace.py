@@ -9,9 +9,7 @@ V = 1.  Writes a CSV of (slot, H, Q^2, uoi) rows.
 import argparse
 import csv
 
-from uoi_sim.core import PeriodicBurstWeights, TerminalParams
-from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import run_single
+from uoi_sim.harness import config_from_dict, run
 
 
 def main():
@@ -22,17 +20,18 @@ def main():
     ap.add_argument("--out", default="fig_single_trace.csv")
     args = ap.parse_args()
 
-    weights = PeriodicBurstWeights(base=1.0, burst=100.0, period=5000, burst_len=50)
-    params = TerminalParams(id=0, p=1.0, sigma2=1.0, omega_bar=weights.mean)
-    res = run_single(params, weights, rho=args.rho, v=1.0, policy="adaptive",
-                     horizon=args.horizon, factory=StreamFactory(args.seed),
-                     trace=True)
+    row = run(config_from_dict({
+        "scenario": "single", "horizon": args.horizon, "seed": args.seed,
+        "rho": args.rho, "v": 1.0, "policies": ["adaptive"], "trace": True,
+        "terminal": {"p": 1.0, "sigma2": 1.0},
+        "weights": {"kind": "periodic-burst", "base": 1.0, "burst": 100.0,
+                    "period": 5000, "burst_len": 50}}))[0]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "h", "q2", "uoi"])
-        for t, h, q, f in res.trace:
+        for t, h, q, f in row.trace:
             writer.writerow([t, f"{h:.6f}", f"{q * q:.6f}", f"{f:.6f}"])
-    print(f"avg_uoi {res.avg_uoi:.4f}, freq {res.update_freq[0]:.4f}; wrote {args.out}")
+    print(f"avg_uoi {row.avg_uoi:.4f}, freq {row.avg_update_freq[0]:.4f}; wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ import argparse
 
 from uoi_sim.csma import ContentionConfig
 from uoi_sim.harness import config_from_dict
-from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import FleetLane, run_fleet_lanes
 
@@ -28,18 +27,14 @@ def main():
         "scenario": "csma", "fleet": {"n": args.n, "k": 2},
         "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
                     "prob_hi": 0.05}})
-    fleet = cfg.fleet
-    pi = waterfill(fleet).pi
-    weights = [cfg.weights] * args.n
-
     # One lane call: the centralized lane and a csma lane per window, each on
     # a fresh StreamFactory(seed), so all face the same random numbers.
     central, *distributed = run_fleet_lanes(
-        fleet, weights,
+        cfg.fleet, cfg.weights,
         [FleetLane("centralized", StreamFactory(args.seed))]
         + [FleetLane("csma", StreamFactory(args.seed), contention=ContentionConfig(w=w, k=2))
            for w in args.windows],
-        pi=pi, horizon=args.horizon)
+        horizon=args.horizon)
     lines = ["w,ratio,avg_uoi_distributed,avg_uoi_centralized"]
     for w, res in zip(args.windows, distributed):
         ratio = res.avg_uoi / central.avg_uoi

@@ -72,6 +72,9 @@ CONFIGS = {
                    "policies": ["distributed", "centralized"], "fleet": _fleet(10),
                    "contention": {"w": 8}, "thresholds": {"1": 3.0, "100": 1.0},
                    "weights": FLEET_WEIGHTS},
+    "csma-all": {"scenario": "csma", "horizon": 3000, "replications": 2,
+                 "policies": ["distributed"] + MULTI, "fleet": _fleet(10),
+                 "contention": {"w": 8}, "weights": FLEET_WEIGHTS},
     "control": {"scenario": "control", "horizon": 3000, "replications": 2,
                 "policies": ["adaptive", "periodic", "random", "age-threshold"],
                 "control": {"a": 0.9, "b": 0.5,

@@ -333,14 +333,16 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
                 thresholds=config.thresholds, n_batches=config.n_batches,
                 trace=config.trace and rep == 0, policy_table=tables.get(pol)))
         avg, stderr, freq, violation = _aggregate(results)
+        extras = {"h_over_t": results[0].extras.get("h_over_t")}
+        if pol in tables:
+            extras["policy_table"] = tables[pol]
         out.append(RunMetrics(
             scenario="single", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1, "p": params.p},
             avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
             violation_prob=violation,
             bound_value=bound if pol == "adaptive" else None,
-            extras={"h_over_t": results[0].extras.get("h_over_t")},
-            trace=results[0].trace))
+            extras=extras, trace=results[0].trace))
     return out
 
 
@@ -352,12 +354,11 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     reps = config.replications
     # Every (policy, replication) is a lane of one fleet loop.
     results = run_fleet_lanes(
-        fleet, [config.weights] * fleet.n,
+        fleet, config.weights,
         [FleetLane(schedulers[pol], StreamFactory(config.seed, rep), config.trace and rep == 0,
                    contention if schedulers[pol] == "csma" else None)
          for pol in config.policies for rep in range(reps)],
-        pi=policy.pi, horizon=config.horizon,
-        thresholds=config.thresholds, n_batches=config.n_batches)
+        horizon=config.horizon, thresholds=config.thresholds, n_batches=config.n_batches)
     out = []
     for i, pol in enumerate(config.policies):
         scheduler = schedulers[pol]

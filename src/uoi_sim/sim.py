@@ -10,6 +10,7 @@ policy's own coin flips live on separate streams.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -23,7 +24,7 @@ from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_offs
                    sample_channel_block)
 from .mdp import StationaryPolicyTable
 from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
-                    schedule_stationary)
+                    schedule_stationary, waterfill)
 from .rng import COMMON_KINDS, Buffered, StreamFactory
 
 
@@ -46,8 +47,8 @@ POLICY_TABLE = {
         "adaptive", "periodic", "random", "age-threshold", "rvi-uoi", "rvi-aoi")),
     "multi": ScenarioPolicies("fleet", "centralized", _same(
         "centralized", "aoi", "round-robin", "stationary")),
-    "csma": ScenarioPolicies("fleet", "distributed",
-                             {"distributed": "csma", "centralized": "centralized"}),
+    "csma": ScenarioPolicies("fleet", "distributed", {"distributed": "csma", **_same(
+        "centralized", "aoi", "round-robin", "stationary")}),
     "mdp": ScenarioPolicies("mdp", "rvi", _same("rvi")),
     "control": ScenarioPolicies("tracking", "adaptive", _same(
         "adaptive", "periodic", "random", "age-threshold")),
@@ -99,9 +100,11 @@ def age_threshold_for_budget(p: float, rho: float) -> int:
     """Smallest age threshold whose attempt frequency stays within rho.
 
     Retransmits every slot past the threshold until a success, so a cycle
-    is (m - 1) waiting slots plus Geometric(p) attempts.
+    is (m - 1) waiting slots plus Geometric(p) attempts.  A budget so small
+    that the threshold overflows a float (a subnormal rho) reads as the
+    largest float: a threshold past any horizon.
     """
-    return max(1, math.ceil(1.0 + (1.0 / rho - 1.0) / p - 1e-12))
+    return max(1, math.ceil(min(1.0 + (1.0 / rho - 1.0) / p - 1e-12, sys.float_info.max)))
 
 
 def adaptive_uoi_bound(params: TerminalParams, rho: float, v: float) -> float:
@@ -301,12 +304,15 @@ def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
 _LANE_ELEMENTS = 1 << 17
 
 
-def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
-                    lanes: list[FleetLane], pi: np.ndarray, horizon: int = 1_000_000,
+def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
+                    lanes: list[FleetLane], horizon: int = 1_000_000,
                     thresholds: dict[float, float] | None = None,
                     n_batches: int = 10) -> list[SimResult]:
-    """Simulate N terminals for `horizon` slots under each lane's scheduler,
-    all lanes in one slot loop over (lane, terminal) arrays.
+    """Simulate N terminals, each with its own draws of the weight process
+    `weights`, for `horizon` slots under each lane's scheduler, all lanes in
+    one slot loop over (lane, terminal) arrays.  The centralized, csma and
+    stationary schedulers use the water-filling probabilities
+    `waterfill(fleet).pi`.
 
     Each lane draws only from its own factory, so its result and its
     factory's draw counts are bitwise those of a call on that lane alone.
@@ -345,6 +351,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
     p = fleet.array("p")
     sigma2 = fleet.array("sigma2")
     omega_bar = fleet.array("omega_bar")
+    pi = waterfill(fleet).pi
 
     # Each csma lane's window, slot scale, threshold step, expected window
     # length and contention threshold.
@@ -403,10 +410,10 @@ def run_fleet_lanes(fleet: FleetConfig, weights: list[WeightProcess],
         nblk = t1 - t0
         # Weight lookahead: w_buf covers slots [t0, t1].
         if w_buf is None:
-            w_buf = draw(lambda g, i: weights[i].sample_block(
+            w_buf = draw(lambda g, i: weights.sample_block(
                 streams["weight"][g][i], 0, nblk + 1))
         else:
-            fresh = draw(lambda g, i: weights[i].sample_block(
+            fresh = draw(lambda g, i: weights.sample_block(
                 streams["weight"][g][i], t0 + 1, nblk))
             w_buf = np.concatenate([w_buf[:, :, -1:], fresh], axis=2)
         a_blk = draw(lambda g, i: incs[i].sample_block(

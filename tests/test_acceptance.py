@@ -150,13 +150,12 @@ def fleet_runs():
     out = {}
     for n in FLEET_SIZES:
         fleet = make_fleet(n, k=2)
-        pi = waterfill(fleet).pi
         results = run_fleet_lanes(
-            fleet, [fleet_weights()] * n,
+            fleet, fleet_weights(),
             [FleetLane(policy, StreamFactory(SEED),
                        contention=ContentionConfig(w=16, k=2) if policy == "csma" else None)
              for policy in FLEET_POLICIES],
-            pi=pi, horizon=HORIZON, thresholds={1.0: 15.0, 100.0: 5.0})
+            horizon=HORIZON, thresholds={1.0: 15.0, 100.0: 5.0})
         out.update({(n, policy): res for policy, res in zip(FLEET_POLICIES, results)})
         out[(n, "bound")] = fleet_uoi_bound(fleet, waterfill(fleet))
     return out

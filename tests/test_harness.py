@@ -10,8 +10,8 @@ from uoi_sim import cli
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
                              config_from_dict, export, load_config, run)
 from uoi_sim.csma import ContentionConfig
+from uoi_sim.mdp import calibrate_multiplier
 from uoi_sim.sim import POLICY_TABLE, FleetLane, run_fleet_lanes
-from uoi_sim.multi import waterfill
 from uoi_sim.rng import StreamFactory
 
 
@@ -231,13 +231,10 @@ def test_common_random_numbers_within_run():
     cfg = config_from_dict({"scenario": "multi", "horizon": 2000,
                             "fleet": {"n": 4, "k": 2},
                             "policies": ["centralized", "round-robin"]})
-    fleet = cfg.fleet
-    pi = waterfill(fleet).pi
     counts = []
     for sched in ("centralized", "round-robin"):
         factory = StreamFactory(cfg.seed, 0)
-        run_fleet_lanes(fleet, [cfg.weights] * 4, [FleetLane(sched, factory)], pi=pi,
-                        horizon=2000)
+        run_fleet_lanes(cfg.fleet, cfg.weights, [FleetLane(sched, factory)], horizon=2000)
         counts.append(factory.draw_counts(kinds=("weight", "increment", "channel")))
     assert counts[0] == counts[1]
 
@@ -247,14 +244,12 @@ def test_fleet_rows_are_their_policies_runs():
     cfg = config_from_dict({"scenario": "csma", "horizon": 400, "replications": 2,
                             "seed": 3, "fleet": {"n": 4, "k": 2}, "contention": {"w": 4},
                             "policies": ["distributed", "centralized"]})
-    fleet = cfg.fleet
-    pi = waterfill(fleet).pi
     rows = run(cfg)
     for row, sched, contention in zip(rows, ("csma", "centralized"),
                                       (ContentionConfig(w=4, k=2), None)):
-        reps = [run_fleet_lanes(fleet, [cfg.weights] * 4,
+        reps = [run_fleet_lanes(cfg.fleet, cfg.weights,
                                 [FleetLane(sched, StreamFactory(3, rep), contention=contention)],
-                                pi=pi, horizon=400, thresholds=cfg.thresholds)[0]
+                                horizon=400, thresholds=cfg.thresholds)[0]
                 for rep in (0, 1)]
         assert row.avg_uoi == float(np.mean([r.avg_uoi for r in reps]))
         assert row.violation_prob == float(np.mean([r.violation_prob for r in reps]))
@@ -269,6 +264,46 @@ def test_single_scenario_with_rvi_policy():
     rows = {m.policy: m for m in run(cfg)}
     assert set(rows) == {"adaptive", "rvi-aoi"}
     assert rows["rvi-aoi"].avg_uoi > 0
+
+
+def test_rvi_rows_carry_their_calibrated_table(tmp_path):
+    cfg = config_from_dict({"scenario": "single", "horizon": 300, "seed": 4, "rho": 0.3,
+                            "policies": ["adaptive", "rvi-uoi", "rvi-aoi"],
+                            "mdp": {"q_max": 5.0, "q_step": 0.5}})
+    rows = run(cfg)
+    assert "policy_table" not in rows[0].extras
+    for row in rows[1:]:
+        _, table = calibrate_multiplier(cfg.grid, cfg.terminal, cfg.rho, row.policy[4:])
+        carried = row.extras["policy_table"]
+        assert (carried.lam, carried.avg_cost, carried.avg_freq) == (
+            table.lam, table.avg_cost, table.avg_freq)
+        assert np.array_equal(carried.table, table.table)
+    path = tmp_path / "rows.jsonl"
+    export(rows, "jsonl", str(path))
+    for line in path.read_text().splitlines():
+        assert "policy_table" not in json.loads(line)["extras"]
+
+
+def _row_fields(m: RunMetrics) -> dict:
+    """Every field of a metrics row but its scenario, arrays as lists."""
+    d = dict(vars(m), avg_update_freq=m.avg_update_freq.tolist())
+    del d["scenario"]
+    return d
+
+
+def test_csma_scenario_runs_the_multi_schedulers_as_multi_does():
+    # beside a csma lane, in one lane call, each multi scheduler's row is
+    # field for field its row under the multi scenario
+    raw = {"horizon": 400, "replications": 2, "seed": 3, "trace": True,
+           "fleet": {"n": 4, "k": 2}, "contention": {"w": 4},
+           "thresholds": {"1": 2.0, "100": 1.0}}
+    schedulers = ["centralized", "aoi", "round-robin", "stationary"]
+    csma_rows = run(config_from_dict(dict(raw, scenario="csma",
+                                          policies=["distributed"] + schedulers)))
+    multi_rows = run(config_from_dict(dict(raw, scenario="multi", policies=schedulers)))
+    assert [m.scenario for m in csma_rows] == ["csma"] * 5
+    for ours, theirs in zip(csma_rows[1:], multi_rows):
+        assert _row_fields(ours) == _row_fields(theirs), ours.policy
 
 
 def test_run_multi_adaptive_beats_round_robin():
@@ -445,6 +480,18 @@ def test_cli_negative_v_is_config_error(capsys):
 def test_cli_invalid_domain_parameter_is_config_error(argv, field, capsys):
     assert cli.main(argv + ["--horizon", "10"]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["single", "control"])
+def test_cli_subnormal_budget_runs_the_age_threshold_rule(scenario, tmp_path, capsys):
+    # 1/rho overflows a float: the threshold lies past the horizon, so the
+    # rule never attempts
+    cfgf = tmp_path / "tiny.json"
+    cfgf.write_text(json.dumps({"scenario": scenario, "horizon": 1000, "rho": 1e-310,
+                                "policies": ["age-threshold"]}))
+    assert cli.main([scenario, "--config", str(cfgf)]) == 0
+    out = capsys.readouterr().out
+    assert f"[{scenario}] age-threshold:" in out and " freq=0.0000" in out
 
 
 def test_cli_multi_ignores_contention_window():

@@ -1,0 +1,50 @@
+"""Smoke runs of the figure scripts on tiny inputs: each one runs to the
+end and writes the files it says it wrote."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+HORIZON = ["--horizon", "300"]
+
+# script -> (arguments after --horizon, files it writes, relative to the run dir)
+RUNS = {
+    "fig_control_demo": (["--out", "control.csv"], ["control.csv"]),
+    "fig_fleet_comparison": (
+        ["--replications", "2", "--sizes", "4", "--out", "fleet"],
+        ["fleet.csv", "fleet/curve_aoi.dat", "fleet/curve_centralized.dat",
+         "fleet/curve_distributed_W16.dat", "fleet/curve_round-robin.dat"]),
+    "fig_near_optimal": (
+        ["--rhos", "0.25", "--out", "near"],
+        ["near/curve_adaptive_V1.dat", "near/curve_rvi-aoi_V1.dat",
+         "near/curve_rvi-uoi_V1.dat"]),
+    "fig_single_trace": (["--out", "trace.csv"], ["trace.csv"]),
+    "fig_tradeoff": (["--vs", "1", "--rhos", "0.25", "--out", "tradeoff"],
+                     ["tradeoff/curve_adaptive_V1.dat"]),
+    "fig_window_ratio": (["--windows", "4", "16", "--out", "ratio.csv"], ["ratio.csv"]),
+}
+
+
+def test_every_figure_script_has_a_run():
+    assert sorted(RUNS) == sorted(p.stem for p in SCRIPTS.glob("fig_*.py"))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_figure_script_writes_what_it_says(name, tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    args, files = RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py"] + HORIZON + args)
+    script.main()
+    out = capsys.readouterr().out
+    for rel in files:
+        assert (tmp_path / rel).stat().st_size > 0, rel
+    # each file is named in the script's "wrote" line, or lies in a
+    # directory named there
+    wrote = out[out.index("wrote "):]
+    assert all(rel in wrote or rel.split("/")[0] + "/" in wrote for rel in files), wrote

@@ -193,8 +193,7 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
     from the step operations."""
     factory = StreamFactory(seed)
     n = fleet.n
-    w = [weights[i].sample_block(factory.stream("weight", i), 0, horizon + 1)
-         for i in range(n)]
+    w = [weights.sample_block(factory.stream("weight", i), 0, horizon + 1) for i in range(n)]
     inc = [GaussianIncrements(fleet.terminals[i].sigma2).sample_block(
         factory.stream("increment", i), 0, horizon) for i in range(n)]
     s = [sample_channel_block(factory.stream("channel", i),
@@ -225,20 +224,20 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
 def test_run_fleet_matches_operation_reference():
     fleet = make_fleet(4, k=2)
     pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 4
+    weights = fleet_weights()
     ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=31)
     res = run_fleet_lanes(fleet, weights, [FleetLane("centralized", StreamFactory(31))],
-                          pi=pi, horizon=2000)[0]
+                          horizon=2000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
 def test_run_fleet_aoi_matches_operation_reference():
     fleet = make_fleet(5, k=2)
     pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 5
+    weights = fleet_weights()
     ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=32, scheduler="aoi")
     res = run_fleet_lanes(fleet, weights, [FleetLane("aoi", StreamFactory(32))],
-                          pi=pi, horizon=2000)[0]
+                          horizon=2000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
@@ -246,10 +245,10 @@ def test_run_fleet_aoi_matches_operation_reference():
 def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
     fleet = make_fleet(5, k=2)
     pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 5
+    weights = fleet_weights()
     ref = _reference_fleet_run(fleet, weights, pi, horizon=1000, seed=33, scheduler=scheduler)
     res = run_fleet_lanes(fleet, weights, [FleetLane(scheduler, StreamFactory(33))],
-                          pi=pi, horizon=1000)[0]
+                          horizon=1000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
 
 
@@ -259,8 +258,7 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
     factory = StreamFactory(seed)
     n = fleet.n
     scale = math.sqrt(cfg.slot_scale)
-    w = [weights[i].sample_block(factory.stream("weight", i), 0, horizon + 1)
-         for i in range(n)]
+    w = [weights.sample_block(factory.stream("weight", i), 0, horizon + 1) for i in range(n)]
     inc = [GaussianIncrements(fleet.terminals[i].sigma2).sample_block(
         factory.stream("increment", i), 0, horizon) * scale for i in range(n)]
     s = [sample_channel_block(factory.stream("channel", i),
@@ -294,7 +292,7 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
 def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
     fleet = make_fleet(6, k=2)
     pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 6
+    weights = fleet_weights()
     cfg = ContentionConfig(w=w, k=2)
     delta_j = default_delta_j(fleet.array("omega_bar"), fleet.array("sigma2") * cfg.slot_scale)
     avg, attempts, j_th, ref_factory = _reference_csma_run(
@@ -302,7 +300,7 @@ def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
     factory = StreamFactory(34)
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 97 * fleet.n)   # 97-slot blocks
     res = run_fleet_lanes(fleet, weights, [FleetLane("csma", factory, contention=cfg)],
-                          pi=pi, horizon=1500)[0]
+                          horizon=1500)[0]
     assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
     assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
     assert res.extras["final_j_th"] == pytest.approx(j_th, rel=1e-12)
@@ -333,13 +331,13 @@ def _lane(scheduler, factory, trace=False, w=4):
     return FleetLane(scheduler, factory, trace, contention)
 
 
-def _one_lane(fleet, pi, lane, predrawn=False):
+def _one_lane(fleet, lane, predrawn=False):
     """Every output of `lane` run alone, on a fresh factory of its seed and
     replication (predrawn: see `_predrawn`)."""
     seed, rep = lane.factory.seed, lane.factory.replication
     factory = _predrawn(seed, rep) if predrawn else StreamFactory(seed, rep)
-    res = run_fleet_lanes(fleet, [fleet_weights()] * fleet.n, [lane._replace(factory=factory)],
-                          pi=pi, horizon=503, thresholds=FLEET_THRESHOLDS, n_batches=7)[0]
+    res = run_fleet_lanes(fleet, fleet_weights(), [lane._replace(factory=factory)],
+                          horizon=503, thresholds=FLEET_THRESHOLDS, n_batches=7)[0]
     return _fleet_outputs(res, factory)
 
 
@@ -347,12 +345,11 @@ def test_run_fleet_block_size_invariance(monkeypatch):
     # every scheduler in 1-slot blocks, blocks that do not divide the
     # 503-slot horizon or its 71-slot batches, and one block for the run
     fleet = make_fleet(4, k=2)
-    pi = waterfill(fleet).pi
 
     def runs(scheduler):
         for blk in (1, 7, 64, 10**6):
             monkeypatch.setattr(sim, "_LANE_ELEMENTS", blk * fleet.n)
-            yield _one_lane(fleet, pi, _lane(scheduler, StreamFactory(77, 0), trace=True))
+            yield _one_lane(fleet, _lane(scheduler, StreamFactory(77, 0), trace=True))
 
     for scheduler in sorted(sim._FLEET_SCHEDULERS):
         outputs = list(runs(scheduler))
@@ -364,18 +361,17 @@ def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
     # one call, 2 replications, trace on replication 0; lanes given out of
     # scheduler order; 37-slot blocks
     fleet = make_fleet(5, k=2)
-    pi = waterfill(fleet).pi
     schedulers = (("stationary", 4), ("csma", 4), ("aoi", 4), ("csma", 16),
                   ("round-robin", 4), ("centralized", 4), ("csma", 2), ("centralized", 4))
     lanes = [_lane(sched, StreamFactory(41, rep), trace=rep == 0, w=w)
              for sched, w in schedulers for rep in (0, 1)]
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)
     results = sim.run_fleet_lanes(
-        fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
+        fleet, fleet_weights(), lanes, horizon=503,
         thresholds=FLEET_THRESHOLDS, n_batches=7)
     monkeypatch.undo()
     for lane, res in zip(lanes, results):
-        assert _fleet_outputs(res, lane.factory) == _one_lane(fleet, pi, lane)
+        assert _fleet_outputs(res, lane.factory) == _one_lane(fleet, lane)
 
 
 def test_fleet_lanes_share_common_draws(monkeypatch):
@@ -384,7 +380,6 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
     # before the call: it keeps its own streams.  Each (seed, replication)
     # group builds the common streams once; the other lanes adopt them.
     fleet = make_fleet(5, k=2)
-    pi = waterfill(fleet).pi
     schedulers = ("stationary", "csma", "aoi", "round-robin", "centralized")
     built = []
     seed_sequence = np.random.SeedSequence
@@ -399,7 +394,7 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
     lanes.insert(4, sim.FleetLane("centralized", _predrawn(43, 1)))
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)   # 37-slot blocks
     results = sim.run_fleet_lanes(
-        fleet, [fleet_weights()] * 5, lanes, pi=pi, horizon=503,
+        fleet, fleet_weights(), lanes, horizon=503,
         thresholds=FLEET_THRESHOLDS, n_batches=7)
     monkeypatch.undo()
 
@@ -410,42 +405,38 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
         "backoff": 3 * 5, "scheduler": 3}
     for i, (lane, res) in enumerate(zip(lanes, results)):
         assert _fleet_outputs(res, lane.factory) == _one_lane(
-            fleet, pi, lane, predrawn=i == 4), (i, lane.scheduler)
+            fleet, lane, predrawn=i == 4), (i, lane.scheduler)
 
 
 def test_fleet_lanes_reject_bad_input():
     fleet = make_fleet(3, k=2)
-    pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 3
+    weights = fleet_weights()
     lane = _lane("csma", StreamFactory(1))
     with pytest.raises(ValueError, match="unknown scheduler"):
-        sim.run_fleet_lanes(fleet, weights, [lane, sim.FleetLane("fifo", StreamFactory(1))],
-                            pi=pi)
+        sim.run_fleet_lanes(fleet, weights, [lane, sim.FleetLane("fifo", StreamFactory(1))])
     for bad in (sim.FleetLane("csma", StreamFactory(1)),
                 sim.FleetLane("centralized", StreamFactory(1),
                               contention=ContentionConfig(w=4, k=2))):
         with pytest.raises(ValueError, match="csma lane needs a ContentionConfig"):
-            sim.run_fleet_lanes(fleet, weights, [lane, bad], pi=pi)
+            sim.run_fleet_lanes(fleet, weights, [lane, bad])
     with pytest.raises(ValueError, match="must match"):
         sim.run_fleet_lanes(fleet, weights, [lane._replace(
-            contention=ContentionConfig(w=4, k=1))], pi=pi)
+            contention=ContentionConfig(w=4, k=1))])
     shared = StreamFactory(1)
     with pytest.raises(ValueError, match="own StreamFactory"):
         sim.run_fleet_lanes(fleet, weights,
                             [sim.FleetLane("aoi", shared), sim.FleetLane("centralized", shared)],
-                            pi=pi, horizon=10)
+                            horizon=10)
     assert shared.draw_counts() == {}
-    assert sim.run_fleet_lanes(fleet, weights, [], pi=pi) == []
+    assert sim.run_fleet_lanes(fleet, weights, []) == []
 
 
 def test_common_random_numbers_across_schedulers():
     fleet = make_fleet(5, k=2)
-    pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 5
     counters = {}
     for sched in ("centralized", "aoi", "round-robin", "stationary"):
         factory = StreamFactory(12)
-        run_fleet_lanes(fleet, weights, [FleetLane(sched, factory)], pi=pi, horizon=3000)
+        run_fleet_lanes(fleet, fleet_weights(), [FleetLane(sched, factory)], horizon=3000)
         counters[sched] = factory.draw_counts(kinds=("weight", "increment", "channel"))
     baseline = counters["centralized"]
     assert all(c == baseline for c in counters.values())
@@ -453,11 +444,9 @@ def test_common_random_numbers_across_schedulers():
 
 def test_fleet_feasibility_every_scheduler():
     fleet = make_fleet(6, k=2)
-    pi = waterfill(fleet).pi
-    weights = [fleet_weights()] * 6
     for sched in ("centralized", "aoi", "round-robin", "stationary"):
-        res = run_fleet_lanes(fleet, weights, [FleetLane(sched, StreamFactory(3))],
-                              pi=pi, horizon=4000)[0]
+        res = run_fleet_lanes(fleet, fleet_weights(), [FleetLane(sched, StreamFactory(3))],
+                              horizon=4000)[0]
         assert res.update_freq.sum() <= fleet.k + 1e-12
 
 
@@ -465,9 +454,8 @@ def test_csma_collisions_never_deliver():
     # W = K forces every contender into the same two mini-slots: frequent
     # collisions, and colliding data slots must never reset the error.
     fleet = make_fleet(4, k=2)
-    pi = waterfill(fleet).pi
     lane = FleetLane("csma", StreamFactory(9), contention=ContentionConfig(w=2, k=2))
-    res = run_fleet_lanes(fleet, [fleet_weights()] * 4, [lane], pi=pi, horizon=3000)[0]
+    res = run_fleet_lanes(fleet, fleet_weights(), [lane], horizon=3000)[0]
     assert res.extras["slot_scale"] == pytest.approx(1.02)
     assert res.avg_uoi > 0.0
 
@@ -476,10 +464,9 @@ def test_csma_threshold_stays_bounded():
     # j_th only rises when some index exceeded it, so it never outruns the
     # largest index seen plus one increment
     fleet = make_fleet(10, k=2)
-    pi = waterfill(fleet).pi
     lane = FleetLane("csma", StreamFactory(4), trace=True,
                      contention=ContentionConfig(w=16, k=2))
-    res = run_fleet_lanes(fleet, [fleet_weights()] * 10, [lane], pi=pi, horizon=20000)[0]
+    res = run_fleet_lanes(fleet, fleet_weights(), [lane], horizon=20000)[0]
     j_th = np.array([row[1] for row in res.trace])
     assert np.isfinite(j_th).all()
     assert j_th.max() <= res.extras["max_index"] + res.extras["delta_j"]
@@ -490,12 +477,11 @@ def test_csma_variance_scaled_by_slot_length():
     # UoI is proportional to the per-slot increment variance; the csma run
     # with W = 100 doubles the slot and must double the error variance.
     fleet = make_fleet(1, k=1)
-    pi = np.array([1.0])
-    weights = [fleet_weights()]
+    weights = fleet_weights()
     plain = run_fleet_lanes(fleet, weights, [FleetLane("centralized", StreamFactory(88))],
-                            pi=pi, horizon=10**5)[0]
+                            horizon=10**5)[0]
     lane = FleetLane("csma", StreamFactory(88), contention=ContentionConfig(w=100, k=1))
-    scaled = run_fleet_lanes(fleet, weights, [lane], pi=pi, horizon=10**5)[0]
+    scaled = run_fleet_lanes(fleet, weights, [lane], horizon=10**5)[0]
     assert scaled.extras["slot_scale"] == pytest.approx(2.0)
     assert scaled.avg_uoi / plain.avg_uoi == pytest.approx(2.0, rel=0.1)
     assert scaled.extras["wallclock_avg_uoi"] == pytest.approx(scaled.avg_uoi / 2.0)
@@ -566,9 +552,8 @@ def test_short_horizon_has_no_empty_batches():
     single = run_single(desk_terminal(), desk_weights(), 0.25, 1.0, horizon=5,
                         factory=StreamFactory(1))
     fleet = make_fleet(3, k=1)
-    multi = run_fleet_lanes(fleet, [fleet_weights()] * 3,
-                            [FleetLane("round-robin", StreamFactory(1))],
-                            pi=np.full(3, 1 / 3), horizon=5)[0]
+    multi = run_fleet_lanes(fleet, fleet_weights(),
+                            [FleetLane("round-robin", StreamFactory(1))], horizon=5)[0]
     track = run_tracking(LinearPlant(a=1.0, b=1.0, noise_var=1.0), ReferencePath(),
                          desk_weights(), "periodic", rho=0.25, v=1.0, p_channel=0.8,
                          horizon=5, factory=StreamFactory(1))
