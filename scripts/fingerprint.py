@@ -46,6 +46,9 @@ CONFIGS = {
                     "mdp": {"q_max": 8.0, "q_step": 0.5}},
     "single-burst": {"scenario": "single", "horizon": 3000, "weights": BURST_WEIGHTS,
                      "policies": ["adaptive", "age-threshold"]},
+    "single-long": {"scenario": "single", "horizon": 10000, "n_batches": 1,
+                    "policies": ["adaptive", "rvi-uoi", "random"],
+                    "mdp": {"q_max": 2.0, "q_step": 0.5}},
     "multi-n10": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,
                   "policies": MULTI, "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
     "multi-n30": {"scenario": "multi", "horizon": 3000, "replications": 2,
@@ -80,6 +83,8 @@ CONFIGS = {
                 "control": {"a": 0.9, "b": 0.5,
                             "y_ref": {"kind": "sinusoid", "amplitude": 3.0,
                                       "period": 200.0}}},
+    "control-long": {"scenario": "control", "horizon": 10000, "n_batches": 1,
+                     "policies": ["adaptive"]},
     "mdp-uoi": {"scenario": "mdp", "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},
     "mdp-aoi": {"scenario": "mdp", "mdp": {"cost": "aoi", "q_max": 8.0, "q_step": 0.5}},
     "waterfill": {"scenario": "waterfill", "fleet": _fleet(10), "weights": FLEET_WEIGHTS},

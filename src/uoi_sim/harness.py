@@ -24,8 +24,8 @@ from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
-from .sim import (POLICY_TABLE, FleetLane, SimResult, adaptive_uoi_bound, run_fleet_lanes,
-                  run_single, run_tracking, stderr_from_batches)
+from .sim import (POLICY_TABLE, FleetLane, NonFiniteCost, SimResult, adaptive_uoi_bound,
+                  run_fleet_lanes, run_single, run_tracking, stderr_from_batches)
 
 
 class ConfigError(ValueError):
@@ -176,6 +176,14 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("policies", f"{unknown[0]!r} not valid for scenario "
                                           f"{self.scenario!r}")
+        # the adaptive rule divides by p * rho, and single prints its bound
+        # omega_bar * sigma2 / (p * rho) + V/2
+        if "adaptive" in self.policies and (
+                self.scenario == "single"
+                and not math.isfinite(adaptive_uoi_bound(self.terminal, self.rho, self.v))
+                or self.scenario == "control" and not self.terminal.p * self.rho > 0.0):
+            raise ConfigError("rho", f"too small for the adaptive rule: p * rho underflows "
+                                     f"or the bound overflows at rho = {self.rho}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -437,7 +445,10 @@ def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def run(config: ExperimentConfig) -> list[RunMetrics]:
-    """Execute the configured scenario, one metrics row per policy."""
+    """Execute the configured scenario, one metrics row per policy.
+
+    A cost sum that overflows rejects the run, naming the larger of the
+    weights' mean and the error variance as the field at fault."""
     runners = {
         "single": _run_single_scenario,
         "fleet": _run_fleet_scenario,
@@ -445,7 +456,14 @@ def run(config: ExperimentConfig) -> list[RunMetrics]:
         "tracking": _run_control_scenario,
         "waterfill": _run_waterfill_scenario,
     }
-    return runners[POLICY_TABLE[config.scenario].simulator](config)
+    simulator = POLICY_TABLE[config.scenario].simulator
+    try:
+        return runners[simulator](config)
+    except NonFiniteCost as exc:
+        noise, name = ((config.plant.noise_var, "control.noise_var") if simulator == "tracking"
+                       else (config.terminal.sigma2, "sigma2"))
+        raise ConfigError("weights" if config.weights.mean >= noise else name,
+                          f"too large for a finite average: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -68,6 +68,18 @@ class SimResult:
     trace: list | None = None
 
 
+class NonFiniteCost(ArithmeticError):
+    """A simulator's running cost sum is no longer finite."""
+
+
+def _check_finite(slot: int, **sums: float) -> None:
+    """Raise NonFiniteCost for the first of the named running sums that is
+    not finite after `slot` slots."""
+    for name, value in sums.items():
+        if not math.isfinite(value):
+            raise NonFiniteCost(f"the {name} cost sum is {value} after {slot} slots")
+
+
 def stderr_from_batches(batch_means: np.ndarray) -> float:
     """Standard error of the mean of `batch_means` (0 for fewer than two).
 
@@ -109,11 +121,12 @@ def age_threshold_for_budget(p: float, rho: float) -> int:
 
 def adaptive_uoi_bound(params: TerminalParams, rho: float, v: float) -> float:
     """Guaranteed ceiling on the long-run average UoI of the adaptive scheme:
-    omega_bar * sigma2 / (p * rho) + V / 2."""
+    omega_bar * sigma2 / (p * rho) + V / 2; inf where that overflows, as
+    when p * rho underflows to 0 for a subnormal rho."""
+    if not rho > 0.0:
+        raise ValueError("rho must be positive")
     p_rho = params.p * rho
-    if p_rho <= 0.0:
-        raise ValueError("p * rho must be positive")
-    return params.omega_bar * params.sigma2 / p_rho + v / 2.0
+    return params.omega_bar * params.sigma2 / p_rho + v / 2.0 if p_rho > 0.0 else math.inf
 
 
 def _batch_layout(T: int, n_batches: int) -> tuple[int, int]:
@@ -122,20 +135,15 @@ def _batch_layout(T: int, n_batches: int) -> tuple[int, int]:
     return nb, max(1, T // nb)
 
 
-def _adaptive_rule(omega_bar: float, p: float, rho: float, v: float):
-    """The adaptive update rule as `step(q, h, w_next) -> (u, h')`.
+def _index_factors(w_next: np.ndarray, omega_bar: float, p: float, rho: float) -> list[float]:
+    """The adaptive rule's per-slot factor (w_next + theta) * p, with
+    theta = index_offset(omega_bar, p, rho), for one block of next weights.
 
     A virtual queue H tracks how much of the budget rho has been used.  The
-    terminal transmits iff its update index (w_next + theta) * p * q^2
-    strictly exceeds V * H, with theta = index_offset(omega_bar, p, rho), and
-    then H' = max(0, H - rho + U).
+    terminal transmits iff its update index factor * q^2 strictly exceeds
+    V * H, and then H' = max(0, H - rho + U).
     """
-    theta = index_offset(omega_bar, p, rho)
-
-    def step(q, h, w_next):
-        u = 1 if (w_next + theta) * p * q * q > v * h else 0
-        return u, max(0.0, h - rho + u)
-    return step
+    return ((w_next + index_offset(omega_bar, p, rho)) * p).tolist()
 
 
 def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.ndarray,
@@ -223,9 +231,9 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
     coin = Buffered(factory.stream("policy", tid).uniform)
     plan = _blind_plan(policy, params.p, rho, coin, s_good, policy_table)
-    adaptive = _adaptive_rule(params.omega_bar, params.p, rho, v) if policy == "adaptive" else None
     if policy == "rvi-uoi":  # P(transmit) by (q bin, w_now, w_next)
         grid, tab = policy_table.grid, policy_table.table.tolist()
+        q_max, q_step = grid.q_max, grid.q_step
     widx = ({float(val): i for i, (val, _) in enumerate(grid.weight_support)}
             if policy == "rvi-uoi" else {})
 
@@ -243,6 +251,8 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
         s_b = s_good[t0:t1].tolist()
         thr_b = thr[t0:t1].tolist() if thr is not None else None
         plan_b = plan[t0:t1] if plan is not None else None
+        c_b = (_index_factors(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho)
+               if policy == "adaptive" else None)
         wi = [widx[x] for x in w_b] if widx else None
         acc = sums[b]
         for j in range(t1 - t0):
@@ -255,16 +265,20 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
             if plan_b is not None:
                 u = plan_b[j]
-            elif adaptive is not None:
-                u, h = adaptive(q, h, w_b[j + 1])
-            else:  # rvi-uoi table, possibly randomized per state
-                qc = min(max(q, -grid.q_max), grid.q_max)
-                prob = tab[int(round((qc + grid.q_max) / grid.q_step))][wi[j]][wi[j + 1]]
+            elif c_b is not None:
+                u = 1 if c_b[j] * q * q > v * h else 0
+                h = h - rho + u
+                if not h > 0.0:  # max(0.0, h), bit for bit
+                    h = 0.0
+            else:  # rvi-uoi table at q's nearest bin, possibly randomized per state
+                qc = q_max if q > q_max else (-q_max if q < -q_max else q)
+                prob = tab[round((qc + q_max) / q_step)][wi[j]][wi[j + 1]]
                 u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
 
             attempts += u
             q = inc_b[j] if u and s_b[j] else q + inc_b[j]
         sums[b] = acc
+        _check_finite(t1, uoi=acc)
 
     return SimResult(
         avg_uoi=float(np.array(sums).sum()) / T,
@@ -545,7 +559,6 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     s_good = sample_channel_block(factory.stream("channel", 0), p_channel, T)
     coin = Buffered(factory.stream("policy", 0).uniform)
     plan = _blind_plan(policy, p_channel, rho, coin, s_good)
-    adaptive = _adaptive_rule(weights.mean, p_channel, rho, v)
 
     nb, batch_len = _batch_layout(T, n_batches)
     track_sums = [0.0] * nb
@@ -556,10 +569,12 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     uoi_total = 0.0
 
     for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
-        w_b = w[t0:t1 + 1].tolist()
+        w_b = w[t0:t1].tolist()
         noise_b = noise[t0:t1].tolist()
         s_b = s_good[t0:t1].tolist()
         plan_b = plan[t0:t1] if plan is not None else None
+        c_b = (_index_factors(w[t0 + 1:t1 + 1], weights.mean, p_channel, rho)
+               if plan is None else None)
         track_acc, est_acc = track_sums[b], est_sums[b]
         for j in range(t1 - t0):
             w_t = w_b[j]
@@ -577,12 +592,16 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
             if plan_b is not None:
                 u = plan_b[j]
             else:
-                u, h = adaptive(q_pre, h, w_b[j + 1])
+                u = 1 if c_b[j] * q_pre * q_pre > v * h else 0
+                h = h - rho + u
+                if not h > 0.0:  # max(0.0, h), bit for bit
+                    h = 0.0
 
             attempts += u
             if u and s_b[j]:
                 x_hat = x
         track_sums[b], est_sums[b] = track_acc, est_acc
+        _check_finite(t1, tracking=track_acc, estimation=est_acc, uoi=uoi_total)
 
     return TrackingResult(
         avg_track_cost=float(np.array(track_sums).sum()) / T,

@@ -494,6 +494,35 @@ def test_cli_subnormal_budget_runs_the_age_threshold_rule(scenario, tmp_path, ca
     assert f"[{scenario}] age-threshold:" in out and " freq=0.0000" in out
 
 
+@pytest.mark.parametrize("scenario,rho,p", [
+    ("single", 1e-310, 0.8), ("single", 5e-324, 0.4), ("control", 5e-324, 0.4)])
+def test_cli_adaptive_rule_at_subnormal_budget_rejects_rho(scenario, rho, p, tmp_path,
+                                                           capsys):
+    # p * rho is 8e-311, so the single bound omega_bar * sigma2 / (p * rho) is
+    # inf, or underflows to 0, which leaves the index offset undefined
+    cfgf = tmp_path / "tiny.json"
+    cfgf.write_text(json.dumps({"scenario": scenario, "horizon": 1000, "rho": rho,
+                                "terminal": {"p": p}}))
+    assert cli.main([scenario, "--config", str(cfgf)]) == 2
+    captured = capsys.readouterr()
+    assert "'rho'" in captured.err and f"[{scenario}]" not in captured.out
+
+
+@pytest.mark.parametrize("raw,field", [
+    ({"scenario": "single", "weights": {"w_hi": 1e308}}, "weights"),
+    ({"scenario": "control", "weights": {"w_hi": 1e308}}, "weights"),
+    ({"scenario": "single", "terminal": {"sigma2": 1e306}}, "sigma2"),
+], ids=["single-weights", "control-weights", "single-sigma2"])
+def test_cli_overflowing_cost_sum_exits_2_without_output(raw, field, tmp_path, capsys):
+    # a finite config whose slot costs w * q^2 overflow a float
+    cfgf = tmp_path / "huge.json"
+    cfgf.write_text(json.dumps(dict(raw, horizon=3000)))
+    out = tmp_path / "rows.csv"
+    assert cli.main([raw["scenario"], "--config", str(cfgf), "--out", str(out)]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_multi_ignores_contention_window():
     # the window only constrains csma; k above the default W = 16 is fine here
     assert cli.main(["multi", "--n", "20", "--k", "17", "--horizon", "10"]) == 0

@@ -27,10 +27,13 @@ from uoi_sim.sim import (POLICY_TABLE, FleetLane, age_threshold_for_budget, run_
 SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
 
 
-def _fractional_table(cost_kind: str) -> StationaryPolicyTable:
+def _fractional_table(cost_kind: str, q_max: float | None = None) -> StationaryPolicyTable:
     """A hand-made policy table with many states between never and always
-    transmitting, so the policy coin is drawn."""
+    transmitting, so the policy coin is drawn; `q_max` narrows the default
+    grid (25 sigma) so that the error leaves it."""
     grid = MdpGrid.default(1.0, desk_weights().support())
+    if q_max is not None:
+        grid = replace(grid, q_max=q_max)
     if cost_kind == "aoi":
         table = np.clip((np.arange(1, grid.delta_max + 1) - 3.0) / 4.0, 0.0, 1.0)
     else:  # lower threshold when the next weight is high
@@ -94,16 +97,25 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=
     return total / horizon, attempts / horizon, state.vq.h
 
 
-@pytest.mark.parametrize("policy", SINGLE_RULES + ("rvi-uoi", "rvi-aoi"))
-def test_run_single_matches_step_operation_reference(policy):
+# (policy, q_max of the rvi-uoi grid, horizon, n_batches): q_max = 2 sigma
+# clamps the error to the grid's edge bins, and one 10 000-slot batch spans
+# several of the loops' blocks.
+@pytest.mark.parametrize("policy,q_max,horizon,n_batches", [
+    *(pytest.param(policy, None, 5000, 10, id=policy)
+      for policy in SINGLE_RULES + ("rvi-uoi", "rvi-aoi")),
+    pytest.param("rvi-uoi", 2.0, 5000, 10, id="rvi-uoi-qmax2"),
+    pytest.param("adaptive", None, 10_000, 1, id="adaptive-long"),
+    pytest.param("rvi-uoi", None, 10_000, 1, id="rvi-uoi-long"),
+])
+def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_batches):
     params = desk_terminal()
-    table = _fractional_table(policy[4:]) if policy.startswith("rvi") else None
+    table = _fractional_table(policy[4:], q_max) if policy.startswith("rvi") else None
     avg_ref, freq_ref, h_ref = _reference_single_run(
-        params, desk_weights(), 0.25, 1.0, horizon=5000, seed=909, policy=policy,
+        params, desk_weights(), 0.25, 1.0, horizon=horizon, seed=909, policy=policy,
         table=table)
     res = run_single(params, desk_weights(), rho=0.25, v=1.0,
-                     policy=policy, horizon=5000, factory=StreamFactory(909),
-                     policy_table=table)
+                     policy=policy, horizon=horizon, factory=StreamFactory(909),
+                     n_batches=n_batches, policy_table=table)
     assert res.avg_uoi == pytest.approx(avg_ref, rel=1e-12)
     assert res.update_freq[0] == pytest.approx(freq_ref, abs=0)
     assert res.extras["final_h"] == pytest.approx(h_ref, rel=1e-12)
@@ -141,14 +153,18 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
     return track / horizon, est / horizon, attempts / horizon
 
 
-@pytest.mark.parametrize("policy", SINGLE_RULES)
-def test_run_tracking_matches_step_operation_reference(policy):
+@pytest.mark.parametrize("policy,horizon,n_batches", [
+    *(pytest.param(policy, 4000, 10, id=policy) for policy in SINGLE_RULES),
+    pytest.param("adaptive", 10_000, 1, id="adaptive-long"),
+])
+def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches):
     plant = LinearPlant(a=0.9, b=0.5, noise_var=1.0)
     reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=200.0)
     track_ref, est_ref, freq_ref = _reference_tracking_run(
-        plant, reference, desk_weights(), policy, 0.25, 1.0, 0.8, horizon=4000, seed=404)
+        plant, reference, desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon, seed=404)
     res = run_tracking(plant, reference, desk_weights(), policy, rho=0.25, v=1.0,
-                       p_channel=0.8, horizon=4000, factory=StreamFactory(404))
+                       p_channel=0.8, horizon=horizon, factory=StreamFactory(404),
+                       n_batches=n_batches)
     assert res.avg_track_cost == pytest.approx(track_ref, rel=1e-12)
     assert res.avg_est_cost == pytest.approx(est_ref, rel=1e-12)
     assert res.update_freq == pytest.approx(freq_ref, abs=0)

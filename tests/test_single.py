@@ -2,6 +2,7 @@
 that the simulator references replay, budget compliance and the bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ def test_adaptive_uoi_bound_examples():
     assert adaptive_uoi_bound(unit, 1.0, 1e-12) == pytest.approx(1.0)
     t = TerminalParams(id=0, p=0.5, sigma2=2.0, omega_bar=1.0)
     assert adaptive_uoi_bound(t, 0.5, 2.0) == pytest.approx(9.0)
+    # p * rho = 8e-311 overflows the quotient; 0.4 * 5e-324 underflows to 0
+    assert adaptive_uoi_bound(desk_terminal(), 1e-310, 1.0) == math.inf
+    assert adaptive_uoi_bound(replace(desk_terminal(), p=0.4), 5e-324, 1.0) == math.inf
+    with pytest.raises(ValueError, match="rho must be positive"):
+        adaptive_uoi_bound(desk_terminal(), 0.0, 1.0)
 
 
 @given(u=st.integers(0, 1),
