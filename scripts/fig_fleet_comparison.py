@@ -34,7 +34,6 @@ def main():
             "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
                         "prob_hi": 0.05}})
         for row in run(cfg):
-            row.params["x"] = n
             rows.append(row)
             print(f"N={n:<3d} {row.policy:12s}: avg_uoi {row.avg_uoi:8.3f} "
                   f"violation {row.violation_prob:.5f}")

@@ -33,7 +33,6 @@ def main():
                 "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
                             "prob_hi": 0.01}})
             row = run(cfg)[0]
-            row.params["x"] = rho
             rows.append(row)
             print(f"V={v:<6g} rho={rho:g}: avg_uoi {row.avg_uoi:8.3f} "
                   f"freq {float(row.avg_update_freq[0]):.3f} "

@@ -87,6 +87,10 @@ CONFIGS = {
                      "policies": ["adaptive"]},
     "mdp-uoi": {"scenario": "mdp", "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},
     "mdp-aoi": {"scenario": "mdp", "mdp": {"cost": "aoi", "q_max": 8.0, "q_step": 0.5}},
+    "mdp-uoi-rare": {"scenario": "mdp", "rho": 0.004,
+                     "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},
+    "mdp-aoi-rare": {"scenario": "mdp", "rho": 0.004,
+                     "mdp": {"cost": "aoi", "q_max": 8.0, "q_step": 0.5}},
     "waterfill": {"scenario": "waterfill", "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
 }
 

@@ -184,6 +184,23 @@ class ExperimentConfig:
                 or self.scenario == "control" and not self.terminal.p * self.rho > 0.0):
             raise ConfigError("rho", f"too small for the adaptive rule: p * rho underflows "
                                      f"or the bound overflows at rho = {self.rho}")
+        # the fleet loop's index and cost scale with omega_bar * sigma2 / (p * pi)
+        if POLICY_TABLE[self.scenario].simulator in ("fleet", "waterfill"):
+            try:
+                with np.errstate(over="ignore"):
+                    bound = fleet_uoi_bound(self.fleet, waterfill(self.fleet))
+            except FieldError:  # a width sqrt(omega_bar * sigma2 / p) overflows
+                bound = math.inf
+            if not math.isfinite(bound):
+                raise ConfigError(self._overflow_field, "too large for a finite fleet bound")
+
+    @property
+    def _overflow_field(self) -> str:
+        """The field to blame for a cost that overflows: the larger of the
+        weights' mean and the error variance."""
+        noise, name = ((self.plant.noise_var, "control.noise_var") if self.scenario == "control"
+                       else (self.terminal.sigma2, "sigma2"))
+        return "weights" if self.weights.mean >= noise else name
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -215,6 +232,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     contention = _section(d, "contention")
     window = _take(contention, "w", _integer, 16, "contention.")
     _reject_unknown(contention, "contention.")
+    if window < 1:  # w >= k is checked where csma reads it
+        raise ConfigError("contention.w", f"must be at least 1, got {window}")
 
     control = _section(d, "control")
     plant = {name: _take(control, name, _real, 1.0, "control.")
@@ -460,10 +479,7 @@ def run(config: ExperimentConfig) -> list[RunMetrics]:
     try:
         return runners[simulator](config)
     except NonFiniteCost as exc:
-        noise, name = ((config.plant.noise_var, "control.noise_var") if simulator == "tracking"
-                       else (config.terminal.sigma2, "sigma2"))
-        raise ConfigError("weights" if config.weights.mean >= noise else name,
-                          f"too large for a finite average: {exc}") from exc
+        raise ConfigError(config._overflow_field, f"too large for a finite average: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +536,7 @@ def export(rows: list[RunMetrics], fmt: str, path: str) -> list[str]:
 
     csv: fixed 12-column schema.  jsonl: one full object per row.  plot:
     one file per curve of (x, y, yerr) lines, where x is the row's sweep
-    value (params['x'], else rho, else N) and curves are keyed by policy.
+    value (rho, else N) and curves are keyed by policy.
     """
     if not rows:
         raise ValueError("no metrics rows to export")
@@ -533,7 +549,7 @@ def export(rows: list[RunMetrics], fmt: str, path: str) -> list[str]:
     if fmt == "jsonl":
         with open(path, "w") as fh:
             for m in rows:
-                fh.write(json.dumps(_jsonable(m), sort_keys=True) + "\n")
+                fh.write(json.dumps(_jsonable(m), sort_keys=True, allow_nan=False) + "\n")
         return [path]
     if fmt == "plot":
         os.makedirs(path, exist_ok=True)
@@ -544,9 +560,7 @@ def export(rows: list[RunMetrics], fmt: str, path: str) -> list[str]:
                 key += f"_V{_fmt(m.params['V'])}"
             if m.params.get("W") is not None:
                 key += f"_W{_fmt(m.params['W'])}"
-            x = m.params.get("x")
-            if x is None:
-                x = m.params.get("rho")
+            x = m.params.get("rho")
             if x is None:
                 x = m.params.get("N")
             curves.setdefault(key, []).append((x, m.avg_uoi, m.stderr_uoi))

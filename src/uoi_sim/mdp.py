@@ -25,9 +25,8 @@ from .core import TerminalParams, require
 
 _SPAN_TOL = 1e-6      # RVI stops once a sweep changes h by a span below this
 _MAX_ITER = 100_000   # cap on RVI sweeps and on age-chain improvement steps
-_FREQ_TOL = 1e-3      # calibration accepts a frequency this close to rho
+_FREQ_TOL = 1e-3      # calibration accepts a frequency this close to rho (rho / 100 if less)
 _MAX_CUTS = 60        # cap on the cutting-plane steps on lam
-_LAM_CAP = 1e6        # the largest upper bracket tried for lam
 
 
 @dataclass(frozen=True)
@@ -307,42 +306,39 @@ def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
 
 def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
                          cost_kind: str) -> tuple[float, StationaryPolicyTable]:
-    """Find lam so the policy's long-run transmit frequency meets rho.
+    """Find lam so the policy's long-run transmit frequency meets rho, to
+    within min(_FREQ_TOL, rho / 100).
 
-    Kelley's cut: solve at the lam where the Lagrangian lines c + lam * f
-    of the two bracketing tables cross, and let the new table replace the
-    bracket end on its side of rho, until one hits rho or the cut returns a
-    bracketing table again.  Then the pure policies jump across rho at that
-    lam: the two bracketing policies are randomized state-wise and the
+    Kelley's cut from the bracket (lam = 0 table, never transmitting): solve
+    at the lam where the Lagrangian lines c + lam * f of the two bracketing
+    tables cross, and let the new table replace the bracket end on its side
+    of rho, until one hits rho or the cut returns a bracketing table again.
+    Then the two bracketing policies are randomized state-wise and the
     mixing weight is bisected against the exact chain frequency.  The mixed
     table reports the lam, gain and iterations of the last solve.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
+    tol = min(_FREQ_TOL, 0.01 * rho)
 
     lo_tab = rvi_solve(grid, params, cost_kind, 0.0)
-    if lo_tab.avg_freq <= rho + _FREQ_TOL:
+    if lo_tab.avg_freq <= rho + tol:
         return 0.0, lo_tab  # constraint slack at lam = 0
+    # Never transmitting is the lam -> inf end: its Lagrangian is its cost.
+    never = np.zeros_like(lo_tab.table)
+    cost, freq = evaluate_policy(grid, params, cost_kind, never)
+    hi_tab = StationaryPolicyTable(cost_kind=cost_kind, table=never, avg_cost=cost,
+                                   avg_freq=freq, lam=math.inf, grid=grid, gain=cost,
+                                   iterations=0)
 
-    lam_hi, hi_tab = 1.0, None
-    while lam_hi <= _LAM_CAP:
-        hi_tab = rvi_solve(grid, params, cost_kind, lam_hi)
-        if hi_tab.avg_freq <= rho:
-            break
-        lam_hi *= 4.0
-    else:
-        raise RuntimeError(
-            f"no multiplier below {_LAM_CAP} meets rho = {rho}; "
-            f"frequency still {hi_tab.avg_freq:.4f}")
-
-    cut_tab = hi_tab
+    cut_tab = lo_tab
     for _ in range(_MAX_CUTS):
         # lo_tab sends more than rho and hi_tab at most rho: the slope is positive
         lam = (hi_tab.avg_cost - lo_tab.avg_cost) / (lo_tab.avg_freq - hi_tab.avg_freq)
         if not lo_tab.lam < lam < hi_tab.lam:
             break  # the lines cross at a bracket end, up to rounding
         cut_tab = rvi_solve(grid, params, cost_kind, lam)
-        if abs(cut_tab.avg_freq - rho) < _FREQ_TOL:
+        if abs(cut_tab.avg_freq - rho) < tol:
             return lam, cut_tab
         if (np.array_equal(cut_tab.table, lo_tab.table)
                 or np.array_equal(cut_tab.table, hi_tab.table)):
@@ -359,7 +355,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         eta = 0.5 * (eta_lo + eta_hi)
         mixed = eta * lo_tab.table + (1.0 - eta) * hi_tab.table
         cost, freq = evaluate_policy(grid, params, cost_kind, mixed)
-        if abs(freq - rho) < _FREQ_TOL:
+        if abs(freq - rho) < tol:
             break
         if freq > rho:
             eta_hi = eta

@@ -336,7 +336,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     its own window W, which stretches its slot to (1 + W/100) ms: its error
     increments carry variance slot_scale * sigma2 and its threshold step is
     `csma.default_delta_j` of the stretched slot.  Results come back in lane
-    order.
+    order; a batch cost sum that is not finite raises NonFiniteCost.
     """
     if not lanes:
         return []
@@ -495,6 +495,8 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
         f = np.matmul(w_slots[:, :nblk, None, :], q2[:, :, :, None])[:, :, 0, 0] / n
         batch_sums[:, b] = np.cumsum(np.concatenate([batch_sums[:, b, None], f], axis=1),
                                      axis=1)[:, -1]
+        if not np.isfinite(batch_sums[:, b]).all():  # every non-finite f reaches its sum
+            raise NonFiniteCost(f"a lane's batch cost sum is not finite after {t1} slots")
         attempts += sent.sum(axis=0)
         np.add.at(attempts, collided, 1)  # csma data sent and wasted
         if n_csma:

@@ -120,6 +120,8 @@ def test_n_batches_validated():
     ({"fleet": {"n": True}}, "fleet.n"),
     ({"fleet": {"k": True}}, "fleet.k"),
     ({"thresholds": {"1": True}}, "thresholds"),
+    # a domain value of a section the scenario does not read
+    ({"contention": {"w": 0}}, "contention.w"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -218,6 +220,14 @@ def test_export_jsonl_and_plot(tmp_path):
     body = open(plots[0]).read().splitlines()
     assert body[0].startswith("# x")
     assert len(body) == 2
+
+
+def test_export_jsonl_refuses_a_non_finite_number(tmp_path):
+    # Infinity and NaN are not JSON
+    row = run(_cfg(policies=["adaptive"]))[0]
+    row.avg_uoi = float("inf")
+    with pytest.raises(ValueError):
+        export([row], "jsonl", str(tmp_path / "m.jsonl"))
 
 
 def test_waterfill_scenario_echo():
@@ -321,9 +331,7 @@ def test_plot_export_one_file_per_v(tmp_path):
     for v in (1.0, 8.0):
         cfg = _cfg(v=v)
         cfg.policies = ("adaptive",)
-        row = run(cfg)[0]
-        row.params["x"] = 0.25
-        rows.append(row)
+        rows.append(run(cfg)[0])
     paths = export(rows, "plot", str(tmp_path / "sweep"))
     assert len(paths) == 2
     assert any("V1" in p for p in paths) and any("V8" in p for p in paths)
@@ -512,9 +520,13 @@ def test_cli_adaptive_rule_at_subnormal_budget_rejects_rho(scenario, rho, p, tmp
     ({"scenario": "single", "weights": {"w_hi": 1e308}}, "weights"),
     ({"scenario": "control", "weights": {"w_hi": 1e308}}, "weights"),
     ({"scenario": "single", "terminal": {"sigma2": 1e306}}, "sigma2"),
-], ids=["single-weights", "control-weights", "single-sigma2"])
+    ({"scenario": "multi", "weights": {"w_hi": 1e308}}, "weights"),
+    ({"scenario": "csma", "weights": {"w_hi": 1e308}}, "weights"),
+    ({"scenario": "waterfill", "weights": {"kind": "constant", "w": 1e308}}, "weights"),
+], ids=["single-weights", "control-weights", "single-sigma2", "multi-weights",
+        "csma-weights", "waterfill-bound"])
 def test_cli_overflowing_cost_sum_exits_2_without_output(raw, field, tmp_path, capsys):
-    # a finite config whose slot costs w * q^2 overflow a float
+    # a finite config whose slot costs w * q^2, or whose fleet bound, overflow a float
     cfgf = tmp_path / "huge.json"
     cfgf.write_text(json.dumps(dict(raw, horizon=3000)))
     out = tmp_path / "rows.csv"

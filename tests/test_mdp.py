@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (dense_uoi_chain, desk_terminal, desk_weights,
                       relative_value_iteration)
-from uoi_sim import mdp
+from uoi_sim import cli, harness, mdp
 from uoi_sim.core import TerminalParams
 from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _uoi_rvi, calibrate_multiplier, evaluate_policy,
                          format_policy_table, gaussian_kernel, rvi_solve,
@@ -198,6 +198,32 @@ def test_calibrated_table_is_lagrangian_optimal_at_its_multiplier(cost_kind, rho
     assert table.lam == lam
     assert table.gain == rvi_solve(grid, params, cost_kind, lam).gain
     assert abs(table.avg_cost + lam * table.avg_freq - table.gain) <= 1e-6 * table.gain
+
+
+@pytest.mark.parametrize("cost_kind", ["uoi", "aoi"])
+@pytest.mark.parametrize("rho", [1e-3, 1e-4])
+def test_small_budget_is_met_to_one_percent(cost_kind, rho):
+    # the never-send end brackets every budget, and the frequency tolerance
+    # shrinks with rho: a fixed 1e-3 would accept 11 times the budget 1e-4
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    lam, table = calibrate_multiplier(grid, params, rho, cost_kind)
+    assert abs(table.avg_freq - rho) < rho / 100
+    assert 0.0 < lam < math.inf and table.lam == lam
+
+
+def test_cli_calibrates_a_tiny_budget_on_a_wide_grid(monkeypatch):
+    # lam is about 2.6e7 here: no fixed cap on the upper bracket fits every budget
+    calibrated = []
+
+    def recorded(*args):
+        calibrated.append(calibrate_multiplier(*args))
+        return calibrated[-1]
+    monkeypatch.setattr(harness, "calibrate_multiplier", recorded)
+    assert cli.main(["mdp", "--rho", "0.0001", "--qmax", "100", "--qstep", "1"]) == 0
+    [(lam, table)] = calibrated
+    assert abs(table.avg_freq - 1e-4) < 1e-6
+    assert 0.0 < lam < math.inf
 
 
 def test_default_grid_overstates_the_calibrated_optimum_by_under_one_percent():
