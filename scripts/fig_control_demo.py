@@ -7,6 +7,7 @@ estimation error plus the noise floor, and the embedded average UoI.
 
 import argparse
 
+from uoi_sim.cli import require_writable
 from uoi_sim.harness import config_from_dict, export, run
 
 
@@ -19,6 +20,8 @@ def main():
     ap.add_argument("--noise-var", type=float, default=1.0, dest="noise_var")
     ap.add_argument("--out", default="")
     args = ap.parse_args()
+    if args.out:
+        require_writable(args.out)
 
     cfg = config_from_dict({
         "scenario": "control", "horizon": args.horizon, "seed": args.seed,

@@ -10,6 +10,7 @@ over N.
 
 import argparse
 
+from uoi_sim.cli import require_writable
 from uoi_sim.harness import config_from_dict, export, run
 
 
@@ -22,6 +23,8 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 30])
     ap.add_argument("--out", default="fig_fleet")
     args = ap.parse_args()
+    require_writable(args.out + ".csv")
+    require_writable(args.out, directory=True)
 
     rows = []
     for n in args.sizes:

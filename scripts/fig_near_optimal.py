@@ -8,6 +8,7 @@ schemes on common random numbers, and writes one curve file per scheme.
 
 import argparse
 
+from uoi_sim.cli import require_writable
 from uoi_sim.harness import config_from_dict, export, run
 
 
@@ -19,6 +20,7 @@ def main():
     ap.add_argument("--rhos", type=float, nargs="+",
                     default=[0.1, 0.15, 0.2, 0.25, 0.35, 0.5])
     args = ap.parse_args()
+    require_writable(args.out, directory=True)
 
     rows = []
     for rho in args.rhos:

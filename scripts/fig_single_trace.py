@@ -9,6 +9,7 @@ V = 1.  Writes a CSV of (slot, H, Q^2, uoi) rows.
 import argparse
 import csv
 
+from uoi_sim.cli import require_writable
 from uoi_sim.harness import config_from_dict, run
 
 
@@ -19,6 +20,7 @@ def main():
     ap.add_argument("--rho", type=float, default=0.25)
     ap.add_argument("--out", default="fig_single_trace.csv")
     args = ap.parse_args()
+    require_writable(args.out)
 
     row = run(config_from_dict({
         "scenario": "single", "horizon": args.horizon, "seed": args.seed,

@@ -8,6 +8,7 @@ per V.
 
 import argparse
 
+from uoi_sim.cli import require_writable
 from uoi_sim.harness import config_from_dict, export, run
 
 
@@ -21,6 +22,7 @@ def main():
     ap.add_argument("--rhos", type=float, nargs="+",
                     default=[round(0.1 * i, 1) for i in range(1, 10)])
     args = ap.parse_args()
+    require_writable(args.out, directory=True)
 
     rows = []
     for v in args.vs:

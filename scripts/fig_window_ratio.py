@@ -8,6 +8,7 @@ per-slot error variance) by 1 + W/100.  Writes one curve of
 
 import argparse
 
+from uoi_sim.cli import require_writable
 from uoi_sim.csma import ContentionConfig
 from uoi_sim.harness import config_from_dict
 from uoi_sim.rng import StreamFactory
@@ -22,6 +23,7 @@ def main():
     ap.add_argument("--windows", type=int, nargs="+", default=[2, 4, 8, 16, 32, 64])
     ap.add_argument("--out", default="fig_window_ratio.csv")
     args = ap.parse_args()
+    require_writable(args.out)
 
     cfg = config_from_dict({
         "scenario": "csma", "fleet": {"n": args.n, "k": 2},

@@ -109,6 +109,12 @@ def config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     return harness.config_from_dict(raw)
 
 
+def _num(x: float) -> str:
+    """`x` with 6 decimals; in exponent notation from magnitude 1e15 on,
+    where fixed notation prints more digits than a float holds."""
+    return f"{x:.6e}" if abs(x) >= 1e15 else f"{x:.6f}"
+
+
 def _cannot_write(path: str, reason: OSError | str) -> int:
     print(f"error: cannot write {path}: {reason}", file=sys.stderr)
     return 2
@@ -127,6 +133,15 @@ def _unwritable(path: str, directory: bool) -> str | None:
         return "is a directory"
     parent = os.path.dirname(path) or "."
     return None if os.path.isdir(parent) else f"no such directory {parent!r}"
+
+
+def require_writable(path: str, directory: bool = False) -> None:
+    """Exit with code 2 and the CLI's message unless `path`, a file or with
+    `directory` a plot directory, can be written: a figure script calls this
+    before its run."""
+    reason = _unwritable(path, directory)
+    if reason:
+        sys.exit(_cannot_write(path, reason))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -160,8 +175,8 @@ def main(argv: list[str] | None = None) -> int:
 
     for m in rows:
         freq = "" if m.avg_update_freq is None else f" freq={float(m.avg_update_freq.mean()):.4f}"
-        uoi = "" if m.avg_uoi is None else f" avg_uoi={m.avg_uoi:.6f}"
-        bound = "" if m.bound_value is None else f" bound={m.bound_value:.6f}"
+        uoi = "" if m.avg_uoi is None else f" avg_uoi={_num(m.avg_uoi)}"
+        bound = "" if m.bound_value is None else f" bound={_num(m.bound_value)}"
         print(f"[{m.scenario}] {m.policy}:{uoi}{freq}{bound}")
         if m.scenario == "waterfill":
             print("pi = " + " ".join(f"{x:.6f}" for x in m.extras["pi"]))
@@ -179,8 +194,8 @@ def main(argv: list[str] | None = None) -> int:
             if m.bound_value is not None and m.avg_uoi is not None:
                 slack = 3.0 * (m.stderr_uoi or 0.0)
                 if m.avg_uoi > m.bound_value + slack:
-                    print(f"bound violated: {m.policy} avg_uoi {m.avg_uoi:.6f} "
-                          f"> bound {m.bound_value:.6f} + {slack:.6f}", file=sys.stderr)
+                    print(f"bound violated: {m.policy} avg_uoi {_num(m.avg_uoi)} "
+                          f"> bound {_num(m.bound_value)} + {_num(slack)}", file=sys.stderr)
                     return 3
     return 0
 

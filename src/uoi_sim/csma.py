@@ -14,15 +14,11 @@ the window closes faster than its expected length K/(K+1) * (W+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .core import require
-
-# Marker for a sub-channel whose reservation mini-slot carried two or more
-# simultaneous intentions.
-COLLISION = -1
 
 # A contention mini-slot lasts 10 us, a fixed figure of the channel model.
 MINI_SLOTS_PER_MS = 100
@@ -44,25 +40,16 @@ class ContentionConfig:
         return 1.0 + self.w / MINI_SLOTS_PER_MS
 
 
-@dataclass(slots=True)
-class ContentionOutcome:
-    """reservations maps sub-channel (1-based) to terminal id or COLLISION."""
-
-    reservations: dict[int, int]
-    window_len: int
-    idle_channels: int
-    collided: tuple[int, ...] = ()
-
-    def winners(self) -> list[int]:
-        return [t for t in self.reservations.values() if t != COLLISION]
-
-
 def contend(active: Iterable[int], cfg: ContentionConfig,
-            draw_backoff: Callable[[int], int]) -> ContentionOutcome:
-    """Resolve one contention window.
+            backoff: Sequence[Callable[[], int]]) -> tuple[list[int], list[int], int, int]:
+    """Resolve one contention window: (winners, colliders, window_len,
+    idle_channels).
 
-    draw_backoff(tid) must return that terminal's uniform backoff on
+    backoff[tid]() must return terminal tid's next uniform backoff on
     {0, ..., W-1}; the fleet simulator wires it to per-terminal streams.
+    Winners come in sub-channel order, colliders channel by channel in the
+    order of `active`.  The window closes at the mini-slot that reserves the
+    K-th sub-channel, else after W mini-slots with the rest left idle.
 
     Because every waiting terminal has heard every earlier intention, all
     terminals that fire in the same mini-slot target the same lowest idle
@@ -71,7 +58,7 @@ def contend(active: Iterable[int], cfg: ContentionConfig,
     w, k = cfg.w, cfg.k
     by_backoff: dict[int, list[int]] = {}
     for tid in active:
-        l = draw_backoff(tid)
+        l = backoff[tid]()
         if not 0 <= l < w:
             raise ValueError(f"backoff {l} outside [0, {w - 1}]")
         senders = by_backoff.get(l)
@@ -80,22 +67,19 @@ def contend(active: Iterable[int], cfg: ContentionConfig,
         else:
             senders.append(tid)
 
-    reservations: dict[int, int] = {}
-    collided: list[int] = []
-    window_len = w
+    winners: list[int] = []
+    colliders: list[int] = []
     channel = 0
     for l in sorted(by_backoff):
         channel += 1
         senders = by_backoff[l]
         if len(senders) == 1:
-            reservations[channel] = senders[0]
+            winners.append(senders[0])
         else:
-            reservations[channel] = COLLISION
-            collided.extend(sorted(senders))
+            colliders += senders
         if channel == k:
-            window_len = l + 1
-            break
-    return ContentionOutcome(reservations, window_len, k - channel, tuple(collided))
+            return winners, colliders, l + 1, 0
+    return winners, colliders, w, k - channel
 
 
 def expected_window(k: int, w: int) -> float:
@@ -107,15 +91,15 @@ def expected_window(k: int, w: int) -> float:
     return k / (k + 1.0) * (w + 1.0)
 
 
-def adapt_threshold(j_th: float, delta_j: float, outcome: ContentionOutcome,
+def adapt_threshold(j_th: float, delta_j: float, idle_channels: int, window_len: int,
                     expected: float) -> float:
     """The next threshold after one window, moved by `delta_j`: idle channels
     mean too few contenders (lower the bar); a window that closed before its
     `expected` length, `expected_window(k, w)`, means too many (raise it).
     Clamped at zero."""
-    if outcome.idle_channels > 0:
+    if idle_channels > 0:
         return max(0.0, j_th - delta_j)
-    if outcome.window_len < expected:
+    if window_len < expected:
         return j_th + delta_j
     return j_th
 

@@ -194,11 +194,20 @@ def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.nd
 _BLOCK = 4096
 
 
-def _blocks(T: int, nb: int, batch_len: int, size: int) -> list[tuple[int, int, int]]:
-    """(batch, first slot, end slot) of blocks of at most `size` slots in one batch."""
-    ends = [b * batch_len for b in range(1, nb)] + [T]
-    return [(b, t0, min(t0 + size, end)) for b, end in enumerate(ends)
-            for t0 in range(b * batch_len, end, size)]
+def _blocks(T: int, nb: int, batch_len: int, size: int,
+            chunk: int = 0) -> list[tuple[int, int, int]]:
+    """(batch, first slot, end slot) of blocks of at most `size` slots that lie
+    in one batch and, for a nonzero `chunk`, in one chunk of slots
+    [c * chunk, (c + 1) * chunk)."""
+    ends = {b * batch_len for b in range(1, nb)} | {T}
+    if chunk:
+        ends.update(range(chunk, T, chunk))
+    out, t0 = [], 0
+    for end in sorted(ends):
+        b = min(t0 // batch_len, nb - 1)
+        out += [(b, s, min(s + size, end)) for s in range(t0, end, size)]
+        t0 = end
+    return out
 
 
 def _batch_means(sums: list[float], T: int, batch_len: int) -> np.ndarray:
@@ -315,6 +324,7 @@ def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
 
 # Elements of one (lane, terminal, slot) block array: blocks get shorter as
 # lanes and terminals are added, so memory does not grow with the lane count.
+# A (group, terminal, slot) chunk of common variates holds as many.
 _LANE_ELEMENTS = 1 << 17
 
 
@@ -335,8 +345,11 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     samples those and the others adopt its streams.  A csma lane contends in
     its own window W, which stretches its slot to (1 + W/100) ms: its error
     increments carry variance slot_scale * sigma2 and its threshold step is
-    `csma.default_delta_j` of the stretched slot.  Results come back in lane
-    order; a batch cost sum that is not finite raises NonFiniteCost.
+    `csma.default_delta_j` of the stretched slot.  A csma lane's extras also
+    hold its window monitors: the mean window length next to
+    `csma.expected_window(k, W)`, and the colliders and idle sub-channels per
+    window.  Results come back in lane order; a batch cost sum that is not
+    finite raises NonFiniteCost.
     """
     if not lanes:
         return []
@@ -368,16 +381,21 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     pi = waterfill(fleet).pi
 
     # Each csma lane's window, slot scale, threshold step, expected window
-    # length and contention threshold.
+    # length, contention threshold (also as a column, for one compare per
+    # slot) and window monitors.  The csma lanes' terminals share one flat id
+    # space, terminal i of csma lane c being c * n + i, which indexes its
+    # backoff draw too.
     n_csma = r0 - x0
     windows = [lanes[i].contention for i in order[x0:r0]]
     scales = [c.slot_scale for c in windows]
     delta_j = [csma_mod.default_delta_j(omega_bar, sigma2 * s) for s in scales]
     expected = [csma_mod.expected_window(k, c.w) for c in windows]
     j_th = [0.0] * n_csma
-    backoffs = [[Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
-                 for i in range(n)] for f, c in zip(factories[x0:r0], windows)]
-    draw_backoff = [lambda tid, b=b: b[tid]() for b in backoffs]
+    j_col = np.zeros((n_csma, 1))
+    backoff = [Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
+               for f, c in zip(factories[x0:r0], windows) for i in range(n)]
+    lane_ends = [(c + 1) * n for c in range(n_csma)]
+    window_sum, collider_sum, idle_sum = [0] * n_csma, [0] * n_csma, [0] * n_csma
     max_index = np.zeros(n_csma)
 
     coefs = index_coefficients(fleet, pi) if r0 > c0 else None
@@ -399,132 +417,172 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             f.adopt(leaders[g], COMMON_KINDS)
     incs = [GaussianIncrements(sigma2[i]) for i in range(n)]
 
-    def draw(sample) -> np.ndarray:
-        """(lane, terminal, slot) array of per-(group, terminal) samples."""
-        out = np.array([[sample(g, i) for i in range(n)] for g in range(len(leaders))])
-        return out if len(leaders) == L else out[gidx]
+    # The group leaders sample the common streams a chunk of slots at a
+    # time, into (group, terminal, slot) arrays that the loop blocks slice;
+    # the weights carry one slot of lookahead.
+    G = len(leaders)
+    chunk = min(max(1, _LANE_ELEMENTS // (G * n)), T)
+    w_chunk = np.empty((G, n, chunk + 1))
+    a_chunk = np.empty((G, n, chunk))
+    s_chunk = np.empty((G, n, chunk), dtype=bool)
+
+    def lanes_of(arr: np.ndarray, o0: int, o1: int) -> np.ndarray:
+        """(lane, terminal, slot) array of chunk slots [o0, o1)."""
+        part = arr[:, :, o0:o1]
+        return part if G == L else part[gidx]
 
     nb, batch_len = _batch_layout(T, n_batches)
     batch_sums = np.zeros((L, nb))
     q = np.zeros((L, n))
-    delta = np.ones((c0, n), dtype=np.int64)   # ages of the aoi lanes
+    delta = np.ones((c0, n))   # ages of the aoi lanes, exact as floats
     # Per-slot scores of lanes [0, r0): the aoi lanes' age index, then the
     # update index of the centralized and csma lanes.  The aoi and
     # centralized rows, [0, x0), each send their top K.
     scores = np.empty((r0, n))
     aoi_scores, index_scores, topk_scores = scores[:c0], scores[c0:], scores[:x0]
     topk_rows = np.arange(x0)[:, None]
+    csma_scores = scores[x0:]
+    over = np.empty((n_csma, n), dtype=bool)   # csma contenders, by flat id
+    over_flat = over.reshape(-1)
+    contend, adapt_threshold = csma_mod.contend, csma_mod.adapt_threshold
     attempts = np.zeros((L, n), dtype=np.int64)
+    csma_attempts = attempts[x0:r0].reshape(-1)
     violations = np.zeros(L, dtype=np.int64)
     rows = [[] if lanes[i].trace else None for i in order]
     size = max(1, _LANE_ELEMENTS // (L * n))
 
-    w_buf = None
-    for b, t0, t1 in _blocks(T, nb, batch_len, size):
-        nblk = t1 - t0
-        # Weight lookahead: w_buf covers slots [t0, t1].
-        if w_buf is None:
-            w_buf = draw(lambda g, i: weights.sample_block(
-                streams["weight"][g][i], 0, nblk + 1))
-        else:
-            fresh = draw(lambda g, i: weights.sample_block(
-                streams["weight"][g][i], t0 + 1, nblk))
-            w_buf = np.concatenate([w_buf[:, :, -1:], fresh], axis=2)
-        a_blk = draw(lambda g, i: incs[i].sample_block(
-            streams["increment"][g][i], t0, nblk))
-        # Row by row: one broadcast multiply over the csma rows gives the
-        # same bits but raised the fleet benchmark's peak RSS by 2-4 MB.
-        for lane, scale in enumerate(scales, x0):
-            a_blk[lane] *= math.sqrt(scale)
-        s_blk = draw(lambda g, i: sample_channel_block(
-            streams["channel"][g][i], p[i], nblk))
-        w_slots = w_buf.transpose(0, 2, 1)          # (lane, slot, terminal) view
-        a_js = np.ascontiguousarray(a_blk.transpose(2, 0, 1))   # (slot, lane, terminal)
-        s_js = np.ascontiguousarray(s_blk.transpose(2, 0, 1))
-        if r0 > c0:  # (coefs + w_next) * p of the update index, per slot
-            index_coef = (coefs + np.ascontiguousarray(
-                w_buf[indexed, :, 1:].transpose(2, 0, 1))) * p
+    u0 = u1 = 0   # the chunk in the arrays holds slots [u0, u1)
+    # Overflow is caught as a non-finite batch cost sum below, so numpy's
+    # warnings on the way there are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, t0, t1 in _blocks(T, nb, batch_len, size, chunk):
+            if t0 == u1:   # sample the next chunk
+                u0, u1 = t0, min(t0 + chunk, T)
+                m = u1 - u0
+                # Weights of slots [u0, u1]: a later chunk starts with the
+                # previous one's lookahead, and samples from column w0 on.
+                w0 = int(u0 > 0)
+                if w0:
+                    w_chunk[:, :, 0] = w_chunk[:, :, chunk]
+                for g in range(G):
+                    for i in range(n):
+                        w_chunk[g, i, w0:m + 1] = weights.sample_block(
+                            streams["weight"][g][i], u0 + w0, m + 1 - w0)
+                        a_chunk[g, i, :m] = incs[i].sample_block(
+                            streams["increment"][g][i], u0, m)
+                        s_chunk[g, i, :m] = sample_channel_block(
+                            streams["channel"][g][i], p[i], m)
+            nblk = t1 - t0
+            o0, o1 = t0 - u0, t1 - u0
+            w_blk = lanes_of(w_chunk, o0, o1 + 1)         # weights of slots [t0, t1]
+            w_slots = w_blk.transpose(0, 2, 1)            # (lane, slot, terminal) view
+            # (slot, lane, terminal) copies of the increments, each csma
+            # lane's scaled to its stretched slot, and of the channel states
+            a_js = np.ascontiguousarray(lanes_of(a_chunk, o0, o1).transpose(2, 0, 1))
+            for lane, scale in enumerate(scales, x0):
+                a_js[:, lane] *= math.sqrt(scale)
+            s_js = np.ascontiguousarray(lanes_of(s_chunk, o0, o1).transpose(2, 0, 1))
+            if r0 > c0:  # (coefs + w_next) * p of the update index, per slot
+                index_coef = (coefs + np.ascontiguousarray(
+                    w_blk[indexed, :, 1:].transpose(2, 0, 1))) * p
 
-        # sent[j, lane] holds the lane's transmissions in slot t0 + j that
-        # can deliver.  Round-robin and stationary never read the error, so
-        # their whole block is decided up front.
-        sent = np.zeros((nblk, L, n), dtype=bool)
-        if s0 > r0:
-            sent[:, r0:s0] = schedule_round_robin(np.arange(t0, t1), n, k)[:, None]
-        for c, coin in enumerate(coins):
-            sent[:, s0 + c] = schedule_stationary(
-                pi, np.array([coin.next() for _ in range(nblk)]))
-        q_hist = np.empty((nblk + 1, L, n))     # q_hist[j] is q of slot t0 + j
-        q_hist[0] = q
-        j_hist = [[] for _ in range(n_csma)]
-        collided = ([], [])
-        for j in range(nblk):
-            q = q_hist[j]
-            sent_j = sent[j]
-            if r0 > c0:
-                q_ix = q[indexed]
-                np.multiply(index_coef[j], q_ix * q_ix, out=index_scores)
-            if c0:
-                np.multiply(p * delta, delta + 1.0, out=aoi_scores)
-            if x0:
-                sent_j[topk_rows, _topk_ids(topk_scores, k)] = True
-            for c in range(n_csma):
-                lane = x0 + c
-                active = (scores[lane] > j_th[c]).nonzero()[0].tolist()
-                outcome = csma_mod.contend(active, windows[c], draw_backoff[c])
-                for tid in outcome.winners():
-                    sent_j[lane, tid] = True
-                if outcome.collided:
-                    collided[0].extend([lane] * len(outcome.collided))
-                    collided[1].extend(outcome.collided)
-                j_th[c] = csma_mod.adapt_threshold(j_th[c], delta_j[c], outcome, expected[c])
-                j_hist[c].append(j_th[c])
+            # sent[j, lane] holds the lane's transmissions in slot t0 + j that
+            # can deliver.  Round-robin and stationary never read the error,
+            # so their whole block is decided up front.
+            sent = np.zeros((nblk, L, n), dtype=bool)
+            csma_sent = sent.reshape(nblk, L * n)[:, x0 * n:r0 * n]   # by flat id
+            if s0 > r0:
+                sent[:, r0:s0] = schedule_round_robin(np.arange(t0, t1), n, k)[:, None]
+            for c, coin in enumerate(coins):
+                sent[:, s0 + c] = schedule_stationary(
+                    pi, np.array([coin.next() for _ in range(nblk)]))
+            q_hist = np.empty((nblk + 1, L, n))     # q_hist[j] is q of slot t0 + j
+            q_hist[0] = q
+            j_hist = [[] for _ in range(n_csma)]
+            collided = []                           # flat ids of colliding csma terminals
+            for j in range(nblk):
+                q = q_hist[j]
+                sent_j = sent[j]
+                if r0 > c0:
+                    q_ix = q[indexed]
+                    np.multiply(index_coef[j], q_ix * q_ix, out=index_scores)
+                if c0:
+                    np.multiply(p * delta, delta + 1.0, out=aoi_scores)
+                if x0:
+                    sent_j[topk_rows, _topk_ids(topk_scores, k)] = True
+                if n_csma:
+                    np.greater(csma_scores, j_col, over)
+                    active = over_flat.nonzero()[0].tolist()
+                    sent_c = csma_sent[j]
+                    lo = 0
+                    for c in range(n_csma):
+                        hi = bisect_left(active, lane_ends[c], lo)
+                        winners, colliders, window_len, idle = contend(
+                            active[lo:hi], windows[c], backoff)
+                        lo = hi
+                        for tid in winners:   # faster than one fancy-index store
+                            sent_c[tid] = True
+                        if colliders:
+                            collided += colliders
+                            collider_sum[c] += len(colliders)
+                        window_sum[c] += window_len
+                        idle_sum[c] += idle
+                        j_th[c] = j_col[c, 0] = adapt_threshold(
+                            j_th[c], delta_j[c], idle, window_len, expected[c])
+                        j_hist[c].append(j_th[c])
 
-            delivered = sent_j & s_js[j]
-            np.add(np.where(delivered, 0.0, q), a_js[j], out=q_hist[j + 1])
-            if c0:
-                delta += 1
-                delta[delivered[:c0]] = 1
-        q = q_hist[nblk]
+                delivered = sent_j & s_js[j]
+                np.add(np.where(delivered, 0.0, q), a_js[j], out=q_hist[j + 1])
+                if c0:
+                    delta += 1.0
+                    delta[delivered[:c0]] = 1.0
+            q = q_hist[nblk]
 
-        # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
-        # strided: its summation order is part of the bitwise contract.  The
-        # cumsum adds them into the batch slot by slot.
-        q_lanes = q_hist[:nblk].transpose(1, 0, 2)   # (lane, slot, terminal) view
-        q2 = q_lanes * q_lanes
-        f = np.matmul(w_slots[:, :nblk, None, :], q2[:, :, :, None])[:, :, 0, 0] / n
-        batch_sums[:, b] = np.cumsum(np.concatenate([batch_sums[:, b, None], f], axis=1),
-                                     axis=1)[:, -1]
-        if not np.isfinite(batch_sums[:, b]).all():  # every non-finite f reaches its sum
-            raise NonFiniteCost(f"a lane's batch cost sum is not finite after {t1} slots")
-        attempts += sent.sum(axis=0)
-        np.add.at(attempts, collided, 1)  # csma data sent and wasted
-        if n_csma:
-            csma_idx = index_coef[:, x0 - c0:] * q2[x0:r0].transpose(1, 0, 2)
-            np.maximum(max_index, csma_idx.max(axis=(0, 2)), out=max_index)
-        if thresholds:
-            thr = _threshold_array(w_slots[:, :nblk], thresholds)
-            violations += np.count_nonzero(np.abs(q_lanes) > thr, axis=(1, 2))
-        for lane, trace in enumerate(rows):
-            if trace is not None:
-                aux = j_hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk
-                trace.extend(zip(range(t0, t1), aux, f[lane].tolist()))
+            # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
+            # strided: its summation order is part of the bitwise contract.
+            # The cumsum adds them into the batch slot by slot.
+            q_lanes = q_hist[:nblk].transpose(1, 0, 2)   # (lane, slot, terminal) view
+            q2 = q_lanes * q_lanes
+            f = np.matmul(w_slots[:, :nblk, None, :], q2[:, :, :, None])[:, :, 0, 0] / n
+            batch_sums[:, b] = np.cumsum(np.concatenate([batch_sums[:, b, None], f], axis=1),
+                                         axis=1)[:, -1]
+            if not np.isfinite(batch_sums[:, b]).all():  # every non-finite f reaches its sum
+                raise NonFiniteCost(f"a lane's batch cost sum is not finite after {t1} slots")
+            attempts += sent.sum(axis=0)
+            if collided:
+                np.add.at(csma_attempts, collided, 1)  # csma data sent and wasted
+            if n_csma:
+                csma_idx = index_coef[:, x0 - c0:] * q2[x0:r0].transpose(1, 0, 2)
+                np.maximum(max_index, csma_idx.max(axis=(0, 2)), out=max_index)
+            if thresholds:
+                thr = _threshold_array(w_slots[:, :nblk], thresholds)
+                violations += np.count_nonzero(np.abs(q_lanes) > thr, axis=(1, 2))
+            for lane, trace in enumerate(rows):
+                if trace is not None:
+                    aux = j_hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk
+                    trace.extend(zip(range(t0, t1), aux, f[lane].tolist()))
 
     out = [None] * L
     for lane, i in enumerate(order):
         total = float(batch_sums[lane].sum())
-        csma = x0 <= lane < r0
-        scale = scales[lane - x0] if csma else 1.0
+        c = lane - x0 if x0 <= lane < r0 else None
+        scale = 1.0 if c is None else scales[c]
+        extras = {"slot_scale": scale, "wallclock_avg_uoi": total / T / scale,
+                  "final_j_th": None, "max_index": None, "delta_j": None,
+                  "mean_window_len": None, "expected_window": None,
+                  "colliders_per_window": None, "idle_channels_per_window": None}
+        if c is not None:
+            extras.update(final_j_th=j_th[c], max_index=float(max_index[c]),
+                          delta_j=delta_j[c], mean_window_len=window_sum[c] / T,
+                          expected_window=expected[c],
+                          colliders_per_window=collider_sum[c] / T,
+                          idle_channels_per_window=idle_sum[c] / T)
         out[i] = SimResult(
             avg_uoi=total / T,
             batch_means=_batch_means(batch_sums[lane], T, batch_len),
             update_freq=attempts[lane] / T,
             violation_prob=(int(violations[lane]) / (n * T)) if thresholds else None,
-            extras={"slot_scale": scale,
-                    "wallclock_avg_uoi": total / T / scale,
-                    "final_j_th": j_th[lane - x0] if csma else None,
-                    "max_index": float(max_index[lane - x0]) if csma else None,
-                    "delta_j": delta_j[lane - x0] if csma else None},
+            extras=extras,
             trace=rows[lane])
     return out
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams, TwoPointWeights
-from uoi_sim.csma import COLLISION, ContentionConfig, expected_window
+from uoi_sim.csma import ContentionConfig, expected_window
 from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig
 
@@ -290,6 +290,17 @@ def table_lookup(table: StationaryPolicyTable, q: float, w_now: float, w_next: f
     qc = min(max(q, -grid.q_max), grid.q_max)
     iq = int(round((qc + grid.q_max) / grid.q_step))
     return float(table.table[iq, widx[w_now], widx[w_next]])
+
+
+# Marker for a sub-channel whose reservation mini-slot carried two or more
+# simultaneous intentions.
+COLLISION = -1
+
+
+def fixed_backoffs(backoffs: dict[int, int]) -> dict:
+    """`contend`'s backoff draws for terminal -> backoff: each terminal
+    draws its own backoff, however often it is asked."""
+    return {t: itertools.repeat(l).__next__ for t, l in backoffs.items()}
 
 
 class Window(NamedTuple):

@@ -124,11 +124,11 @@ def test_criterion_4_contention_window_law():
         cfg = ContentionConfig(w=w, k=k)
         backoffs = _conditioned_backoffs(rng, k, w, draws)
         active = list(range(k))
+        # each terminal draws its backoffs in order, one per window
+        backoff = [iter(column).__next__ for column in backoffs.T.tolist()]
         lengths = np.empty(draws, dtype=np.int64)
         for i in range(draws):
-            row = backoffs[i]
-            out = contend(active, cfg, lambda tid: int(row[tid]))
-            lengths[i] = out.window_len
+            lengths[i] = contend(active, cfg, backoff)[2]
         mean = lengths.mean()
         se = lengths.std(ddof=1) / math.sqrt(draws)
         target = expected_window(k, w)

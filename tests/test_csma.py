@@ -7,53 +7,44 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ThresholdState, adapt_threshold_state, contention_window
-from uoi_sim.csma import (COLLISION, ContentionConfig, ContentionOutcome,
-                          adapt_threshold, contend, default_delta_j, expected_window)
+from conftest import (COLLISION, ThresholdState, adapt_threshold_state, contention_window,
+                      fixed_backoffs)
+from uoi_sim.csma import (ContentionConfig, adapt_threshold, contend, default_delta_j,
+                          expected_window)
 
 
-def _contend(backoffs: dict[int, int], w: int, k: int) -> ContentionOutcome:
-    return contend(sorted(backoffs), ContentionConfig(w=w, k=k), backoffs.__getitem__)
+def _contend(backoffs: dict[int, int], w: int, k: int):
+    """(winners, colliders, window_len, idle_channels) of the terminals in
+    `backoffs`, in id order, each firing after its backoff."""
+    return contend(sorted(backoffs), ContentionConfig(w=w, k=k), fixed_backoffs(backoffs))
 
 
 def test_contend_single_active():
-    out = _contend({7: 4}, w=16, k=2)
-    assert out.reservations == {1: 7}
-    assert out.collided == ()
-    assert out.idle_channels == 1
-    assert out.window_len == 16  # idle channel left: window runs out
+    # idle channel left: the window runs out
+    assert _contend({7: 4}, w=16, k=2) == ([7], [], 16, 1)
 
 
 def test_contend_fig5_walkthrough():
     # three actives, backoffs (2, 8, 8), two sub-channels: the early terminal
     # reserves channel 1; the simultaneous pair collides on channel 2.
-    out = _contend({0: 2, 1: 8, 2: 8}, w=16, k=2)
-    assert out.reservations == {1: 0, 2: COLLISION}
-    assert out.collided == (1, 2)
-    assert out.idle_channels == 0
-    assert out.window_len == 9
-    assert out.winners() == [0]
+    assert _contend({0: 2, 1: 8, 2: 8}, w=16, k=2) == ([0], [1, 2], 9, 0)
 
 
 def test_contend_loser_stays_silent():
-    out = _contend({0: 0, 1: 1}, w=3, k=1)
-    assert out.reservations == {1: 0}
-    assert out.collided == ()
-    assert out.window_len == 1
+    assert _contend({0: 0, 1: 1}, w=3, k=1) == ([0], [], 1, 0)
 
 
 def test_contend_collision_channel_counts_occupied():
-    out = _contend({0: 1, 1: 1, 2: 2}, w=8, k=2)
-    assert out.reservations == {1: COLLISION, 2: 2}
-    assert out.collided == (0, 1)
-    assert out.window_len == 3
+    assert _contend({0: 1, 1: 1, 2: 2}, w=8, k=2) == ([2], [0, 1], 3, 0)
 
 
 def test_contend_at_most_k_reservations():
-    out = _contend({i: i for i in range(6)}, w=8, k=3)
-    assert len(out.reservations) == 3
-    assert out.reservations == {1: 0, 2: 1, 3: 2}
-    assert out.window_len == 3
+    assert _contend({i: i for i in range(6)}, w=8, k=3) == ([0, 1, 2], [], 3, 0)
+
+
+def test_contend_rejects_a_backoff_outside_the_window():
+    with pytest.raises(ValueError, match="outside"):
+        _contend({0: 8}, w=8, k=2)
 
 
 def test_expected_window_examples():
@@ -72,10 +63,10 @@ def test_window_length_enumeration_matches_formula(k, w):
     cfg = ContentionConfig(w=w, k=k)
     lengths = []
     for perm in itertools.permutations(range(w), k):
-        backoffs = dict(enumerate(perm))
-        out = contend(list(range(k)), cfg, backoffs.__getitem__)
-        assert out.idle_channels == 0 and not out.collided
-        lengths.append(out.window_len)
+        _, colliders, window_len, idle = contend(
+            list(range(k)), cfg, fixed_backoffs(dict(enumerate(perm))))
+        assert idle == 0 and not colliders
+        lengths.append(window_len)
     mean = Fraction(sum(lengths), len(lengths))
     assert mean == Fraction(k, k + 1) * (w + 1)
     counts = np.bincount(lengths, minlength=w + 1)
@@ -94,9 +85,9 @@ def test_collision_probability_monotone_in_actives():
         backoff_matrix = rng.integers(0, cfg.w, size=(draws, n_active))
         collided = 0
         for row in backoff_matrix:
-            mapping = dict(enumerate(row))
-            out = contend(list(range(n_active)), cfg, mapping.__getitem__)
-            collided += bool(out.collided)
+            colliders = contend(list(range(n_active)), cfg,
+                                fixed_backoffs(dict(enumerate(row))))[1]
+            collided += bool(colliders)
         rate = collided / draws
         se = math.sqrt(max(rate * (1 - rate), 1e-12) / draws)
         if prev_rate is not None:
@@ -106,25 +97,20 @@ def test_collision_probability_monotone_in_actives():
 
 def test_adapt_threshold_examples():
     expected = expected_window(2, 16)
-    idle = ContentionOutcome(reservations={1: 0}, window_len=16, idle_channels=1)
-    assert adapt_threshold(10.0, 2.0, idle, expected) == pytest.approx(8.0)
-
-    fast = ContentionOutcome(reservations={1: 0, 2: 1}, window_len=5, idle_channels=0)
-    assert adapt_threshold(10.0, 2.0, fast, expected) == pytest.approx(12.0)  # 5 < 11.33
-
-    slow = ContentionOutcome(reservations={1: 0, 2: 1}, window_len=12, idle_channels=0)
-    assert adapt_threshold(10.0, 2.0, slow, expected) == pytest.approx(10.0)  # unchanged
-
-    assert adapt_threshold(1.0, 2.0, idle, expected) == 0.0  # clamped
+    # adapt_threshold(j_th, delta_j, idle_channels, window_len, expected)
+    assert adapt_threshold(10.0, 2.0, 1, 16, expected) == pytest.approx(8.0)   # idle
+    assert adapt_threshold(10.0, 2.0, 0, 5, expected) == pytest.approx(12.0)   # 5 < 11.33
+    assert adapt_threshold(10.0, 2.0, 0, 12, expected) == pytest.approx(10.0)  # unchanged
+    assert adapt_threshold(1.0, 2.0, 1, 16, expected) == 0.0  # clamped
 
 
 def test_threshold_returns_to_zero_under_zero_load():
     cfg = ContentionConfig(w=16, k=2)
     j_th = 7.3
     for _ in range(10):
-        out = contend([], cfg, lambda tid: 0)
-        assert out.idle_channels == cfg.k
-        j_th = adapt_threshold(j_th, 2.0, out, expected_window(cfg.k, cfg.w))
+        winners, colliders, window_len, idle = contend([], cfg, [])
+        assert (winners, colliders, window_len, idle) == ([], [], cfg.w, cfg.k)
+        j_th = adapt_threshold(j_th, 2.0, idle, window_len, expected_window(cfg.k, cfg.w))
     assert j_th == 0.0
 
 
@@ -146,14 +132,14 @@ def test_contention_step_matches_oracles_on_random_windows():
                 backoffs = dict.fromkeys(active, int(rng.integers(0, w)))
             else:
                 backoffs = {t: int(rng.integers(0, w)) for t in active}
-            out = contend(active, cfg, backoffs.__getitem__)
+            winners, colliders, window_len, idle = contend(
+                active, cfg, fixed_backoffs(backoffs))
             window = contention_window(backoffs, w, k)
-            assert (out.reservations, out.window_len, out.idle_channels,
-                    out.collided) == window
-            assert out.winners() == [t for t in window.reservations.values()
-                                     if t != COLLISION]
-            j_th = adapt_threshold(j_th, delta_j, out, expected)
-            state = adapt_threshold_state(state, out, cfg)
+            assert winners == [t for t in window.reservations.values() if t != COLLISION]
+            assert (colliders, window_len, idle) == (
+                list(window.collided), window.window_len, window.idle_channels)
+            j_th = adapt_threshold(j_th, delta_j, idle, window_len, expected)
+            state = adapt_threshold_state(state, window, cfg)
             assert j_th == state.j_th
             windows += 1
             empty += not active

@@ -1,7 +1,10 @@
 """Config ingestion, metric export, CLI behavior."""
 
 import json
+import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +415,26 @@ def test_cli_assert_bounds_exit_code(monkeypatch):
     assert cli.main(["single", "--assert-bounds", "--horizon", "10"]) == 3
 
 
+def test_cli_prints_huge_numbers_in_exponent_notation(tmp_path, capsys, monkeypatch):
+    # fixed notation below magnitude 1e15, exponent notation from there on
+    assert [cli._num(x) for x in (12.5, -999999999999999.9, 1e15, -2.5e305, math.inf)] == [
+        "12.500000", "-999999999999999.875000", "1.000000e+15", "-2.500000e+305", "inf"]
+    cfgf = tmp_path / "huge.json"
+    cfgf.write_text(json.dumps({"scenario": "single", "horizon": 3000,
+                                "weights": {"w_hi": 1e305}}))
+    assert cli.main(["single", "--config", str(cfgf)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert re.fullmatch(r"\[single\] adaptive: avg_uoi=\d\.\d{6}e\+30\d freq=\d\.\d{4} "
+                        r"bound=\d\.\d{6}e\+30\d", line), line
+    fake = RunMetrics(scenario="single", policy="adaptive", params={"rho": 0.25},
+                      avg_uoi=3e300, stderr_uoi=1e298, avg_update_freq=np.array([0.2]),
+                      violation_prob=None, bound_value=2e300)
+    monkeypatch.setattr(cli.harness, "run", lambda config: [fake])
+    assert cli.main(["single", "--assert-bounds", "--horizon", "10"]) == 3
+    assert ("bound violated: adaptive avg_uoi 3.000000e+300 > bound 2.000000e+300 "
+            "+ 3.000000e+298") in capsys.readouterr().err
+
+
 def test_cli_csma_flags(tmp_path):
     out = tmp_path / "csma.csv"
     code = cli.main(["csma", "--horizon", "3000", "--n", "5", "--window", "8",
@@ -526,11 +549,14 @@ def test_cli_adaptive_rule_at_subnormal_budget_rejects_rho(scenario, rho, p, tmp
 ], ids=["single-weights", "control-weights", "single-sigma2", "multi-weights",
         "csma-weights", "waterfill-bound"])
 def test_cli_overflowing_cost_sum_exits_2_without_output(raw, field, tmp_path, capsys):
-    # a finite config whose slot costs w * q^2, or whose fleet bound, overflow a float
+    # a finite config whose slot costs w * q^2, or whose fleet bound, overflow a
+    # float; the overflow on the way there raises no numpy warning
     cfgf = tmp_path / "huge.json"
     cfgf.write_text(json.dumps(dict(raw, horizon=3000)))
     out = tmp_path / "rows.csv"
-    assert cli.main([raw["scenario"], "--config", str(cfgf), "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([raw["scenario"], "--config", str(cfgf), "--out", str(out)]) == 2
     assert f"config field {field!r}" in capsys.readouterr().err
     assert not out.exists()
 

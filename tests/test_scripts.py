@@ -32,11 +32,16 @@ def test_every_figure_script_has_a_run():
     assert sorted(RUNS) == sorted(p.stem for p in SCRIPTS.glob("fig_*.py"))
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_figure_script_writes_what_it_says(name, tmp_path, monkeypatch, capsys):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_figure_script_writes_what_it_says(name, tmp_path, monkeypatch, capsys):
+    script = _load(name)
     args, files = RUNS[name]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", [f"{name}.py"] + HORIZON + args)
@@ -48,3 +53,24 @@ def test_figure_script_writes_what_it_says(name, tmp_path, monkeypatch, capsys):
     # directory named there
     wrote = out[out.index("wrote "):]
     assert all(rel in wrote or rel.split("/")[0] + "/" in wrote for rel in files), wrote
+
+
+@pytest.mark.parametrize("name,out", [
+    ("fig_single_trace", "missing/trace.csv"),   # a csv file in no directory
+    ("fig_tradeoff", "afile/tradeoff"),           # a plot directory under a file
+])
+def test_figure_script_rejects_an_unwritable_out_before_the_run(name, out, tmp_path,
+                                                                 monkeypatch, capsys):
+    script = _load(name)
+
+    def no_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(script, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(sys, "argv", [f"{name}.py"] + HORIZON + ["--out", out])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (AoIState, ErrorQueue, ThresholdState, adapt_threshold_state,
+from conftest import (COLLISION, AoIState, ErrorQueue, ThresholdState, adapt_threshold_state,
                       certainty_equivalent_control, contention_window, decide_update,
                       desk_terminal, desk_weights, fleet_weights, make_fleet,
                       make_single_updater, multi_update_index, periodic_step,
@@ -17,7 +17,7 @@ from conftest import (AoIState, ErrorQueue, ThresholdState, adapt_threshold_stat
 from uoi_sim import sim
 from uoi_sim.control import LinearPlant, ReferencePath
 from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
-from uoi_sim.csma import COLLISION, ContentionConfig, default_delta_j
+from uoi_sim.csma import ContentionConfig, default_delta_j, expected_window
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import KINDS, StreamFactory
@@ -269,8 +269,9 @@ def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
 
 
 def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
-    """(average UoI, attempts, final threshold) of the csma scheduler
-    rebuilt from the step operations, and the run's stream factory."""
+    """(average UoI, attempts, final threshold, window monitors) of the csma
+    scheduler rebuilt from the step operations, and the run's stream
+    factory."""
     factory = StreamFactory(seed)
     n = fleet.n
     scale = math.sqrt(cfg.slot_scale)
@@ -289,6 +290,7 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
     threshold = ThresholdState(j_th=0.0, delta_j=delta_j)
     attempts = [0] * n
     total = 0.0
+    window_len = colliders = idle = 0
     for t in range(horizon):
         total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
         active = [i for i in range(n)
@@ -296,12 +298,19 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
                   > threshold.j_th]
         window = contention_window({i: next(backoffs[i]) for i in active}, cfg.w, cfg.k)
         threshold = adapt_threshold_state(threshold, window, cfg)
+        window_len += window.window_len
+        colliders += len(window.collided)
+        idle += window.idle_channels
         sent = set(window.reservations.values()) - {COLLISION}
         for i in sent.union(window.collided):
             attempts[i] += 1
         queues = [step_error(queues[i], int(i in sent), int(s[i][t]), inc[i][t])
                   for i in range(n)]
-    return total / horizon, attempts, threshold.j_th, factory
+    monitors = {"mean_window_len": window_len / horizon,
+                "expected_window": expected_window(cfg.k, cfg.w),
+                "colliders_per_window": colliders / horizon,
+                "idle_channels_per_window": idle / horizon}
+    return total / horizon, attempts, threshold.j_th, monitors, factory
 
 
 @pytest.mark.parametrize("w", [2, 4, 16])
@@ -311,7 +320,7 @@ def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
     weights = fleet_weights()
     cfg = ContentionConfig(w=w, k=2)
     delta_j = default_delta_j(fleet.array("omega_bar"), fleet.array("sigma2") * cfg.slot_scale)
-    avg, attempts, j_th, ref_factory = _reference_csma_run(
+    avg, attempts, j_th, monitors, ref_factory = _reference_csma_run(
         fleet, weights, pi, cfg, delta_j=delta_j, horizon=1500, seed=34)
     factory = StreamFactory(34)
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 97 * fleet.n)   # 97-slot blocks
@@ -321,6 +330,7 @@ def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
     assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
     assert res.extras["final_j_th"] == pytest.approx(j_th, rel=1e-12)
     assert res.extras["delta_j"] == delta_j
+    assert {key: res.extras[key] for key in monitors} == monitors
     assert factory.draw_counts() == ref_factory.draw_counts()
 
 
@@ -370,6 +380,29 @@ def test_run_fleet_block_size_invariance(monkeypatch):
     for scheduler in sorted(sim._FLEET_SCHEDULERS):
         outputs = list(runs(scheduler))
         assert all(run == outputs[0] for run in outputs), scheduler
+
+
+def test_fleet_chunk_and_block_slicing_invariance(monkeypatch):
+    # two (seed, replication) groups of csma lanes at W = 4 and 16 beside
+    # centralized and aoi lanes: G = 2 groups sample the common streams in
+    # chunks of E // (G N) slots, which the E // (L N)-slot blocks of L = 8
+    # lanes slice.  Chunks of 1 slot, ends mid-batch (50 slots), on the
+    # 71-slot batch ends (71, 142) and past the 503-slot horizon.
+    fleet = make_fleet(4, k=2)
+    groups = 2
+    chunks = (1, 50, 71, 142, 10**6)
+
+    def run(chunk):
+        lanes = [_lane(sched, StreamFactory(78, rep), trace=rep == 0, w=w)
+                 for rep in range(groups)
+                 for sched, w in (("csma", 4), ("csma", 16), ("centralized", 4), ("aoi", 4))]
+        monkeypatch.setattr(sim, "_LANE_ELEMENTS", chunk * groups * fleet.n)
+        results = sim.run_fleet_lanes(fleet, fleet_weights(), lanes, horizon=503,
+                                      thresholds=FLEET_THRESHOLDS, n_batches=7)
+        return [_fleet_outputs(res, lane.factory) for lane, res in zip(lanes, results)]
+
+    outputs = [run(chunk) for chunk in chunks]
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
