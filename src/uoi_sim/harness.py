@@ -467,7 +467,8 @@ def run(config: ExperimentConfig) -> list[RunMetrics]:
     """Execute the configured scenario, one metrics row per policy.
 
     A cost sum that overflows rejects the run, naming the larger of the
-    weights' mean and the error variance as the field at fault."""
+    weights' mean and the error variance as the field at fault; so does a
+    domain value out of range, such as a budget too small for an aoi table."""
     runners = {
         "single": _run_single_scenario,
         "fleet": _run_fleet_scenario,
@@ -480,6 +481,8 @@ def run(config: ExperimentConfig) -> list[RunMetrics]:
         return runners[simulator](config)
     except NonFiniteCost as exc:
         raise ConfigError(config._overflow_field, f"too large for a finite average: {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(exc.field, exc.reason) from exc
 
 
 # --------------------------------------------------------------------------

@@ -9,13 +9,15 @@ concave, piecewise-linear dual: each solved table's Lagrangian is the line
 avg_cost + lam * avg_freq, and the next lam is where the lines of the two
 bracketing tables cross.  Where no pure policy hits the budget exactly, the
 two tables optimal at the critical lam are randomized state-wise (Beutler
-& Ross 1985).  The age-based chain (cost = age) that gives the age-optimal
-comparison policy is solved exactly by policy iteration.
+& Ross 1985).  The age-optimal policy (cost = age) needs no solve: it is a
+threshold on the age, randomized at one age (Sun et al. 2017; Ceran, Gunduz
+& Gyorgy 2019), with closed-form renewal averages.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,25 +26,25 @@ import numpy as np
 from .core import TerminalParams, require
 
 _SPAN_TOL = 1e-6      # RVI stops once a sweep changes h by a span below this
-_MAX_ITER = 100_000   # cap on RVI sweeps and on age-chain improvement steps
+_MAX_ITER = 100_000   # cap on RVI sweeps
 _FREQ_TOL = 1e-3      # calibration accepts a frequency this close to rho (rho / 100 if less)
 _MAX_CUTS = 60        # cap on the cutting-plane steps on lam
+_AOI_MIN_AGES = 200   # ages an aoi table lists at least; later ages take its last entry
+_AOI_MAX_AGES = 2 ** 20  # a budget whose aoi table would list more ages is rejected
 
 
 @dataclass(frozen=True)
 class MdpGrid:
-    """Discretization of the error state (q bins, weight pairs) and of the age.
+    """Discretization of the error state: q bins and weight pairs.
 
     q_max / q_step must be an integer; Gaussian increment mass outside
     [-q_max, q_max] folds into the boundary bins.  weight_support's (value,
-    probability) pairs are kept as tuples, so the grid is hashable.  delta_max
-    caps the age chain used for the age-cost variant.
+    probability) pairs are kept as tuples, so the grid is hashable.
     """
 
     q_max: float
     q_step: float
     weight_support: tuple[tuple[float, float], ...]
-    delta_max: int = 200
 
     def __post_init__(self):
         require(0.0 < self.q_max < math.inf, "q_max", self.q_max, "positive and finite")
@@ -54,7 +56,6 @@ class MdpGrid:
         probs = sum(p for _, p in self.weight_support)
         require(not self.weight_support or abs(probs - 1.0) <= 1e-9, "weight_support",
                 self.weight_support, "probabilities that sum to 1")
-        require(self.delta_max >= 2, "delta_max", self.delta_max, "at least 2")
 
     @property
     def q_values(self) -> np.ndarray:
@@ -72,10 +73,10 @@ class StationaryPolicyTable:
     """Greedy (possibly state-randomized) policy with its exact chain averages.
 
     table holds P(transmit | state): shape (nq, nw, nw) for cost_kind "uoi"
-    (axes: q bin, current weight, next weight), shape (delta_max,) for "aoi".
-    lam is the transmit multiplier it was solved at, whose term avg_cost
-    excludes; avg_freq is the long-run E[U].  iterations counts RVI sweeps
-    for "uoi" and policy-improvement steps for "aoi".
+    (axes: q bin, current weight, next weight); for "aoi", by age 1..max(200,
+    m + 1) for the send age m, later ages taking the last entry.  lam is the
+    transmit multiplier it was solved at, whose term avg_cost excludes;
+    avg_freq is the long-run E[U]; iterations counts RVI sweeps (0 for "aoi").
     """
 
     cost_kind: str
@@ -145,6 +146,12 @@ def _weights(grid: MdpGrid) -> tuple[np.ndarray, np.ndarray]:
             np.array([p for _, p in grid.weight_support]))
 
 
+def _require_uoi(cost_kind: str) -> None:
+    if cost_kind != "uoi":
+        raise ValueError(f"the chain solvers take cost kind 'uoi', got {cost_kind!r}; "
+                         f"calibrate_multiplier gives the 'aoi' table in closed form")
+
+
 def _uoi_rvi(grid: MdpGrid, params: TerminalParams, lam: float, h0: np.ndarray | None = None):
     """Structured solver for the (q, w_now, w_next) chain with transmit cost
     lam, from relative values h0 (zero by default).  Returns (gain, greedy
@@ -180,48 +187,6 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, lam: float, h0: np.ndarray |
     raise RviConvergenceError(span, _MAX_ITER)
 
 
-def _age_chain_bias(send: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gain g and relative values h (h[0] = 0) of the age chain in which age
-    i + 1 pays cost[i], resets to age 1 with probability send[i] and
-    otherwise grows, capped at len(cost) (Puterman §8.2).
-
-    The equations h_i + g = cost_i + send_i h_0 + (1 - send_i) h_up(i) are
-    solved relative to the cap: g = cost[-1] + send[-1] h_0, and
-    back-substitution from the cap writes each h_i as a_i + b_i h_0, so
-    h_0 = a_0 / (1 - b_0).  1 - b_0 > 0 unless the chain has two recurrent
-    classes, which needs p = 1 and a policy that sends below the cap but
-    not at it; no threshold policy does.
-    """
-    s, c = send.tolist(), cost.tolist()
-    a, b = [0.0] * len(c), [0.0] * len(c)
-    for i in range(len(c) - 2, -1, -1):
-        a[i] = c[i] - c[-1] + (1.0 - s[i]) * a[i + 1]
-        b[i] = s[i] - s[-1] + (1.0 - s[i]) * b[i + 1]
-    h0 = a[0] / (1.0 - b[0])
-    return c[-1] + s[-1] * h0, np.array(a) + (np.array(b) - 1.0) * h0
-
-
-def _aoi_policy_iteration(grid: MdpGrid, params: TerminalParams, lam: float):
-    """Policy iteration on the age chain with transmit cost lam (Puterman
-    §8.6), starting from never transmitting and evaluating each policy
-    exactly.  Returns (gain, table, improvement steps).  An action changes
-    only where the other one is better by more than rounding; ties keep it,
-    so the iteration ends and untouched ties stay at not transmitting."""
-    n, p = grid.delta_max, params.p
-    ages = np.arange(1, n + 1, dtype=float)
-    up = np.minimum(np.arange(1, n + 1), n - 1)
-    table = np.zeros(n)
-    for it in range(1, _MAX_ITER + 1):
-        gain, h = _age_chain_bias(p * table, ages + lam * table)
-        gap = p * h[up] - lam  # waiting minus transmitting: h_up - (lam + (1 - p) h_up)
-        tie = np.abs(gap) <= 1e-10 * (lam + np.abs(p * h[up]))
-        improved = np.where(tie, table, gap > 0.0)
-        if np.array_equal(improved, table):
-            return gain, table, it
-        table = improved
-    raise RviConvergenceError(math.nan, _MAX_ITER)
-
-
 # --------------------------------------------------------------------------
 # Exact evaluation of a (possibly randomized) policy on the discrete chain.
 # --------------------------------------------------------------------------
@@ -246,15 +211,9 @@ def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
     (q, w_now, w_next) is nu(q, w_now) * pw[w_next], where nu is stationary
     for the (q, w_now) chain P[(q, a), (q', b)] = pw[b] * K_ab[q, q'] and
     K_ab mixes the kernel row of q with the reset row g0 by the delivery
-    probability p * table[q, a, b].  aoi: gains of the age chain with the
-    age and the table as costs.
+    probability p * table[q, a, b].
     """
-    if cost_kind == "aoi":
-        send = params.p * table
-        ages = np.arange(1, grid.delta_max + 1, dtype=float)
-        return _age_chain_bias(send, ages)[0], _age_chain_bias(send, table)[0]
-    if cost_kind != "uoi":
-        raise ValueError(f"unknown cost kind {cost_kind!r}")
+    _require_uoi(cost_kind)
     return _uoi_averages(grid, params.p, params.sigma2, np.shape(table),
                          np.asarray(table, dtype=float).tobytes())
 
@@ -279,6 +238,55 @@ def _uoi_averages(grid: MdpGrid, p: float, sigma2: float, shape: tuple[int, ...]
 
 
 # --------------------------------------------------------------------------
+# The age-optimal policy in closed form.
+# --------------------------------------------------------------------------
+
+
+def age_threshold_for_budget(p: float, rho: float) -> int:
+    """Smallest age from which always sending keeps the attempt frequency
+    within rho: ceil(1 + x) for x = (1/rho - 1)/p.  A threshold that
+    overflows a float (a subnormal rho) reads as the largest float."""
+    return max(1, math.ceil(min(1.0 + (1.0 / rho - 1.0) / p - 1e-12, sys.float_info.max)))
+
+
+def _age_rule_averages(p: float, m: int, eta: float) -> tuple[float, float]:
+    """(mean age, attempt frequency) of the rule that waits through ages
+    1..m-1, sends with probability eta at age m and always after that.  A
+    cycle between deliveries is L = m - 1 + X slots, X of them from age m
+    on; it makes 1/p attempts in expectation, and the age runs 1..L in it."""
+    ex = 1.0 + (1.0 - eta * p) / p
+    ex2 = eta * p + (1.0 - eta * p) * (1.0 + 2.0 / p + (2.0 - p) / p ** 2)
+    el = m - 1 + ex
+    el2 = (m - 1) ** 2 + 2 * (m - 1) * ex + ex2
+    return (el2 + el) / (2.0 * el), (1.0 / p) / el
+
+
+def _aoi_policy(grid: MdpGrid, p: float, rho: float) -> tuple[float, StationaryPolicyTable]:
+    """The age-optimal rule that attempts exactly rho on average.
+
+    With x = (1/rho - 1)/p, it waits through ages 1..m-1 for
+    m = age_threshold_for_budget(p, rho) - 1 and sends with probability
+    eta = m - x at age m.  lam is where the Lagrangian lines of the pure
+    thresholds m and m + 1 cross (0 when always sending meets rho).
+    """
+    m = age_threshold_for_budget(p, rho) - 1
+    require(m + 1 <= _AOI_MAX_AGES, "rho", rho,
+            f"large enough that the age threshold stays within {_AOI_MAX_AGES} ages")
+    eta = m - (1.0 / rho - 1.0) / p
+    eta = 0.0 if eta < 1e-12 else eta
+    lam, table = 0.0, np.ones(max(_AOI_MIN_AGES, m + 1))
+    if m >= 1:
+        (cost_m, freq_m), (cost_up, freq_up) = (_age_rule_averages(p, m, e) for e in (1.0, 0.0))
+        lam = (cost_up - cost_m) / (freq_m - freq_up)
+        table[:m - 1] = 0.0
+        table[m - 1] = eta
+    cost, freq = _age_rule_averages(p, m, eta)
+    return lam, StationaryPolicyTable(cost_kind="aoi", table=table, avg_cost=cost,
+                                      avg_freq=freq, lam=lam, grid=grid,
+                                      gain=cost + lam * freq, iterations=0)
+
+
+# --------------------------------------------------------------------------
 # Public entry points.
 # --------------------------------------------------------------------------
 
@@ -288,16 +296,11 @@ def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
     """Solve the average-cost problem with cost lam per transmission and
     evaluate its greedy policy exactly on the discrete chain.
 
-    uoi: relative value iteration from zero until the span is below
-    _SPAN_TOL.  aoi: policy iteration with exact evaluation.
+    Relative value iteration from zero until the span is below _SPAN_TOL.
     """
     require(0.0 <= lam < math.inf, "lam", lam, "nonnegative and finite")
-    if cost_kind == "uoi":
-        gain, table, iters = _uoi_rvi(grid, params, lam)
-    elif cost_kind == "aoi":
-        gain, table, iters = _aoi_policy_iteration(grid, params, lam)
-    else:
-        raise ValueError(f"unknown cost kind {cost_kind!r}")
+    _require_uoi(cost_kind)
+    gain, table, iters = _uoi_rvi(grid, params, lam)
     avg_cost, avg_freq = evaluate_policy(grid, params, cost_kind, table)
     return StationaryPolicyTable(cost_kind=cost_kind, table=table,
                                  avg_cost=avg_cost, avg_freq=avg_freq, lam=lam,
@@ -315,10 +318,13 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
     of rho, until one hits rho or the cut returns a bracketing table again.
     Then the two bracketing policies are randomized state-wise and the
     mixing weight is bisected against the exact chain frequency.  The mixed
-    table reports the lam, gain and iterations of the last solve.
+    table reports the lam, gain and iterations of the last solve.  The aoi
+    table is a closed form and needs no solve.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
+    if cost_kind == "aoi":
+        return _aoi_policy(grid, params.p, rho)
     tol = min(_FREQ_TOL, 0.01 * rho)
 
     lo_tab = rvi_solve(grid, params, cost_kind, 0.0)

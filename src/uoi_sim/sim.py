@@ -10,7 +10,6 @@ policy's own coin flips live on separate streams.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -22,7 +21,7 @@ from . import csma as csma_mod
 from .control import LinearPlant, ReferencePath, optimal_control, step_plant_with_noise
 from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_offset,
                    sample_channel_block)
-from .mdp import StationaryPolicyTable
+from .mdp import StationaryPolicyTable, age_threshold_for_budget
 from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
                     schedule_stationary, waterfill)
 from .rng import COMMON_KINDS, Buffered, StreamFactory
@@ -106,17 +105,6 @@ def _threshold_array(w: np.ndarray, thresholds: dict[float, float] | None) -> np
     for value, bound in thresholds.items():
         thr[w == float(value)] = float(bound)
     return thr
-
-
-def age_threshold_for_budget(p: float, rho: float) -> int:
-    """Smallest age threshold whose attempt frequency stays within rho.
-
-    Retransmits every slot past the threshold until a success, so a cycle
-    is (m - 1) waiting slots plus Geometric(p) attempts.  A budget so small
-    that the threshold overflows a float (a subnormal rho) reads as the
-    largest float: a threshold past any horizon.
-    """
-    return max(1, math.ceil(min(1.0 + (1.0 / rho - 1.0) / p - 1e-12, sys.float_info.max)))
 
 
 def adaptive_uoi_bound(params: TerminalParams, rho: float, v: float) -> float:

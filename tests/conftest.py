@@ -106,6 +106,45 @@ def relative_value_iteration(transitions: np.ndarray, costs: np.ndarray,
     raise RviConvergenceError(span, max_iter)
 
 
+def age_chain_bias(send, cost) -> tuple[np.ndarray, np.ndarray]:
+    """Gain g and relative values h (h[0] = 0) of the age chain in which age
+    i + 1 pays cost[i], resets to age 1 with probability send[i] and
+    otherwise grows, capped at len(cost) (Puterman §8.2).  Extra axes after
+    the first hold independent chains.
+
+    The equations h_i + g = cost_i + send_i h_0 + (1 - send_i) h_up(i) are
+    solved relative to the cap: g = cost[-1] + send[-1] h_0, and
+    back-substitution from the cap writes each h_i as a_i + b_i h_0, so
+    h_0 = a_0 / (1 - b_0).  1 - b_0 > 0 unless the chain has two recurrent
+    classes, which needs p = 1 and a policy that sends below the cap but
+    not at it; no threshold policy does.
+    """
+    s, c = (np.array(x, dtype=float) for x in np.broadcast_arrays(send, cost))
+    a, b = np.zeros_like(c), np.zeros_like(s)
+    for i in range(len(c) - 2, -1, -1):
+        a[i] = c[i] - c[-1] + (1.0 - s[i]) * a[i + 1]
+        b[i] = s[i] - s[-1] + (1.0 - s[i]) * b[i + 1]
+    h0 = a[0] / (1.0 - b[0])
+    return c[-1] + s[-1] * h0, a + (b - 1.0) * h0
+
+
+def age_chain_averages(table, p: float, n_ages: int = 5000) -> tuple[float, float]:
+    """(average age, attempt frequency) of a P(transmit | age) table on the
+    age chain capped at n_ages; the table's last entry holds for later ages.
+    A 2-D table holds one policy per column."""
+    table = np.asarray(table, dtype=float)
+    tail = np.broadcast_to(table[-1], (n_ages - len(table),) + table.shape[1:])
+    full = np.concatenate([table, tail])
+    ages = np.arange(1, n_ages + 1, dtype=float).reshape((-1,) + (1,) * (table.ndim - 1))
+    return age_chain_bias(p * full, ages)[0], age_chain_bias(p * full, full)[0]
+
+
+def age_rule_table(m: int, eta: float) -> np.ndarray:
+    """The age rule that waits through ages 1..m-1, sends with probability
+    eta at age m and always after that."""
+    return np.concatenate([np.zeros(m - 1), [eta, 1.0]])
+
+
 def dense_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary law of a unichain transition matrix: least-squares solve
     of mu (P - I) = 0 together with sum(mu) = 1."""
@@ -281,11 +320,12 @@ def schedule_aoi(aoi: AoIState, fleet: FleetConfig) -> list[int]:
 
 def table_lookup(table: StationaryPolicyTable, q: float, w_now: float, w_next: float,
                  age: int) -> float:
-    """P(transmit) of a policy table: by age, capped at delta_max, for "aoi";
-    at the nearest q bin (clipped to the grid) and the weight pair for "uoi"."""
+    """P(transmit) of a policy table: by age, the last entry holding past its
+    end, for "aoi"; at the nearest q bin (clipped to the grid) and the weight
+    pair for "uoi"."""
     grid = table.grid
     if table.cost_kind == "aoi":
-        return float(table.table[min(age, grid.delta_max) - 1])
+        return float(table.table[min(age, len(table.table)) - 1])
     widx = {float(val): i for i, (val, _) in enumerate(grid.weight_support)}
     qc = min(max(q, -grid.q_max), grid.q_max)
     iq = int(round((qc + grid.q_max) / grid.q_step))

@@ -6,13 +6,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (dense_uoi_chain, desk_terminal, desk_weights,
-                      relative_value_iteration)
+from conftest import (age_chain_averages, age_chain_bias, age_rule_table, dense_uoi_chain,
+                      desk_terminal, desk_weights, relative_value_iteration)
 from uoi_sim import cli, harness, mdp
-from uoi_sim.core import TerminalParams
-from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _uoi_rvi, calibrate_multiplier, evaluate_policy,
+from uoi_sim.core import FieldError, TerminalParams
+from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _age_rule_averages, _uoi_rvi,
+                         age_threshold_for_budget, calibrate_multiplier, evaluate_policy,
                          format_policy_table, gaussian_kernel, rvi_solve,
                          stationary_distribution)
+
+NEAR_OPTIMAL_RHOS = (0.1, 0.15, 0.2, 0.25, 0.35, 0.5)  # fig_near_optimal's budgets
+MAX_THRESHOLD = 2000
+
+
+@pytest.fixture(scope="module")
+def threshold_chain():
+    """(average age, attempt frequency) of the pure age thresholds
+    1..MAX_THRESHOLD on the 5000-age oracle chain of the desk terminal."""
+    n = MAX_THRESHOLD + 1
+    tables = (np.arange(1, n + 1)[:, None] >= np.arange(1, n)[None, :]).astype(float)
+    return age_chain_averages(tables, desk_terminal().p)
 
 
 def test_grid_validation():
@@ -86,21 +99,53 @@ def test_rvi_matches_policy_enumeration_on_tiny_chain():
 
 
 @pytest.mark.parametrize("lam", [0.5, 3.0, 8.0, 40.0])
-def test_age_chain_solver_matches_policy_enumeration(lam):
-    # all 2^8 deterministic policies of the age chain capped at 8
-    params = desk_terminal()
-    grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),), delta_max=8)
-    n, p = grid.delta_max, params.p
+def test_a_pure_age_threshold_is_optimal_by_enumeration(lam):
+    # all 2^8 deterministic policies of the age chain capped at 8: the best
+    # is a threshold (or, on the capped chain, never sending), which is why
+    # the closed form only weighs thresholds
+    n, p = 8, desk_terminal().p
     wait = np.zeros((n, n))
     wait[np.arange(n), np.minimum(np.arange(1, n + 1), n - 1)] = 1.0
     send = p * np.tile(np.eye(n)[0], (n, 1)) + (1 - p) * wait
     ages = np.arange(1, n + 1, dtype=float)
     best = _enumerate_optimal_average_cost(np.stack([wait, send]),
                                            np.stack([ages, ages + lam], axis=1))
-    table = rvi_solve(grid, params, "aoi", lam)
-    assert table.gain == pytest.approx(best, abs=1e-9)
-    assert table.avg_cost + lam * table.avg_freq == pytest.approx(best, abs=1e-9)
-    assert set(np.unique(table.table)) <= {0.0, 1.0}
+    thresholds = (ages[:, None] >= np.append(ages, np.inf)[None, :]).astype(float)
+    gains = age_chain_bias(p * thresholds, ages[:, None] + lam * thresholds)[0]
+    assert gains.min() == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 100, 1000])
+def test_age_rule_averages_match_the_oracle_chain_at_pure_thresholds(m):
+    p = desk_terminal().p
+    cost, freq = age_chain_averages(age_rule_table(m, 1.0), p)
+    assert _age_rule_averages(p, m, 1.0) == pytest.approx((cost, freq), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("rho", NEAR_OPTIMAL_RHOS)
+def test_aoi_table_averages_match_the_oracle_chain(rho):
+    # the table itself, its last entry extended to 5000 ages, on the oracle
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    _, table = calibrate_multiplier(grid, params, rho, "aoi")
+    cost, freq = age_chain_averages(table.table, params.p)
+    assert (table.avg_cost, table.avg_freq) == pytest.approx((cost, freq), rel=1e-9, abs=0)
+    assert table.avg_freq == pytest.approx(rho, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", NEAR_OPTIMAL_RHOS + (1e-3,))
+def test_aoi_multiplier_is_where_the_thresholds_m_and_m1_tie(rho, threshold_chain):
+    # at the reported lam the pure thresholds m and m + 1 have equal
+    # Lagrangians, and no threshold up to MAX_THRESHOLD does better
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    lam, table = calibrate_multiplier(grid, params, rho, "aoi")
+    m = age_threshold_for_budget(params.p, rho) - 1
+    cost, freq = threshold_chain
+    lagrangian = cost + lam * freq  # lagrangian[k - 1] is threshold k's
+    assert lagrangian[m - 1] == pytest.approx(lagrangian[m], rel=1e-9)
+    assert lagrangian.min() >= lagrangian[m - 1] * (1.0 - 1e-9)
+    assert table.gain == pytest.approx(lagrangian[m - 1], rel=1e-9)
 
 
 def test_uoi_reduced_chain_matches_dense_oracle():
@@ -118,8 +163,7 @@ def test_uoi_reduced_chain_matches_dense_oracle():
 def test_gaussian_kernel_is_cached_and_read_only():
     grid = MdpGrid(q_max=3.0, q_step=0.5, weight_support=((1.0, 1.0),))
     G, g0 = gaussian_kernel(grid, 2.0)
-    G2, _ = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5, weight_support=((7.0, 1.0),),
-                                    delta_max=5), 2.0)
+    G2, _ = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5, weight_support=((7.0, 1.0),)), 2.0)
     assert G2 is G
     assert not G.flags.writeable and not g0.flags.writeable
     with pytest.raises(ValueError):
@@ -174,29 +218,42 @@ DEFAULT_CALIBRATIONS = [(kind, rho) for kind in ("uoi", "aoi") for rho in (0.1, 
 @pytest.mark.parametrize("cost_kind,rho", DEFAULT_CALIBRATIONS)
 def test_calibration_cuts_to_the_breakpoint_in_few_solves(cost_kind, rho, monkeypatch):
     # Kelley's cut lands on the crossing of the bracketing tables' Lagrangian
-    # lines; bisecting lam to float resolution took 55-60 solves
+    # lines; bisecting lam to float resolution took 55-60 solves.  The aoi
+    # table is a closed form: it solves and evaluates no chain.
     params = desk_terminal()
     grid = MdpGrid.default(params.sigma2, desk_weights().support())
-    solves = []
+    solves, evaluations = [], []
 
     def counted(*args):
         solves.append(args[3])
         return rvi_solve(*args)
+
+    def evaluated(*args):
+        evaluations.append(args[2])
+        return evaluate_policy(*args)
     monkeypatch.setattr(mdp, "rvi_solve", counted)
+    monkeypatch.setattr(mdp, "evaluate_policy", evaluated)
     _, table = calibrate_multiplier(grid, params, rho, cost_kind)
+    if cost_kind == "aoi":
+        assert solves == [] and evaluations == []
     assert len(solves) <= 15, solves
     assert abs(table.avg_freq - rho) < _FREQ_TOL
 
 
 @pytest.mark.parametrize("cost_kind,rho", DEFAULT_CALIBRATIONS)
-def test_calibrated_table_is_lagrangian_optimal_at_its_multiplier(cost_kind, rho):
+def test_calibrated_table_is_lagrangian_optimal_at_its_multiplier(cost_kind, rho,
+                                                                  threshold_chain):
     # the (possibly mixed) table reports the lam it returns and the gain of the
     # solve at that lam, which its exact averages attain
     params = desk_terminal()
     grid = MdpGrid.default(params.sigma2, desk_weights().support())
     lam, table = calibrate_multiplier(grid, params, rho, cost_kind)
     assert table.lam == lam
-    assert table.gain == rvi_solve(grid, params, cost_kind, lam).gain
+    if cost_kind == "uoi":
+        assert table.gain == rvi_solve(grid, params, cost_kind, lam).gain
+    else:  # the best pure threshold on the oracle chain
+        cost, freq = threshold_chain
+        assert table.gain == pytest.approx((cost + lam * freq).min(), rel=1e-9)
     assert abs(table.avg_cost + lam * table.avg_freq - table.gain) <= 1e-6 * table.gain
 
 
@@ -210,6 +267,52 @@ def test_small_budget_is_met_to_one_percent(cost_kind, rho):
     lam, table = calibrate_multiplier(grid, params, rho, cost_kind)
     assert abs(table.avg_freq - rho) < rho / 100
     assert 0.0 < lam < math.inf and table.lam == lam
+    if cost_kind == "aoi":  # the oracle chain's cost; the age chain capped at 200 gave 184.06
+        oracle = {1e-3: 625.500200, 1e-4: 6250.500020}[rho]
+        assert table.avg_cost == pytest.approx(oracle, rel=1e-9)
+
+
+def test_cli_aoi_optimum_is_right_past_200_ages(capsys):
+    # the threshold is at age 312: the age chain capped at 200 ages printed
+    # avg_cost=136.697513 avg_freq=0.003976
+    assert cli.main(["mdp", "--cost", "aoi", "--rho", "0.004", "--qmax", "8",
+                     "--qstep", "0.5"]) == 0
+    assert "avg_cost=156.750800 avg_freq=0.004000 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", [5e-324, 1.0 / (1.0 + 0.8 * (2 ** 20 - 0.5))])
+def test_aoi_budget_past_the_table_cap_is_rejected_before_allocation(rho, monkeypatch):
+    # a subnormal rho, and one whose threshold m + 1 is one age past 2^20
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    assert age_threshold_for_budget(params.p, rho) > 2 ** 20
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the aoi table was allocated")
+    monkeypatch.setattr(mdp.np, "ones", no_table)
+    with pytest.raises(FieldError) as info:
+        calibrate_multiplier(grid, params, rho, "aoi")
+    assert info.value.field == "rho"
+
+
+def test_aoi_table_cap_counts_ages(monkeypatch):
+    # the last budget inside a small cap passes, the next threshold does not
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    monkeypatch.setattr(mdp, "_AOI_MAX_AGES", 300)
+    inside = 1.0 / (1.0 + params.p * 298.5)  # m = 299: 300 ages
+    assert calibrate_multiplier(grid, params, inside, "aoi")[1].table.shape == (300,)
+    with pytest.raises(FieldError, match="rho"):
+        calibrate_multiplier(grid, params, 1.0 / (1.0 + params.p * 299.5), "aoi")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mdp", "--cost", "aoi", "--rho", "5e-324"],
+    ["single", "--policy", "rvi-aoi", "--rho", "1e-9", "--horizon", "100"],
+])
+def test_cli_aoi_budget_past_the_table_cap_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: config field 'rho': ")
 
 
 def test_cli_calibrates_a_tiny_budget_on_a_wide_grid(monkeypatch):
@@ -267,14 +370,18 @@ def test_vanishing_budget_limit_reported():
 
 
 def test_aoi_policy_is_age_threshold():
+    # zero before the send age m, at most one fractional entry at m, one
+    # after it; the pure rule age-threshold starts where the ones start
     params = desk_terminal()
-    grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=((1.0, 1.0),))
-    table = rvi_solve(grid, params, "aoi", 8.0)
-    t = table.table
-    # monotone in age: once transmitting, always transmitting
-    first = int(np.argmax(t > 0))
-    assert np.all(t[first:] == 1.0)
-    assert np.all(t[:first] == 0.0)
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    for rho in NEAR_OPTIMAL_RHOS + (1.0, 0.9995, 0.004):
+        _, table = calibrate_multiplier(grid, params, rho, "aoi")
+        t = table.table
+        m = age_threshold_for_budget(params.p, rho) - 1
+        assert t.shape == (max(200, m + 1),)
+        assert np.all(t[:max(m - 1, 0)] == 0.0) and np.all(t[m:] == 1.0)
+        assert m == 0 or 0.0 <= t[m - 1] < 1.0
+        assert table.iterations == 0
 
 
 def test_evaluate_policy_always_vs_never():

@@ -35,7 +35,7 @@ def _fractional_table(cost_kind: str, q_max: float | None = None) -> StationaryP
     if q_max is not None:
         grid = replace(grid, q_max=q_max)
     if cost_kind == "aoi":
-        table = np.clip((np.arange(1, grid.delta_max + 1) - 3.0) / 4.0, 0.0, 1.0)
+        table = np.clip((np.arange(1, 201) - 3.0) / 4.0, 0.0, 1.0)
     else:  # lower threshold when the next weight is high
         q = np.abs(grid.q_values)[:, None, None]
         table = np.clip((q - np.array([1.0, 0.5])[None, None, :]) / 2.0, 0.0, 1.0)
