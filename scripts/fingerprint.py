@@ -49,6 +49,11 @@ CONFIGS = {
     "single-long": {"scenario": "single", "horizon": 10000, "n_batches": 1,
                     "policies": ["adaptive", "rvi-uoi", "random"],
                     "mdp": {"q_max": 2.0, "q_step": 0.5}},
+    "single-trace-long": {"scenario": "single", "horizon": 10000, "n_batches": 1,
+                          "trace": True, "thresholds": {"1": 2.0, "100": 1.0},
+                          "policies": ["adaptive", "periodic", "random", "age-threshold",
+                                       "rvi-uoi", "rvi-aoi"],
+                          "mdp": {"q_max": 2.0, "q_step": 0.5}},
     "multi-n10": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,
                   "policies": MULTI, "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
     "multi-n30": {"scenario": "multi", "horizon": 3000, "replications": 2,

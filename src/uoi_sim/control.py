@@ -57,9 +57,3 @@ def optimal_control(a: float, b: float, x_hat: float, y_next: float) -> float:
     """v* = (y - a * x_hat) / b, the weighted-squared-error minimizer."""
     return (y_next - a * x_hat) / b
 
-
-def step_plant_with_noise(a: float, b: float, x: float, x_hat: float, v: float,
-                          r: float) -> tuple[float, float]:
-    """(x', x_hat'): the estimate is propagated by the model, without the
-    noise; a delivery then makes it exact (x_hat' = x'), which the caller applies."""
-    return a * x + b * v + r, a * x_hat + b * v

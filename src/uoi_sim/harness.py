@@ -530,7 +530,7 @@ def _jsonable(m: RunMetrics) -> dict:
         "extras": {k: v for k, v in m.extras.items() if k != "policy_table"},
     }
     if m.trace is not None:
-        d["trace"] = [list(row) for row in m.trace]
+        d["trace"] = m.trace   # json writes the row tuples as arrays
     return d
 
 

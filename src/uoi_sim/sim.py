@@ -13,12 +13,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import csma as csma_mod
-from .control import LinearPlant, ReferencePath, optimal_control, step_plant_with_noise
+from .control import LinearPlant, ReferencePath
 from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_offset,
                    sample_channel_block)
 from .mdp import StationaryPolicyTable, age_threshold_for_budget
@@ -135,8 +136,9 @@ def _index_factors(w_next: np.ndarray, omega_bar: float, p: float, rho: float) -
 
 
 def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.ndarray,
-                policy_table: StationaryPolicyTable | None = None) -> list[int] | None:
-    """Every slot's decision of a rule that never reads the error, or None.
+                policy_table: StationaryPolicyTable | None = None) -> np.ndarray | None:
+    """Every slot's decision of a rule that never reads the error, as a bool
+    array, or None.
 
     periodic transmits whenever the accumulated credit rho reaches one;
     random flips the policy coin each slot.  The age rules send at age a
@@ -145,35 +147,37 @@ def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.nd
     from age_threshold_for_budget(p, rho) on, rvi-aoi by its table.
     """
     T = len(s_good)
+    if policy == "random":  # the next T coins
+        return np.fromiter(iter(coin.next, None), float, T) < rho
+    sends = []
     if policy == "periodic":
-        plan, credit = [], 0.0
-        for _ in range(T):
+        credit = 0.0
+        for t in range(T):
             credit += rho
             if credit >= 1.0 - 1e-12:
                 credit -= 1.0
-                plan.append(1)
-            else:
-                plan.append(0)
-        return plan
-    if policy == "random":
-        return [1 if coin.next() < rho else 0 for _ in range(T)]
-    if policy == "age-threshold":
-        # ages past T + 1 are never reached, so the list stops there
-        send = [0] * (min(age_threshold_for_budget(p, rho), T + 1) - 1) + [1]
-    elif policy == "rvi-aoi":  # 0/1 entries as ints: only a float one flips the coin
-        send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
+                sends.append(t)
+    elif policy in ("age-threshold", "rvi-aoi"):
+        if policy == "age-threshold":
+            # ages past T + 1 are never reached, so the list stops there
+            send = [0] * (min(age_threshold_for_budget(p, rho), T + 1) - 1) + [1]
+        else:  # 0/1 entries as ints: only a float one flips the coin
+            send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
+        i, last = 0, len(send) - 1  # send[i] holds the rule at age i + 1
+        for t, s in enumerate(s_good.tolist()):
+            u = send[i]
+            if u.__class__ is float:
+                u = coin.next() < u
+            if u:
+                sends.append(t)
+            if u and s:
+                i = 0
+            elif i < last:
+                i += 1
     else:
         return None
-    plan, i, last = [], 0, len(send) - 1  # send[i] holds the rule at age i + 1
-    for s in s_good.tolist():
-        u = send[i]
-        if u.__class__ is float:
-            u = 1 if coin.next() < u else 0
-        plan.append(u)
-        if u and s:
-            i = 0
-        elif i < last:
-            i += 1
+    plan = np.zeros(T, dtype=bool)
+    plan[sends] = True
     return plan
 
 
@@ -201,6 +205,12 @@ def _blocks(T: int, nb: int, batch_len: int, size: int,
 def _batch_means(sums: list[float], T: int, batch_len: int) -> np.ndarray:
     nb = len(sums)
     return np.array(sums) / ([batch_len] * (nb - 1) + [T - (nb - 1) * batch_len])
+
+
+def _running_sum(acc: float, f: np.ndarray) -> float:
+    """acc + f[0] + f[1] + ..., added one term at a time as `acc += f_t` in a
+    slot loop adds them, so the sum has that loop's bits."""
+    return float(np.add.accumulate(np.concatenate(([acc], f)))[-1])
 
 
 def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: float,
@@ -236,46 +246,62 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
     nb, batch_len = _batch_layout(T, n_batches)
     sums = [0.0] * nb
-    q = 0.0
-    h = 0.0
-    attempts = 0
+    q = h = 0.0
+    attempts = int(plan.sum()) if plan is not None else 0
+    deliver = plan & s_good if plan is not None else None
     violations = 0
     rows = [] if trace else None
+    hs = repeat(0.0)   # H of each traced slot, which only the adaptive rule moves
 
-    for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
-        w_b = w[t0:t1 + 1].tolist()
-        inc_b = inc[t0:t1].tolist()
-        s_b = s_good[t0:t1].tolist()
-        thr_b = thr[t0:t1].tolist() if thr is not None else None
-        plan_b = plan[t0:t1] if plan is not None else None
-        c_b = (_index_factors(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho)
-               if policy == "adaptive" else None)
-        wi = [widx[x] for x in w_b] if widx else None
-        acc = sums[b]
-        for j in range(t1 - t0):
-            f_t = w_b[j] * q * q
-            acc += f_t
-            if thr_b is not None and abs(q) > thr_b[j]:
-                violations += 1
-            if rows is not None:
-                rows.append((t0 + j, h, q, f_t))
-
-            if plan_b is not None:
-                u = plan_b[j]
-            elif c_b is not None:
-                u = 1 if c_b[j] * q * q > v * h else 0
-                h = h - rho + u
-                if not h > 0.0:  # max(0.0, h), bit for bit
-                    h = 0.0
+    # Each slot loop carries only what the next decision reads and records q;
+    # the costs, violations and trace rows are computed per block from that
+    # record.  Overflow is caught as a non-finite batch cost sum, so numpy's
+    # warnings on the way there are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
+            inc_b = inc[t0:t1].tolist()
+            qs = []   # q of slots t0 .. t1 - 1
+            record = qs.append
+            if deliver is not None:
+                for d, a in zip(deliver[t0:t1].tolist(), inc_b):
+                    record(q)
+                    q = a if d else q + a
+            elif policy == "adaptive":
+                hs = []   # H of each slot, recorded for the trace only
+                record_h = hs.append if trace else None
+                c_b = _index_factors(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho)
+                for c, a, s in zip(c_b, inc_b, s_good[t0:t1].tolist()):
+                    record(q)
+                    if record_h:
+                        record_h(h)
+                    if c * q * q > v * h:
+                        attempts += 1
+                        h = h - rho + 1
+                        q = a if s else q + a
+                    else:
+                        h = h - rho
+                        q = q + a
+                    if not h > 0.0:  # max(0.0, h), bit for bit
+                        h = 0.0
             else:  # rvi-uoi table at q's nearest bin, possibly randomized per state
-                qc = q_max if q > q_max else (-q_max if q < -q_max else q)
-                prob = tab[round((qc + q_max) / q_step)][wi[j]][wi[j + 1]]
-                u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
+                wi = [widx[x] for x in w[t0:t1 + 1].tolist()]
+                s_b = s_good[t0:t1].tolist()
+                for j in range(t1 - t0):
+                    record(q)
+                    qc = q_max if q > q_max else (-q_max if q < -q_max else q)
+                    prob = tab[round((qc + q_max) / q_step)][wi[j]][wi[j + 1]]
+                    u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
+                    attempts += u
+                    q = inc_b[j] if u and s_b[j] else q + inc_b[j]
 
-            attempts += u
-            q = inc_b[j] if u and s_b[j] else q + inc_b[j]
-        sums[b] = acc
-        _check_finite(t1, uoi=acc)
+            q_b = np.fromiter(qs, float, t1 - t0)
+            f = w[t0:t1] * q_b * q_b
+            sums[b] = _running_sum(sums[b], f)
+            if thr is not None:
+                violations += int(np.count_nonzero(np.abs(q_b) > thr[t0:t1]))
+            if rows is not None:
+                rows.extend(zip(range(t0, t1), hs, qs, f.tolist()))
+            _check_finite(t1, uoi=sums[b])
 
     return SimResult(
         avg_uoi=float(np.array(sums).sum()) / T,
@@ -613,43 +639,61 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     est_sums = [0.0] * nb
     a, gain, x, x_hat = plant.a, plant.b, 0.0, 0.0
     h = 0.0
-    attempts = 0
+    attempts = int(plan.sum()) if plan is not None else 0
+    deliver = plan & s_good if plan is not None else None
     uoi_total = 0.0
 
-    for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
-        w_b = w[t0:t1].tolist()
-        noise_b = noise[t0:t1].tolist()
-        s_b = s_good[t0:t1].tolist()
-        plan_b = plan[t0:t1] if plan is not None else None
-        c_b = (_index_factors(w[t0 + 1:t1 + 1], weights.mean, p_channel, rho)
-               if plan is None else None)
-        track_acc, est_acc = track_sums[b], est_sums[b]
-        for j in range(t1 - t0):
-            w_t = w_b[j]
-            err = x - x_hat
-            est_acc += w_t * err * err
-
-            y_t = reference.at(t0 + j)
-            v_t = optimal_control(a, gain, x_hat, y_t)
-            x, x_hat = step_plant_with_noise(a, gain, x, x_hat, v_t, noise_b[j])
-            err = x - y_t
-            track_acc += w_t * err * err
-
-            q_pre = x - x_hat
-            uoi_total += w_t * q_pre * q_pre
-            if plan_b is not None:
-                u = plan_b[j]
+    # As in run_single, the slot loops record the state entering each slot,
+    # here x and x_hat, and the costs are computed per block from that record.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
+            ys = list(map(reference.at, range(t0, t1)))
+            noise_b = noise[t0:t1].tolist()
+            xs, xhs = [], []
+            record_x, record_xh = xs.append, xhs.append
+            # The control v_t = (y - a * x_hat) / b puts the estimated next
+            # state on y; the estimate follows the model, without the noise,
+            # until a delivery makes it exact.
+            if deliver is not None:
+                for y, r, d in zip(ys, noise_b, deliver[t0:t1].tolist()):
+                    record_x(x)
+                    record_xh(x_hat)
+                    v_t = (y - a * x_hat) / gain
+                    x = a * x + gain * v_t + r
+                    x_hat = x if d else a * x_hat + gain * v_t
             else:
-                u = 1 if c_b[j] * q_pre * q_pre > v * h else 0
-                h = h - rho + u
-                if not h > 0.0:  # max(0.0, h), bit for bit
-                    h = 0.0
+                c_b = _index_factors(w[t0 + 1:t1 + 1], weights.mean, p_channel, rho)
+                for y, r, c, s in zip(ys, noise_b, c_b, s_good[t0:t1].tolist()):
+                    record_x(x)
+                    record_xh(x_hat)
+                    v_t = (y - a * x_hat) / gain
+                    x = a * x + gain * v_t + r
+                    x_hat = a * x_hat + gain * v_t
+                    q = x - x_hat
+                    if c * q * q > v * h:
+                        attempts += 1
+                        h = h - rho + 1
+                        if s:
+                            x_hat = x
+                    else:
+                        h = h - rho
+                    if not h > 0.0:  # max(0.0, h), bit for bit
+                        h = 0.0
+            record_x(x)
 
-            attempts += u
-            if u and s_b[j]:
-                x_hat = x
-        track_sums[b], est_sums[b] = track_acc, est_acc
-        _check_finite(t1, tracking=track_acc, estimation=est_acc, uoi=uoi_total)
+            n = t1 - t0
+            x_b = np.fromiter(xs, float, n + 1)   # x_b[j + 1] is x after slot t0 + j
+            xh_b = np.fromiter(xhs, float, n)
+            y_b = np.fromiter(ys, float, n)
+            w_b = w[t0:t1]
+            v_b = (y_b - a * xh_b) / gain             # the controls the loop applied
+            err = x_b[:n] - xh_b                      # estimation error entering the slot
+            est_sums[b] = est = _running_sum(est_sums[b], w_b * err * err)
+            err = x_b[1:] - y_b                       # tracking error after it
+            track_sums[b] = track = _running_sum(track_sums[b], w_b * err * err)
+            err = x_b[1:] - (a * xh_b + gain * v_b)   # the error the policy reads
+            uoi_total = _running_sum(uoi_total, w_b * err * err)
+            _check_finite(t1, tracking=track, estimation=est, uoi=uoi_total)
 
     return TrackingResult(
         avg_track_cost=float(np.array(track_sums).sum()) / T,

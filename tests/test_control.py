@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_weights
-from uoi_sim.control import (LinearPlant, ReferencePath, optimal_control,
-                             step_plant_with_noise)
+from conftest import desk_weights, step_plant
+from uoi_sim.control import LinearPlant, ReferencePath, optimal_control
 from uoi_sim.core import ConstantWeights
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import POLICY_TABLE, run_single, run_tracking
@@ -27,8 +26,10 @@ def test_plant_rejects_zero_gain():
 
 
 def test_step_plant_estimate_tracking():
+    # the oracle step that run_tracking's inlined plant update is tested against
     x, x_hat = 2.0, 1.5
-    x_stale, x_hat_stale = step_plant_with_noise(1.0, 1.0, x, x_hat, v=0.3, r=0.4)
+    x_stale, x_hat_stale = step_plant(LinearPlant(a=1.0, b=1.0, noise_var=1.0), x, x_hat,
+                                      v=0.3, r=0.4)
     # estimation error grows by exactly the noise when a = 1
     assert (x_stale - x_hat_stale) == pytest.approx((x - x_hat) + 0.4)
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uoi_sim import cli
+from uoi_sim import cli, harness
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
                              config_from_dict, export, load_config, run)
 from uoi_sim.csma import ContentionConfig
@@ -231,6 +231,24 @@ def test_export_jsonl_refuses_a_non_finite_number(tmp_path):
     row.avg_uoi = float("inf")
     with pytest.raises(ValueError):
         export([row], "jsonl", str(tmp_path / "m.jsonl"))
+
+
+@pytest.mark.parametrize("raw", [
+    {"scenario": "single", "policies": ["adaptive", "periodic"]},
+    {"scenario": "multi", "fleet": {"n": 3, "k": 1}, "policies": ["centralized", "aoi"]},
+], ids=["single", "multi"])
+def test_export_jsonl_writes_trace_rows_as_arrays(tmp_path, raw):
+    # the trace rows go out as the run's tuples, in the bytes of the same
+    # rows as lists
+    rows = run(config_from_dict(dict(raw, horizon=300, seed=7, trace=True)))
+    path = tmp_path / "trace.jsonl"
+    export(rows, "jsonl", str(path))
+    expected = ""
+    for m in rows:
+        assert len(m.trace) == 300 and all(type(row) is tuple for row in m.trace)
+        obj = dict(harness._jsonable(m), trace=[list(row) for row in m.trace])
+        expected += json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_waterfill_scenario_echo():

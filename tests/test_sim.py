@@ -65,23 +65,32 @@ def _decide(policy, state, w_next, coin, credit, age_m):
     return int(state.eq.age >= age_m), credit
 
 
-def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=None):
+def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=None,
+                          thresholds=None):
     """Slot loop built purely from the step operations and domain types; a
-    table policy draws the policy coin only where it is fractional."""
+    table policy draws the policy coin only where it is fractional.  Returns
+    (average UoI, attempts, final H, violation probability, trace rows), a
+    slot violating where |Q| exceeds the `thresholds` bound of its weight."""
     factory = StreamFactory(seed)
-    w = weights.sample_block(factory.stream("weight", params.id), 0, horizon + 1)
+    w = weights.sample_block(factory.stream("weight", params.id), 0, horizon + 1).tolist()
     inc = GaussianIncrements(params.sigma2).sample_block(
-        factory.stream("increment", params.id), 0, horizon)
+        factory.stream("increment", params.id), 0, horizon).tolist()
     s = sample_channel_block(factory.stream("channel", params.id), params.p, horizon)
     coins = factory.stream("policy", params.id).uniform(horizon)
     age_m = age_threshold_for_budget(params.p, rho)
+    bounds = thresholds or {}
     state = make_single_updater(params, rho, v)
     total = 0.0
     attempts = 0
     credit = 0.0
     n_coins = 0
+    violations = 0
+    rows = []
     for t in range(horizon):
-        total += uoi(w[t], state.eq.q)
+        cost = uoi(w[t], state.eq.q)
+        total += cost
+        rows.append((t, state.vq.h, state.eq.q, cost))
+        violations += abs(state.eq.q) > bounds.get(w[t], math.inf)
         if table is None:
             u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
         else:
@@ -94,7 +103,7 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=
         state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
                         else state.vq,
                         eq=step_error(state.eq, u, int(s[t]), inc[t]))
-    return total / horizon, attempts / horizon, state.vq.h
+    return total / horizon, attempts, state.vq.h, violations / horizon, rows
 
 
 # (policy, q_max of the rvi-uoi grid, horizon, n_batches): q_max = 2 sigma
@@ -109,21 +118,28 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=
 ])
 def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_batches):
     params = desk_terminal()
+    thresholds = {1.0: 2.0, 100.0: 1.0}
     table = _fractional_table(policy[4:], q_max) if policy.startswith("rvi") else None
-    avg_ref, freq_ref, h_ref = _reference_single_run(
+    avg_ref, attempts_ref, h_ref, violation_ref, rows_ref = _reference_single_run(
         params, desk_weights(), 0.25, 1.0, horizon=horizon, seed=909, policy=policy,
-        table=table)
+        table=table, thresholds=thresholds)
     res = run_single(params, desk_weights(), rho=0.25, v=1.0,
                      policy=policy, horizon=horizon, factory=StreamFactory(909),
-                     n_batches=n_batches, policy_table=table)
+                     thresholds=thresholds, n_batches=n_batches, trace=True,
+                     policy_table=table)
     assert res.avg_uoi == pytest.approx(avg_ref, rel=1e-12)
-    assert res.update_freq[0] == pytest.approx(freq_ref, abs=0)
+    assert res.update_freq[0] == pytest.approx(attempts_ref / horizon, abs=0)
     assert res.extras["final_h"] == pytest.approx(h_ref, rel=1e-12)
+    assert res.extras["attempts"] == attempts_ref
+    assert res.violation_prob == violation_ref
+    assert res.trace == rows_ref
 
 
 def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed):
     """The tracking loop rebuilt from the plant-level step and the step
-    operations; the error queue holds the estimation error x - x_hat."""
+    operations; the error queue holds the estimation error x - x_hat.
+    Returns the averages of the tracking, estimation and embedded UoI costs
+    and the attempt frequency."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", 0), 0, horizon + 1)
     noise = factory.stream("increment", 0).normal(horizon) * math.sqrt(plant.noise_var)
@@ -132,7 +148,7 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
     age_m = age_threshold_for_budget(p, rho)
     params = TerminalParams(id=0, p=p, sigma2=plant.noise_var, omega_bar=weights.mean)
     state = make_single_updater(params, rho, v)
-    track = est = 0.0
+    track = est = embedded = 0.0
     attempts = 0
     credit = 0.0
     x = x_hat = 0.0
@@ -143,6 +159,7 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
                               noise[t])
         track += uoi(w[t], x - y)
         state = replace(state, eq=replace(state.eq, q=x - x_hat))
+        embedded += uoi(w[t], state.eq.q)
         u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
         attempts += u
         if u and s[t]:
@@ -150,7 +167,7 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
         state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
                         else state.vq,
                         eq=step_error(state.eq, u, int(s[t]), 0.0))
-    return track / horizon, est / horizon, attempts / horizon
+    return track / horizon, est / horizon, embedded / horizon, attempts / horizon
 
 
 @pytest.mark.parametrize("policy,horizon,n_batches", [
@@ -160,13 +177,14 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
 def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches):
     plant = LinearPlant(a=0.9, b=0.5, noise_var=1.0)
     reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=200.0)
-    track_ref, est_ref, freq_ref = _reference_tracking_run(
+    track_ref, est_ref, uoi_ref, freq_ref = _reference_tracking_run(
         plant, reference, desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon, seed=404)
     res = run_tracking(plant, reference, desk_weights(), policy, rho=0.25, v=1.0,
                        p_channel=0.8, horizon=horizon, factory=StreamFactory(404),
                        n_batches=n_batches)
     assert res.avg_track_cost == pytest.approx(track_ref, rel=1e-12)
     assert res.avg_est_cost == pytest.approx(est_ref, rel=1e-12)
+    assert res.avg_uoi == pytest.approx(uoi_ref, rel=1e-12)
     assert res.update_freq == pytest.approx(freq_ref, abs=0)
 
 
