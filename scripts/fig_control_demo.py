@@ -2,7 +2,8 @@
 """Tracking-control comparison of the four update policies.
 
 Prints, per policy, the weighted tracking cost, its split into weighted
-estimation error plus the noise floor, and the embedded average UoI.
+estimation error plus the noise floor, and the row's average UoI, which is
+that tracking cost: the error the policy reads is the tracking error.
 """
 
 import argparse

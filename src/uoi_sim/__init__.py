@@ -5,7 +5,7 @@ from .core import (ConstantWeights, GaussianIncrements, PeriodicBurstWeights,
                    sample_channel_block)
 from .csma import (ContentionConfig, adapt_threshold, contend, default_delta_j,
                    expected_window)
-from .control import LinearPlant, ReferencePath, optimal_control
+from .control import LinearPlant, ReferencePath
 from .harness import (ConfigError, ExperimentConfig, RunMetrics,
                       config_from_dict, export, load_config, run)
 from .mdp import (MdpGrid, StationaryPolicyTable, calibrate_multiplier,

@@ -52,8 +52,3 @@ class ReferencePath:
             return self.value
         return self.value + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
 
-
-def optimal_control(a: float, b: float, x_hat: float, y_next: float) -> float:
-    """v* = (y - a * x_hat) / b, the weighted-squared-error minimizer."""
-    return (y_next - a * x_hat) / b
-

@@ -57,10 +57,16 @@ class TerminalParams:
                 "positive and finite")
 
 
-def index_offset(omega_bar, p, share):
-    """theta of the update index (w_next + theta) * p * q^2, for a budget share
-    of rho (one terminal) or pi (a fleet terminal); on floats or arrays."""
-    return omega_bar * (1.0 / (p * share) - 1.0)
+def index_factor(w_next, omega_bar, p, share):
+    """The adaptive rule's factor (w_next + theta) * p of the update index
+    factor * q^2, with theta = omega_bar * (1/(p * share) - 1), for a budget
+    share of rho (one terminal) or pi (a fleet terminal); on floats or
+    arrays.
+
+    The result is C-ordered whatever the layout of `w_next`, so the fleet
+    loop passes a transposed view of its weights and the sum is the only
+    array this allocates: the product reuses it."""
+    return np.add(w_next, omega_bar * (1.0 / (p * share) - 1.0), order="C") * p
 
 
 # --------------------------------------------------------------------------

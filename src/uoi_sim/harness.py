@@ -176,6 +176,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("policies", f"{unknown[0]!r} not valid for scenario "
                                           f"{self.scenario!r}")
+        if self.trace and entry.simulator not in ("single", "fleet"):
+            raise ConfigError("trace", f"no {self.scenario!r} run records a trace; "
+                                       "single, multi and csma runs do")
         # the adaptive rule divides by p * rho, and single prints its bound
         # omega_bar * sigma2 / (p * rho) + V/2
         if "adaptive" in self.policies and (
@@ -328,15 +331,13 @@ class RunMetrics:
 # --------------------------------------------------------------------------
 
 
-def _stderr(rep_values: list[float], first_batches: np.ndarray) -> float:
-    """Across replications when there are several, else across the batch
-    means of the only one."""
-    return stderr_from_batches(rep_values if len(rep_values) > 1 else first_batches)
-
-
 def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, float | None]:
-    avg = float(np.mean([r.avg_uoi for r in results]))
-    stderr = _stderr([r.avg_uoi for r in results], results[0].batch_means)
+    """Mean UoI, its standard error (across replications when there are
+    several, else across the batch means of the only one), mean attempt
+    frequencies and mean violation probability of a policy's runs."""
+    avgs = [r.avg_uoi for r in results]
+    avg = float(np.mean(avgs))
+    stderr = stderr_from_batches(avgs if len(avgs) > 1 else results[0].batch_means)
     freq = np.mean([r.update_freq for r in results], axis=0)
     viols = [r.violation_prob for r in results if r.violation_prob is not None]
     violation = float(np.mean(viols)) if viols else None
@@ -425,28 +426,22 @@ def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     plant = config.plant
     out = []
     for pol in config.policies:
-        reps = []
-        for rep in range(config.replications):
-            factory = StreamFactory(config.seed, rep)
-            reps.append(run_tracking(
-                plant, config.y_ref, config.weights, pol, config.rho, config.v,
-                p_channel=config.terminal.p, horizon=config.horizon, factory=factory,
-                n_batches=config.n_batches))
-        track = float(np.mean([r.avg_track_cost for r in reps]))
-        est = float(np.mean([r.avg_est_cost for r in reps]))
-        avg_uoi = float(np.mean([r.avg_uoi for r in reps]))
-        stderr = _stderr([r.avg_track_cost for r in reps], reps[0].track_batches)
+        results = [run_tracking(
+            plant, config.y_ref, config.weights, pol, config.rho, config.v,
+            p_channel=config.terminal.p, horizon=config.horizon,
+            factory=StreamFactory(config.seed, rep), n_batches=config.n_batches)
+            for rep in range(config.replications)]
+        avg, stderr, freq, violation = _aggregate(results)
+        est = float(np.mean([r.extras["avg_est_cost"] for r in results]))
         noise_floor = config.weights.mean * plant.noise_var
-        decomposition = plant.a ** 2 * est + noise_floor
         out.append(RunMetrics(
             scenario="control", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1,
                     "a": plant.a, "b": plant.b},
-            avg_uoi=avg_uoi, stderr_uoi=stderr,
-            avg_update_freq=np.array([float(np.mean([r.update_freq for r in reps]))]),
-            violation_prob=None, bound_value=None,
-            extras={"avg_track_cost": track, "avg_est_cost": est,
-                    "decomposition_rhs": decomposition,
+            avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
+            violation_prob=violation, bound_value=None,
+            extras={"avg_track_cost": avg, "avg_est_cost": est,
+                    "decomposition_rhs": plant.a ** 2 * est + noise_floor,
                     "noise_floor": noise_floor}))
     return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TerminalParams, index_offset, require
+from .core import TerminalParams, require
 
 _WATER_STEPS = 200   # cap on the water-level halvings, which stop at |sum(pi) - K| < 1e-12
 _WATER_TOL = 1e-9    # the rescaled sum(pi) must end this close to K
@@ -125,14 +125,6 @@ def kkt_residual(d: np.ndarray, k: int, policy: StationaryPolicy) -> float:
         if sat.any():
             res = max(res, float(np.maximum(0.0, lam - d[sat]).max()) / max(1.0, lam))
     return res
-
-
-def index_coefficients(fleet: FleetConfig, pi: np.ndarray) -> np.ndarray:
-    """The constant part of every terminal's update index, `index_offset`
-    with share pi."""
-    if np.any(pi <= 0.0):
-        raise ValueError("all pi must be positive for adaptive scheduling")
-    return index_offset(fleet.array("omega_bar"), fleet.array("p"), pi)
 
 
 def fleet_uoi_bound(fleet: FleetConfig, policy: StationaryPolicy) -> float:

@@ -20,11 +20,10 @@ import numpy as np
 
 from . import csma as csma_mod
 from .control import LinearPlant, ReferencePath
-from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_offset,
+from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_factor,
                    sample_channel_block)
 from .mdp import StationaryPolicyTable, age_threshold_for_budget
-from .multi import (FleetConfig, index_coefficients, schedule_round_robin,
-                    schedule_stationary, waterfill)
+from .multi import FleetConfig, schedule_round_robin, schedule_stationary, waterfill
 from .rng import COMMON_KINDS, Buffered, StreamFactory
 
 
@@ -124,17 +123,6 @@ def _batch_layout(T: int, n_batches: int) -> tuple[int, int]:
     return nb, max(1, T // nb)
 
 
-def _index_factors(w_next: np.ndarray, omega_bar: float, p: float, rho: float) -> list[float]:
-    """The adaptive rule's per-slot factor (w_next + theta) * p, with
-    theta = index_offset(omega_bar, p, rho), for one block of next weights.
-
-    A virtual queue H tracks how much of the budget rho has been used.  The
-    terminal transmits iff its update index factor * q^2 strictly exceeds
-    V * H, and then H' = max(0, H - rho + U).
-    """
-    return ((w_next + index_offset(omega_bar, p, rho)) * p).tolist()
-
-
 def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.ndarray,
                 policy_table: StationaryPolicyTable | None = None) -> np.ndarray | None:
     """Every slot's decision of a rule that never reads the error, as a bool
@@ -219,7 +207,12 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                thresholds: dict[float, float] | None = None,
                n_batches: int = 10, trace: bool = False,
                policy_table: StationaryPolicyTable | None = None) -> SimResult:
-    """Simulate one terminal under an update policy for `horizon` slots."""
+    """Simulate one terminal under an update policy for `horizon` slots.
+
+    The adaptive rule keeps a virtual queue H of how much of the budget rho
+    has been used: the terminal transmits iff its update index
+    index_factor(w_next, omega_bar, p, rho) * q^2 strictly exceeds V * H,
+    and then H' = max(0, H - rho + U)."""
     if policy not in POLICY_TABLE["single"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     kind = getattr(policy_table, "cost_kind", None)
@@ -269,7 +262,7 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
             elif policy == "adaptive":
                 hs = []   # H of each slot, recorded for the trace only
                 record_h = hs.append if trace else None
-                c_b = _index_factors(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho)
+                c_b = index_factor(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho).tolist()
                 for c, a, s in zip(c_b, inc_b, s_good[t0:t1].tolist()):
                     record(q)
                     if record_h:
@@ -412,7 +405,6 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     window_sum, collider_sum, idle_sum = [0] * n_csma, [0] * n_csma, [0] * n_csma
     max_index = np.zeros(n_csma)
 
-    coefs = index_coefficients(fleet, pi) if r0 > c0 else None
     coins = [Buffered(f.stream("scheduler", 0).uniform) for f in factories[s0:]]
 
     # Common-random-number groups: a factory that already holds a common
@@ -496,9 +488,9 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             for lane, scale in enumerate(scales, x0):
                 a_js[:, lane] *= math.sqrt(scale)
             s_js = np.ascontiguousarray(lanes_of(s_chunk, o0, o1).transpose(2, 0, 1))
-            if r0 > c0:  # (coefs + w_next) * p of the update index, per slot
-                index_coef = (coefs + np.ascontiguousarray(
-                    w_blk[indexed, :, 1:].transpose(2, 0, 1))) * p
+            if r0 > c0:  # the update index's factor, per slot
+                index_coef = index_factor(
+                    w_blk[indexed, :, 1:].transpose(2, 0, 1), omega_bar, p, pi)
 
             # sent[j, lane] holds the lane's transmissions in slot t0 + j that
             # can deliver.  Round-robin and stationary never read the error,
@@ -606,23 +598,19 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class TrackingResult:
-    avg_track_cost: float          # mean w_t (x_t - y_t)^2
-    avg_est_cost: float            # mean w_t (x_{t-1} - x_hat_{t-1})^2
-    avg_uoi: float                 # mean w_t Q_t^2 of the embedded update system
-    update_freq: float
-    track_batches: np.ndarray
-    est_batches: np.ndarray
-
-
 def run_tracking(plant: LinearPlant, reference: ReferencePath,
                  weights: WeightProcess, policy: str, rho: float, v: float,
                  p_channel: float, horizon: int = 1_000_000,
                  factory: StreamFactory | None = None,
-                 n_batches: int = 10) -> TrackingResult:
+                 n_batches: int = 10) -> SimResult:
     """Drive the plant, from x = x_hat = 0, with certainty-equivalent control
-    while the chosen policy decides when the terminal uplinks its true state."""
+    while the chosen policy decides when the terminal uplinks its true state.
+
+    The control puts the predicted next state on the reference y, so the
+    error the policy reads, x' - (a * x_hat + b * v), is the tracking error
+    x' - y: the result's UoI is the weighted tracking cost w_t (x_{t+1} - y_t)^2,
+    and extras["avg_est_cost"] is the mean weighted estimation error
+    w_t (x_t - x_hat_t)^2 entering each slot."""
     if policy not in POLICY_TABLE["control"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     factory = factory or StreamFactory(0)
@@ -641,7 +629,6 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
     h = 0.0
     attempts = int(plan.sum()) if plan is not None else 0
     deliver = plan & s_good if plan is not None else None
-    uoi_total = 0.0
 
     # As in run_single, the slot loops record the state entering each slot,
     # here x and x_hat, and the costs are computed per block from that record.
@@ -662,7 +649,7 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
                     x = a * x + gain * v_t + r
                     x_hat = x if d else a * x_hat + gain * v_t
             else:
-                c_b = _index_factors(w[t0 + 1:t1 + 1], weights.mean, p_channel, rho)
+                c_b = index_factor(w[t0 + 1:t1 + 1], weights.mean, p_channel, rho).tolist()
                 for y, r, c, s in zip(ys, noise_b, c_b, s_good[t0:t1].tolist()):
                     record_x(x)
                     record_xh(x_hat)
@@ -683,23 +670,17 @@ def run_tracking(plant: LinearPlant, reference: ReferencePath,
 
             n = t1 - t0
             x_b = np.fromiter(xs, float, n + 1)   # x_b[j + 1] is x after slot t0 + j
-            xh_b = np.fromiter(xhs, float, n)
-            y_b = np.fromiter(ys, float, n)
             w_b = w[t0:t1]
-            v_b = (y_b - a * xh_b) / gain             # the controls the loop applied
-            err = x_b[:n] - xh_b                      # estimation error entering the slot
+            err = x_b[:n] - np.fromiter(xhs, float, n)   # estimation error entering the slot
             est_sums[b] = est = _running_sum(est_sums[b], w_b * err * err)
-            err = x_b[1:] - y_b                       # tracking error after it
+            err = x_b[1:] - np.fromiter(ys, float, n)    # tracking error after it
             track_sums[b] = track = _running_sum(track_sums[b], w_b * err * err)
-            err = x_b[1:] - (a * xh_b + gain * v_b)   # the error the policy reads
-            uoi_total = _running_sum(uoi_total, w_b * err * err)
-            _check_finite(t1, tracking=track, estimation=est, uoi=uoi_total)
+            _check_finite(t1, tracking=track, estimation=est)
 
-    return TrackingResult(
-        avg_track_cost=float(np.array(track_sums).sum()) / T,
-        avg_est_cost=float(np.array(est_sums).sum()) / T,
-        avg_uoi=uoi_total / T,
-        update_freq=attempts / T,
-        track_batches=_batch_means(track_sums, T, batch_len),
-        est_batches=_batch_means(est_sums, T, batch_len),
+    return SimResult(
+        avg_uoi=float(np.array(track_sums).sum()) / T,
+        batch_means=_batch_means(track_sums, T, batch_len),
+        update_freq=np.array([attempts / T]),
+        violation_prob=None,
+        extras={"avg_est_cost": float(np.array(est_sums).sum()) / T},
     )

@@ -238,10 +238,10 @@ def test_criterion_8_control_decomposition():
         res = run_tracking(plant, ReferencePath(), desk_weights(), policy,
                            rho=0.25, v=1.0, p_channel=0.8, horizon=HORIZON,
                            factory=StreamFactory(SEED))
-        rhs = res.avg_est_cost + desk_weights().mean * plant.noise_var
-        rel = abs(res.avg_track_cost - rhs) / rhs
+        rhs = res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var
+        rel = abs(res.avg_uoi - rhs) / rhs
         ok &= rel <= 0.02
-        details.append(f"{policy}: track {res.avg_track_cost:.3f} vs "
+        details.append(f"{policy}: track {res.avg_uoi:.3f} vs "
                        f"est+floor {rhs:.3f} (gap {rel:.2%})")
     _report(8, "tracking-cost decomposition", ok, "; ".join(details))
 

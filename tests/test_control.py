@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import desk_weights, step_plant
-from uoi_sim.control import LinearPlant, ReferencePath, optimal_control
+from uoi_sim.control import LinearPlant, ReferencePath
 from uoi_sim.core import ConstantWeights
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import POLICY_TABLE, run_single, run_tracking
 
 CONTROL_POLICIES = tuple(POLICY_TABLE["control"].policies)
-
-
-def test_optimal_control_examples():
-    assert optimal_control(1, 1, 0, 5.0) == pytest.approx(5.0)
-    assert optimal_control(1, 1, 3.0, 3.0) == 0.0
-    assert optimal_control(2, 0.5, 1.0, 3.0) == pytest.approx(2.0)
 
 
 def test_plant_rejects_zero_gain():
@@ -64,8 +58,8 @@ def test_always_update_perfect_channel_floor():
     res = run_tracking(plant, ReferencePath(), ConstantWeights(2.0), "periodic",
                        rho=1.0, v=1.0, p_channel=1.0, horizon=3 * 10**5,
                        factory=StreamFactory(21))
-    assert res.update_freq == pytest.approx(1.0)
-    assert res.avg_track_cost == pytest.approx(2.0 * 1.0, rel=0.02)
+    assert res.update_freq[0] == pytest.approx(1.0)
+    assert res.avg_uoi == pytest.approx(2.0 * 1.0, rel=0.02)
 
 
 @pytest.mark.parametrize("policy", CONTROL_POLICIES)
@@ -74,8 +68,8 @@ def test_cost_decomposition_each_policy(policy):
     res = run_tracking(plant, ReferencePath(), desk_weights(), policy,
                        rho=0.25, v=1.0, p_channel=0.8, horizon=2 * 10**5,
                        factory=StreamFactory(5))
-    rhs = 1.0 * res.avg_est_cost + desk_weights().mean * plant.noise_var
-    assert res.avg_track_cost == pytest.approx(rhs, rel=0.03)
+    rhs = 1.0 * res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var
+    assert res.avg_uoi == pytest.approx(rhs, rel=0.03)
 
 
 def test_general_a_decomposition():
@@ -84,8 +78,8 @@ def test_general_a_decomposition():
     res = run_tracking(plant, ReferencePath(kind="sinusoid", amplitude=3.0),
                        desk_weights(), "adaptive", rho=0.25, v=1.0,
                        p_channel=0.8, horizon=2 * 10**5, factory=StreamFactory(6))
-    rhs = 0.9 ** 2 * res.avg_est_cost + desk_weights().mean * plant.noise_var
-    assert res.avg_track_cost == pytest.approx(rhs, rel=0.03)
+    rhs = 0.9 ** 2 * res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var
+    assert res.avg_uoi == pytest.approx(rhs, rel=0.03)
 
 
 def test_policy_ranking_transfers_from_uoi_to_tracking():
@@ -101,7 +95,7 @@ def test_policy_ranking_transfers_from_uoi_to_tracking():
         ctl = run_tracking(plant, ReferencePath(), desk_weights(), policy,
                            rho=0.25, v=1.0, p_channel=0.8, horizon=2 * 10**5,
                            factory=StreamFactory(17))
-        track_avg[policy] = ctl.avg_track_cost
+        track_avg[policy] = ctl.avg_uoi
     by_uoi = sorted(CONTROL_POLICIES, key=uoi_avg.get)
     by_track = sorted(CONTROL_POLICIES, key=track_avg.get)
     assert by_uoi == by_track

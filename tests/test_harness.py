@@ -469,6 +469,20 @@ def test_cli_control_flags(capsys):
     assert "periodic" in capsys.readouterr().out
 
 
+def test_cli_trace_of_a_run_that_records_none_is_config_error(tmp_path, capsys):
+    # only single, multi and csma runs record a trace: control, mdp and
+    # waterfill reject the flag rather than write rows without one
+    out = tmp_path / "c.jsonl"
+    assert cli.main(["control", "--trace", "--format", "jsonl", "--out", str(out),
+                     "--horizon", "10"]) == 2
+    assert "'trace'" in capsys.readouterr().err
+    assert not out.exists()
+    cfgf = tmp_path / "mdp.json"
+    cfgf.write_text(json.dumps({"scenario": "mdp", "trace": True}))
+    assert cli.main(["mdp", "--config", str(cfgf)]) == 2
+    assert "'trace'" in capsys.readouterr().err
+
+
 def test_cli_mdp_emits_policy_table(tmp_path):
     out = tmp_path / "policy.txt"
     code = cli.main(["mdp", "--cost", "aoi", "--rho", "0.5",

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import (AoIState, grid_min_objective, make_fleet,
                       multi_update_index, round_robin_ids, schedule_aoi,
                       stationary_ids, step_aoi)
-from uoi_sim.core import FieldError, TerminalParams
-from uoi_sim.multi import (FleetConfig, StationaryPolicy, index_coefficients,
+from uoi_sim.core import FieldError, TerminalParams, index_factor
+from uoi_sim.multi import (FleetConfig, StationaryPolicy,
                            kkt_residual, schedule_round_robin,
                            schedule_stationary, fleet_uoi_bound, waterfill,
                            waterfill_from_widths)
@@ -72,13 +72,6 @@ def test_multi_update_index_examples():
     assert multi_update_index(unit, 1.0, omega_next=50.0, q=0.0) == 0.0
     t = TerminalParams(id=0, p=0.7, sigma2=1.0, omega_bar=5.95)
     assert multi_update_index(t, 0.2, omega_next=100.0, q=1.0) == pytest.approx(95.585)
-
-
-def test_multi_update_index_rejects_unscheduled_terminal():
-    # the index coefficient omega_bar * (1/(p pi) - 1) needs pi > 0
-    fleet = make_fleet(3, k=1)
-    with pytest.raises(ValueError):
-        index_coefficients(fleet, np.array([0.5, 0.0, 0.5]))
 
 
 def test_schedule_topk_examples():
@@ -190,7 +183,7 @@ def test_scheme_equivalence_with_subset_enumeration():
         q = rng.normal(0, 3, size=n)
         w_next = rng.choice([1.0, 100.0], size=n)
         terms = (theta + w_next) * p * q ** 2
-        indices = (index_coefficients(fleet, pi) + w_next) * p * q ** 2
+        indices = index_factor(w_next, omega_bar, p, pi) * q ** 2
         assert indices == pytest.approx(terms)  # Definition-2 index == subset term
         best = max(sum(terms[list(sub)]) for sub in
                    itertools.combinations(range(n), min(k, n)))

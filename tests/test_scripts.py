@@ -2,6 +2,7 @@
 end and writes the files it says it wrote."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -74,3 +75,15 @@ def test_figure_script_rejects_an_unwritable_out_before_the_run(name, out, tmp_p
         script.main()
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_fingerprint_is_deterministic_and_counts_the_harness_draws():
+    # the bitwise gate between checkouts: equal lines on equal code, one per
+    # policy plus the draw counts of the factories the harness made
+    fingerprint = _load("fingerprint")
+    raw = fingerprint.CONFIGS["control"]
+    lines = fingerprint.fingerprint("control", raw, 7)
+    assert fingerprint.fingerprint("control", raw, 7) == lines
+    assert [line.split()[-1] for line in lines] == raw["policies"] + ["draws"]
+    assert all(re.fullmatch(r"[0-9a-f]{64}  control seed=7 \S+", line) for line in lines)
+    assert lines[-1].split()[0] != fingerprint.digest([])

@@ -170,32 +170,32 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
     return track / horizon, est / horizon, embedded / horizon, attempts / horizon
 
 
-@pytest.mark.parametrize("policy,horizon,n_batches", [
-    *(pytest.param(policy, 4000, 10, id=policy) for policy in SINGLE_RULES),
-    pytest.param("adaptive", 10_000, 1, id="adaptive-long"),
+@pytest.mark.parametrize("policy,horizon,n_batches,a,b", [
+    pytest.param(policy, horizon, n_batches, a, b, id=name + suffix)
+    for a, b, suffix in ((0.9, 0.5, ""), (1.1, 2.0, "-a1.1-b2"))
+    for policy, horizon, n_batches, name in (
+        *((policy, 4000, 10, policy) for policy in SINGLE_RULES),
+        ("adaptive", 10_000, 1, "adaptive-long"))
 ])
-def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches):
-    plant = LinearPlant(a=0.9, b=0.5, noise_var=1.0)
+def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches, a, b):
+    plant = LinearPlant(a=a, b=b, noise_var=1.0)
     reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=200.0)
     track_ref, est_ref, uoi_ref, freq_ref = _reference_tracking_run(
         plant, reference, desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon, seed=404)
+    # under certainty-equivalent control the error the policy reads is the
+    # tracking error, so the embedded UoI is the tracking cost
+    assert uoi_ref == pytest.approx(track_ref, rel=1e-12)
     res = run_tracking(plant, reference, desk_weights(), policy, rho=0.25, v=1.0,
                        p_channel=0.8, horizon=horizon, factory=StreamFactory(404),
                        n_batches=n_batches)
-    assert res.avg_track_cost == pytest.approx(track_ref, rel=1e-12)
-    assert res.avg_est_cost == pytest.approx(est_ref, rel=1e-12)
-    assert res.avg_uoi == pytest.approx(uoi_ref, rel=1e-12)
-    assert res.update_freq == pytest.approx(freq_ref, abs=0)
+    assert res.avg_uoi == pytest.approx(track_ref, rel=1e-12)
+    assert res.extras["avg_est_cost"] == pytest.approx(est_ref, rel=1e-12)
+    assert res.update_freq[0] == pytest.approx(freq_ref, abs=0)
 
 
-def _single_outputs(res):
+def _outputs(res):
     return (res.avg_uoi, res.batch_means.tolist(), res.update_freq.tolist(),
             res.violation_prob, res.extras, res.trace)
-
-
-def _tracking_outputs(res):
-    return (res.avg_track_cost, res.avg_est_cost, res.avg_uoi, res.update_freq,
-            res.track_batches.tolist(), res.est_batches.tolist())
 
 
 def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
@@ -208,11 +208,11 @@ def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
         out = []
         for policy in POLICY_TABLE["single"].policies:
             table = _fractional_table(policy[4:]) if policy.startswith("rvi") else None
-            out.append(_single_outputs(run_single(
+            out.append(_outputs(run_single(
                 params, weights, 0.25, 1.0, policy, horizon=503, factory=StreamFactory(5),
                 thresholds={1.0: 2.0, 100.0: 1.0}, trace=True, policy_table=table)))
         for policy in POLICY_TABLE["control"].policies:
-            out.append(_tracking_outputs(run_tracking(
+            out.append(_outputs(run_tracking(
                 plant, reference, weights, policy, 0.25, 1.0, 0.8, horizon=503,
                 factory=StreamFactory(5))))
         return out
@@ -626,6 +626,6 @@ def test_short_horizon_has_no_empty_batches():
                          horizon=5, factory=StreamFactory(1))
     for batches, avg in [(single.batch_means, single.avg_uoi),
                          (multi.batch_means, multi.avg_uoi),
-                         (track.track_batches, track.avg_track_cost)]:
+                         (track.batch_means, track.avg_uoi)]:
         assert len(batches) == 5
         assert float(np.mean(batches)) == pytest.approx(avg, rel=1e-12)
