@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tracking-control comparison of the four update policies.
 
-Prints, per policy, the weighted tracking cost, its split into weighted
-estimation error plus the noise floor, and the row's average UoI, which is
-that tracking cost: the error the policy reads is the tracking error.
+Prints, per policy, the weighted tracking cost, which is the row's average
+UoI (the error the policy reads is the tracking error), and its split into
+weighted estimation error plus the noise floor.
 """
 
 import argparse
@@ -37,8 +37,7 @@ def main():
         x = m.extras
         print(f"{m.policy:13s} track {x['avg_track_cost']:8.4f} = "
               f"a^2*est {args.a ** 2 * x['avg_est_cost']:8.4f} + floor "
-              f"{x['noise_floor']:6.4f}  (uoi {m.avg_uoi:8.4f}, "
-              f"freq {float(m.avg_update_freq[0]):.4f})")
+              f"{x['noise_floor']:6.4f}  (freq {float(m.avg_update_freq[0]):.4f})")
     if args.out:
         export(rows, "csv", args.out)
         print(f"wrote {args.out}")

@@ -85,9 +85,7 @@ CONFIGS = {
                  "contention": {"w": 8}, "weights": FLEET_WEIGHTS},
     "control": {"scenario": "control", "horizon": 3000, "replications": 2,
                 "policies": ["adaptive", "periodic", "random", "age-threshold"],
-                "control": {"a": 0.9, "b": 0.5,
-                            "y_ref": {"kind": "sinusoid", "amplitude": 3.0,
-                                      "period": 200.0}}},
+                "control": {"a": 0.9, "b": 0.5}},
     "control-long": {"scenario": "control", "horizon": 10000, "n_batches": 1,
                      "policies": ["adaptive"]},
     "mdp-uoi": {"scenario": "mdp", "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},

@@ -5,7 +5,7 @@ from .core import (ConstantWeights, GaussianIncrements, PeriodicBurstWeights,
                    sample_channel_block)
 from .csma import (ContentionConfig, adapt_threshold, contend, default_delta_j,
                    expected_window)
-from .control import LinearPlant, ReferencePath
+from .control import LinearPlant
 from .harness import (ConfigError, ExperimentConfig, RunMetrics,
                       config_from_dict, export, load_config, run)
 from .mdp import (MdpGrid, StationaryPolicyTable, calibrate_multiplier,
@@ -14,6 +14,6 @@ from .multi import (FleetConfig, StationaryPolicy, fleet_uoi_bound,
                     kkt_residual, schedule_round_robin, waterfill)
 from .rng import StreamFactory
 from .sim import (POLICY_TABLE, FleetLane, adaptive_uoi_bound, run_fleet_lanes,
-                  run_single, run_tracking)
+                  run_single)
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--assert-bounds", action="store_true",
                         help="exit 3 if a measured average exceeds its bound")
         sp.add_argument("--trace", action="store_true",
-                        help="record a per-slot trace (single, multi and csma; "
+                        help="record a per-slot trace (single, multi, csma and control; "
                              "jsonl output only)")
 
     sp = sub.add_parser("single", help="single-terminal updating")

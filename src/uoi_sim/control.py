@@ -1,11 +1,13 @@
 """Remote tracking control of a scalar linear plant.
 
-The controller steers x toward a reference y using certainty-equivalent
-control computed from its estimate x_hat; the estimate is exact right
-after an uplink delivery and otherwise propagated through the model.  The
-achieved weighted tracking cost decomposes into the weighted estimation
-error (scaled by a^2) plus an irreducible noise floor, so ranking update
-policies by weighted estimation error ranks them by control performance.
+The controller steers x toward a reference y with certainty-equivalent
+control v = (y - a x_hat) / b computed from its estimate x_hat; the
+estimate is exact right after an uplink delivery and otherwise propagated
+through the model.  Then x' - y = a (x - x_hat) + r: the tracking error is
+the estimation error left by the last delivery, times a, plus the noise,
+and neither y nor b enters it.  So the weighted tracking cost is a^2 times
+the weighted estimation error plus the noise floor, and the control
+scenario runs the single-terminal loop with memory a (`sim.run_single`).
 """
 
 from __future__ import annotations
@@ -29,26 +31,3 @@ class LinearPlant:
         require(math.isfinite(self.b) and self.b != 0.0, "b", self.b, "finite and nonzero")
         require(0.0 < self.noise_var < math.inf, "noise_var", self.noise_var,
                 "positive and finite")
-
-
-@dataclass(frozen=True)
-class ReferencePath:
-    """Reference trajectory: constant level or a sinusoid."""
-
-    kind: str = "constant"
-    value: float = 0.0
-    amplitude: float = 1.0
-    period: float = 1000.0
-
-    def __post_init__(self):
-        require(self.kind in ("constant", "sinusoid"), "kind", self.kind,
-                "'constant' or 'sinusoid'")
-        require(math.isfinite(self.value), "value", self.value, "finite")
-        require(math.isfinite(self.amplitude), "amplitude", self.amplitude, "finite")
-        require(0.0 < self.period < math.inf, "period", self.period, "positive and finite")
-
-    def at(self, t: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        return self.value + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
-

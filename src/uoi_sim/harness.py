@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import LinearPlant, ReferencePath
+from .control import LinearPlant
 from .core import (ConstantWeights, FieldError, PeriodicBurstWeights, TerminalParams,
                    TwoPointWeights, WeightProcess)
 from .csma import ContentionConfig
-from .mdp import MdpGrid, calibrate_multiplier
+from .mdp import MdpGrid, StationaryPolicyTable, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
 from .sim import (POLICY_TABLE, FleetLane, NonFiniteCost, SimResult, adaptive_uoi_bound,
-                  run_fleet_lanes, run_single, run_tracking, stderr_from_batches)
+                  run_fleet_lanes, run_single, stderr_from_batches)
 
 
 class ConfigError(ValueError):
@@ -131,7 +131,6 @@ class ExperimentConfig:
     weights: WeightProcess
     fleet: FleetConfig
     plant: LinearPlant
-    y_ref: ReferencePath
     contention: ContentionConfig | None  # csma only
     grid: MdpGrid
     horizon: int
@@ -176,9 +175,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("policies", f"{unknown[0]!r} not valid for scenario "
                                           f"{self.scenario!r}")
-        if self.trace and entry.simulator not in ("single", "fleet"):
+        if self.trace and entry.simulator in ("mdp", "waterfill"):
             raise ConfigError("trace", f"no {self.scenario!r} run records a trace; "
-                                       "single, multi and csma runs do")
+                                       "single, multi, csma and control runs do")
         # the adaptive rule divides by p * rho, and single prints its bound
         # omega_bar * sigma2 / (p * rho) + V/2
         if "adaptive" in self.policies and (
@@ -241,11 +240,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     control = _section(d, "control")
     plant = {name: _take(control, name, _real, 1.0, "control.")
              for name in ("a", "b", "noise_var")}
-    y_raw = _section(control, "y_ref", "control.")
-    y_ref = {name: _take(y_raw, name, caster, default, "control.y_ref.")
-             for name, caster, default in (("kind", str, "constant"), ("value", _real, 0.0),
-                                           ("amplitude", _real, 1.0), ("period", _real, 1000.0))}
-    _reject_unknown(y_raw, "control.y_ref.")
     _reject_unknown(control, "control.")
 
     mdp = _section(d, "mdp")
@@ -275,7 +269,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         scenario=scenario, terminal=params, weights=weights, fleet=fleet_cfg,
         plant=_domain(LinearPlant, "control.", **plant),
-        y_ref=_domain(ReferencePath, "control.y_ref.", **y_ref),
         contention=(_domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k)
                     if scenario == "csma" else None),
         grid=grid,
@@ -344,6 +337,18 @@ def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, floa
     return avg, stderr, freq, violation
 
 
+def _single_runs(config: ExperimentConfig, params: TerminalParams, policy: str,
+                 table: StationaryPolicyTable | None = None,
+                 a: float = 1.0) -> list[SimResult]:
+    """run_single for each replication, on common random numbers; the first
+    records the trace."""
+    return [run_single(params, config.weights, config.rho, config.v, policy=policy,
+                       horizon=config.horizon, factory=StreamFactory(config.seed, rep),
+                       thresholds=config.thresholds, n_batches=config.n_batches,
+                       trace=config.trace and rep == 0, policy_table=table, a=a)
+            for rep in range(config.replications)]
+
+
 def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     params = config.terminal
     tables = {pol: calibrate_multiplier(config.grid, params, config.rho, pol[4:])[1]
@@ -352,14 +357,7 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     out = []
     bound = adaptive_uoi_bound(params, config.rho, config.v)
     for pol in config.policies:
-        results = []
-        for rep in range(config.replications):
-            factory = StreamFactory(config.seed, rep)
-            results.append(run_single(
-                params, config.weights, config.rho, config.v, policy=pol,
-                horizon=config.horizon, factory=factory,
-                thresholds=config.thresholds, n_batches=config.n_batches,
-                trace=config.trace and rep == 0, policy_table=tables.get(pol)))
+        results = _single_runs(config, params, pol, tables.get(pol))
         avg, stderr, freq, violation = _aggregate(results)
         extras = {"h_over_t": results[0].extras.get("h_over_t")}
         if pol in tables:
@@ -423,17 +421,18 @@ def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
+    """Under certainty-equivalent control the tracking error is the error of
+    a single terminal with memory a and the plant's noise, so each policy is
+    run_single on that terminal: its UoI is the weighted tracking cost."""
     plant = config.plant
+    params = TerminalParams(id=0, p=config.terminal.p, sigma2=plant.noise_var,
+                            omega_bar=config.weights.mean)
+    noise_floor = config.weights.mean * plant.noise_var
     out = []
     for pol in config.policies:
-        results = [run_tracking(
-            plant, config.y_ref, config.weights, pol, config.rho, config.v,
-            p_channel=config.terminal.p, horizon=config.horizon,
-            factory=StreamFactory(config.seed, rep), n_batches=config.n_batches)
-            for rep in range(config.replications)]
+        results = _single_runs(config, params, pol, a=plant.a)
         avg, stderr, freq, violation = _aggregate(results)
         est = float(np.mean([r.extras["avg_est_cost"] for r in results]))
-        noise_floor = config.weights.mean * plant.noise_var
         out.append(RunMetrics(
             scenario="control", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1,
@@ -442,7 +441,8 @@ def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
             violation_prob=violation, bound_value=None,
             extras={"avg_track_cost": avg, "avg_est_cost": est,
                     "decomposition_rhs": plant.a ** 2 * est + noise_floor,
-                    "noise_floor": noise_floor}))
+                    "noise_floor": noise_floor},
+            trace=results[0].trace))
     return out
 
 
@@ -468,7 +468,7 @@ def run(config: ExperimentConfig) -> list[RunMetrics]:
         "single": _run_single_scenario,
         "fleet": _run_fleet_scenario,
         "mdp": _run_mdp_scenario,
-        "tracking": _run_control_scenario,
+        "control": _run_control_scenario,
         "waterfill": _run_waterfill_scenario,
     }
     simulator = POLICY_TABLE[config.scenario].simulator

@@ -1,4 +1,4 @@
-"""Slot-loop simulators for the single-terminal, fleet, and control systems.
+"""Slot-loop simulators for the single-terminal and fleet systems.
 
 All randomness comes from named per-(terminal, kind) streams so that
 different policies run against identical weight/increment/channel draws.
@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import csma as csma_mod
-from .control import LinearPlant, ReferencePath
 from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_factor,
                    sample_channel_block)
 from .mdp import StationaryPolicyTable, age_threshold_for_budget
@@ -49,7 +48,7 @@ POLICY_TABLE = {
     "csma": ScenarioPolicies("fleet", "distributed", {"distributed": "csma", **_same(
         "centralized", "aoi", "round-robin", "stationary")}),
     "mdp": ScenarioPolicies("mdp", "rvi", _same("rvi")),
-    "control": ScenarioPolicies("tracking", "adaptive", _same(
+    "control": ScenarioPolicies("control", "adaptive", _same(
         "adaptive", "periodic", "random", "age-threshold")),
     "waterfill": ScenarioPolicies("waterfill", "stationary", _same("stationary")),
 }
@@ -206,8 +205,17 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                factory: StreamFactory | None = None,
                thresholds: dict[float, float] | None = None,
                n_batches: int = 10, trace: bool = False,
-               policy_table: StationaryPolicyTable | None = None) -> SimResult:
+               policy_table: StationaryPolicyTable | None = None,
+               a: float = 1.0) -> SimResult:
     """Simulate one terminal under an update policy for `horizon` slots.
+
+    The error has memory `a`: slot t reads q = a * e + inc, where e is the
+    error after the last slot, 0 once an update is delivered, and inc the
+    increment drawn for slot t - 1 (0 in slot 0).  The slot costs w_t q^2,
+    and extras["avg_est_cost"] is the mean of w_t e^2.  Under
+    certainty-equivalent control of the plant x' = a x + b v + r, e is the
+    estimation error x - x_hat and q the tracking error, whatever the
+    reference and the gain b.
 
     The adaptive rule keeps a virtual queue H of how much of the budget rho
     has been used: the terminal transmits iff its update index
@@ -226,6 +234,7 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     w = weights.sample_block(factory.stream("weight", tid), 0, T + 1)
     inc = GaussianIncrements(params.sigma2).sample_block(
         factory.stream("increment", tid), 0, T)
+    inc = np.concatenate(([0.0], inc[:-1]))   # inc[t] is added in slot t
     s_good = sample_channel_block(factory.stream("channel", tid), params.p, T)
     thr = _threshold_array(w[:T], thresholds)
 
@@ -239,62 +248,68 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
     nb, batch_len = _batch_layout(T, n_batches)
     sums = [0.0] * nb
-    q = h = 0.0
+    est_sums = [0.0] * nb
+    e = h = 0.0
     attempts = int(plan.sum()) if plan is not None else 0
     deliver = plan & s_good if plan is not None else None
     violations = 0
     rows = [] if trace else None
     hs = repeat(0.0)   # H of each traced slot, which only the adaptive rule moves
 
-    # Each slot loop carries only what the next decision reads and records q;
-    # the costs, violations and trace rows are computed per block from that
-    # record.  Overflow is caught as a non-finite batch cost sum, so numpy's
-    # warnings on the way there are noise.
+    # Each slot loop carries only what the next decision reads and records e;
+    # q, the costs, violations and trace rows are computed per block from
+    # that record.  Overflow is caught as a non-finite batch cost sum, so
+    # numpy's warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
             inc_b = inc[t0:t1].tolist()
-            qs = []   # q of slots t0 .. t1 - 1
-            record = qs.append
+            es = []   # e entering slots t0 .. t1 - 1
+            record = es.append
             if deliver is not None:
-                for d, a in zip(deliver[t0:t1].tolist(), inc_b):
-                    record(q)
-                    q = a if d else q + a
+                for d, i in zip(deliver[t0:t1].tolist(), inc_b):
+                    record(e)
+                    e = 0.0 if d else a * e + i
             elif policy == "adaptive":
                 hs = []   # H of each slot, recorded for the trace only
                 record_h = hs.append if trace else None
                 c_b = index_factor(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho).tolist()
-                for c, a, s in zip(c_b, inc_b, s_good[t0:t1].tolist()):
-                    record(q)
+                for c, i, s in zip(c_b, inc_b, s_good[t0:t1].tolist()):
+                    record(e)
                     if record_h:
                         record_h(h)
+                    q = a * e + i
                     if c * q * q > v * h:
                         attempts += 1
                         h = h - rho + 1
-                        q = a if s else q + a
+                        e = 0.0 if s else q
                     else:
                         h = h - rho
-                        q = q + a
+                        e = q
                     if not h > 0.0:  # max(0.0, h), bit for bit
                         h = 0.0
             else:  # rvi-uoi table at q's nearest bin, possibly randomized per state
                 wi = [widx[x] for x in w[t0:t1 + 1].tolist()]
                 s_b = s_good[t0:t1].tolist()
                 for j in range(t1 - t0):
-                    record(q)
+                    record(e)
+                    q = a * e + inc_b[j]
                     qc = q_max if q > q_max else (-q_max if q < -q_max else q)
                     prob = tab[round((qc + q_max) / q_step)][wi[j]][wi[j + 1]]
                     u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
                     attempts += u
-                    q = inc_b[j] if u and s_b[j] else q + inc_b[j]
+                    e = 0.0 if u and s_b[j] else q
 
-            q_b = np.fromiter(qs, float, t1 - t0)
-            f = w[t0:t1] * q_b * q_b
+            e_b = np.fromiter(es, float, t1 - t0)
+            q_b = a * e_b + inc[t0:t1]   # the loop's q, bit for bit
+            w_b = w[t0:t1]
+            f = w_b * q_b * q_b
             sums[b] = _running_sum(sums[b], f)
+            est_sums[b] = _running_sum(est_sums[b], w_b * e_b * e_b)
             if thr is not None:
                 violations += int(np.count_nonzero(np.abs(q_b) > thr[t0:t1]))
             if rows is not None:
-                rows.extend(zip(range(t0, t1), hs, qs, f.tolist()))
-            _check_finite(t1, uoi=sums[b])
+                rows.extend(zip(range(t0, t1), hs, q_b.tolist(), f.tolist()))
+            _check_finite(t1, uoi=sums[b], estimation=est_sums[b])
 
     return SimResult(
         avg_uoi=float(np.array(sums).sum()) / T,
@@ -302,7 +317,8 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
         update_freq=np.array([attempts / T]),
         violation_prob=(violations / T) if thr is not None else None,
         extras={"h_over_t": h / T if policy == "adaptive" else None,
-                "final_h": h, "attempts": attempts},
+                "final_h": h, "attempts": attempts,
+                "avg_est_cost": float(np.array(est_sums).sum()) / T},
         trace=rows,
     )
 
@@ -591,96 +607,3 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             extras=extras,
             trace=rows[lane])
     return out
-
-
-# --------------------------------------------------------------------------
-# Remote tracking control.
-# --------------------------------------------------------------------------
-
-
-def run_tracking(plant: LinearPlant, reference: ReferencePath,
-                 weights: WeightProcess, policy: str, rho: float, v: float,
-                 p_channel: float, horizon: int = 1_000_000,
-                 factory: StreamFactory | None = None,
-                 n_batches: int = 10) -> SimResult:
-    """Drive the plant, from x = x_hat = 0, with certainty-equivalent control
-    while the chosen policy decides when the terminal uplinks its true state.
-
-    The control puts the predicted next state on the reference y, so the
-    error the policy reads, x' - (a * x_hat + b * v), is the tracking error
-    x' - y: the result's UoI is the weighted tracking cost w_t (x_{t+1} - y_t)^2,
-    and extras["avg_est_cost"] is the mean weighted estimation error
-    w_t (x_t - x_hat_t)^2 entering each slot."""
-    if policy not in POLICY_TABLE["control"].policies:
-        raise ValueError(f"unknown policy {policy!r}")
-    factory = factory or StreamFactory(0)
-    T = int(horizon)
-
-    w = weights.sample_block(factory.stream("weight", 0), 0, T + 1)
-    noise = factory.stream("increment", 0).normal(T) * math.sqrt(plant.noise_var)
-    s_good = sample_channel_block(factory.stream("channel", 0), p_channel, T)
-    coin = Buffered(factory.stream("policy", 0).uniform)
-    plan = _blind_plan(policy, p_channel, rho, coin, s_good)
-
-    nb, batch_len = _batch_layout(T, n_batches)
-    track_sums = [0.0] * nb
-    est_sums = [0.0] * nb
-    a, gain, x, x_hat = plant.a, plant.b, 0.0, 0.0
-    h = 0.0
-    attempts = int(plan.sum()) if plan is not None else 0
-    deliver = plan & s_good if plan is not None else None
-
-    # As in run_single, the slot loops record the state entering each slot,
-    # here x and x_hat, and the costs are computed per block from that record.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
-            ys = list(map(reference.at, range(t0, t1)))
-            noise_b = noise[t0:t1].tolist()
-            xs, xhs = [], []
-            record_x, record_xh = xs.append, xhs.append
-            # The control v_t = (y - a * x_hat) / b puts the estimated next
-            # state on y; the estimate follows the model, without the noise,
-            # until a delivery makes it exact.
-            if deliver is not None:
-                for y, r, d in zip(ys, noise_b, deliver[t0:t1].tolist()):
-                    record_x(x)
-                    record_xh(x_hat)
-                    v_t = (y - a * x_hat) / gain
-                    x = a * x + gain * v_t + r
-                    x_hat = x if d else a * x_hat + gain * v_t
-            else:
-                c_b = index_factor(w[t0 + 1:t1 + 1], weights.mean, p_channel, rho).tolist()
-                for y, r, c, s in zip(ys, noise_b, c_b, s_good[t0:t1].tolist()):
-                    record_x(x)
-                    record_xh(x_hat)
-                    v_t = (y - a * x_hat) / gain
-                    x = a * x + gain * v_t + r
-                    x_hat = a * x_hat + gain * v_t
-                    q = x - x_hat
-                    if c * q * q > v * h:
-                        attempts += 1
-                        h = h - rho + 1
-                        if s:
-                            x_hat = x
-                    else:
-                        h = h - rho
-                    if not h > 0.0:  # max(0.0, h), bit for bit
-                        h = 0.0
-            record_x(x)
-
-            n = t1 - t0
-            x_b = np.fromiter(xs, float, n + 1)   # x_b[j + 1] is x after slot t0 + j
-            w_b = w[t0:t1]
-            err = x_b[:n] - np.fromiter(xhs, float, n)   # estimation error entering the slot
-            est_sums[b] = est = _running_sum(est_sums[b], w_b * err * err)
-            err = x_b[1:] - np.fromiter(ys, float, n)    # tracking error after it
-            track_sums[b] = track = _running_sum(track_sums[b], w_b * err * err)
-            _check_finite(t1, tracking=track, estimation=est)
-
-    return SimResult(
-        avg_uoi=float(np.array(track_sums).sum()) / T,
-        batch_means=_batch_means(track_sums, T, batch_len),
-        update_freq=np.array([attempts / T]),
-        violation_prob=None,
-        extras={"avg_est_cost": float(np.array(est_sums).sum()) / T},
-    )

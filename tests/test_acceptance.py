@@ -12,14 +12,15 @@ import pytest
 
 from conftest import (desk_terminal, desk_weights, fleet_weights,
                       grid_min_objective, make_fleet)
-from uoi_sim.control import LinearPlant, ReferencePath
+from uoi_sim.control import LinearPlant
+from uoi_sim.core import TerminalParams
 from uoi_sim.csma import ContentionConfig, contend, expected_window
 from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, calibrate_multiplier
 from uoi_sim.multi import kkt_residual, fleet_uoi_bound, waterfill, waterfill_from_widths
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, FleetLane, adaptive_uoi_bound, run_fleet_lanes,
-                         run_single, run_tracking, stderr_from_batches)
+                         run_single, stderr_from_batches)
 
 SEED = 20240817
 HORIZON = 10**6
@@ -232,12 +233,13 @@ def test_criterion_7_near_optimality(rvi_tables):
 
 def test_criterion_8_control_decomposition():
     plant = LinearPlant(a=1.0, b=1.0, noise_var=1.0)
+    # the tracking error is the error of this terminal with memory a
+    params = TerminalParams(id=0, p=0.8, sigma2=plant.noise_var, omega_bar=desk_weights().mean)
     details = []
     ok = True
     for policy in POLICY_TABLE["control"].policies:
-        res = run_tracking(plant, ReferencePath(), desk_weights(), policy,
-                           rho=0.25, v=1.0, p_channel=0.8, horizon=HORIZON,
-                           factory=StreamFactory(SEED))
+        res = run_single(params, desk_weights(), rho=0.25, v=1.0, policy=policy,
+                         horizon=HORIZON, factory=StreamFactory(SEED), a=plant.a)
         rhs = res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var
         rel = abs(res.avg_uoi - rhs) / rhs
         ok &= rel <= 0.02

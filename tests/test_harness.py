@@ -77,12 +77,12 @@ def test_n_batches_validated():
     ({"fleet": [4]}, "fleet"),
     ({"contention": "w"}, "contention"),
     ({"control": 1.5}, "control"),
-    ({"control": {"y_ref": "up"}}, "control.y_ref"),
+    ({"control": {"y_ref": "up"}}, "control.y_ref"),   # not a control key
     ({"mdp": True}, "mdp"),
     # domain values
     ({"control": {"b": 0}}, "control.b"),
     ({"control": {"noise_var": 0}}, "control.noise_var"),
-    ({"control": {"y_ref": {"kind": "sawtooth"}}}, "control.y_ref.kind"),
+    ({"control": {"b": -0.0}}, "control.b"),
     ({"seed": -1}, "seed"),
     ({"weights": {"kind": "constant", "w": 0}}, "weights.w"),
     ({"weights": {"kind": "periodic-burst", "period": 10, "burst_len": 11}},
@@ -100,12 +100,12 @@ def test_n_batches_validated():
     ({"control": {"a": float("nan")}}, "control.a"),
     ({"control": {"b": float("nan")}}, "control.b"),
     ({"contention": {"mini_slot_us": float("nan")}}, "contention.mini_slot_us"),
-    ({"control": {"y_ref": {"value": float("nan")}}}, "control.y_ref.value"),
-    ({"control": {"y_ref": {"amplitude": float("inf")}}}, "control.y_ref.amplitude"),
-    # a period that would divide by zero
-    ({"control": {"y_ref": {"kind": "sinusoid", "period": 0}}}, "control.y_ref.period"),
-    ({"control": {"y_ref": {"period": float("nan")}}}, "control.y_ref.period"),
-    ({"control": {"y_ref": {"period": -1.0}}}, "control.y_ref.period"),
+    ({"control": {"a": float("inf")}}, "control.a"),
+    ({"control": {"b": float("-inf")}}, "control.b"),
+    # a plant value that is not a number, or a noise variance that is not positive
+    ({"control": {"a": "fast"}}, "control.a"),
+    ({"control": {"noise_var": float("nan")}}, "control.noise_var"),
+    ({"control": {"noise_var": -1.0}}, "control.noise_var"),
     ({"control": {"noise_var": float("inf")}}, "control.noise_var"),
     ({"mdp": {"q_max": float("inf")}}, "mdp.q_max"),
     ({"weights": {"w_hi": float("inf")}}, "weights.w_hi"),
@@ -236,7 +236,8 @@ def test_export_jsonl_refuses_a_non_finite_number(tmp_path):
 @pytest.mark.parametrize("raw", [
     {"scenario": "single", "policies": ["adaptive", "periodic"]},
     {"scenario": "multi", "fleet": {"n": 3, "k": 1}, "policies": ["centralized", "aoi"]},
-], ids=["single", "multi"])
+    {"scenario": "control", "control": {"a": 0.9}, "policies": ["adaptive", "random"]},
+], ids=["single", "multi", "control"])
 def test_export_jsonl_writes_trace_rows_as_arrays(tmp_path, raw):
     # the trace rows go out as the run's tuples, in the bytes of the same
     # rows as lists
@@ -470,11 +471,10 @@ def test_cli_control_flags(capsys):
 
 
 def test_cli_trace_of_a_run_that_records_none_is_config_error(tmp_path, capsys):
-    # only single, multi and csma runs record a trace: control, mdp and
+    # only single, multi, csma and control runs record a trace: mdp and
     # waterfill reject the flag rather than write rows without one
-    out = tmp_path / "c.jsonl"
-    assert cli.main(["control", "--trace", "--format", "jsonl", "--out", str(out),
-                     "--horizon", "10"]) == 2
+    out = tmp_path / "w.jsonl"
+    assert cli.main(["waterfill", "--trace", "--format", "jsonl", "--out", str(out)]) == 2
     assert "'trace'" in capsys.readouterr().err
     assert not out.exists()
     cfgf = tmp_path / "mdp.json"

@@ -15,14 +15,15 @@ from conftest import (COLLISION, AoIState, ErrorQueue, ThresholdState, adapt_thr
                       step_aoi, step_error, step_plant, step_virtual_queue,
                       table_lookup, uoi)
 from uoi_sim import sim
-from uoi_sim.control import LinearPlant, ReferencePath
+from uoi_sim.control import LinearPlant
 from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
 from uoi_sim.csma import ContentionConfig, default_delta_j, expected_window
+from uoi_sim.harness import config_from_dict, run
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
 from uoi_sim.rng import KINDS, StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, FleetLane, age_threshold_for_budget, run_fleet_lanes,
-                         run_single, run_tracking, stderr_from_batches)
+                         run_single, stderr_from_batches)
 
 SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
 
@@ -135,29 +136,34 @@ def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_b
     assert res.trace == rows_ref
 
 
-def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed):
+def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed,
+                            thresholds=None):
     """The tracking loop rebuilt from the plant-level step and the step
-    operations; the error queue holds the estimation error x - x_hat.
-    Returns the averages of the tracking, estimation and embedded UoI costs
-    and the attempt frequency."""
+    operations; the error queue holds the estimation error x - x_hat, and
+    slot t adds the noise drawn for slot t - 1.  Returns the averages of the
+    tracking, estimation and embedded UoI costs, the attempt frequency and
+    the number of slots whose |tracking error| is over the bound that
+    `thresholds` maps the slot's weight to."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", 0), 0, horizon + 1)
     noise = factory.stream("increment", 0).normal(horizon) * math.sqrt(plant.noise_var)
+    noise = np.concatenate(([0.0], noise[:-1]))
     s = sample_channel_block(factory.stream("channel", 0), p, horizon)
     coins = factory.stream("policy", 0).uniform(horizon)
     age_m = age_threshold_for_budget(p, rho)
     params = TerminalParams(id=0, p=p, sigma2=plant.noise_var, omega_bar=weights.mean)
     state = make_single_updater(params, rho, v)
     track = est = embedded = 0.0
-    attempts = 0
+    attempts = violations = 0
     credit = 0.0
     x = x_hat = 0.0
     for t in range(horizon):
         est += uoi(w[t], x - x_hat)
-        y = reference.at(t)
+        y = reference(t)
         x, x_hat = step_plant(plant, x, x_hat, certainty_equivalent_control(plant, x_hat, y),
                               noise[t])
         track += uoi(w[t], x - y)
+        violations += abs(x - y) > (thresholds or {}).get(w[t], math.inf)
         state = replace(state, eq=replace(state.eq, q=x - x_hat))
         embedded += uoi(w[t], state.eq.q)
         u, credit = _decide(policy, state, w[t + 1], coins[t], credit, age_m)
@@ -167,30 +173,57 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
         state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
                         else state.vq,
                         eq=step_error(state.eq, u, int(s[t]), 0.0))
-    return track / horizon, est / horizon, embedded / horizon, attempts / horizon
+    return track / horizon, est / horizon, embedded / horizon, attempts / horizon, violations
 
 
-@pytest.mark.parametrize("policy,horizon,n_batches,a,b", [
-    pytest.param(policy, horizon, n_batches, a, b, id=name + suffix)
-    for a, b, suffix in ((0.9, 0.5, ""), (1.1, 2.0, "-a1.1-b2"))
+# References: the constant 0, and a sinusoid far from it, which run_single
+# never reads, since the tracking error does not depend on it.
+_REFERENCES = {"const": lambda t: 0.0,
+               "sine": lambda t: 50.0 + 3.0 * math.sin(2.0 * math.pi * t / 200.0)}
+
+
+@pytest.mark.parametrize("policy,horizon,n_batches,a,b,ref", [
+    pytest.param(policy, horizon, n_batches, a, b, ref,
+                 id=name + ("" if (a, b) == (0.9, 0.5) else f"-a{a:g}-b{b:g}")
+                 + ("" if ref == "sine" else f"-{ref}"))
+    for a in (0.9, 1.1) for b in (0.5, 2.0) for ref in _REFERENCES
     for policy, horizon, n_batches, name in (
         *((policy, 4000, 10, policy) for policy in SINGLE_RULES),
         ("adaptive", 10_000, 1, "adaptive-long"))
 ])
-def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches, a, b):
+def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches, a, b, ref):
     plant = LinearPlant(a=a, b=b, noise_var=1.0)
-    reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=200.0)
-    track_ref, est_ref, uoi_ref, freq_ref = _reference_tracking_run(
-        plant, reference, desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon, seed=404)
+    track_ref, est_ref, uoi_ref, freq_ref, _ = _reference_tracking_run(
+        plant, _REFERENCES[ref], desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon,
+        seed=404)
     # under certainty-equivalent control the error the policy reads is the
     # tracking error, so the embedded UoI is the tracking cost
     assert uoi_ref == pytest.approx(track_ref, rel=1e-12)
-    res = run_tracking(plant, reference, desk_weights(), policy, rho=0.25, v=1.0,
-                       p_channel=0.8, horizon=horizon, factory=StreamFactory(404),
-                       n_batches=n_batches)
+    params = TerminalParams(id=0, p=0.8, sigma2=plant.noise_var,
+                            omega_bar=desk_weights().mean)
+    res = run_single(params, desk_weights(), rho=0.25, v=1.0, policy=policy,
+                     horizon=horizon, factory=StreamFactory(404), n_batches=n_batches, a=a)
     assert res.avg_uoi == pytest.approx(track_ref, rel=1e-12)
     assert res.extras["avg_est_cost"] == pytest.approx(est_ref, rel=1e-12)
     assert res.update_freq[0] == pytest.approx(freq_ref, abs=0)
+
+
+def test_control_run_counts_the_plant_oracles_violations():
+    # the control scenario's violation_prob counts the slots whose |tracking
+    # error| is over the bound of the slot's weight
+    plant = LinearPlant(a=1.1, b=2.0, noise_var=1.0)
+    thresholds = {1.0: 2.0, 100.0: 1.0}
+    rows = run(config_from_dict({
+        "scenario": "control", "horizon": 4000, "seed": 404, "rho": 0.25, "v": 1.0,
+        "policies": list(SINGLE_RULES), "terminal": {"p": 0.8},
+        "control": {"a": plant.a, "b": plant.b, "noise_var": plant.noise_var},
+        "thresholds": {str(w): bound for w, bound in thresholds.items()}}))
+    for m in rows:
+        *_, violations = _reference_tracking_run(
+            plant, _REFERENCES["sine"], desk_weights(), m.policy, 0.25, 1.0, 0.8,
+            horizon=4000, seed=404, thresholds=thresholds)
+        assert violations > 0
+        assert m.violation_prob == violations / 4000
 
 
 def _outputs(res):
@@ -201,20 +234,15 @@ def _outputs(res):
 def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
     # 7-slot blocks split every batch (50 slots, the last 53) at odd places
     params, weights = desk_terminal(), desk_weights()
-    plant = LinearPlant(a=0.9, b=0.5, noise_var=1.0)
-    reference = ReferencePath(kind="sinusoid", amplitude=3.0, period=40.0)
 
     def runs():
         out = []
-        for policy in POLICY_TABLE["single"].policies:
-            table = _fractional_table(policy[4:]) if policy.startswith("rvi") else None
-            out.append(_outputs(run_single(
-                params, weights, 0.25, 1.0, policy, horizon=503, factory=StreamFactory(5),
-                thresholds={1.0: 2.0, 100.0: 1.0}, trace=True, policy_table=table)))
-        for policy in POLICY_TABLE["control"].policies:
-            out.append(_outputs(run_tracking(
-                plant, reference, weights, policy, 0.25, 1.0, 0.8, horizon=503,
-                factory=StreamFactory(5))))
+        for a in (1.0, 0.9):
+            for policy in POLICY_TABLE["single"].policies:
+                table = _fractional_table(policy[4:]) if policy.startswith("rvi") else None
+                out.append(_outputs(run_single(
+                    params, weights, 0.25, 1.0, policy, horizon=503, factory=StreamFactory(5),
+                    thresholds={1.0: 2.0, 100.0: 1.0}, trace=True, policy_table=table, a=a)))
         return out
 
     default = runs()
@@ -578,15 +606,12 @@ def test_age_threshold_budget():
 def test_age_threshold_plan_memory_follows_the_horizon():
     # at rho = 1e-7 the threshold is about 1.25e7 slots; a 1000-slot run
     # must not hold a list of that length
-    for run in (lambda: run_single(desk_terminal(), desk_weights(), rho=1e-7, v=1.0,
-                                   policy="age-threshold", horizon=1000,
-                                   factory=StreamFactory(3)),
-                lambda: run_tracking(LinearPlant(a=1.0, b=1.0, noise_var=1.0), ReferencePath(),
-                                     desk_weights(), "age-threshold", rho=1e-7, v=1.0,
-                                     p_channel=0.8, horizon=1000, factory=StreamFactory(3))):
+    for a in (1.0, 0.9):
         tracemalloc.start()
         try:
-            res = run()
+            res = run_single(desk_terminal(), desk_weights(), rho=1e-7, v=1.0,
+                             policy="age-threshold", horizon=1000, factory=StreamFactory(3),
+                             a=a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -621,9 +646,8 @@ def test_short_horizon_has_no_empty_batches():
     fleet = make_fleet(3, k=1)
     multi = run_fleet_lanes(fleet, fleet_weights(),
                             [FleetLane("round-robin", StreamFactory(1))], horizon=5)[0]
-    track = run_tracking(LinearPlant(a=1.0, b=1.0, noise_var=1.0), ReferencePath(),
-                         desk_weights(), "periodic", rho=0.25, v=1.0, p_channel=0.8,
-                         horizon=5, factory=StreamFactory(1))
+    track = run_single(desk_terminal(), desk_weights(), 0.25, 1.0, "periodic", horizon=5,
+                       factory=StreamFactory(1), a=0.9)
     for batches, avg in [(single.batch_means, single.avg_uoi),
                          (multi.batch_means, multi.avg_uoi),
                          (track.batch_means, track.avg_uoi)]:
