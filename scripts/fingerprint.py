@@ -54,6 +54,11 @@ CONFIGS = {
                           "policies": ["adaptive", "periodic", "random", "age-threshold",
                                        "rvi-uoi", "rvi-aoi"],
                           "mdp": {"q_max": 2.0, "q_step": 0.5}},
+    # 10 001 slots in one batch, a multiple of neither the 256-coin buffer nor
+    # the 4096-slot block, at a budget whose periodic credit is inexact
+    "single-blind-long": {"scenario": "single", "horizon": 10001, "n_batches": 1,
+                          "rho": 0.3, "trace": True, "thresholds": {"1": 2.0, "100": 1.0},
+                          "policies": ["periodic", "random", "age-threshold", "rvi-aoi"]},
     "multi-n10": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,
                   "policies": MULTI, "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
     "multi-n30": {"scenario": "multi", "horizon": 3000, "replications": 2,

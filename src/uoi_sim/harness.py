@@ -423,26 +423,31 @@ def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     """Under certainty-equivalent control the tracking error is the error of
     a single terminal with memory a and the plant's noise, so each policy is
-    run_single on that terminal: its UoI is the weighted tracking cost."""
+    run_single on that terminal: its UoI is the weighted tracking cost.  The
+    AoI-optimal table does not depend on a, so rvi-aoi runs at any a."""
     plant = config.plant
     params = TerminalParams(id=0, p=config.terminal.p, sigma2=plant.noise_var,
                             omega_bar=config.weights.mean)
     noise_floor = config.weights.mean * plant.noise_var
     out = []
     for pol in config.policies:
-        results = _single_runs(config, params, pol, a=plant.a)
+        table = (calibrate_multiplier(config.grid, params, config.rho, "aoi")[1]
+                 if pol == "rvi-aoi" else None)
+        results = _single_runs(config, params, pol, table, a=plant.a)
         avg, stderr, freq, violation = _aggregate(results)
         est = float(np.mean([r.extras["avg_est_cost"] for r in results]))
+        extras = {"avg_track_cost": avg, "avg_est_cost": est,
+                  "decomposition_rhs": plant.a ** 2 * est + noise_floor,
+                  "noise_floor": noise_floor}
+        if table is not None:
+            extras["policy_table"] = table
         out.append(RunMetrics(
             scenario="control", policy=pol,
             params={"rho": config.rho, "V": config.v, "N": 1,
                     "a": plant.a, "b": plant.b},
             avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
             violation_prob=violation, bound_value=None,
-            extras={"avg_track_cost": avg, "avg_est_cost": est,
-                    "decomposition_rhs": plant.a ** 2 * est + noise_floor,
-                    "noise_floor": noise_floor},
-            trace=results[0].trace))
+            extras=extras, trace=results[0].trace))
     return out
 
 

@@ -23,7 +23,7 @@ from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_fact
                    sample_channel_block)
 from .mdp import StationaryPolicyTable, age_threshold_for_budget
 from .multi import FleetConfig, schedule_round_robin, schedule_stationary, waterfill
-from .rng import COMMON_KINDS, Buffered, StreamFactory
+from .rng import _BUFFER, COMMON_KINDS, Buffered, StreamFactory
 
 
 class ScenarioPolicies(NamedTuple):
@@ -49,7 +49,7 @@ POLICY_TABLE = {
         "centralized", "aoi", "round-robin", "stationary")}),
     "mdp": ScenarioPolicies("mdp", "rvi", _same("rvi")),
     "control": ScenarioPolicies("control", "adaptive", _same(
-        "adaptive", "periodic", "random", "age-threshold")),
+        "adaptive", "periodic", "random", "age-threshold", "rvi-aoi")),
     "waterfill": ScenarioPolicies("waterfill", "stationary", _same("stationary")),
 }
 _FLEET_SCHEDULERS = {name for entry in POLICY_TABLE.values() if entry.simulator == "fleet"
@@ -122,52 +122,6 @@ def _batch_layout(T: int, n_batches: int) -> tuple[int, int]:
     return nb, max(1, T // nb)
 
 
-def _blind_plan(policy: str, p: float, rho: float, coin: Buffered, s_good: np.ndarray,
-                policy_table: StationaryPolicyTable | None = None) -> np.ndarray | None:
-    """Every slot's decision of a rule that never reads the error, as a bool
-    array, or None.
-
-    periodic transmits whenever the accumulated credit rho reaches one;
-    random flips the policy coin each slot.  The age rules send at age a
-    (since the last delivery) with probability send[min(a, len(send)) - 1],
-    flipping the coin only where it is strictly between 0 and 1: age-threshold
-    from age_threshold_for_budget(p, rho) on, rvi-aoi by its table.
-    """
-    T = len(s_good)
-    if policy == "random":  # the next T coins
-        return np.fromiter(iter(coin.next, None), float, T) < rho
-    sends = []
-    if policy == "periodic":
-        credit = 0.0
-        for t in range(T):
-            credit += rho
-            if credit >= 1.0 - 1e-12:
-                credit -= 1.0
-                sends.append(t)
-    elif policy in ("age-threshold", "rvi-aoi"):
-        if policy == "age-threshold":
-            # ages past T + 1 are never reached, so the list stops there
-            send = [0] * (min(age_threshold_for_budget(p, rho), T + 1) - 1) + [1]
-        else:  # 0/1 entries as ints: only a float one flips the coin
-            send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
-        i, last = 0, len(send) - 1  # send[i] holds the rule at age i + 1
-        for t, s in enumerate(s_good.tolist()):
-            u = send[i]
-            if u.__class__ is float:
-                u = coin.next() < u
-            if u:
-                sends.append(t)
-            if u and s:
-                i = 0
-            elif i < last:
-                i += 1
-    else:
-        return None
-    plan = np.zeros(T, dtype=bool)
-    plan[sends] = True
-    return plan
-
-
 # Slots of stream arrays the single-terminal loops turn into Python lists at a
 # time: per-block lists keep a long run's memory near that of its arrays.
 _BLOCK = 4096
@@ -220,7 +174,13 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     The adaptive rule keeps a virtual queue H of how much of the budget rho
     has been used: the terminal transmits iff its update index
     index_factor(w_next, omega_bar, p, rho) * q^2 strictly exceeds V * H,
-    and then H' = max(0, H - rho + U)."""
+    and then H' = max(0, H - rho + U).  The other rules never read the
+    error: periodic transmits whenever the accumulated credit rho reaches
+    one, and random flips the policy coin each slot.  The age rules send at
+    age k since the last delivery with probability send[min(k, len(send)) - 1],
+    flipping the coin only where it is strictly between 0 and 1:
+    age-threshold from age_threshold_for_budget(p, rho) on, rvi-aoi by its
+    table."""
     if policy not in POLICY_TABLE["single"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     kind = getattr(policy_table, "cost_kind", None)
@@ -238,42 +198,78 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     s_good = sample_channel_block(factory.stream("channel", tid), params.p, T)
     thr = _threshold_array(w[:T], thresholds)
 
-    coin = Buffered(factory.stream("policy", tid).uniform)
-    plan = _blind_plan(policy, params.p, rho, coin, s_good, policy_table)
-    if policy == "rvi-uoi":  # P(transmit) by (q bin, w_now, w_next)
+    policy_stream = factory.stream("policy", tid)
+    flip = Buffered(policy_stream.uniform).next   # the rvi rules' fractional coins
+    attempts = 0
+    send = None
+    reach = s_good   # slots where a transmission would be delivered
+    if policy == "random":  # T coins in one draw, in whole buffers as Buffered takes them
+        sent = policy_stream.uniform(-(-T // _BUFFER) * _BUFFER)[:T] < rho
+        attempts = int(sent.sum())
+        reach = sent & s_good   # random decides up front: its deliveries
+    elif policy == "age-threshold":  # ages past T + 1 are never reached
+        send = [0] * (min(age_threshold_for_budget(params.p, rho), T + 1) - 1) + [1]
+    elif policy == "rvi-aoi":  # 0/1 entries as ints: only a float one flips the coin
+        send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
+    elif policy == "rvi-uoi":  # P(transmit) by (q bin, w_now, w_next)
         grid, tab = policy_table.grid, policy_table.table.tolist()
         q_max, q_step = grid.q_max, grid.q_step
-    widx = ({float(val): i for i, (val, _) in enumerate(grid.weight_support)}
-            if policy == "rvi-uoi" else {})
+        widx = {float(val): i for i, (val, _) in enumerate(grid.weight_support)}
 
     nb, batch_len = _batch_layout(T, n_batches)
     sums = [0.0] * nb
     est_sums = [0.0] * nb
-    e = h = 0.0
-    attempts = int(plan.sum()) if plan is not None else 0
-    deliver = plan & s_good if plan is not None else None
+    e = h = credit = 0.0
+    k, last = 0, len(send or ()) - 1   # send[k] holds the age rule at age k + 1
     violations = 0
     rows = [] if trace else None
     hs = repeat(0.0)   # H of each traced slot, which only the adaptive rule moves
 
-    # Each slot loop carries only what the next decision reads and records e;
-    # q, the costs, violations and trace rows are computed per block from
-    # that record.  Overflow is caught as a non-finite batch cost sum, so
-    # numpy's warnings on the way there are noise.
+    # Each slot loop decides, counts attempts and records e in one pass,
+    # carrying only what the next decision reads; q, the costs, violations
+    # and trace rows are computed per block from that record.  Overflow is
+    # caught as a non-finite batch cost sum, so numpy's warnings on the way
+    # there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
             inc_b = inc[t0:t1].tolist()
+            s_b = reach[t0:t1].tolist()
             es = []   # e entering slots t0 .. t1 - 1
             record = es.append
-            if deliver is not None:
-                for d, i in zip(deliver[t0:t1].tolist(), inc_b):
+            if policy == "random":
+                for d, i in zip(s_b, inc_b):
                     record(e)
                     e = 0.0 if d else a * e + i
+            elif policy == "periodic":
+                for s, i in zip(s_b, inc_b):
+                    record(e)
+                    credit += rho
+                    if credit >= 1.0 - 1e-12:
+                        credit -= 1.0
+                        attempts += 1
+                        e = 0.0 if s else a * e + i
+                    else:
+                        e = a * e + i
+            elif send is not None:   # the age rules
+                for s, i in zip(s_b, inc_b):
+                    record(e)
+                    u = send[k]
+                    if u.__class__ is float:
+                        u = flip() < u
+                    if u:
+                        attempts += 1
+                        if s:
+                            e = 0.0
+                            k = 0
+                            continue
+                    e = a * e + i
+                    if k < last:
+                        k += 1
             elif policy == "adaptive":
                 hs = []   # H of each slot, recorded for the trace only
                 record_h = hs.append if trace else None
                 c_b = index_factor(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho).tolist()
-                for c, i, s in zip(c_b, inc_b, s_good[t0:t1].tolist()):
+                for c, i, s in zip(c_b, inc_b, s_b):
                     record(e)
                     if record_h:
                         record_h(h)
@@ -289,13 +285,12 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                         h = 0.0
             else:  # rvi-uoi table at q's nearest bin, possibly randomized per state
                 wi = [widx[x] for x in w[t0:t1 + 1].tolist()]
-                s_b = s_good[t0:t1].tolist()
                 for j in range(t1 - t0):
                     record(e)
                     q = a * e + inc_b[j]
                     qc = q_max if q > q_max else (-q_max if q < -q_max else q)
                     prob = tab[round((qc + q_max) / q_step)][wi[j]][wi[j + 1]]
-                    u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(coin.next() < prob))
+                    u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(flip() < prob))
                     attempts += u
                     e = 0.0 if u and s_b[j] else q
 

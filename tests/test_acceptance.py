@@ -19,8 +19,8 @@ from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, calibrate_multiplier
 from uoi_sim.multi import kkt_residual, fleet_uoi_bound, waterfill, waterfill_from_widths
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import (POLICY_TABLE, FleetLane, adaptive_uoi_bound, run_fleet_lanes,
-                         run_single, stderr_from_batches)
+from uoi_sim.sim import (FleetLane, adaptive_uoi_bound, run_fleet_lanes, run_single,
+                         stderr_from_batches)
 
 SEED = 20240817
 HORIZON = 10**6
@@ -237,7 +237,7 @@ def test_criterion_8_control_decomposition():
     params = TerminalParams(id=0, p=0.8, sigma2=plant.noise_var, omega_bar=desk_weights().mean)
     details = []
     ok = True
-    for policy in POLICY_TABLE["control"].policies:
+    for policy in ("adaptive", "periodic", "random", "age-threshold"):
         res = run_single(params, desk_weights(), rho=0.25, v=1.0, policy=policy,
                          horizon=HORIZON, factory=StreamFactory(SEED), a=plant.a)
         rhs = res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var

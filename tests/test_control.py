@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import desk_terminal, desk_weights, step_plant
+from uoi_sim import cli
 from uoi_sim.control import LinearPlant
 from uoi_sim.core import ConstantWeights, TerminalParams
 from uoi_sim.harness import config_from_dict, run
+from uoi_sim.mdp import calibrate_multiplier
 from uoi_sim.rng import StreamFactory
-from uoi_sim.sim import POLICY_TABLE, run_single
+from uoi_sim.sim import run_single, stderr_from_batches
 
-CONTROL_POLICIES = tuple(POLICY_TABLE["control"].policies)
+# The control rules that run without a policy table (rvi-aoi needs one).
+CONTROL_POLICIES = ("adaptive", "periodic", "random", "age-threshold")
 
 
 def _terminal(plant: LinearPlant, p: float = 0.8, omega_bar: float = 1.99) -> TerminalParams:
@@ -57,9 +60,11 @@ def test_always_update_perfect_channel_floor():
 
 @pytest.mark.parametrize("policy", CONTROL_POLICIES)
 def test_cost_decomposition_each_policy(policy):
+    # At 10^6 slots the relative gap's standard deviation over 30 seeds is
+    # 0.45-0.71% (adaptive the widest) and its largest value 1.66%.
     plant = LinearPlant(a=1.0, b=1.0, noise_var=1.0)
     res = run_single(_terminal(plant), desk_weights(), rho=0.25, v=1.0, policy=policy,
-                     horizon=2 * 10**5, factory=StreamFactory(5), a=plant.a)
+                     horizon=10**6, factory=StreamFactory(5), a=plant.a)
     rhs = 1.0 * res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var
     assert res.avg_uoi == pytest.approx(rhs, rel=0.03)
 
@@ -106,3 +111,30 @@ def test_control_at_unit_memory_is_the_single_terminal():
         assert np.array_equal(c.avg_update_freq, s.avg_update_freq)
         assert c.violation_prob == s.violation_prob
         assert c.trace == s.trace
+
+
+def test_control_runs_the_aoi_optimal_comparator_at_any_memory():
+    # the age-optimal table does not depend on a, so the control row is
+    # run_single on the plant's terminal with that table, bit for bit
+    plant = LinearPlant(a=1.05, b=0.5, noise_var=1.0)
+    config = config_from_dict({"scenario": "control", "horizon": 4000, "seed": 11,
+                               "trace": True, "policies": ["rvi-aoi"],
+                               "control": {"a": plant.a, "b": plant.b}})
+    [row] = run(config)
+    params = _terminal(plant)
+    table = calibrate_multiplier(config.grid, params, 0.25, "aoi")[1]
+    res = run_single(params, desk_weights(), rho=0.25, v=1.0, policy="rvi-aoi",
+                     horizon=4000, factory=StreamFactory(11), thresholds=config.thresholds,
+                     trace=True, policy_table=table, a=plant.a)
+    assert np.array_equal(row.extras["policy_table"].table, table.table)
+    assert row.avg_uoi == res.avg_uoi
+    assert row.stderr_uoi == stderr_from_batches(res.batch_means)
+    assert np.array_equal(row.avg_update_freq, res.update_freq)
+    assert row.violation_prob == res.violation_prob
+    assert row.extras["avg_est_cost"] == res.extras["avg_est_cost"]
+    assert row.trace == res.trace
+
+
+def test_cli_control_runs_rvi_aoi(capsys):
+    assert cli.main(["control", "--horizon", "2000", "--policy", "rvi-aoi"]) == 0
+    assert "rvi-aoi" in capsys.readouterr().out

@@ -25,7 +25,8 @@ from uoi_sim.rng import KINDS, StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, FleetLane, age_threshold_for_budget, run_fleet_lanes,
                          run_single, stderr_from_batches)
 
-SINGLE_RULES = tuple(POLICY_TABLE["control"].policies)
+# The rules that run without a policy table (control also runs rvi-aoi).
+SINGLE_RULES = ("adaptive", "periodic", "random", "age-threshold")
 
 
 def _fractional_table(cost_kind: str, q_max: float | None = None) -> StationaryPolicyTable:
@@ -70,8 +71,9 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=
                           thresholds=None):
     """Slot loop built purely from the step operations and domain types; a
     table policy draws the policy coin only where it is fractional.  Returns
-    (average UoI, attempts, final H, violation probability, trace rows), a
-    slot violating where |Q| exceeds the `thresholds` bound of its weight."""
+    (average UoI, attempts, final H, violation probability, trace rows, coins
+    a table policy flips), a slot violating where |Q| exceeds the `thresholds`
+    bound of its weight."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", params.id), 0, horizon + 1).tolist()
     inc = GaussianIncrements(params.sigma2).sample_block(
@@ -104,30 +106,36 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=
         state = replace(state, vq=step_virtual_queue(state.vq, u) if policy == "adaptive"
                         else state.vq,
                         eq=step_error(state.eq, u, int(s[t]), inc[t]))
-    return total / horizon, attempts, state.vq.h, violations / horizon, rows
+    return total / horizon, attempts, state.vq.h, violations / horizon, rows, n_coins
 
 
 # (policy, q_max of the rvi-uoi grid, horizon, n_batches): q_max = 2 sigma
 # clamps the error to the grid's edge bins, and one 10 000-slot batch spans
-# several of the loops' blocks.
+# several of the loops' blocks, so the periodic credit, the age index and
+# the coin buffer carry across block edges.
 @pytest.mark.parametrize("policy,q_max,horizon,n_batches", [
     *(pytest.param(policy, None, 5000, 10, id=policy)
       for policy in SINGLE_RULES + ("rvi-uoi", "rvi-aoi")),
     pytest.param("rvi-uoi", 2.0, 5000, 10, id="rvi-uoi-qmax2"),
-    pytest.param("adaptive", None, 10_000, 1, id="adaptive-long"),
-    pytest.param("rvi-uoi", None, 10_000, 1, id="rvi-uoi-long"),
+    *(pytest.param(policy, None, 10_000, 1, id=f"{policy}-long")
+      for policy in SINGLE_RULES + ("rvi-uoi", "rvi-aoi")),
 ])
 def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_batches):
     params = desk_terminal()
     thresholds = {1.0: 2.0, 100.0: 1.0}
     table = _fractional_table(policy[4:], q_max) if policy.startswith("rvi") else None
-    avg_ref, attempts_ref, h_ref, violation_ref, rows_ref = _reference_single_run(
+    avg_ref, attempts_ref, h_ref, violation_ref, rows_ref, coins_ref = _reference_single_run(
         params, desk_weights(), 0.25, 1.0, horizon=horizon, seed=909, policy=policy,
         table=table, thresholds=thresholds)
+    factory = StreamFactory(909)
     res = run_single(params, desk_weights(), rho=0.25, v=1.0,
-                     policy=policy, horizon=horizon, factory=StreamFactory(909),
+                     policy=policy, horizon=horizon, factory=factory,
                      thresholds=thresholds, n_batches=n_batches, trace=True,
                      policy_table=table)
+    # the policy stream is drawn 256 coins at a time: random takes one per
+    # slot, a table rule one per fractional entry it meets
+    coins = {"random": horizon, "rvi-uoi": coins_ref, "rvi-aoi": coins_ref}.get(policy, 0)
+    assert factory.draw_counts(("policy",)) == {("policy", 0): -(-coins // 256) * 256}
     assert res.avg_uoi == pytest.approx(avg_ref, rel=1e-12)
     assert res.update_freq[0] == pytest.approx(attempts_ref / horizon, abs=0)
     assert res.extras["final_h"] == pytest.approx(h_ref, rel=1e-12)
