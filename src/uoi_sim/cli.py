@@ -3,8 +3,8 @@
     uoi-sim <scenario> [--config FILE] [--seed S] [--out PATH]
             [--format csv|jsonl|plot] [scenario flags]
 
-Exit codes: 0 success, 2 configuration error or unwritable --out, 3 bound
-violation when --assert-bounds is set.
+Exit codes: 0 success, 2 configuration error, unwritable --out or --format
+without --out, 3 bound violation when --assert-bounds is set.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON experiment config")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out", help="output path (plot format: directory)")
-        sp.add_argument("--format", choices=("csv", "jsonl", "plot"), default="csv")
+        sp.add_argument("--format", choices=("csv", "jsonl", "plot"), help="--out format (csv)")
         sp.add_argument("--horizon", type=int, help="slots per replication")
         sp.add_argument("--replications", type=int)
         sp.add_argument("--policy", action="append", dest="policies",
@@ -148,6 +148,9 @@ def require_writable(path: str, directory: bool = False) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format and not args.out:
+        print(f"error: --format {args.format} needs --out", file=sys.stderr)
+        return 2
     try:
         config = config_from_args(args)
         reason = args.out and _unwritable(
@@ -184,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out:
         try:
-            paths = harness.export(rows, args.format, args.out)
+            paths = harness.export(rows, args.format or "csv", args.out)
         except OSError as exc:
             return _cannot_write(args.out, exc)
         for p in paths:

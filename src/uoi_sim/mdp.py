@@ -179,8 +179,8 @@ def _uoi_rvi(grid: MdpGrid, params: TerminalParams, lam: float, h0: np.ndarray |
         q1 = base + lam + (p * r0)[None, None, :] + (1.0 - p) * c0[:, None, :]
         th = np.minimum(q0, q1)
         diff = th - h
-        span = float(diff.max() - diff.min())
-        gain = 0.5 * float(diff.max() + diff.min())
+        hi, lo = float(diff.max()), float(diff.min())
+        span, gain = hi - lo, 0.5 * (hi + lo)
         h = th - th[m, 0, 0]
         if span < _SPAN_TOL:
             return gain, (q1 < q0).astype(float), it

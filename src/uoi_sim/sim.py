@@ -154,6 +154,14 @@ def _running_sum(acc: float, f: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([acc], f)))[-1])
 
 
+def _send_entries(probs: np.ndarray) -> list:
+    """A policy table's P(transmit) entries as a table rule reads them: 0 and
+    1 as ints, so that only a fractional entry, a float, flips the coin."""
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():   # NaN fails both
+        raise ValueError("policy table entries must be probabilities in [0, 1]")
+    return [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in probs.tolist()]
+
+
 def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: float,
                policy: str = "adaptive", horizon: int = 1_000_000,
                factory: StreamFactory | None = None,
@@ -180,7 +188,9 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     age k since the last delivery with probability send[min(k, len(send)) - 1],
     flipping the coin only where it is strictly between 0 and 1:
     age-threshold from age_threshold_for_budget(p, rho) on, rvi-aoi by its
-    table."""
+    table.  rvi-uoi sends with its table's probability at q's nearest bin and
+    the weight pair (w_t, w_{t+1}); a realized weight outside the table grid's
+    weight_support, or a table entry outside [0, 1], raises ValueError."""
     if policy not in POLICY_TABLE["single"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     kind = getattr(policy_table, "cost_kind", None)
@@ -209,12 +219,12 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
         reach = sent & s_good   # random decides up front: its deliveries
     elif policy == "age-threshold":  # ages past T + 1 are never reached
         send = [0] * (min(age_threshold_for_budget(params.p, rho), T + 1) - 1) + [1]
-    elif policy == "rvi-aoi":  # 0/1 entries as ints: only a float one flips the coin
-        send = [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in policy_table.table.tolist()]
-    elif policy == "rvi-uoi":  # P(transmit) by (q bin, w_now, w_next)
-        grid, tab = policy_table.grid, policy_table.table.tolist()
-        q_max, q_step = grid.q_max, grid.q_step
-        widx = {float(val): i for i, (val, _) in enumerate(grid.weight_support)}
+    elif policy == "rvi-aoi":
+        send = _send_entries(policy_table.table)
+    elif policy == "rvi-uoi":  # one list by q bin per (w_now, w_next) pair
+        grid, tab = policy_table.grid, policy_table.table
+        q_max, q_step, nw = grid.q_max, grid.q_step, len(grid.weight_support)
+        by_pair = [_send_entries(col) for col in tab.reshape(len(tab), -1).T]
 
     nb, batch_len = _batch_layout(T, n_batches)
     sums = [0.0] * nb
@@ -283,16 +293,22 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                         e = q
                     if not h > 0.0:  # max(0.0, h), bit for bit
                         h = 0.0
-            else:  # rvi-uoi table at q's nearest bin, possibly randomized per state
-                wi = [widx[x] for x in w[t0:t1 + 1].tolist()]
-                for j in range(t1 - t0):
+            else:  # rvi-uoi: the weight pair's entry at q's nearest bin
+                w_ahead, wi = w[t0:t1 + 1], np.full(t1 - t0 + 1, -1)
+                for x, (val, _) in enumerate(grid.weight_support):   # the last equal one wins
+                    wi[w_ahead == val] = x
+                if wi.min() < 0:
+                    raise ValueError(f"weight {w_ahead[wi.argmin()]} is not in the policy table's "
+                                     f"weight_support {grid.weight_support}")
+                for pair, i, s in zip((wi[:-1] * nw + wi[1:]).tolist(), inc_b, s_b):
                     record(e)
-                    q = a * e + inc_b[j]
+                    q = a * e + i
                     qc = q_max if q > q_max else (-q_max if q < -q_max else q)
-                    prob = tab[round((qc + q_max) / q_step)][wi[j]][wi[j + 1]]
-                    u = 1 if prob >= 1.0 else (0 if prob <= 0.0 else int(flip() < prob))
+                    u = by_pair[pair][round((qc + q_max) / q_step)]
+                    if u.__class__ is float:
+                        u = flip() < u
                     attempts += u
-                    e = 0.0 if u and s_b[j] else q
+                    e = 0.0 if u and s else q
 
             e_b = np.fromiter(es, float, t1 - t0)
             q_b = a * e_b + inc[t0:t1]   # the loop's q, bit for bit
@@ -416,7 +432,10 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     window_sum, collider_sum, idle_sum = [0] * n_csma, [0] * n_csma, [0] * n_csma
     max_index = np.zeros(n_csma)
 
-    coins = [Buffered(f.stream("scheduler", 0).uniform) for f in factories[s0:]]
+    # The stationary lanes' coins: a block draws the whole 256-variate buffers
+    # it needs past the coins the last one left over, as a Buffered would.
+    coin_streams = [f.stream("scheduler", 0) for f in factories[s0:]]
+    spare = [np.empty(0)] * len(coin_streams)
 
     # Common-random-number groups: a factory that already holds a common
     # stream keeps its own, since its next variates are not a fresh one's.
@@ -510,9 +529,11 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             csma_sent = sent.reshape(nblk, L * n)[:, x0 * n:r0 * n]   # by flat id
             if s0 > r0:
                 sent[:, r0:s0] = schedule_round_robin(np.arange(t0, t1), n, k)[:, None]
-            for c, coin in enumerate(coins):
-                sent[:, s0 + c] = schedule_stationary(
-                    pi, np.array([coin.next() for _ in range(nblk)]))
+            for c, stream in enumerate(coin_streams):
+                drawn = stream.uniform(-((len(spare[c]) - nblk) // _BUFFER) * _BUFFER)
+                blk_coins = np.concatenate((spare[c], drawn))
+                sent[:, s0 + c] = schedule_stationary(pi, blk_coins[:nblk])
+                spare[c] = blk_coins[nblk:]
             q_hist = np.empty((nblk + 1, L, n))     # q_hist[j] is q of slot t0 + j
             q_hist[0] = q
             j_hist = [[] for _ in range(n_csma)]

@@ -525,6 +525,23 @@ def test_cli_unwritable_out_is_found_before_the_run(argv, out, tmp_path, capsys,
     assert f"error: cannot write {path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["control", "--policy", "rvi-aoi", "--horizon", "3000", "--format", "jsonl"],
+    ["single", "--format", "csv"],
+    ["mdp", "--format", "plot"],
+])
+def test_cli_format_without_out_is_config_error(argv, capsys, monkeypatch):
+    # an explicit --format names the file --out writes: without --out it
+    # would be ignored, so the run exits 2 before it starts
+    def no_run(config):
+        raise AssertionError("ran with --format and no --out")
+    monkeypatch.setattr(cli.harness, "run", no_run)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --format {argv[-1]} needs --out\n"
+    assert captured.out == ""
+
+
 def test_cli_negative_v_is_config_error(capsys):
     assert cli.main(["single", "--v", "-1", "--horizon", "10"]) == 2
     assert "'v'" in capsys.readouterr().err

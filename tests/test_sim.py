@@ -16,7 +16,8 @@ from conftest import (COLLISION, AoIState, ErrorQueue, ThresholdState, adapt_thr
                       table_lookup, uoi)
 from uoi_sim import sim
 from uoi_sim.control import LinearPlant
-from uoi_sim.core import GaussianIncrements, TerminalParams, sample_channel_block
+from uoi_sim.core import (ConstantWeights, GaussianIncrements, TerminalParams, TwoPointWeights,
+                          sample_channel_block)
 from uoi_sim.csma import ContentionConfig, default_delta_j, expected_window
 from uoi_sim.harness import config_from_dict, run
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
@@ -29,19 +30,22 @@ from uoi_sim.sim import (POLICY_TABLE, FleetLane, age_threshold_for_budget, run_
 SINGLE_RULES = ("adaptive", "periodic", "random", "age-threshold")
 
 
-def _fractional_table(cost_kind: str, q_max: float | None = None) -> StationaryPolicyTable:
+def _fractional_table(cost_kind: str, q_max: float | None = None,
+                      weights=None) -> StationaryPolicyTable:
     """A hand-made policy table with many states between never and always
     transmitting, so the policy coin is drawn; `q_max` narrows the default
-    grid (25 sigma) so that the error leaves it."""
-    grid = MdpGrid.default(1.0, desk_weights().support())
+    grid (25 sigma) so that the error leaves it, and the grid's weight
+    support is that of `weights` (the desk weights by default)."""
+    grid = MdpGrid.default(1.0, (weights or desk_weights()).support())
     if q_max is not None:
         grid = replace(grid, q_max=q_max)
     if cost_kind == "aoi":
         table = np.clip((np.arange(1, 201) - 3.0) / 4.0, 0.0, 1.0)
     else:  # lower threshold when the next weight is high
+        nw = len(grid.weight_support)
         q = np.abs(grid.q_values)[:, None, None]
-        table = np.clip((q - np.array([1.0, 0.5])[None, None, :]) / 2.0, 0.0, 1.0)
-        table = np.broadcast_to(table, (len(grid.q_values), 2, 2)).copy()
+        table = np.clip((q - np.array([1.0, 0.5])[None, None, :nw]) / 2.0, 0.0, 1.0)
+        table = np.broadcast_to(table, (len(grid.q_values), nw, nw)).copy()
     return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=0.0,
                                  avg_freq=0.0, lam=0.0, grid=grid, gain=0.0, iterations=0)
 
@@ -109,26 +113,29 @@ def _reference_single_run(params, weights, rho, v, horizon, seed, policy, table=
     return total / horizon, attempts, state.vq.h, violations / horizon, rows, n_coins
 
 
-# (policy, q_max of the rvi-uoi grid, horizon, n_batches): q_max = 2 sigma
-# clamps the error to the grid's edge bins, and one 10 000-slot batch spans
-# several of the loops' blocks, so the periodic credit, the age index and
-# the coin buffer carry across block edges.
-@pytest.mark.parametrize("policy,q_max,horizon,n_batches", [
-    *(pytest.param(policy, None, 5000, 10, id=policy)
+# (policy, q_max of the rvi-uoi grid, horizon, n_batches, weights): q_max =
+# 2 sigma clamps the error to the grid's edge bins, one 10 000-slot batch
+# spans several of the loops' blocks, so the periodic credit, the age index
+# and the coin buffer carry across block edges, and constant weights give
+# the rvi-uoi table one weight pair.
+@pytest.mark.parametrize("policy,q_max,horizon,n_batches,weights", [
+    *(pytest.param(policy, None, 5000, 10, desk_weights(), id=policy)
       for policy in SINGLE_RULES + ("rvi-uoi", "rvi-aoi")),
-    pytest.param("rvi-uoi", 2.0, 5000, 10, id="rvi-uoi-qmax2"),
-    *(pytest.param(policy, None, 10_000, 1, id=f"{policy}-long")
+    pytest.param("rvi-uoi", 2.0, 5000, 10, desk_weights(), id="rvi-uoi-qmax2"),
+    *(pytest.param(policy, None, 10_000, 1, desk_weights(), id=f"{policy}-long")
       for policy in SINGLE_RULES + ("rvi-uoi", "rvi-aoi")),
+    pytest.param("rvi-uoi", None, 5000, 10, ConstantWeights(1.0), id="rvi-uoi-constant"),
 ])
-def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_batches):
+def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_batches,
+                                                     weights):
     params = desk_terminal()
     thresholds = {1.0: 2.0, 100.0: 1.0}
-    table = _fractional_table(policy[4:], q_max) if policy.startswith("rvi") else None
+    table = _fractional_table(policy[4:], q_max, weights) if policy.startswith("rvi") else None
     avg_ref, attempts_ref, h_ref, violation_ref, rows_ref, coins_ref = _reference_single_run(
-        params, desk_weights(), 0.25, 1.0, horizon=horizon, seed=909, policy=policy,
+        params, weights, 0.25, 1.0, horizon=horizon, seed=909, policy=policy,
         table=table, thresholds=thresholds)
     factory = StreamFactory(909)
-    res = run_single(params, desk_weights(), rho=0.25, v=1.0,
+    res = run_single(params, weights, rho=0.25, v=1.0,
                      policy=policy, horizon=horizon, factory=factory,
                      thresholds=thresholds, n_batches=n_batches, trace=True,
                      policy_table=table)
@@ -142,6 +149,29 @@ def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_b
     assert res.extras["attempts"] == attempts_ref
     assert res.violation_prob == violation_ref
     assert res.trace == rows_ref
+
+
+@pytest.mark.parametrize("weights", [TwoPointWeights(w_lo=1.0, w_hi=5.0, prob_hi=0.5),
+                                     ConstantWeights(200.0)])
+def test_rvi_uoi_rejects_a_weight_outside_its_table(weights):
+    # 5 lies between the grid's weights 1 and 100, 200 above them: neither
+    # has a row of the table
+    bad = weights.support()[-1][0]
+    with pytest.raises(ValueError, match=rf"weight {bad} is not in the policy table's "
+                                         r"weight_support \(\(1\.0, 0\.99\), \(100\.0, 0\.01\)\)"):
+        run_single(desk_terminal(), weights, 0.25, 1.0, policy="rvi-uoi", horizon=5000,
+                   factory=StreamFactory(4), policy_table=_fractional_table("uoi"))
+
+
+@pytest.mark.parametrize("entry", [math.nan, -0.25, 1.5])
+@pytest.mark.parametrize("policy", ["rvi-uoi", "rvi-aoi"])
+def test_table_rules_reject_an_entry_that_is_not_a_probability(policy, entry):
+    table = _fractional_table(policy[4:])
+    bad = table.table.copy()
+    bad.reshape(-1)[len(bad) // 2] = entry
+    with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):
+        run_single(desk_terminal(), desk_weights(), 0.25, 1.0, policy=policy, horizon=100,
+                   factory=StreamFactory(4), policy_table=replace(table, table=bad))
 
 
 def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed,
@@ -320,6 +350,21 @@ def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
     res = run_fleet_lanes(fleet, weights, [FleetLane(scheduler, StreamFactory(33))],
                           horizon=1000)[0]
     assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("elements,n_batches", [(37 * 5, 10), (300 * 5, 1), (1 << 17, 1)])
+def test_stationary_coins_are_those_of_a_buffered_stream(elements, n_batches, monkeypatch):
+    # blocks of 37 slots (several per 256-coin buffer), 300 (a buffer and a
+    # part) and one of 1000: the coins and the draw count are a Buffered's
+    fleet = make_fleet(5, k=2)
+    ref = _reference_fleet_run(fleet, fleet_weights(), waterfill(fleet).pi, horizon=1000,
+                               seed=33, scheduler="stationary")
+    monkeypatch.setattr(sim, "_LANE_ELEMENTS", elements)
+    factory = StreamFactory(33)
+    res = run_fleet_lanes(fleet, fleet_weights(), [FleetLane("stationary", factory)],
+                          horizon=1000, n_batches=n_batches)[0]
+    assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+    assert factory.draw_counts(("scheduler",)) == {("scheduler", 0): 1024}
 
 
 def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
