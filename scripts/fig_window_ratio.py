@@ -9,7 +9,6 @@ per-slot error variance) by 1 + W/100.  Writes one curve of
 import argparse
 
 from uoi_sim.cli import require_writable
-from uoi_sim.csma import ContentionConfig
 from uoi_sim.harness import config_from_dict
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import FleetLane, run_fleet_lanes
@@ -29,13 +28,12 @@ def main():
         "scenario": "csma", "fleet": {"n": args.n, "k": 2},
         "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
                     "prob_hi": 0.05}})
-    # One lane call: the centralized lane and a csma lane per window, each on
-    # a fresh StreamFactory(seed), so all face the same random numbers.
+    # One lane call: the centralized lane and a distributed lane per window,
+    # each on a fresh StreamFactory(seed), so all face the same random numbers.
     central, *distributed = run_fleet_lanes(
         cfg.fleet, cfg.weights,
         [FleetLane("centralized", StreamFactory(args.seed))]
-        + [FleetLane("csma", StreamFactory(args.seed), contention=ContentionConfig(w=w, k=2))
-           for w in args.windows],
+        + [FleetLane("distributed", StreamFactory(args.seed), window=w) for w in args.windows],
         horizon=args.horizon)
     lines = ["w,ratio,avg_uoi_distributed,avg_uoi_centralized"]
     for w, res in zip(args.windows, distributed):

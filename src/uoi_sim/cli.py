@@ -3,8 +3,10 @@
     uoi-sim <scenario> [--config FILE] [--seed S] [--out PATH]
             [--format csv|jsonl|plot] [scenario flags]
 
-Exit codes: 0 success, 2 configuration error, unwritable --out or --format
-without --out, 3 bound violation when --assert-bounds is set.
+Exit codes: 0 success, 2 configuration error, unwritable --out or output
+flags that would write nothing useful (--format without --out, --format on
+mdp, --format plot on waterfill, --trace without --format jsonl), 3 bound
+violation when --assert-bounds is set.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from . import harness
 from .mdp import format_policy_table
 
 
+_FORMATS = ("csv", "jsonl", "plot")
+# --format values of the scenarios that do not take all three: mdp writes its
+# policy table as text, and a waterfill row has no average to plot
+_SCENARIO_FORMATS = {"mdp": (), "waterfill": ("csv", "jsonl")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uoi-sim",
                                      description="Status-update scheduling simulator")
@@ -26,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON experiment config")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out", help="output path (plot format: directory)")
-        sp.add_argument("--format", choices=("csv", "jsonl", "plot"), help="--out format (csv)")
+        sp.add_argument("--format", choices=_FORMATS, help="--out format (csv)")
         sp.add_argument("--horizon", type=int, help="slots per replication")
         sp.add_argument("--replications", type=int)
         sp.add_argument("--policy", action="append", dest="policies",
@@ -35,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 3 if a measured average exceeds its bound")
         sp.add_argument("--trace", action="store_true",
                         help="record a per-slot trace (single, multi, csma and control; "
-                             "jsonl output only)")
+                             "needs --format jsonl)")
 
     sp = sub.add_parser("single", help="single-terminal updating")
     common(sp)
@@ -151,10 +159,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.format and not args.out:
         print(f"error: --format {args.format} needs --out", file=sys.stderr)
         return 2
+    if args.format and args.format not in _SCENARIO_FORMATS.get(args.scenario, _FORMATS):
+        print(f"error: {args.scenario} takes no --format {args.format}", file=sys.stderr)
+        return 2
     try:
         config = config_from_args(args)
-        reason = args.out and _unwritable(
-            args.out, args.format == "plot" and config.scenario != "mdp")
+        # after the config, which names trace where no run records one
+        if args.trace and args.format != "jsonl":
+            print("error: --trace needs --format jsonl", file=sys.stderr)
+            return 2
+        reason = args.out and _unwritable(args.out, args.format == "plot")
         if reason:
             return _cannot_write(args.out, reason)
         rows = harness.run(config)

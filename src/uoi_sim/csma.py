@@ -39,6 +39,11 @@ class ContentionConfig:
         """Slot length in ms: 1 ms data phase plus W mini-slots."""
         return 1.0 + self.w / MINI_SLOTS_PER_MS
 
+    @property
+    def expected_window(self) -> float:
+        """Mean closing mini-slot with exactly k distinct-backoff contenders."""
+        return self.k / (self.k + 1.0) * (self.w + 1.0)
+
 
 def contend(active: Iterable[int], cfg: ContentionConfig,
             backoff: Sequence[Callable[[], int]]) -> tuple[list[int], list[int], int, int]:
@@ -82,21 +87,12 @@ def contend(active: Iterable[int], cfg: ContentionConfig,
     return winners, colliders, w, k - channel
 
 
-def expected_window(k: int, w: int) -> float:
-    """Mean closing mini-slot with exactly k distinct-backoff contenders."""
-    if k > w:
-        raise ValueError(f"k = {k} exceeds window size w = {w}")
-    if k < 1 or w < 1:
-        raise ValueError("k and w must be positive")
-    return k / (k + 1.0) * (w + 1.0)
-
-
 def adapt_threshold(j_th: float, delta_j: float, idle_channels: int, window_len: int,
                     expected: float) -> float:
     """The next threshold after one window, moved by `delta_j`: idle channels
     mean too few contenders (lower the bar); a window that closed before its
-    `expected` length, `expected_window(k, w)`, means too many (raise it).
-    Clamped at zero."""
+    `expected` length, `ContentionConfig.expected_window`, means too many
+    (raise it).  Clamped at zero."""
     if idle_channels > 0:
         return max(0.0, j_th - delta_j)
     if window_len < expected:

@@ -131,7 +131,7 @@ class ExperimentConfig:
     weights: WeightProcess
     fleet: FleetConfig
     plant: LinearPlant
-    contention: ContentionConfig | None  # csma only
+    window: int | None                   # csma only
     grid: MdpGrid
     horizon: int
     replications: int
@@ -198,8 +198,11 @@ class ExperimentConfig:
 
     @property
     def _overflow_field(self) -> str:
-        """The field to blame for a cost that overflows: the larger of the
-        weights' mean and the error variance."""
+        """The field to blame for a cost that overflows: the plant's memory
+        when |a| > 1 makes the control error recursion diverge, else the
+        larger of the weights' mean and the error variance."""
+        if self.scenario == "control" and abs(self.plant.a) > 1.0:
+            return "control.a"
         noise, name = ((self.plant.noise_var, "control.noise_var") if self.scenario == "control"
                        else (self.terminal.sigma2, "sigma2"))
         return "weights" if self.weights.mean >= noise else name
@@ -234,7 +237,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     contention = _section(d, "contention")
     window = _take(contention, "w", _integer, 16, "contention.")
     _reject_unknown(contention, "contention.")
-    if window < 1:  # w >= k is checked where csma reads it
+    if window < 1:  # csma, the one scenario that contends, also needs w >= k
         raise ConfigError("contention.w", f"must be at least 1, got {window}")
 
     control = _section(d, "control")
@@ -269,8 +272,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         scenario=scenario, terminal=params, weights=weights, fleet=fleet_cfg,
         plant=_domain(LinearPlant, "control.", **plant),
-        contention=(_domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k)
-                    if scenario == "csma" else None),
+        window=(_domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k).w
+                if scenario == "csma" else None),
         grid=grid,
         horizon=_take(d, "horizon", _integer, 1_000_000, ""),
         replications=_take(d, "replications", _integer, 1, ""),
@@ -373,30 +376,28 @@ def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    fleet, contention = config.fleet, config.contention
+    fleet = config.fleet
     policy = waterfill(fleet)
     bound = fleet_uoi_bound(fleet, policy)
-    schedulers = POLICY_TABLE[config.scenario].policies
     reps = config.replications
     # Every (policy, replication) is a lane of one fleet loop.
     results = run_fleet_lanes(
         fleet, config.weights,
-        [FleetLane(schedulers[pol], StreamFactory(config.seed, rep), config.trace and rep == 0,
-                   contention if schedulers[pol] == "csma" else None)
+        [FleetLane(pol, StreamFactory(config.seed, rep), config.trace and rep == 0,
+                   config.window if pol == "distributed" else None)
          for pol in config.policies for rep in range(reps)],
         horizon=config.horizon, thresholds=config.thresholds, n_batches=config.n_batches)
     out = []
     for i, pol in enumerate(config.policies):
-        scheduler = schedulers[pol]
         lane_results = results[i * reps:(i + 1) * reps]
         avg, stderr, freq, violation = _aggregate(lane_results)
         params = {"N": fleet.n, "K": fleet.k, "rho": None, "V": None,
-                  "W": contention.w if scheduler == "csma" else None}
+                  "W": config.window if pol == "distributed" else None}
         extras = {"pi": policy.pi.tolist()}
-        if scheduler == "csma":
+        if pol == "distributed":
             extras["wallclock_avg_uoi"] = float(np.mean(
                 [r.extras["wallclock_avg_uoi"] for r in lane_results]))
-            extras["slot_scale"] = contention.slot_scale
+            extras["slot_scale"] = lane_results[0].extras["slot_scale"]
         out.append(RunMetrics(
             scenario=config.scenario, policy=pol, params=params,
             avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
@@ -466,9 +467,10 @@ def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 def run(config: ExperimentConfig) -> list[RunMetrics]:
     """Execute the configured scenario, one metrics row per policy.
 
-    A cost sum that overflows rejects the run, naming the larger of the
-    weights' mean and the error variance as the field at fault; so does a
-    domain value out of range, such as a budget too small for an aoi table."""
+    A cost sum that overflows rejects the run, naming the field at fault:
+    control.a where |a| > 1 makes the control error diverge, else the larger
+    of the weights' mean and the error variance; so does a domain value out
+    of range, such as a budget too small for an aoi table."""
     runners = {
         "single": _run_single_scenario,
         "fleet": _run_fleet_scenario,

@@ -28,32 +28,27 @@ from .rng import _BUFFER, COMMON_KINDS, Buffered, StreamFactory
 
 class ScenarioPolicies(NamedTuple):
     """What one scenario runs: the simulator, the default policy, and the
-    policies it accepts, each mapped to the rule or scheduler name the
-    simulator knows it by.  Rows come back in the configured policy order."""
+    policies it accepts.  Rows come back in the configured policy order."""
 
     simulator: str
     default: str
-    policies: dict[str, str]
-
-
-def _same(*names: str) -> dict[str, str]:
-    return {name: name for name in names}
+    policies: tuple[str, ...]
 
 
 POLICY_TABLE = {
-    "single": ScenarioPolicies("single", "adaptive", _same(
+    "single": ScenarioPolicies("single", "adaptive", (
         "adaptive", "periodic", "random", "age-threshold", "rvi-uoi", "rvi-aoi")),
-    "multi": ScenarioPolicies("fleet", "centralized", _same(
+    "multi": ScenarioPolicies("fleet", "centralized", (
         "centralized", "aoi", "round-robin", "stationary")),
-    "csma": ScenarioPolicies("fleet", "distributed", {"distributed": "csma", **_same(
-        "centralized", "aoi", "round-robin", "stationary")}),
-    "mdp": ScenarioPolicies("mdp", "rvi", _same("rvi")),
-    "control": ScenarioPolicies("control", "adaptive", _same(
+    "csma": ScenarioPolicies("fleet", "distributed", (
+        "distributed", "centralized", "aoi", "round-robin", "stationary")),
+    "mdp": ScenarioPolicies("mdp", "rvi", ("rvi",)),
+    "control": ScenarioPolicies("control", "adaptive", (
         "adaptive", "periodic", "random", "age-threshold", "rvi-aoi")),
-    "waterfill": ScenarioPolicies("waterfill", "stationary", _same("stationary")),
+    "waterfill": ScenarioPolicies("waterfill", "stationary", ("stationary",)),
 }
-_FLEET_SCHEDULERS = {name for entry in POLICY_TABLE.values() if entry.simulator == "fleet"
-                     for name in entry.policies.values()}
+# csma runs every fleet policy: multi's and distributed
+_FLEET_POLICIES = POLICY_TABLE["csma"].policies
 
 
 @dataclass
@@ -340,14 +335,14 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
 
 
 class FleetLane(NamedTuple):
-    """One fleet run of a lane call: its scheduler, its own streams, whether
-    it records the per-slot trace, and the contention window of a csma lane
-    (None for every other scheduler)."""
+    """One fleet run of a lane call: its policy, its own streams, whether it
+    records the per-slot trace, and the contention window W in mini-slots of
+    a distributed lane (None for every other policy)."""
 
-    scheduler: str
+    policy: str
     factory: StreamFactory
     trace: bool = False
-    contention: csma_mod.ContentionConfig | None = None
+    window: int | None = None
 
 
 def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
@@ -367,44 +362,44 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                     thresholds: dict[float, float] | None = None,
                     n_batches: int = 10) -> list[SimResult]:
     """Simulate N terminals, each with its own draws of the weight process
-    `weights`, for `horizon` slots under each lane's scheduler, all lanes in
-    one slot loop over (lane, terminal) arrays.  The centralized, csma and
-    stationary schedulers use the water-filling probabilities
+    `weights`, for `horizon` slots under each lane's policy, all lanes in
+    one slot loop over (lane, terminal) arrays.  The centralized, distributed
+    and stationary policies use the water-filling probabilities
     `waterfill(fleet).pi`.
 
     Each lane draws only from its own factory, so its result and its
     factory's draw counts are bitwise those of a call on that lane alone.
     Lanes whose fresh factories address the same (seed, replication) face
     the same weight, increment and channel variates, so the first of them
-    samples those and the others adopt its streams.  A csma lane contends in
-    its own window W, which stretches its slot to (1 + W/100) ms: its error
+    samples those and the others adopt its streams.  A distributed lane
+    contends in its own window of W >= K mini-slots, ContentionConfig(w=W,
+    k=fleet.k), which stretches its slot to (1 + W/100) ms: its error
     increments carry variance slot_scale * sigma2 and its threshold step is
-    `csma.default_delta_j` of the stretched slot.  A csma lane's extras also
-    hold its window monitors: the mean window length next to
-    `csma.expected_window(k, W)`, and the colliders and idle sub-channels per
-    window.  Results come back in lane order; a batch cost sum that is not
-    finite raises NonFiniteCost.
+    `csma.default_delta_j` of the stretched slot.  Its extras also hold its
+    window monitors: the mean window length next to the window's
+    `expected_window`, and the colliders and idle sub-channels per window.
+    Results come back in lane order; a batch cost sum that is not finite
+    raises NonFiniteCost.
     """
     if not lanes:
         return []
     for lane in lanes:
-        if lane.scheduler not in _FLEET_SCHEDULERS:
-            raise ValueError(f"unknown scheduler {lane.scheduler!r}")
-        if (lane.contention is None) == (lane.scheduler == "csma"):
-            raise ValueError("a csma lane needs a ContentionConfig, other lanes take none")
-        if lane.contention is not None and lane.contention.k != fleet.k:
-            raise ValueError("contention sub-channels must match fleet.k")
+        if lane.policy not in _FLEET_POLICIES:
+            raise ValueError(f"unknown fleet policy {lane.policy!r}")
+        if (lane.window is None) == (lane.policy == "distributed"):
+            raise ValueError("a distributed lane needs a window, other lanes take none")
     if len({id(lane.factory) for lane in lanes}) < len(lanes):
         raise ValueError("each lane needs its own StreamFactory")
-    # Lanes sorted by scheduler name make every scheduler group a slice: aoi
-    # [0, c0), centralized [c0, x0), csma [x0, r0), round-robin [r0, s0),
-    # stationary [s0, L).
-    order = sorted(range(len(lanes)), key=lambda i: lanes[i].scheduler)
-    names = [lanes[i].scheduler for i in order]
+    # Lanes sorted by policy name make every policy group a slice: aoi
+    # [0, c0), centralized [c0, x0), distributed [x0, r0), round-robin
+    # [r0, s0), stationary [s0, L).
+    order = sorted(range(len(lanes)), key=lambda i: lanes[i].policy)
+    names = [lanes[i].policy for i in order]
     factories = [lanes[i].factory for i in order]
     L = len(order)
     c0, x0, r0, s0 = (bisect_left(names, s)
-                      for s in ("centralized", "csma", "round-robin", "stationary"))
+                      for s in ("centralized", "distributed", "round-robin", "stationary"))
+    windows = [csma_mod.ContentionConfig(w=lanes[i].window, k=fleet.k) for i in order[x0:r0]]
     indexed = slice(c0, r0)
 
     T = int(horizon)
@@ -414,16 +409,15 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     omega_bar = fleet.array("omega_bar")
     pi = waterfill(fleet).pi
 
-    # Each csma lane's window, slot scale, threshold step, expected window
+    # Each distributed lane's slot scale, threshold step, expected window
     # length, contention threshold (also as a column, for one compare per
-    # slot) and window monitors.  The csma lanes' terminals share one flat id
-    # space, terminal i of csma lane c being c * n + i, which indexes its
-    # backoff draw too.
+    # slot) and window monitors.  The distributed lanes' terminals share one
+    # flat id space, terminal i of distributed lane c being c * n + i, which
+    # indexes its backoff draw too.
     n_csma = r0 - x0
-    windows = [lanes[i].contention for i in order[x0:r0]]
     scales = [c.slot_scale for c in windows]
     delta_j = [csma_mod.default_delta_j(omega_bar, sigma2 * s) for s in scales]
-    expected = [csma_mod.expected_window(k, c.w) for c in windows]
+    expected = [c.expected_window for c in windows]
     j_th = [0.0] * n_csma
     j_col = np.zeros((n_csma, 1))
     backoff = [Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
@@ -472,7 +466,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     q = np.zeros((L, n))
     delta = np.ones((c0, n))   # ages of the aoi lanes, exact as floats
     # Per-slot scores of lanes [0, r0): the aoi lanes' age index, then the
-    # update index of the centralized and csma lanes.  The aoi and
+    # update index of the centralized and distributed lanes.  The aoi and
     # centralized rows, [0, x0), each send their top K.
     scores = np.empty((r0, n))
     aoi_scores, index_scores, topk_scores = scores[:c0], scores[c0:], scores[:x0]
@@ -512,7 +506,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             o0, o1 = t0 - u0, t1 - u0
             w_blk = lanes_of(w_chunk, o0, o1 + 1)         # weights of slots [t0, t1]
             w_slots = w_blk.transpose(0, 2, 1)            # (lane, slot, terminal) view
-            # (slot, lane, terminal) copies of the increments, each csma
+            # (slot, lane, terminal) copies of the increments, each distributed
             # lane's scaled to its stretched slot, and of the channel states
             a_js = np.ascontiguousarray(lanes_of(a_chunk, o0, o1).transpose(2, 0, 1))
             for lane, scale in enumerate(scales, x0):

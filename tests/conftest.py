@@ -11,7 +11,7 @@ import numpy as np
 
 from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams, TwoPointWeights
-from uoi_sim.csma import ContentionConfig, expected_window
+from uoi_sim.csma import ContentionConfig
 from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig
 
@@ -395,7 +395,7 @@ def adapt_threshold_state(state: ThresholdState, outcome,
     expected length K/(K+1) (W+1), else keep it."""
     if outcome.idle_channels > 0:
         j_th = max(0.0, state.j_th - state.delta_j)
-    elif outcome.window_len < expected_window(cfg.k, cfg.w):
+    elif outcome.window_len < cfg.expected_window:
         j_th = state.j_th + state.delta_j
     else:
         j_th = state.j_th

@@ -14,7 +14,7 @@ from conftest import (desk_terminal, desk_weights, fleet_weights,
                       grid_min_objective, make_fleet)
 from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams
-from uoi_sim.csma import ContentionConfig, contend, expected_window
+from uoi_sim.csma import ContentionConfig, contend
 from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, calibrate_multiplier
 from uoi_sim.multi import kkt_residual, fleet_uoi_bound, waterfill, waterfill_from_widths
@@ -26,7 +26,7 @@ SEED = 20240817
 HORIZON = 10**6
 RHOS = (0.1, 0.25, 0.5, 0.75)
 FLEET_SIZES = (10, 20, 30)
-FLEET_POLICIES = ("centralized", "csma", "aoi", "round-robin")
+FLEET_POLICIES = ("centralized", "distributed", "aoi", "round-robin")
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -132,7 +132,7 @@ def test_criterion_4_contention_window_law():
             lengths[i] = contend(active, cfg, backoff)[2]
         mean = lengths.mean()
         se = lengths.std(ddof=1) / math.sqrt(draws)
-        target = expected_window(k, w)
+        target = cfg.expected_window
         ok &= abs(mean - target) <= 3 * se
         counts = np.bincount(lengths, minlength=w + 1)
         ecdf = np.cumsum(counts) / draws
@@ -153,8 +153,7 @@ def fleet_runs():
         fleet = make_fleet(n, k=2)
         results = run_fleet_lanes(
             fleet, fleet_weights(),
-            [FleetLane(policy, StreamFactory(SEED),
-                       contention=ContentionConfig(w=16, k=2) if policy == "csma" else None)
+            [FleetLane(policy, StreamFactory(SEED), window=16 if policy == "distributed" else None)
              for policy in FLEET_POLICIES],
             horizon=HORIZON, thresholds={1.0: 15.0, 100.0: 5.0})
         out.update({(n, policy): res for policy, res in zip(FLEET_POLICIES, results)})
@@ -163,7 +162,7 @@ def fleet_runs():
 
 
 def test_criterion_5_scheduler_ordering(fleet_runs):
-    order = ("centralized", "csma", "aoi", "round-robin")
+    order = ("centralized", "distributed", "aoi", "round-robin")
     details = []
     ok = True
     for n in FLEET_SIZES:

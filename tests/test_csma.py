@@ -9,8 +9,7 @@ import pytest
 
 from conftest import (COLLISION, ThresholdState, adapt_threshold_state, contention_window,
                       fixed_backoffs)
-from uoi_sim.csma import (ContentionConfig, adapt_threshold, contend, default_delta_j,
-                          expected_window)
+from uoi_sim.csma import ContentionConfig, adapt_threshold, contend, default_delta_j
 
 
 def _contend(backoffs: dict[int, int], w: int, k: int):
@@ -48,11 +47,11 @@ def test_contend_rejects_a_backoff_outside_the_window():
 
 
 def test_expected_window_examples():
-    assert expected_window(2, 16) == pytest.approx(11.3333, abs=1e-4)
-    assert expected_window(1, 3) == pytest.approx(2.0)
-    assert expected_window(2, 3) == pytest.approx(8.0 / 3.0)
+    assert ContentionConfig(w=16, k=2).expected_window == pytest.approx(11.3333, abs=1e-4)
+    assert ContentionConfig(w=3, k=1).expected_window == pytest.approx(2.0)
+    assert ContentionConfig(w=3, k=2).expected_window == pytest.approx(8.0 / 3.0)
     with pytest.raises(ValueError):
-        expected_window(4, 3)
+        ContentionConfig(w=3, k=4)
 
 
 @pytest.mark.parametrize("k,w", [(1, 3), (2, 3), (2, 4), (3, 5), (2, 8)])
@@ -96,7 +95,7 @@ def test_collision_probability_monotone_in_actives():
 
 
 def test_adapt_threshold_examples():
-    expected = expected_window(2, 16)
+    expected = ContentionConfig(w=16, k=2).expected_window
     # adapt_threshold(j_th, delta_j, idle_channels, window_len, expected)
     assert adapt_threshold(10.0, 2.0, 1, 16, expected) == pytest.approx(8.0)   # idle
     assert adapt_threshold(10.0, 2.0, 0, 5, expected) == pytest.approx(12.0)   # 5 < 11.33
@@ -110,7 +109,7 @@ def test_threshold_returns_to_zero_under_zero_load():
     for _ in range(10):
         winners, colliders, window_len, idle = contend([], cfg, [])
         assert (winners, colliders, window_len, idle) == ([], [], cfg.w, cfg.k)
-        j_th = adapt_threshold(j_th, 2.0, idle, window_len, expected_window(cfg.k, cfg.w))
+        j_th = adapt_threshold(j_th, 2.0, idle, window_len, cfg.expected_window)
     assert j_th == 0.0
 
 
@@ -123,7 +122,7 @@ def test_contention_step_matches_oracles_on_random_windows():
         if k > w:
             continue
         cfg = ContentionConfig(w=w, k=k)
-        expected = expected_window(k, w)
+        expected = cfg.expected_window
         delta_j = float(rng.uniform(0.1, 3.0))
         j_th, state = 0.0, ThresholdState(j_th=0.0, delta_j=delta_j)
         for _ in range(2000):

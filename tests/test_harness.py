@@ -12,7 +12,6 @@ import pytest
 from uoi_sim import cli, harness
 from uoi_sim.harness import (CSV_COLUMNS, ConfigError, RunMetrics,
                              config_from_dict, export, load_config, run)
-from uoi_sim.csma import ContentionConfig
 from uoi_sim.mdp import calibrate_multiplier
 from uoi_sim.sim import POLICY_TABLE, FleetLane, run_fleet_lanes
 from uoi_sim.rng import StreamFactory
@@ -277,10 +276,9 @@ def test_fleet_rows_are_their_policies_runs():
                             "seed": 3, "fleet": {"n": 4, "k": 2}, "contention": {"w": 4},
                             "policies": ["distributed", "centralized"]})
     rows = run(cfg)
-    for row, sched, contention in zip(rows, ("csma", "centralized"),
-                                      (ContentionConfig(w=4, k=2), None)):
+    for row, policy, window in zip(rows, ("distributed", "centralized"), (4, None)):
         reps = [run_fleet_lanes(cfg.fleet, cfg.weights,
-                                [FleetLane(sched, StreamFactory(3, rep), contention=contention)],
+                                [FleetLane(policy, StreamFactory(3, rep), window=window)],
                                 horizon=400, thresholds=cfg.thresholds)[0]
                 for rep in (0, 1)]
         assert row.avg_uoi == float(np.mean([r.avg_uoi for r in reps]))
@@ -507,7 +505,6 @@ def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
     (["single"], "missing/x.csv"),
     (["multi", "--format", "jsonl"], "missing/x.jsonl"),
     (["mdp"], "missing/table.txt"),
-    (["mdp", "--format", "plot"], "missing/table.txt"),  # the mdp table is one file
     (["single"], "adir"),                        # a directory where a file goes
     (["single", "--format", "plot"], "afile"),   # a file where a directory goes
     (["single", "--format", "plot"], "afile/sub"),  # a file among the parents
@@ -540,6 +537,30 @@ def test_cli_format_without_out_is_config_error(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == f"error: --format {argv[-1]} needs --out\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mdp", "--rho", "0.25", "--format", "jsonl", "--out", "t.jsonl"],
+     "mdp takes no --format jsonl"),   # the table is text whatever the suffix
+    (["mdp", "--rho", "0.25", "--format", "plot", "--out", "pdir"],
+     "mdp takes no --format plot"),    # the table is one file, not a directory
+    (["waterfill", "--n", "3", "--k", "1", "--format", "plot", "--out", "wf"],
+     "waterfill takes no --format plot"),   # its row has no average to plot
+    (["single", "--trace", "--horizon", "100"], "--trace needs --format jsonl"),
+    (["control", "--trace", "--horizon", "100", "--format", "csv", "--out", "c.csv"],
+     "--trace needs --format jsonl"),
+])
+def test_cli_output_flags_that_write_nothing_useful_exit_2(argv, message, tmp_path, capsys,
+                                                           monkeypatch):
+    def no_run(config):
+        raise AssertionError("ran with output flags that write nothing useful")
+    monkeypatch.setattr(cli.harness, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_negative_v_is_config_error(capsys):
@@ -595,8 +616,9 @@ def test_cli_adaptive_rule_at_subnormal_budget_rejects_rho(scenario, rho, p, tmp
     ({"scenario": "multi", "weights": {"w_hi": 1e308}}, "weights"),
     ({"scenario": "csma", "weights": {"w_hi": 1e308}}, "weights"),
     ({"scenario": "waterfill", "weights": {"kind": "constant", "w": 1e308}}, "weights"),
+    ({"scenario": "control", "control": {"a": 1e200}}, "control.a"),
 ], ids=["single-weights", "control-weights", "single-sigma2", "multi-weights",
-        "csma-weights", "waterfill-bound"])
+        "csma-weights", "waterfill-bound", "control-a"])
 def test_cli_overflowing_cost_sum_exits_2_without_output(raw, field, tmp_path, capsys):
     # a finite config whose slot costs w * q^2, or whose fleet bound, overflow a
     # float; the overflow on the way there raises no numpy warning

@@ -16,9 +16,9 @@ from conftest import (COLLISION, AoIState, ErrorQueue, ThresholdState, adapt_thr
                       table_lookup, uoi)
 from uoi_sim import sim
 from uoi_sim.control import LinearPlant
-from uoi_sim.core import (ConstantWeights, GaussianIncrements, TerminalParams, TwoPointWeights,
-                          sample_channel_block)
-from uoi_sim.csma import ContentionConfig, default_delta_j, expected_window
+from uoi_sim.core import (ConstantWeights, FieldError, GaussianIncrements, TerminalParams,
+                          TwoPointWeights, sample_channel_block)
+from uoi_sim.csma import ContentionConfig, default_delta_j
 from uoi_sim.harness import config_from_dict, run
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import waterfill
@@ -406,7 +406,7 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
         queues = [step_error(queues[i], int(i in sent), int(s[i][t]), inc[i][t])
                   for i in range(n)]
     monitors = {"mean_window_len": window_len / horizon,
-                "expected_window": expected_window(cfg.k, cfg.w),
+                "expected_window": cfg.expected_window,
                 "colliders_per_window": colliders / horizon,
                 "idle_channels_per_window": idle / horizon}
     return total / horizon, attempts, threshold.j_th, monitors, factory
@@ -423,7 +423,7 @@ def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
         fleet, weights, pi, cfg, delta_j=delta_j, horizon=1500, seed=34)
     factory = StreamFactory(34)
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 97 * fleet.n)   # 97-slot blocks
-    res = run_fleet_lanes(fleet, weights, [FleetLane("csma", factory, contention=cfg)],
+    res = run_fleet_lanes(fleet, weights, [FleetLane("distributed", factory, window=w)],
                           horizon=1500)[0]
     assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
     assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
@@ -450,10 +450,9 @@ def _predrawn(seed, rep):
     return factory
 
 
-def _lane(scheduler, factory, trace=False, w=4):
-    """A lane of `scheduler`; a csma lane contends in a window of w mini-slots."""
-    contention = ContentionConfig(w=w, k=2) if scheduler == "csma" else None
-    return FleetLane(scheduler, factory, trace, contention)
+def _lane(policy, factory, trace=False, w=4):
+    """A lane of `policy`; a distributed lane contends in a window of w mini-slots."""
+    return FleetLane(policy, factory, trace, w if policy == "distributed" else None)
 
 
 def _one_lane(fleet, lane, predrawn=False):
@@ -467,22 +466,22 @@ def _one_lane(fleet, lane, predrawn=False):
 
 
 def test_run_fleet_block_size_invariance(monkeypatch):
-    # every scheduler in 1-slot blocks, blocks that do not divide the
+    # every policy in 1-slot blocks, blocks that do not divide the
     # 503-slot horizon or its 71-slot batches, and one block for the run
     fleet = make_fleet(4, k=2)
 
-    def runs(scheduler):
+    def runs(policy):
         for blk in (1, 7, 64, 10**6):
             monkeypatch.setattr(sim, "_LANE_ELEMENTS", blk * fleet.n)
-            yield _one_lane(fleet, _lane(scheduler, StreamFactory(77, 0), trace=True))
+            yield _one_lane(fleet, _lane(policy, StreamFactory(77, 0), trace=True))
 
-    for scheduler in sorted(sim._FLEET_SCHEDULERS):
-        outputs = list(runs(scheduler))
-        assert all(run == outputs[0] for run in outputs), scheduler
+    for policy in sorted(sim._FLEET_POLICIES):
+        outputs = list(runs(policy))
+        assert all(run == outputs[0] for run in outputs), policy
 
 
 def test_fleet_chunk_and_block_slicing_invariance(monkeypatch):
-    # two (seed, replication) groups of csma lanes at W = 4 and 16 beside
+    # two (seed, replication) groups of distributed lanes at W = 4 and 16 beside
     # centralized and aoi lanes: G = 2 groups sample the common streams in
     # chunks of E // (G N) slots, which the E // (L N)-slot blocks of L = 8
     # lanes slice.  Chunks of 1 slot, ends mid-batch (50 slots), on the
@@ -494,7 +493,8 @@ def test_fleet_chunk_and_block_slicing_invariance(monkeypatch):
     def run(chunk):
         lanes = [_lane(sched, StreamFactory(78, rep), trace=rep == 0, w=w)
                  for rep in range(groups)
-                 for sched, w in (("csma", 4), ("csma", 16), ("centralized", 4), ("aoi", 4))]
+                 for sched, w in (("distributed", 4), ("distributed", 16), ("centralized", 4),
+                                  ("aoi", 4))]
         monkeypatch.setattr(sim, "_LANE_ELEMENTS", chunk * groups * fleet.n)
         results = sim.run_fleet_lanes(fleet, fleet_weights(), lanes, horizon=503,
                                       thresholds=FLEET_THRESHOLDS, n_batches=7)
@@ -505,12 +505,12 @@ def test_fleet_chunk_and_block_slicing_invariance(monkeypatch):
 
 
 def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
-    # every scheduler, csma's centralized, csma lanes at W = 2, 4 and 16 in
-    # one call, 2 replications, trace on replication 0; lanes given out of
-    # scheduler order; 37-slot blocks
+    # every policy, csma's centralized, distributed lanes at W = 2, 4 and 16
+    # in one call, 2 replications, trace on replication 0; lanes given out of
+    # policy order; 37-slot blocks
     fleet = make_fleet(5, k=2)
-    schedulers = (("stationary", 4), ("csma", 4), ("aoi", 4), ("csma", 16),
-                  ("round-robin", 4), ("centralized", 4), ("csma", 2), ("centralized", 4))
+    schedulers = (("stationary", 4), ("distributed", 4), ("aoi", 4), ("distributed", 16),
+                  ("round-robin", 4), ("centralized", 4), ("distributed", 2), ("centralized", 4))
     lanes = [_lane(sched, StreamFactory(41, rep), trace=rep == 0, w=w)
              for sched, w in schedulers for rep in (0, 1)]
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)
@@ -523,12 +523,12 @@ def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
 
 
 def test_fleet_lanes_share_common_draws(monkeypatch):
-    # 3 replications of every scheduler, csma beside centralized, lanes out
+    # 3 replications of every policy, distributed beside centralized, lanes out
     # of order, and one factory of replication 1 whose weight stream drew
     # before the call: it keeps its own streams.  Each (seed, replication)
     # group builds the common streams once; the other lanes adopt them.
     fleet = make_fleet(5, k=2)
-    schedulers = ("stationary", "csma", "aoi", "round-robin", "centralized")
+    schedulers = ("stationary", "distributed", "aoi", "round-robin", "centralized")
     built = []
     seed_sequence = np.random.SeedSequence
 
@@ -553,23 +553,24 @@ def test_fleet_lanes_share_common_draws(monkeypatch):
         "backoff": 3 * 5, "scheduler": 3}
     for i, (lane, res) in enumerate(zip(lanes, results)):
         assert _fleet_outputs(res, lane.factory) == _one_lane(
-            fleet, lane, predrawn=i == 4), (i, lane.scheduler)
+            fleet, lane, predrawn=i == 4), (i, lane.policy)
 
 
 def test_fleet_lanes_reject_bad_input():
     fleet = make_fleet(3, k=2)
     weights = fleet_weights()
-    lane = _lane("csma", StreamFactory(1))
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        sim.run_fleet_lanes(fleet, weights, [lane, sim.FleetLane("fifo", StreamFactory(1))])
-    for bad in (sim.FleetLane("csma", StreamFactory(1)),
-                sim.FleetLane("centralized", StreamFactory(1),
-                              contention=ContentionConfig(w=4, k=2))):
-        with pytest.raises(ValueError, match="csma lane needs a ContentionConfig"):
+    lane = _lane("distributed", StreamFactory(1))
+    # csma names the scenario; its fleet lane is the distributed policy
+    for name in ("fifo", "csma"):
+        with pytest.raises(ValueError, match="unknown fleet policy"):
+            sim.run_fleet_lanes(fleet, weights,
+                                [lane, sim.FleetLane(name, StreamFactory(1), window=4)])
+    for bad in (sim.FleetLane("distributed", StreamFactory(1)),
+                sim.FleetLane("centralized", StreamFactory(1), window=4)):
+        with pytest.raises(ValueError, match="distributed lane needs a window"):
             sim.run_fleet_lanes(fleet, weights, [lane, bad])
-    with pytest.raises(ValueError, match="must match"):
-        sim.run_fleet_lanes(fleet, weights, [lane._replace(
-            contention=ContentionConfig(w=4, k=1))])
+    with pytest.raises(FieldError):   # W = 1 < K = 2
+        sim.run_fleet_lanes(fleet, weights, [lane._replace(window=1)])
     shared = StreamFactory(1)
     with pytest.raises(ValueError, match="own StreamFactory"):
         sim.run_fleet_lanes(fleet, weights,
@@ -577,6 +578,32 @@ def test_fleet_lanes_reject_bad_input():
                             horizon=10)
     assert shared.draw_counts() == {}
     assert sim.run_fleet_lanes(fleet, weights, []) == []
+
+
+@pytest.mark.parametrize("policy", sim._FLEET_POLICIES)
+def test_a_window_goes_with_a_distributed_lane_only(policy):
+    # a distributed lane without a window, and any other lane with one, are
+    # rejected before any stream is built
+    factory = StreamFactory(1)
+    lane = FleetLane(policy, factory, window=None if policy == "distributed" else 4)
+    with pytest.raises(ValueError, match="distributed lane needs a window"):
+        run_fleet_lanes(make_fleet(3, k=2), fleet_weights(), [lane])
+    assert factory.draw_counts() == {}
+
+
+@pytest.mark.parametrize("k,window", [(2, 1), (3, 2), (5, 4)])
+def test_distributed_window_below_k_is_a_field_error(k, window):
+    # K comes from the fleet, and ContentionConfig checks the window against
+    # it before any lane builds a stream
+    lanes = [FleetLane("centralized", StreamFactory(1)),
+             FleetLane("distributed", StreamFactory(1), window=window)]
+    with pytest.raises(FieldError) as exc:
+        run_fleet_lanes(make_fleet(k + 1, k=k), fleet_weights(), lanes, horizon=10)
+    assert exc.value.field == "w"
+    assert [lane.factory.draw_counts() for lane in lanes] == [{}, {}]
+    lanes[1] = lanes[1]._replace(window=k)   # W = K is the smallest window
+    assert len(run_fleet_lanes(make_fleet(k + 1, k=k), fleet_weights(), lanes,
+                               horizon=10)) == 2
 
 
 def test_common_random_numbers_across_schedulers():
@@ -602,7 +629,7 @@ def test_csma_collisions_never_deliver():
     # W = K forces every contender into the same two mini-slots: frequent
     # collisions, and colliding data slots must never reset the error.
     fleet = make_fleet(4, k=2)
-    lane = FleetLane("csma", StreamFactory(9), contention=ContentionConfig(w=2, k=2))
+    lane = FleetLane("distributed", StreamFactory(9), window=2)
     res = run_fleet_lanes(fleet, fleet_weights(), [lane], horizon=3000)[0]
     assert res.extras["slot_scale"] == pytest.approx(1.02)
     assert res.avg_uoi > 0.0
@@ -612,8 +639,7 @@ def test_csma_threshold_stays_bounded():
     # j_th only rises when some index exceeded it, so it never outruns the
     # largest index seen plus one increment
     fleet = make_fleet(10, k=2)
-    lane = FleetLane("csma", StreamFactory(4), trace=True,
-                     contention=ContentionConfig(w=16, k=2))
+    lane = FleetLane("distributed", StreamFactory(4), trace=True, window=16)
     res = run_fleet_lanes(fleet, fleet_weights(), [lane], horizon=20000)[0]
     j_th = np.array([row[1] for row in res.trace])
     assert np.isfinite(j_th).all()
@@ -628,7 +654,7 @@ def test_csma_variance_scaled_by_slot_length():
     weights = fleet_weights()
     plain = run_fleet_lanes(fleet, weights, [FleetLane("centralized", StreamFactory(88))],
                             horizon=10**5)[0]
-    lane = FleetLane("csma", StreamFactory(88), contention=ContentionConfig(w=100, k=1))
+    lane = FleetLane("distributed", StreamFactory(88), window=100)
     scaled = run_fleet_lanes(fleet, weights, [lane], horizon=10**5)[0]
     assert scaled.extras["slot_scale"] == pytest.approx(2.0)
     assert scaled.avg_uoi / plain.avg_uoi == pytest.approx(2.0, rel=0.1)
