@@ -5,8 +5,8 @@
 
 Exit codes: 0 success, 2 configuration error, unwritable --out or output
 flags that would write nothing useful (--format without --out, --format on
-mdp, --format plot on waterfill, --trace without --format jsonl), 3 bound
-violation when --assert-bounds is set.
+mdp, --format plot on waterfill, a trace from --trace or the config file
+without --format jsonl), 3 bound violation when --assert-bounds is set.
 """
 
 from __future__ import annotations
@@ -164,8 +164,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         config = config_from_args(args)
-        # after the config, which names trace where no run records one
-        if args.trace and args.format != "jsonl":
+        # after the config, which names trace where no run records one; the
+        # flag and the config file's "trace" alike need a jsonl file to go to
+        if config.trace and args.format != "jsonl":
             print("error: --trace needs --format jsonl", file=sys.stderr)
             return 2
         reason = args.out and _unwritable(args.out, args.format == "plot")

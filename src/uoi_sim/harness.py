@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import LinearPlant
 from .core import (ConstantWeights, FieldError, PeriodicBurstWeights, TerminalParams,
                    TwoPointWeights, WeightProcess)
 from .csma import ContentionConfig
-from .mdp import MdpGrid, StationaryPolicyTable, calibrate_multiplier
+from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
 from .sim import (POLICY_TABLE, FleetLane, NonFiniteCost, SimResult, adaptive_uoi_bound,
@@ -127,10 +126,11 @@ class ExperimentConfig:
     __post_init__ checks the run settings that no domain type holds."""
 
     scenario: str
-    terminal: TerminalParams
+    terminal: TerminalParams             # the terminal that runs: the plant's under control
     weights: WeightProcess
     fleet: FleetConfig
-    plant: LinearPlant
+    a: float                             # the error's memory: control.a under control, else 1
+    b: float                             # control.b, echoed in control rows only
     window: int | None                   # csma only
     grid: MdpGrid
     horizon: int
@@ -201,11 +201,11 @@ class ExperimentConfig:
         """The field to blame for a cost that overflows: the plant's memory
         when |a| > 1 makes the control error recursion diverge, else the
         larger of the weights' mean and the error variance."""
-        if self.scenario == "control" and abs(self.plant.a) > 1.0:
+        if abs(self.a) > 1.0:
             return "control.a"
-        noise, name = ((self.plant.noise_var, "control.noise_var") if self.scenario == "control"
-                       else (self.terminal.sigma2, "sigma2"))
-        return "weights" if self.weights.mean >= noise else name
+        if self.weights.mean >= self.terminal.sigma2:
+            return "weights"
+        return "control.noise_var" if self.scenario == "control" else "sigma2"
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -240,10 +240,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if window < 1:  # csma, the one scenario that contends, also needs w >= k
         raise ConfigError("contention.w", f"must be at least 1, got {window}")
 
+    # every scenario checks the plant; under control its terminal runs, with
+    # the plant's noise as the error variance
     control = _section(d, "control")
-    plant = {name: _take(control, name, _real, 1.0, "control.")
-             for name in ("a", "b", "noise_var")}
+    a, b, noise_var = (_take(control, name, _real, 1.0, "control.")
+                       for name in ("a", "b", "noise_var"))
     _reject_unknown(control, "control.")
+    if not math.isfinite(a):
+        raise ConfigError("control.a", f"must be finite, got {a!r}")
+    if not (math.isfinite(b) and b != 0.0):
+        raise ConfigError("control.b", f"must be finite and nonzero, got {b!r}")
+    plant = _domain(TerminalParams, "control.", {"sigma2": "control.noise_var"},
+                    id=0, p=p, sigma2=noise_var, omega_bar=weights.mean)
 
     mdp = _section(d, "mdp")
     mdp_cost = _take(mdp, "cost", str, "uoi", "mdp.")
@@ -270,8 +278,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("thresholds", str(exc)) from exc
 
     cfg = ExperimentConfig(
-        scenario=scenario, terminal=params, weights=weights, fleet=fleet_cfg,
-        plant=_domain(LinearPlant, "control.", **plant),
+        scenario=scenario, terminal=plant if scenario == "control" else params,
+        weights=weights, fleet=fleet_cfg, a=a if scenario == "control" else 1.0, b=b,
         window=(_domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k).w
                 if scenario == "csma" else None),
         grid=grid,
@@ -340,34 +348,49 @@ def _aggregate(results: list[SimResult]) -> tuple[float, float, np.ndarray, floa
     return avg, stderr, freq, violation
 
 
-def _single_runs(config: ExperimentConfig, params: TerminalParams, policy: str,
-                 table: StationaryPolicyTable | None = None,
-                 a: float = 1.0) -> list[SimResult]:
-    """run_single for each replication, on common random numbers; the first
-    records the trace."""
-    return [run_single(params, config.weights, config.rho, config.v, policy=policy,
-                       horizon=config.horizon, factory=StreamFactory(config.seed, rep),
-                       thresholds=config.thresholds, n_batches=config.n_batches,
-                       trace=config.trace and rep == 0, policy_table=table, a=a)
-            for rep in range(config.replications)]
-
-
 def _run_single_scenario(config: ExperimentConfig) -> list[RunMetrics]:
+    """One terminal's runs, one row per policy, on common random numbers;
+    the first replication records the trace.
+
+    This also runs the control scenario.  Under certainty-equivalent control
+    v = (y - a x_hat) / b of the plant x' = a x + b v + r, the tracking error
+    is x' - y = a (x - x_hat) + r: the estimation error left by the last
+    delivery, times a, plus the noise, and neither the reference y nor b
+    enters it.  So a control run is run_single with memory a on the plant's
+    terminal, whose error variance is the noise: its UoI is the weighted
+    tracking cost, which is a^2 times the weighted estimation error plus the
+    noise floor.  The AoI-optimal table does not depend on a, so rvi-aoi
+    runs at any a."""
     params = config.terminal
     tables = {pol: calibrate_multiplier(config.grid, params, config.rho, pol[4:])[1]
               for pol in config.policies if pol in ("rvi-uoi", "rvi-aoi")}
+    control = config.scenario == "control"
+    bound = None if control else adaptive_uoi_bound(params, config.rho, config.v)
 
     out = []
-    bound = adaptive_uoi_bound(params, config.rho, config.v)
     for pol in config.policies:
-        results = _single_runs(config, params, pol, tables.get(pol))
+        results = [run_single(params, config.weights, config.rho, config.v, policy=pol,
+                              horizon=config.horizon, factory=StreamFactory(config.seed, rep),
+                              thresholds=config.thresholds, n_batches=config.n_batches,
+                              trace=config.trace and rep == 0, policy_table=tables.get(pol),
+                              a=config.a)
+                   for rep in range(config.replications)]
         avg, stderr, freq, violation = _aggregate(results)
-        extras = {"h_over_t": results[0].extras.get("h_over_t")}
+        row_params = {"rho": config.rho, "V": config.v, "N": 1}
+        if control:
+            est = float(np.mean([r.extras["avg_est_cost"] for r in results]))
+            noise_floor = params.omega_bar * params.sigma2
+            row_params.update(a=config.a, b=config.b)
+            extras = {"avg_track_cost": avg, "avg_est_cost": est,
+                      "decomposition_rhs": config.a ** 2 * est + noise_floor,
+                      "noise_floor": noise_floor}
+        else:
+            row_params["p"] = params.p
+            extras = {"h_over_t": results[0].extras.get("h_over_t")}
         if pol in tables:
             extras["policy_table"] = tables[pol]
         out.append(RunMetrics(
-            scenario="single", policy=pol,
-            params={"rho": config.rho, "V": config.v, "N": 1, "p": params.p},
+            scenario=config.scenario, policy=pol, params=row_params,
             avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
             violation_prob=violation,
             bound_value=bound if pol == "adaptive" else None,
@@ -421,37 +444,6 @@ def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
                 "policy_table": table})]
 
 
-def _run_control_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    """Under certainty-equivalent control the tracking error is the error of
-    a single terminal with memory a and the plant's noise, so each policy is
-    run_single on that terminal: its UoI is the weighted tracking cost.  The
-    AoI-optimal table does not depend on a, so rvi-aoi runs at any a."""
-    plant = config.plant
-    params = TerminalParams(id=0, p=config.terminal.p, sigma2=plant.noise_var,
-                            omega_bar=config.weights.mean)
-    noise_floor = config.weights.mean * plant.noise_var
-    out = []
-    for pol in config.policies:
-        table = (calibrate_multiplier(config.grid, params, config.rho, "aoi")[1]
-                 if pol == "rvi-aoi" else None)
-        results = _single_runs(config, params, pol, table, a=plant.a)
-        avg, stderr, freq, violation = _aggregate(results)
-        est = float(np.mean([r.extras["avg_est_cost"] for r in results]))
-        extras = {"avg_track_cost": avg, "avg_est_cost": est,
-                  "decomposition_rhs": plant.a ** 2 * est + noise_floor,
-                  "noise_floor": noise_floor}
-        if table is not None:
-            extras["policy_table"] = table
-        out.append(RunMetrics(
-            scenario="control", policy=pol,
-            params={"rho": config.rho, "V": config.v, "N": 1,
-                    "a": plant.a, "b": plant.b},
-            avg_uoi=avg, stderr_uoi=stderr, avg_update_freq=freq,
-            violation_prob=violation, bound_value=None,
-            extras=extras, trace=results[0].trace))
-    return out
-
-
 def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:
     fleet = config.fleet
     policy = waterfill(fleet)
@@ -475,7 +467,6 @@ def run(config: ExperimentConfig) -> list[RunMetrics]:
         "single": _run_single_scenario,
         "fleet": _run_fleet_scenario,
         "mdp": _run_mdp_scenario,
-        "control": _run_control_scenario,
         "waterfill": _run_waterfill_scenario,
     }
     simulator = POLICY_TABLE[config.scenario].simulator

@@ -43,7 +43,7 @@ POLICY_TABLE = {
     "csma": ScenarioPolicies("fleet", "distributed", (
         "distributed", "centralized", "aoi", "round-robin", "stationary")),
     "mdp": ScenarioPolicies("mdp", "rvi", ("rvi",)),
-    "control": ScenarioPolicies("control", "adaptive", (
+    "control": ScenarioPolicies("single", "adaptive", (
         "adaptive", "periodic", "random", "age-threshold", "rvi-aoi")),
     "waterfill": ScenarioPolicies("waterfill", "stationary", ("stationary",)),
 }

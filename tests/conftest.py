@@ -9,7 +9,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams, TwoPointWeights
 from uoi_sim.csma import ContentionConfig
 from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
@@ -402,13 +401,14 @@ def adapt_threshold_state(state: ThresholdState, outcome,
     return ThresholdState(j_th=j_th, delta_j=state.delta_j)
 
 
-def certainty_equivalent_control(plant: LinearPlant, x_hat: float, y_next: float) -> float:
+def certainty_equivalent_control(a: float, b: float, x_hat: float, y_next: float) -> float:
     """v = (y - a x_hat) / b: the input that puts the estimated next state on y."""
-    return (y_next - plant.a * x_hat) / plant.b
+    return (y_next - a * x_hat) / b
 
 
-def step_plant(plant: LinearPlant, x: float, x_hat: float, v: float,
+def step_plant(a: float, b: float, x: float, x_hat: float, v: float,
                r: float) -> tuple[float, float]:
-    """(x', x_hat') with x' = a x + b v + r and the estimate propagated
-    through the model without the noise; a delivery then sets x_hat' = x'."""
-    return plant.a * x + plant.b * v + r, plant.a * x_hat + plant.b * v
+    """(x', x_hat') of the plant x' = a x + b v + r, with the estimate
+    propagated through the model without the noise; a delivery then sets
+    x_hat' = x'."""
+    return a * x + b * v + r, a * x_hat + b * v

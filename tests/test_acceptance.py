@@ -12,7 +12,6 @@ import pytest
 
 from conftest import (desk_terminal, desk_weights, fleet_weights,
                       grid_min_objective, make_fleet)
-from uoi_sim.control import LinearPlant
 from uoi_sim.core import TerminalParams
 from uoi_sim.csma import ContentionConfig, contend
 from uoi_sim.harness import config_from_dict, export, run
@@ -231,15 +230,15 @@ def test_criterion_7_near_optimality(rvi_tables):
 
 
 def test_criterion_8_control_decomposition():
-    plant = LinearPlant(a=1.0, b=1.0, noise_var=1.0)
+    a, noise_var = 1.0, 1.0
     # the tracking error is the error of this terminal with memory a
-    params = TerminalParams(id=0, p=0.8, sigma2=plant.noise_var, omega_bar=desk_weights().mean)
+    params = TerminalParams(id=0, p=0.8, sigma2=noise_var, omega_bar=desk_weights().mean)
     details = []
     ok = True
     for policy in ("adaptive", "periodic", "random", "age-threshold"):
         res = run_single(params, desk_weights(), rho=0.25, v=1.0, policy=policy,
-                         horizon=HORIZON, factory=StreamFactory(SEED), a=plant.a)
-        rhs = res.extras["avg_est_cost"] + desk_weights().mean * plant.noise_var
+                         horizon=HORIZON, factory=StreamFactory(SEED), a=a)
+        rhs = res.extras["avg_est_cost"] + desk_weights().mean * noise_var
         rel = abs(res.avg_uoi - rhs) / rhs
         ok &= rel <= 0.02
         details.append(f"{policy}: track {res.avg_uoi:.3f} vs "

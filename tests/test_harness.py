@@ -124,6 +124,7 @@ def test_n_batches_validated():
     ({"thresholds": {"1": True}}, "thresholds"),
     # a domain value of a section the scenario does not read
     ({"contention": {"w": 0}}, "contention.w"),
+    ({"control": {"b": float("inf")}}, "control.b"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -563,6 +564,23 @@ def test_cli_output_flags_that_write_nothing_useful_exit_2(argv, message, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "x.csv"]], ids=["no-out", "csv-out"])
+def test_cli_config_file_trace_needs_jsonl(out, tmp_path, capsys, monkeypatch):
+    # "trace": true in the file asks for a trace just as --trace does: a run
+    # whose rows would go nowhere, or to a csv without it, exits 2 first
+    def no_run(config):
+        raise AssertionError("ran a trace that no file takes")
+    monkeypatch.setattr(cli.harness, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tr.json").write_text(json.dumps({"scenario": "single", "trace": True,
+                                                  "horizon": 100}))
+    assert cli.main(["single", "--config", "tr.json"] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trace needs --format jsonl\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tr.json"]
+
+
 def test_cli_negative_v_is_config_error(capsys):
     assert cli.main(["single", "--v", "-1", "--horizon", "10"]) == 2
     assert "'v'" in capsys.readouterr().err
@@ -617,8 +635,9 @@ def test_cli_adaptive_rule_at_subnormal_budget_rejects_rho(scenario, rho, p, tmp
     ({"scenario": "csma", "weights": {"w_hi": 1e308}}, "weights"),
     ({"scenario": "waterfill", "weights": {"kind": "constant", "w": 1e308}}, "weights"),
     ({"scenario": "control", "control": {"a": 1e200}}, "control.a"),
+    ({"scenario": "control", "control": {"noise_var": 1e306}}, "control.noise_var"),
 ], ids=["single-weights", "control-weights", "single-sigma2", "multi-weights",
-        "csma-weights", "waterfill-bound", "control-a"])
+        "csma-weights", "waterfill-bound", "control-a", "control-noise_var"])
 def test_cli_overflowing_cost_sum_exits_2_without_output(raw, field, tmp_path, capsys):
     # a finite config whose slot costs w * q^2, or whose fleet bound, overflow a
     # float; the overflow on the way there raises no numpy warning

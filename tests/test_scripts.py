@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from uoi_sim.harness import config_from_dict, run
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 HORIZON = ["--horizon", "300"]
 
@@ -75,6 +77,19 @@ def test_figure_script_rejects_an_unwritable_out_before_the_run(name, out, tmp_p
         script.main()
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_single_rows_read_no_control_value():
+    # the single and control scenarios share a runner: a valid control
+    # section leaves every single row, trace and rvi-aoi table included,
+    # bit for bit as it is without the section
+    fingerprint = _load("fingerprint")
+    raw = {"scenario": "single", "horizon": 2000, "replications": 2, "seed": 3,
+           "trace": True, "policies": ["adaptive", "periodic", "rvi-aoi"],
+           "mdp": {"q_max": 8.0, "q_step": 0.5}}
+    plain = run(config_from_dict(raw))
+    with_plant = run(config_from_dict(dict(raw, control={"a": 2, "b": 3, "noise_var": 5})))
+    assert fingerprint.digest(with_plant) == fingerprint.digest(plain)
 
 
 def test_fingerprint_is_deterministic_and_counts_the_harness_draws():

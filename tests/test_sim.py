@@ -15,7 +15,6 @@ from conftest import (COLLISION, AoIState, ErrorQueue, ThresholdState, adapt_thr
                       step_aoi, step_error, step_plant, step_virtual_queue,
                       table_lookup, uoi)
 from uoi_sim import sim
-from uoi_sim.control import LinearPlant
 from uoi_sim.core import (ConstantWeights, FieldError, GaussianIncrements, TerminalParams,
                           TwoPointWeights, sample_channel_block)
 from uoi_sim.csma import ContentionConfig, default_delta_j
@@ -174,22 +173,23 @@ def test_table_rules_reject_an_entry_that_is_not_a_probability(policy, entry):
                    factory=StreamFactory(4), policy_table=replace(table, table=bad))
 
 
-def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizon, seed,
+def _reference_tracking_run(a, b, reference, weights, policy, rho, v, p, horizon, seed,
                             thresholds=None):
-    """The tracking loop rebuilt from the plant-level step and the step
-    operations; the error queue holds the estimation error x - x_hat, and
+    """The tracking loop of the plant x' = a x + b v + r, with unit noise
+    variance, rebuilt from the plant-level step and the step operations;
+    the error queue holds the estimation error x - x_hat, and
     slot t adds the noise drawn for slot t - 1.  Returns the averages of the
     tracking, estimation and embedded UoI costs, the attempt frequency and
     the number of slots whose |tracking error| is over the bound that
     `thresholds` maps the slot's weight to."""
     factory = StreamFactory(seed)
     w = weights.sample_block(factory.stream("weight", 0), 0, horizon + 1)
-    noise = factory.stream("increment", 0).normal(horizon) * math.sqrt(plant.noise_var)
+    noise = factory.stream("increment", 0).normal(horizon)
     noise = np.concatenate(([0.0], noise[:-1]))
     s = sample_channel_block(factory.stream("channel", 0), p, horizon)
     coins = factory.stream("policy", 0).uniform(horizon)
     age_m = age_threshold_for_budget(p, rho)
-    params = TerminalParams(id=0, p=p, sigma2=plant.noise_var, omega_bar=weights.mean)
+    params = TerminalParams(id=0, p=p, sigma2=1.0, omega_bar=weights.mean)
     state = make_single_updater(params, rho, v)
     track = est = embedded = 0.0
     attempts = violations = 0
@@ -198,7 +198,7 @@ def _reference_tracking_run(plant, reference, weights, policy, rho, v, p, horizo
     for t in range(horizon):
         est += uoi(w[t], x - x_hat)
         y = reference(t)
-        x, x_hat = step_plant(plant, x, x_hat, certainty_equivalent_control(plant, x_hat, y),
+        x, x_hat = step_plant(a, b, x, x_hat, certainty_equivalent_control(a, b, x_hat, y),
                               noise[t])
         track += uoi(w[t], x - y)
         violations += abs(x - y) > (thresholds or {}).get(w[t], math.inf)
@@ -230,15 +230,13 @@ _REFERENCES = {"const": lambda t: 0.0,
         ("adaptive", 10_000, 1, "adaptive-long"))
 ])
 def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batches, a, b, ref):
-    plant = LinearPlant(a=a, b=b, noise_var=1.0)
     track_ref, est_ref, uoi_ref, freq_ref, _ = _reference_tracking_run(
-        plant, _REFERENCES[ref], desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon,
+        a, b, _REFERENCES[ref], desk_weights(), policy, 0.25, 1.0, 0.8, horizon=horizon,
         seed=404)
     # under certainty-equivalent control the error the policy reads is the
     # tracking error, so the embedded UoI is the tracking cost
     assert uoi_ref == pytest.approx(track_ref, rel=1e-12)
-    params = TerminalParams(id=0, p=0.8, sigma2=plant.noise_var,
-                            omega_bar=desk_weights().mean)
+    params = TerminalParams(id=0, p=0.8, sigma2=1.0, omega_bar=desk_weights().mean)
     res = run_single(params, desk_weights(), rho=0.25, v=1.0, policy=policy,
                      horizon=horizon, factory=StreamFactory(404), n_batches=n_batches, a=a)
     assert res.avg_uoi == pytest.approx(track_ref, rel=1e-12)
@@ -249,16 +247,15 @@ def test_run_tracking_matches_step_operation_reference(policy, horizon, n_batche
 def test_control_run_counts_the_plant_oracles_violations():
     # the control scenario's violation_prob counts the slots whose |tracking
     # error| is over the bound of the slot's weight
-    plant = LinearPlant(a=1.1, b=2.0, noise_var=1.0)
     thresholds = {1.0: 2.0, 100.0: 1.0}
     rows = run(config_from_dict({
         "scenario": "control", "horizon": 4000, "seed": 404, "rho": 0.25, "v": 1.0,
         "policies": list(SINGLE_RULES), "terminal": {"p": 0.8},
-        "control": {"a": plant.a, "b": plant.b, "noise_var": plant.noise_var},
+        "control": {"a": 1.1, "b": 2.0, "noise_var": 1.0},
         "thresholds": {str(w): bound for w, bound in thresholds.items()}}))
     for m in rows:
         *_, violations = _reference_tracking_run(
-            plant, _REFERENCES["sine"], desk_weights(), m.policy, 0.25, 1.0, 0.8,
+            1.1, 2.0, _REFERENCES["sine"], desk_weights(), m.policy, 0.25, 1.0, 0.8,
             horizon=4000, seed=404, thresholds=thresholds)
         assert violations > 0
         assert m.violation_prob == violations / 4000
