@@ -4,7 +4,8 @@ The adaptive scheduler picks, each slot, the K terminals with the largest
 update indices.  The index coefficients come from a stationary randomized
 policy pi that minimizes sum_i omega_bar_i * sigma2_i / (p_i * pi_i)
 subject to sum(pi) <= K and pi_i <= 1 -- a water-filling allocation over
-d_i = sqrt(omega_bar_i * sigma2_i / p_i).
+d_i = sqrt(omega_bar_i * sigma2_i / p_i), found exactly by one sort of
+the widths.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TerminalParams, require
-
-_WATER_STEPS = 200   # cap on the water-level halvings, which stop at |sum(pi) - K| < 1e-12
-_WATER_TOL = 1e-9    # the rescaled sum(pi) must end this close to K
 
 
 @dataclass(frozen=True)
@@ -58,50 +56,37 @@ class StationaryPolicy:
     objective: float
 
 
-def allocation_widths(fleet: FleetConfig) -> np.ndarray:
-    """d_i = sqrt(omega_bar_i * sigma2_i / p_i), the water-filling widths."""
-    return np.sqrt(fleet.array("omega_bar") * fleet.array("sigma2") / fleet.array("p"))
-
-
 def waterfill(fleet: FleetConfig) -> StationaryPolicy:
-    """Minimize sum d_i^2 / pi_i over sum(pi) <= K, 0 <= pi_i <= 1.
-
-    Solved by bisection on the water level lam with pi_i(lam) = min(1, d_i/lam);
-    sum pi_i(lam) is strictly decreasing in lam on the relevant range, so the
-    level with sum pi = min(K, N) is the unique KKT point.
-    """
-    return waterfill_from_widths(allocation_widths(fleet), fleet.k)
+    """Minimize sum d_i^2 / pi_i over sum(pi) <= K, 0 <= pi_i <= 1, with
+    the widths d_i = sqrt(omega_bar_i * sigma2_i / p_i)."""
+    d = np.sqrt(fleet.array("omega_bar") * fleet.array("sigma2") / fleet.array("p"))
+    return waterfill_from_widths(d, fleet.k)
 
 
 def waterfill_from_widths(d: np.ndarray, k: int) -> StationaryPolicy:
     """`waterfill` over the widths d, each positive and finite, as every
-    fleet's are (TerminalParams keeps omega_bar, sigma2 and p positive)."""
+    fleet's are (TerminalParams keeps omega_bar, sigma2 and p positive).
+
+    The optimum is pi_i = min(1, d_i / lam) with sum(pi) = min(K, N), found
+    exactly from the widths sorted in descending order: the j-th widest
+    saturates while its proportional share d_(j) * (K - j) / sum_{i>=j} d_(i)
+    of the K - j sub-channels left is at least 1, and the rest split those
+    in proportion to d.  The K-th widest never saturates when K < N, so the
+    walk stops before it: were it saturated by rounding, the widths below
+    one ulp of the sum would get no share at all.  Every pi_i lies in (0, 1].
+    """
     d = np.asarray(d, dtype=float)
     require(bool(np.all((0.0 < d) & (d < math.inf))), "widths", d.tolist(),
             "positive and finite")
     pi = np.ones(len(d))  # enough sub-channels for everyone: all always eligible
     if k < len(d):
-        target = float(k)
-        # lam <= min(d) saturates everything (sum = n > target);
-        # lam = sum(d)/target gives sum <= target.  Bisect between them.
-        lo, hi = float(d.min()), float(d.sum()) / target
-        for _ in range(_WATER_STEPS):
-            lam = 0.5 * (lo + hi)
-            s = float(np.minimum(1.0, d / lam).sum())
-            if abs(s - target) < 1e-12:
-                break
-            if s > target:
-                lo = lam
-            else:
-                hi = lam
-        pi = np.minimum(1.0, d / lam)
-        # Exact stationarity on the unsaturated set: rescale so sum(pi) == K.
-        unsat = pi < 1.0
-        deficit = target - float(pi[~unsat].sum())
-        if unsat.any() and deficit > 0.0:
-            pi[unsat] *= deficit / float(pi[unsat].sum())
-        if abs(pi.sum() - target) > _WATER_TOL:
-            raise RuntimeError(f"water level bisection failed: sum(pi) = {pi.sum():.12f}")
+        order = np.argsort(-d, kind="stable")
+        tail = np.cumsum(d[order][::-1])[::-1]  # tail[j]: the widths from the j-th widest on
+        j = 0
+        while j < k - 1 and d[order[j]] * (k - j) >= tail[j]:
+            j += 1
+        rest = order[j:]
+        pi[rest] = np.minimum(1.0, d[rest] * (k - j) / tail[j])
     return StationaryPolicy(pi=pi, objective=float(np.sum(d ** 2 / pi)))
 
 
@@ -109,12 +94,13 @@ def kkt_residual(d: np.ndarray, k: int, policy: StationaryPolicy) -> float:
     """Max violation of the KKT system at `policy` (0 at the true optimum).
 
     Checks stationarity on unsaturated coordinates (common d_i/pi_i ratio),
-    dual feasibility of the cap multipliers, and primal feasibility.
+    dual feasibility of the cap multipliers, and primal feasibility: the
+    budget sum(pi) = min(K, N) and each cap 0 <= pi_i <= 1.
     """
     d = np.asarray(d, dtype=float)
     pi = policy.pi
     target = float(min(k, len(d)))
-    res = abs(float(pi.sum()) - target)
+    res = max(abs(float(pi.sum()) - target), float(np.maximum(pi - 1.0, -pi).max()))
     unsat = pi < 1.0
     if unsat.any():
         ratios = d[unsat] / pi[unsat]

@@ -259,6 +259,18 @@ def test_waterfill_scenario_echo():
     assert rows[0].extras["pi"] == pytest.approx([0.5, 0.5])
 
 
+def test_fleet_rows_keep_pi_capped_over_widths_spanning_150_decades():
+    fleet = {"n": 12, "k": 8, "p_min": 1e-300}
+    rows = run(config_from_dict({"scenario": "waterfill", "fleet": fleet}))
+    rows += run(config_from_dict({"scenario": "multi", "horizon": 2000, "fleet": fleet,
+                                  "policies": ["centralized", "stationary"]}))
+    for row in rows:
+        assert max(row.extras["pi"]) <= 1.0, row.policy
+    # sum(pi) = K, so the stationary lane attempts K updates every slot
+    assert rows[-1].policy == "stationary"
+    assert rows[-1].avg_update_freq.sum() == pytest.approx(8.0, abs=1e-9)
+
+
 def test_common_random_numbers_within_run():
     cfg = config_from_dict({"scenario": "multi", "horizon": 2000,
                             "fleet": {"n": 4, "k": 2},

@@ -29,6 +29,11 @@ def test_waterfill_examples():
     assert waterfill_from_widths(np.array([3.0, 1.0]), 1).pi == pytest.approx([0.75, 0.25])
     assert waterfill_from_widths(np.array([10.0, 1.0, 1.0]), 2).pi == pytest.approx(
         [1.0, 0.5, 0.5])
+    # the widest saturates, which leaves the second widest its own full share
+    assert waterfill_from_widths(np.array([100.0, 10.0, 1.0, 1.0, 1.0]), 3).pi == (
+        pytest.approx([1.0, 1.0, 1 / 3, 1 / 3, 1 / 3]))
+    assert waterfill_from_widths(np.array([5.0, 5.0, 1.0, 1.0]), 3).pi == pytest.approx(
+        [1.0, 1.0, 0.5, 0.5])
 
 
 def test_waterfill_brute_force_small():
@@ -64,6 +69,43 @@ def test_waterfill_proportional_case():
         if d.max() / d.sum() <= 1.0 / k:
             pol = waterfill_from_widths(d, k)
             assert pol.pi == pytest.approx(k * d / d.sum(), abs=1e-9)
+
+
+def _assert_feasible_optimum(d: np.ndarray, k: int) -> None:
+    pol = waterfill_from_widths(d, k)
+    assert np.all((0.0 < pol.pi) & (pol.pi <= 1.0)), pol.pi
+    assert abs(pol.pi.sum() - k) <= 1e-12 * k
+    assert kkt_residual(d, k, pol) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 30])
+def test_waterfill_stays_feasible_over_widths_spanning_150_decades(n):
+    # p_min = 1e-300 spreads the widths sqrt(1/p) over 150 decades
+    for e in range(0, 301, 5):
+        fleet = FleetConfig.spread(n, 1, 10.0 ** -e, 1.0, 1.0, 1.0)
+        d = np.sqrt(1.0 / fleet.array("p"))
+        for k in range(1, n):
+            _assert_feasible_optimum(d, k)
+
+
+def test_waterfill_gives_tiny_widths_their_proportional_share():
+    # at K = 1 no terminal saturates: pi = d / sum(d), down to shares of 1e-150
+    d = np.sqrt(1.0 / FleetConfig.spread(12, 1, 1e-300, 1.0, 1.0, 1.0).array("p"))
+    assert waterfill_from_widths(d, 1).pi == pytest.approx(d / d.sum(), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200)
+@given(exps=st.lists(st.floats(min_value=-150.0, max_value=150.0), min_size=2, max_size=11),
+       data=st.data())
+def test_waterfill_feasible_over_random_wide_widths(exps, data):
+    d = 10.0 ** np.array(exps)
+    _assert_feasible_optimum(d, data.draw(st.integers(1, len(d) - 1)))
+
+
+def test_kkt_residual_counts_a_share_above_its_cap():
+    # stationary on the unsaturated pair and summing to K, but pi_0 > 1
+    pol = StationaryPolicy(pi=np.array([1.25, 0.375, 0.375]), objective=math.nan)
+    assert kkt_residual(np.array([3.0, 1.0, 1.0]), 2, pol) >= 0.25
 
 
 def test_multi_update_index_examples():
