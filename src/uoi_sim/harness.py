@@ -441,7 +441,7 @@ def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
         avg_update_freq=np.array([table.avg_freq]),
         violation_prob=None, bound_value=None,
         extras={"lam": lam, "gain": table.gain, "iterations": table.iterations,
-                "policy_table": table})]
+                "edge_mass": table.edge_mass, "policy_table": table})]
 
 
 def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:

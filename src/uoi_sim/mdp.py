@@ -2,16 +2,17 @@
 
 The single-terminal system with i.i.d. increments and i.i.d. two-point
 weights is Markov in (Q, w_now, w_next); truncating and discretizing Q
-gives a finite average-cost MDP, solved by relative value iteration with a
-structured operator.  The frequency budget enters as a Lagrange multiplier
-lam on the transmit action, calibrated by Kelley's cutting planes on the
-concave, piecewise-linear dual: each solved table's Lagrangian is the line
-avg_cost + lam * avg_freq, and the next lam is where the lines of the two
-bracketing tables cross.  Where no pure policy hits the budget exactly, the
-two tables optimal at the critical lam are randomized state-wise (Beutler
-& Ross 1985).  The age-optimal policy (cost = age) needs no solve: it is a
-threshold on the age, randomized at one age (Sun et al. 2017; Ceran, Gunduz
-& Gyorgy 2019), with closed-form renewal averages.
+gives a finite average-cost MDP, even in Q, solved on |Q| by relative value
+iteration with a structured operator.  The frequency budget enters as a
+Lagrange multiplier lam on the transmit action, calibrated by Kelley's
+cutting planes on the concave, piecewise-linear dual: each solved table's
+Lagrangian is the line avg_cost + lam * avg_freq, and the next lam is where
+the lines of the two bracketing tables cross.  Where no pure policy hits
+the budget exactly, the two tables optimal at the critical lam are
+randomized state-wise (Beutler & Ross 1985).  The age-optimal policy (cost
+= age) needs no solve: it is a threshold on the age, randomized at one age
+(Sun et al. 2017; Ceran, Gunduz & Gyorgy 2019), with closed-form renewal
+averages.
 """
 
 from __future__ import annotations
@@ -73,10 +74,12 @@ class StationaryPolicyTable:
     """Greedy (possibly state-randomized) policy with its exact chain averages.
 
     table holds P(transmit | state): shape (nq, nw, nw) for cost_kind "uoi"
-    (axes: q bin, current weight, next weight); for "aoi", by age 1..max(200,
-    m + 1) for the send age m, later ages taking the last entry.  lam is the
-    transmit multiplier it was solved at, whose term avg_cost excludes;
-    avg_freq is the long-run E[U]; iterations counts RVI sweeps (0 for "aoi").
+    (axes: q bin, current weight, next weight), even in q; for "aoi", by age
+    1..max(200, m + 1) for the send age m, later ages taking the last entry.
+    lam is the transmit multiplier it was solved at, whose term avg_cost
+    excludes; avg_freq is the long-run E[U]; iterations counts RVI sweeps (0
+    for "aoi").  edge_mass is the stationary mass in the two outermost q
+    bins, where the grid folds the Gaussian tail (None for "aoi").
     """
 
     cost_kind: str
@@ -87,6 +90,7 @@ class StationaryPolicyTable:
     grid: MdpGrid
     gain: float
     iterations: int
+    edge_mass: float | None
 
 
 class RviConvergenceError(RuntimeError):
@@ -108,8 +112,10 @@ def _phi(x: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _kernel(q_max: float, q_step: float, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(q_max: float, q_step: float,
+            sigma2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nq = 2 * round(q_max / q_step) + 1
+    m = nq // 2
     sigma = math.sqrt(sigma2)
     # Edge offsets (d + 0.5) * step for integer d; row i needs d = j - i - 1
     # for interior edge j in 1..nq-1, i.e. d in [-nq + 1, nq - 2].
@@ -120,15 +126,23 @@ def _kernel(q_max: float, q_step: float, sigma2: float) -> tuple[np.ndarray, np.
     G[:, 0] = c[:, 0]
     G[:, 1:-1] = np.diff(c, axis=1)
     G[:, -1] = 1.0 - c[:, -1]
+    # From q = +i step, bin |q'| = j step is bin m + j or m - j (j >= 1).
+    Gf = G[m:, m:].copy()
+    Gf[:, 1:] += G[m:, m - 1::-1]
     G.setflags(write=False)
-    return G, G[nq // 2]
+    Gf.setflags(write=False)
+    return G, G[m], Gf
 
 
-def gaussian_kernel(grid: MdpGrid, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(G, g0): G[i, j] = P(bin j | q_i + A), g0 = row from q = 0.
+def gaussian_kernel(grid: MdpGrid, sigma2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, g0, Gf): G[i, j] = P(bin j | q_i + A), g0 = row from q = 0, and
+    the kernel folded onto |q|.
 
     Interior bin edges sit halfway between grid points; tail mass folds
-    into the outermost bins.  The arrays are cached per (q_max, q_step,
+    into the outermost bins.  Gf[i, j] = P(|q'| in bin j | q = i * q_step)
+    on the half grid q = 0, q_step, ..., q_max: G[m + i, m] at j = 0 and
+    G[m + i, m + j] + G[m + i, m - j] for j >= 1, with m = q_max / q_step.
+    Its row 0 is the reset row.  The arrays are cached per (q_max, q_step,
     sigma2) and read-only.
     """
     return _kernel(grid.q_max, grid.q_step, sigma2)
@@ -153,38 +167,46 @@ def _require_uoi(cost_kind: str) -> None:
 
 
 def _uoi_rvi(grid: MdpGrid, params: TerminalParams, lam: float, h0: np.ndarray | None = None):
-    """Structured solver for the (q, w_now, w_next) chain with transmit cost
-    lam, from relative values h0 (zero by default).  Returns (gain, greedy
-    table, sweeps).
+    """Structured solver for the (|q|, w_now, w_next) chain with transmit
+    cost lam, from relative values h0 of shape (m + 1, nw, nw) (zero by
+    default).  Returns (gain, greedy table on the half grid q = 0, q_step,
+    ..., q_max, sweeps).
 
-    Exploits that only the q component depends on the action and that the
-    weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
+    The slot cost w * q^2 is even in q, the kernel is symmetric and a
+    delivery resets q to 0, so the relative values of q and -q agree and
+    the chain on |q|, with the folded kernel Gf, carries them; h is
+    normalized at q = 0.  Only the q component depends on the action, and
+    the weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
     """
     w_vals, pw = _weights(grid)
-    q = grid.q_values
-    nq = len(q)
-    nw = len(w_vals)
-    G, g0 = gaussian_kernel(grid, params.sigma2)
+    _, _, Gf = gaussian_kernel(grid, params.sigma2)
+    nq, nw = len(Gf), len(w_vals)
+    q = grid.q_values[-nq:]
     base = w_vals[None, :, None] * (q ** 2)[:, None, None]  # (nq, nw, 1)
+    base_lam = base + lam
     p = params.p
-    m = nq // 2
 
     h = np.zeros((nq, nw, nw)) if h0 is None else h0.copy()
     span = math.inf
     for it in range(1, _MAX_ITER + 1):
-        hbar = h @ pw                      # (nq, nw): E over next-next weight
-        c0 = G @ hbar                      # continuation, no delivery
-        r0 = g0 @ hbar                     # continuation after a delivery
+        hbar = (h.reshape(-1, nw) @ pw).reshape(nq, nw)  # E over next-next weight
+        c0 = Gf @ hbar                     # continuation, no delivery
+        c1 = p * c0[0] + (1.0 - p) * c0    # c0[0]: continuation after a delivery
         q0 = base + c0[:, None, :]
-        q1 = base + lam + (p * r0)[None, None, :] + (1.0 - p) * c0[:, None, :]
+        q1 = base_lam + c1[:, None, :]
         th = np.minimum(q0, q1)
         diff = th - h
         hi, lo = float(diff.max()), float(diff.min())
         span, gain = hi - lo, 0.5 * (hi + lo)
-        h = th - th[m, 0, 0]
+        h = th - th[0, 0, 0]
         if span < _SPAN_TOL:
             return gain, (q1 < q0).astype(float), it
     raise RviConvergenceError(span, _MAX_ITER)
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The full (2m + 1, ...) table, even in q, of a half-grid table."""
+    return np.concatenate([half[:0:-1], half])
 
 
 # --------------------------------------------------------------------------
@@ -204,37 +226,51 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
-                    table: np.ndarray) -> tuple[float, float]:
-    """(avg base cost, avg transmit frequency) of the induced chain.
+                    table: np.ndarray) -> tuple[float, float, float]:
+    """(avg base cost, avg transmit frequency, edge mass) of the induced chain.
 
-    uoi: w_next is a fresh draw independent of q, so the stationary law of
-    (q, w_now, w_next) is nu(q, w_now) * pw[w_next], where nu is stationary
-    for the (q, w_now) chain P[(q, a), (q', b)] = pw[b] * K_ab[q, q'] and
-    K_ab mixes the kernel row of q with the reset row g0 by the delivery
-    probability p * table[q, a, b].
+    table is a (2m + 1, nw, nw) array of probabilities in [0, 1] that is
+    even in q (table[m + i] == table[m - i]), as rvi_solve returns; any
+    other shape, an entry that is NaN or outside [0, 1], or a table that is
+    not even raises ValueError naming the problem.  The chain is solved on
+    |q|: w_next is a fresh draw independent of q, so the stationary law of
+    (|q|, w_now, w_next) is nu(|q|, w_now) * pw[w_next], where nu is
+    stationary for the (|q|, w_now) chain P[(q, a), (q', b)] = pw[b] *
+    K_ab[q, q'] and K_ab mixes the folded kernel row of q with its reset
+    row by the delivery probability p * table[q, a, b].  The edge mass is
+    nu's mass in the outermost bin |q| = q_max.
     """
     _require_uoi(cost_kind)
-    return _uoi_averages(grid, params.p, params.sigma2, np.shape(table),
-                         np.asarray(table, dtype=float).tobytes())
+    nw = len(_weights(grid)[0])
+    table = np.asarray(table, dtype=float)
+    shape = (len(grid.q_values), nw, nw)
+    if table.shape != shape:
+        raise ValueError(f"uoi table has shape {table.shape}, the grid needs {shape}")
+    if not np.all((table >= 0.0) & (table <= 1.0)):
+        raise ValueError("uoi table has an entry that is NaN or outside [0, 1]")
+    if not np.array_equal(table, table[::-1]):
+        raise ValueError("uoi table is not even in q: table[m + i] and table[m - i] differ")
+    half = np.ascontiguousarray(table[shape[0] // 2:])
+    return _uoi_averages(grid, params.p, params.sigma2, half.tobytes())
 
 
 @lru_cache(maxsize=64)
-def _uoi_averages(grid: MdpGrid, p: float, sigma2: float, shape: tuple[int, ...],
-                  table_bytes: bytes) -> tuple[float, float]:
-    """evaluate_policy("uoi"), cached on the table's contents."""
-    table = np.frombuffer(table_bytes).reshape(shape)
+def _uoi_averages(grid: MdpGrid, p: float, sigma2: float,
+                  half_bytes: bytes) -> tuple[float, float, float]:
+    """evaluate_policy("uoi") of a half-grid table, cached on its contents."""
     w_vals, pw = _weights(grid)
-    q = grid.q_values
-    nq, nw = len(q), len(w_vals)
-    G, g0 = gaussian_kernel(grid, sigma2)
+    _, _, Gf = gaussian_kernel(grid, sigma2)
+    nq, nw = len(Gf), len(w_vals)
+    q = grid.q_values[-nq:]
+    table = np.frombuffer(half_bytes).reshape(nq, nw, nw)
     P = np.empty((nq, nw, nq, nw))
     for a in range(nw):
         for b in range(nw):
             send = p * table[:, a, b]
-            P[:, a, :, b] = ((1.0 - send)[:, None] * G + send[:, None] * g0) * pw[b]
+            P[:, a, :, b] = ((1.0 - send)[:, None] * Gf + send[:, None] * Gf[0]) * pw[b]
     nu = stationary_distribution(P.reshape(nq * nw, nq * nw)).reshape(nq, nw)
     return (float(np.sum(nu * w_vals[None, :] * (q ** 2)[:, None])),
-            float(np.sum(nu * (table @ pw))))
+            float(np.sum(nu * (table @ pw))), float(nu[-1].sum()))
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +319,8 @@ def _aoi_policy(grid: MdpGrid, p: float, rho: float) -> tuple[float, StationaryP
     cost, freq = _age_rule_averages(p, m, eta)
     return lam, StationaryPolicyTable(cost_kind="aoi", table=table, avg_cost=cost,
                                       avg_freq=freq, lam=lam, grid=grid,
-                                      gain=cost + lam * freq, iterations=0)
+                                      gain=cost + lam * freq, iterations=0,
+                                      edge_mass=None)
 
 
 # --------------------------------------------------------------------------
@@ -296,15 +333,17 @@ def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
     """Solve the average-cost problem with cost lam per transmission and
     evaluate its greedy policy exactly on the discrete chain.
 
-    Relative value iteration from zero until the span is below _SPAN_TOL.
+    Relative value iteration from zero on |q| until the span is below
+    _SPAN_TOL; the table comes back mirrored onto the full q grid.
     """
     require(0.0 <= lam < math.inf, "lam", lam, "nonnegative and finite")
     _require_uoi(cost_kind)
-    gain, table, iters = _uoi_rvi(grid, params, lam)
-    avg_cost, avg_freq = evaluate_policy(grid, params, cost_kind, table)
+    gain, half, iters = _uoi_rvi(grid, params, lam)
+    table = _mirror(half)
+    avg_cost, avg_freq, edge_mass = evaluate_policy(grid, params, cost_kind, table)
     return StationaryPolicyTable(cost_kind=cost_kind, table=table,
                                  avg_cost=avg_cost, avg_freq=avg_freq, lam=lam,
-                                 grid=grid, gain=gain, iterations=iters)
+                                 grid=grid, gain=gain, iterations=iters, edge_mass=edge_mass)
 
 
 def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
@@ -332,10 +371,10 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         return 0.0, lo_tab  # constraint slack at lam = 0
     # Never transmitting is the lam -> inf end: its Lagrangian is its cost.
     never = np.zeros_like(lo_tab.table)
-    cost, freq = evaluate_policy(grid, params, cost_kind, never)
+    cost, freq, edge = evaluate_policy(grid, params, cost_kind, never)
     hi_tab = StationaryPolicyTable(cost_kind=cost_kind, table=never, avg_cost=cost,
                                    avg_freq=freq, lam=math.inf, grid=grid, gain=cost,
-                                   iterations=0)
+                                   iterations=0, edge_mass=edge)
 
     cut_tab = lo_tab
     for _ in range(_MAX_CUTS):
@@ -356,11 +395,11 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
 
     # Duality gap: randomize between the bracketing policies.
     eta_lo, eta_hi = 0.0, 1.0  # eta = weight on the more aggressive policy
-    mixed, cost, freq = hi_tab.table, hi_tab.avg_cost, hi_tab.avg_freq
+    mixed, cost, freq, edge = hi_tab.table, hi_tab.avg_cost, hi_tab.avg_freq, hi_tab.edge_mass
     for _ in range(60):
         eta = 0.5 * (eta_lo + eta_hi)
         mixed = eta * lo_tab.table + (1.0 - eta) * hi_tab.table
-        cost, freq = evaluate_policy(grid, params, cost_kind, mixed)
+        cost, freq, edge = evaluate_policy(grid, params, cost_kind, mixed)
         if abs(freq - rho) < tol:
             break
         if freq > rho:
@@ -369,7 +408,8 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
             eta_lo = eta
     table = StationaryPolicyTable(cost_kind=cost_kind, table=mixed,
                                   avg_cost=cost, avg_freq=freq, lam=cut_tab.lam, grid=grid,
-                                  gain=cut_tab.gain, iterations=cut_tab.iterations)
+                                  gain=cut_tab.gain, iterations=cut_tab.iterations,
+                                  edge_mass=edge)
     return cut_tab.lam, table
 
 

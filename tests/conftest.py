@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from uoi_sim.core import TerminalParams, TwoPointWeights
 from uoi_sim.csma import ContentionConfig
+from uoi_sim import mdp
 from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig
 
@@ -174,6 +176,81 @@ def dense_uoi_chain(q_values: np.ndarray, G: np.ndarray, g0: np.ndarray, support
     cost = sum(mu[k] * w[a] * q_values[i] ** 2 for (i, a, b), k in index.items())
     freq = sum(mu[k] * table[i, a, b] for (i, a, b), k in index.items())
     return float(cost), float(freq)
+
+
+# --------------------------------------------------------------------------
+# The uoi chain on all 2m + 1 q bins.  mdp solves and evaluates it on |q|;
+# these are the sweep and the exact evaluation it ran before, kept as the
+# oracle the folded chain is checked against.
+# --------------------------------------------------------------------------
+
+
+def full_chain_rvi(grid, params: TerminalParams, lam: float):
+    """Relative value iteration on the (q, w_now, w_next) chain with
+    transmit cost lam, normalized at q = 0.  Returns (gain, greedy table,
+    sweeps)."""
+    w_vals = np.array([w for w, _ in grid.weight_support])
+    pw = np.array([p for _, p in grid.weight_support])
+    q = grid.q_values
+    nq, nw = len(q), len(w_vals)
+    G, g0, _ = mdp.gaussian_kernel(grid, params.sigma2)
+    base = w_vals[None, :, None] * (q ** 2)[:, None, None]
+    p = params.p
+    m = nq // 2
+    h = np.zeros((nq, nw, nw))
+    span = math.inf
+    for it in range(1, mdp._MAX_ITER + 1):
+        hbar = h @ pw
+        c0 = G @ hbar
+        r0 = g0 @ hbar
+        q0 = base + c0[:, None, :]
+        q1 = base + lam + (p * r0)[None, None, :] + (1.0 - p) * c0[:, None, :]
+        th = np.minimum(q0, q1)
+        diff = th - h
+        hi, lo = float(diff.max()), float(diff.min())
+        span, gain = hi - lo, 0.5 * (hi + lo)
+        h = th - th[m, 0, 0]
+        if span < mdp._SPAN_TOL:
+            return gain, (q1 < q0).astype(float), it
+    raise RviConvergenceError(span, mdp._MAX_ITER)
+
+
+def full_chain_averages(grid, params: TerminalParams, table) -> tuple[float, float, float]:
+    """(average w_now q^2, average transmit probability, mass in the two
+    outermost q bins) of a table on the (q, w_now) chain."""
+    w_vals = np.array([w for w, _ in grid.weight_support])
+    pw = np.array([p for _, p in grid.weight_support])
+    q = grid.q_values
+    nq, nw = len(q), len(w_vals)
+    G, g0, _ = mdp.gaussian_kernel(grid, params.sigma2)
+    P = np.empty((nq, nw, nq, nw))
+    for a in range(nw):
+        for b in range(nw):
+            send = params.p * table[:, a, b]
+            P[:, a, :, b] = ((1.0 - send)[:, None] * G + send[:, None] * g0) * pw[b]
+    nu = mdp.stationary_distribution(P.reshape(nq * nw, nq * nw)).reshape(nq, nw)
+    return (float(np.sum(nu * w_vals[None, :] * (q ** 2)[:, None])),
+            float(np.sum(nu * (table @ pw))), float(nu[0].sum() + nu[-1].sum()))
+
+
+def full_chain_solve(grid, params: TerminalParams, cost_kind: str,
+                     lam: float) -> StationaryPolicyTable:
+    """rvi_solve on the full chain."""
+    gain, table, sweeps = full_chain_rvi(grid, params, lam)
+    cost, freq, edge = full_chain_averages(grid, params, table)
+    return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=cost,
+                                 avg_freq=freq, lam=lam, grid=grid, gain=gain,
+                                 iterations=sweeps, edge_mass=edge)
+
+
+def full_chain_calibration(grid, params: TerminalParams, rho: float):
+    """calibrate_multiplier's (lam, table) with every solve and evaluation
+    on the full chain."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdp, "rvi_solve", full_chain_solve)
+        patch.setattr(mdp, "evaluate_policy",
+                      lambda grid, params, kind, table: full_chain_averages(grid, params, table))
+        return mdp.calibrate_multiplier(grid, params, rho, "uoi")
 
 
 # --------------------------------------------------------------------------

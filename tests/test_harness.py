@@ -327,6 +327,21 @@ def test_rvi_rows_carry_their_calibrated_table(tmp_path):
         assert "policy_table" not in json.loads(line)["extras"]
 
 
+@pytest.mark.parametrize("cost", ["uoi", "aoi"])
+def test_mdp_row_carries_the_edge_mass_into_jsonl(cost, tmp_path):
+    # the q_max = 8 grid holds about 9% of the uoi optimum's mass in its
+    # boundary bins at a budget of 0.004; the aoi table has no q grid
+    cfg = config_from_dict({"scenario": "mdp", "rho": 0.004,
+                            "mdp": {"cost": cost, "q_max": 8.0, "q_step": 0.5}})
+    [row] = run(cfg)
+    edge = row.extras["edge_mass"]
+    assert edge == row.extras["policy_table"].edge_mass
+    assert (0.05 < edge < 0.15) if cost == "uoi" else edge is None
+    path = tmp_path / "row.jsonl"
+    export([row], "jsonl", str(path))
+    assert json.loads(path.read_text())["extras"]["edge_mass"] == edge
+
+
 def _row_fields(m: RunMetrics) -> dict:
     """Every field of a metrics row but its scenario, arrays as lists."""
     d = dict(vars(m), avg_update_freq=m.avg_update_freq.tolist())

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import (age_chain_averages, age_chain_bias, age_rule_table, dense_uoi_chain,
-                      desk_terminal, desk_weights, relative_value_iteration)
+                      desk_terminal, desk_weights, full_chain_calibration,
+                      relative_value_iteration)
 from uoi_sim import cli, harness, mdp
 from uoi_sim.core import FieldError, TerminalParams
-from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _age_rule_averages, _uoi_rvi,
+from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _age_rule_averages, _mirror, _uoi_rvi,
                          age_threshold_for_budget, calibrate_multiplier, evaluate_policy,
                          format_policy_table, gaussian_kernel, rvi_solve,
                          stationary_distribution)
@@ -54,7 +55,7 @@ def test_rvi_solve_rejects_a_bad_multiplier(cost_kind, lam):
 
 def test_gaussian_kernel_is_stochastic_and_centered():
     grid = MdpGrid(q_max=6.0, q_step=0.25, weight_support=((1.0, 1.0),))
-    G, g0 = gaussian_kernel(grid, 1.0)
+    G, g0, _ = gaussian_kernel(grid, 1.0)
     assert np.allclose(G.sum(axis=1), 1.0)
     assert np.allclose(g0, g0[::-1])            # reset row symmetric around 0
     q = grid.q_values
@@ -62,6 +63,17 @@ def test_gaussian_kernel_is_stochastic_and_centered():
     # interior row keeps its conditional mean (tails barely folded)
     i = len(q) // 2 + 4
     assert float(G[i] @ q) == pytest.approx(q[i], abs=1e-3)
+
+
+def test_folded_kernel_sums_both_signs_of_each_bin():
+    grid = MdpGrid(q_max=6.0, q_step=0.25, weight_support=((1.0, 1.0),))
+    G, _, Gf = gaussian_kernel(grid, 1.0)
+    m = len(G) // 2  # row 0 of Gf, from q = 0, is the reset row
+    assert Gf.shape == (m + 1, m + 1)
+    assert np.array_equal(Gf[:, 0], G[m:, m])
+    for j in range(1, m + 1):
+        assert np.array_equal(Gf[:, j], G[m:, m + j] + G[m:, m - j])
+    assert np.allclose(Gf.sum(axis=1), 1.0)
 
 
 def _enumerate_optimal_average_cost(transitions, costs):
@@ -153,8 +165,10 @@ def test_uoi_reduced_chain_matches_dense_oracle():
     support = ((1.0, 0.3), (5.0, 0.7))
     grid = MdpGrid(q_max=2.0, q_step=0.5, weight_support=support)
     table = np.random.default_rng(3).random((len(grid.q_values), 2, 2))
-    G, g0 = gaussian_kernel(grid, params.sigma2)
-    cost, freq = evaluate_policy(grid, params, "uoi", table)
+    m = len(grid.q_values) // 2
+    table[:m] = table[:m:-1]  # even in q: the chain is solved on |q|
+    G, g0, _ = gaussian_kernel(grid, params.sigma2)
+    cost, freq, _ = evaluate_policy(grid, params, "uoi", table)
     ref_cost, ref_freq = dense_uoi_chain(grid.q_values, G, g0, support, params.p, table)
     assert cost == pytest.approx(ref_cost, rel=1e-12)
     assert freq == pytest.approx(ref_freq, rel=1e-12)
@@ -162,10 +176,11 @@ def test_uoi_reduced_chain_matches_dense_oracle():
 
 def test_gaussian_kernel_is_cached_and_read_only():
     grid = MdpGrid(q_max=3.0, q_step=0.5, weight_support=((1.0, 1.0),))
-    G, g0 = gaussian_kernel(grid, 2.0)
-    G2, _ = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5, weight_support=((7.0, 1.0),)), 2.0)
-    assert G2 is G
-    assert not G.flags.writeable and not g0.flags.writeable
+    G, g0, Gf = gaussian_kernel(grid, 2.0)
+    G2, _, Gf2 = gaussian_kernel(MdpGrid(q_max=3.0, q_step=0.5,
+                                         weight_support=((7.0, 1.0),)), 2.0)
+    assert G2 is G and Gf2 is Gf
+    assert not (G.flags.writeable or g0.flags.writeable or Gf.flags.writeable)
     with pytest.raises(ValueError):
         G[0, 0] = 1.0
 
@@ -186,11 +201,12 @@ def test_rvi_policy_stable_across_initializations():
     grid = MdpGrid(q_max=10.0, q_step=0.25, weight_support=desk_weights().support())
     t1 = rvi_solve(grid, params, "uoi", 3.0)
     rng = np.random.default_rng(1)
-    h0 = rng.normal(size=(len(grid.q_values), 2, 2)) * 50.0
-    _, table2, _ = _uoi_rvi(grid, params, 3.0, h0=h0)
+    h0 = rng.normal(size=(len(grid.q_values) // 2 + 1, 2, 2)) * 50.0  # on |q|
+    _, half2, _ = _uoi_rvi(grid, params, 3.0, h0=h0)
+    table2 = _mirror(half2)
     agreement = np.mean(t1.table == table2)
     assert agreement >= 0.99
-    cost2, _ = evaluate_policy(grid, params, "uoi", table2)
+    cost2, _, _ = evaluate_policy(grid, params, "uoi", table2)
     assert t1.avg_cost == pytest.approx(cost2, rel=1e-6)
 
 
@@ -389,11 +405,11 @@ def test_evaluate_policy_always_vs_never():
     grid = MdpGrid(q_max=10.0, q_step=0.25, weight_support=((1.0, 1.0),))
     nq = len(grid.q_values)
     always = np.ones((nq, 1, 1))
-    cost_a, freq_a = evaluate_policy(grid, params, "uoi", always)
+    cost_a, freq_a, _ = evaluate_policy(grid, params, "uoi", always)
     assert freq_a == pytest.approx(1.0)
     assert cost_a == pytest.approx(1.0, rel=0.03)
     never = np.zeros((nq, 1, 1))
-    cost_n, freq_n = evaluate_policy(grid, params, "uoi", never)
+    cost_n, freq_n, _ = evaluate_policy(grid, params, "uoi", never)
     assert freq_n == 0.0
     assert cost_n > 20.0  # random walk pinned only by truncation
 
@@ -408,10 +424,57 @@ def test_evaluate_policy_reads_the_table_contents_on_every_call():
     table[np.abs(grid.q_values) >= 1.0] = 1.0
     second = evaluate_policy(grid, params, "uoi", table)
     assert second[1] > first[1] and second[0] < first[0]
-    dense = dense_uoi_chain(grid.q_values, *gaussian_kernel(grid, 1.0),
+    dense = dense_uoi_chain(grid.q_values, *gaussian_kernel(grid, 1.0)[:2],
                             grid.weight_support, 0.8, table)
-    assert second == pytest.approx(dense, rel=1e-10)
+    assert second[:2] == pytest.approx(dense, rel=1e-10)
     assert evaluate_policy(grid, params, "uoi", table.copy()) == second
+
+
+@pytest.mark.parametrize("table,problem", [
+    (np.full((9, 1, 1), 2.0), r"outside \[0, 1\]"),  # gave an attempt frequency of 2
+    (np.full((9, 1, 1), np.nan), "NaN"),             # gave (nan, nan)
+    (np.zeros((7, 1, 1)), r"shape \(7, 1, 1\)"),    # died in a numpy broadcast
+    (np.eye(9)[0][:, None, None], "not even in q"),  # sends at q = -2 only
+], ids=["above-one", "nan", "wrong-shape", "odd-in-q"])
+def test_evaluate_policy_rejects_a_table_it_cannot_evaluate(table, problem):
+    # the grid's 9 bins run q = -2, -1.5, ..., 2
+    grid = MdpGrid(q_max=2.0, q_step=0.5, weight_support=((1.0, 1.0),))
+    params = TerminalParams(id=0, p=0.8, sigma2=1.0, omega_bar=1.0)
+    with pytest.raises(ValueError, match=problem):
+        evaluate_policy(grid, params, "uoi", table)
+
+
+FOLD_CASES = [(25.0, 0.25, rho) for rho in (0.5, 0.25, 0.1, 0.01)] + [(50.0, 0.25, 0.25)]
+
+
+@pytest.mark.parametrize("q_max,q_step,rho", FOLD_CASES)
+def test_calibration_on_abs_q_matches_the_full_chain_oracle(q_max, q_step, rho):
+    # the chain on |q| gives the full chain's tables entry for entry; its
+    # averages and multiplier move by rounding only
+    params = desk_terminal()
+    grid = MdpGrid(q_max=q_max, q_step=q_step, weight_support=desk_weights().support())
+    oracle_lam, oracle = full_chain_calibration(grid, params, rho)
+    lam, table = calibrate_multiplier(grid, params, rho, "uoi")
+    assert np.array_equal(table.table, oracle.table)
+    assert table.iterations == oracle.iterations
+    for got, want in ((lam, oracle_lam), (table.avg_cost, oracle.avg_cost),
+                      (table.avg_freq, oracle.avg_freq), (table.gain, oracle.gain)):
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+    assert table.edge_mass == pytest.approx(oracle.edge_mass, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 0.25, 0.5])
+def test_edge_mass_is_the_stationary_mass_in_the_outermost_bins(rho):
+    # the default grid folds 1.8% of the mass into its boundary bins at a
+    # budget of 1e-3, and none to speak of from 0.1 on
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    _, table = calibrate_multiplier(grid, params, rho, "uoi")
+    if rho == 1e-3:
+        assert table.edge_mass == pytest.approx(0.0178, abs=5e-4)
+    else:
+        assert 0.0 <= table.edge_mass < 1e-12
+    assert calibrate_multiplier(grid, params, rho, "aoi")[1].edge_mass is None
 
 
 def test_constrained_optimum_dominates_adaptive_paired():

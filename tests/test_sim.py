@@ -46,7 +46,8 @@ def _fractional_table(cost_kind: str, q_max: float | None = None,
         table = np.clip((q - np.array([1.0, 0.5])[None, None, :nw]) / 2.0, 0.0, 1.0)
         table = np.broadcast_to(table, (len(grid.q_values), nw, nw)).copy()
     return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=0.0,
-                                 avg_freq=0.0, lam=0.0, grid=grid, gain=0.0, iterations=0)
+                                 avg_freq=0.0, lam=0.0, grid=grid, gain=0.0, iterations=0,
+                                 edge_mass=None)
 
 
 @pytest.mark.parametrize("policy,kind", [("rvi-uoi", "aoi"), ("rvi-aoi", "uoi")])
