@@ -59,6 +59,11 @@ CONFIGS = {
     "single-blind-long": {"scenario": "single", "horizon": 10001, "n_batches": 1,
                           "rho": 0.3, "trace": True, "thresholds": {"1": 2.0, "100": 1.0},
                           "policies": ["periodic", "random", "age-threshold", "rvi-aoi"]},
+    # a q step that is not a power of two, so (q + q_max) / q_step rounds, at
+    # a budget whose calibrated table sends at random at some q bins
+    "single-uoi-step03": {"scenario": "single", "horizon": 10000, "n_batches": 1,
+                          "rho": 0.25, "trace": True, "policies": ["rvi-uoi"],
+                          "mdp": {"q_max": 3.0, "q_step": 0.3}},
     "multi-n10": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,
                   "policies": MULTI, "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
     "multi-n30": {"scenario": "multi", "horizon": 3000, "replications": 2,

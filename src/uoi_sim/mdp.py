@@ -424,9 +424,9 @@ def format_policy_table(table: StationaryPolicyTable) -> str:
     else:
         w_vals = [w for w, _ in table.grid.weight_support]
         lines.append("# q w_now w_next -> P(transmit)")
-        q = table.grid.q_values
-        for iq, qq in enumerate(q):
-            for a, wa in enumerate(w_vals):
-                for b, wb in enumerate(w_vals):
-                    lines.append(f"{qq:.4f} {wa:g} {wb:g} {table.table[iq, a, b]:.4f}")
+        pairs = [f"{wa:g} {wb:g}" for wa in w_vals for wb in w_vals]
+        for qq, row in zip(table.grid.q_values.tolist(),
+                           table.table.reshape(len(table.table), -1).tolist(), strict=True):
+            head = f"{qq:.4f} "
+            lines += [f"{head}{pair} {u:.4f}" for pair, u in zip(pairs, row, strict=True)]
     return "\n".join(lines) + "\n"

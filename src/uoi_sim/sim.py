@@ -10,7 +10,7 @@ policy's own coin flips live on separate streams.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -117,8 +117,9 @@ def _batch_layout(T: int, n_batches: int) -> tuple[int, int]:
     return nb, max(1, T // nb)
 
 
-# Slots of stream arrays the single-terminal loops turn into Python lists at a
-# time: per-block lists keep a long run's memory near that of its arrays.
+# Slots the single-terminal loops walk at a time: each block records its e in
+# a Python list, so per-block lists keep a long run's memory near that of its
+# arrays.
 _BLOCK = 4096
 
 
@@ -157,6 +158,36 @@ def _send_entries(probs: np.ndarray) -> list:
     return [u if 0.0 < u < 1.0 else int(u >= 1.0) for u in probs.tolist()]
 
 
+def _q_bin(q: float, q_max: float, q_step: float) -> int:
+    """The bin of a uoi table that q is read at: the nearest one to q
+    clamped to [-q_max, q_max]."""
+    qc = q_max if q > q_max else (-q_max if q < -q_max else q)
+    return round((qc + q_max) / q_step)
+
+
+def _q_runs(row: list, q_max: float, q_step: float) -> tuple[list[float], list]:
+    """(edges, runs) of a table row by q bin, one entry per bin of the grid:
+    runs are its stretches of neighbours equal in value and type, and
+    edges[j] is the least float q whose `_q_bin` lies in run j + 1.  The
+    clamp, the rounded add and divide and `round` are each monotone, so the
+    bin never falls as q grows, and runs[bisect_right(edges, q)] is
+    row[_q_bin(q)] for every float q, infinities included."""
+    edges, runs = [], [row[0]]
+    for k, u in enumerate(row):
+        if u == runs[-1] and u.__class__ is runs[-1].__class__:
+            continue
+        # walk from near the bin's lower half-step to the least float whose
+        # bin reaches k: bin(-q_max) = 0 < k <= bin(q_max), so both walks end
+        x = (k - 0.5) * q_step - q_max
+        while x > -q_max and _q_bin(x, q_max, q_step) >= k:
+            x = math.nextafter(x, -math.inf)
+        while _q_bin(x, q_max, q_step) < k:
+            x = math.nextafter(x, math.inf)
+        edges.append(x)
+        runs.append(u)
+    return edges, runs
+
+
 def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: float,
                policy: str = "adaptive", horizon: int = 1_000_000,
                factory: StreamFactory | None = None,
@@ -184,14 +215,24 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     flipping the coin only where it is strictly between 0 and 1:
     age-threshold from age_threshold_for_budget(p, rho) on, rvi-aoi by its
     table.  rvi-uoi sends with its table's probability at q's nearest bin and
-    the weight pair (w_t, w_{t+1}); a realized weight outside the table grid's
-    weight_support, or a table entry outside [0, 1], raises ValueError."""
+    the weight pair (w_t, w_{t+1}); a table not of its grid's shape (nq, nw,
+    nw), a table entry outside [0, 1] or a realized weight outside the
+    grid's weight_support raises ValueError."""
     if policy not in POLICY_TABLE["single"].policies:
         raise ValueError(f"unknown policy {policy!r}")
     kind = getattr(policy_table, "cost_kind", None)
     if policy.startswith("rvi") and kind != policy[4:]:
         raise ValueError(f"policy {policy!r} needs a solved {policy[4:]!r} policy_table, "
                          f"got {kind!r}")
+    if policy == "rvi-uoi":  # (edges, runs) of q per (w_now, w_next) pair
+        grid, tab = policy_table.grid, policy_table.table
+        nw = len(grid.weight_support)
+        shape = (len(grid.q_values), nw, nw)
+        if np.shape(tab) != shape:
+            raise ValueError(f"the rvi-uoi policy table has shape {np.shape(tab)}, "
+                             f"its grid needs {shape}")
+        by_pair = [_q_runs(_send_entries(col), grid.q_max, grid.q_step)
+                   for col in tab.reshape(len(tab), -1).T]
     factory = factory or StreamFactory(0)
     T = int(horizon)
     tid = params.id
@@ -216,10 +257,6 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
         send = [0] * (min(age_threshold_for_budget(params.p, rho), T + 1) - 1) + [1]
     elif policy == "rvi-aoi":
         send = _send_entries(policy_table.table)
-    elif policy == "rvi-uoi":  # one list by q bin per (w_now, w_next) pair
-        grid, tab = policy_table.grid, policy_table.table
-        q_max, q_step, nw = grid.q_max, grid.q_step, len(grid.weight_support)
-        by_pair = [_send_entries(col) for col in tab.reshape(len(tab), -1).T]
 
     nb, batch_len = _batch_layout(T, n_batches)
     sums = [0.0] * nb
@@ -237,8 +274,8 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     # there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for b, t0, t1 in _blocks(T, nb, batch_len, _BLOCK):
-            inc_b = inc[t0:t1].tolist()
-            s_b = reach[t0:t1].tolist()
+            inc_b = memoryview(inc[t0:t1])   # yields the floats and bools of tolist()
+            s_b = memoryview(reach[t0:t1])
             es = []   # e entering slots t0 .. t1 - 1
             record = es.append
             if policy == "random":
@@ -273,7 +310,8 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
             elif policy == "adaptive":
                 hs = []   # H of each slot, recorded for the trace only
                 record_h = hs.append if trace else None
-                c_b = index_factor(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho).tolist()
+                c_b = memoryview(
+                    index_factor(w[t0 + 1:t1 + 1], params.omega_bar, params.p, rho))
                 for c, i, s in zip(c_b, inc_b, s_b):
                     record(e)
                     if record_h:
@@ -288,18 +326,18 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
                         e = q
                     if not h > 0.0:  # max(0.0, h), bit for bit
                         h = 0.0
-            else:  # rvi-uoi: the weight pair's entry at q's nearest bin
+            else:  # rvi-uoi: the weight pair's entry at q's bin, by its run
                 w_ahead, wi = w[t0:t1 + 1], np.full(t1 - t0 + 1, -1)
                 for x, (val, _) in enumerate(grid.weight_support):   # the last equal one wins
                     wi[w_ahead == val] = x
                 if wi.min() < 0:
                     raise ValueError(f"weight {w_ahead[wi.argmin()]} is not in the policy table's "
                                      f"weight_support {grid.weight_support}")
-                for pair, i, s in zip((wi[:-1] * nw + wi[1:]).tolist(), inc_b, s_b):
+                for pair, i, s in zip(memoryview(wi[:-1] * nw + wi[1:]), inc_b, s_b):
                     record(e)
                     q = a * e + i
-                    qc = q_max if q > q_max else (-q_max if q < -q_max else q)
-                    u = by_pair[pair][round((qc + q_max) / q_step)]
+                    edges, runs = by_pair[pair]
+                    u = runs[bisect_right(edges, q)]
                     if u.__class__ is float:
                         u = flip() < u
                     attempts += u

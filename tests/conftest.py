@@ -253,6 +253,26 @@ def full_chain_calibration(grid, params: TerminalParams, rho: float):
         return mdp.calibrate_multiplier(grid, params, rho, "uoi")
 
 
+def format_policy_table_per_line(table: StationaryPolicyTable) -> str:
+    """The table dump with every field formatted on every line, as
+    `mdp.format_policy_table` wrote it before it formatted each q value and
+    weight pair once."""
+    lines = [f"# cost_kind={table.cost_kind} avg_cost={table.avg_cost:.6f} "
+             f"avg_freq={table.avg_freq:.6f} lam={table.lam:.6g}"]
+    if table.cost_kind == "aoi":
+        lines.append("# age -> P(transmit)")
+        for i, u in enumerate(table.table):
+            lines.append(f"{i + 1} {u:.4f}")
+    else:
+        w_vals = [w for w, _ in table.grid.weight_support]
+        lines.append("# q w_now w_next -> P(transmit)")
+        for iq, qq in enumerate(table.grid.q_values):
+            for a, wa in enumerate(w_vals):
+                for b, wb in enumerate(w_vals):
+                    lines.append(f"{qq:.4f} {wa:g} {wb:g} {table.table[iq, a, b]:.4f}")
+    return "\n".join(lines) + "\n"
+
+
 # --------------------------------------------------------------------------
 # Step operations: the per-slot dynamics and update rules written one slot
 # and one terminal at a time, as the paper states them.  The reference runs

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (age_chain_averages, age_chain_bias, age_rule_table, dense_uoi_chain,
-                      desk_terminal, desk_weights, full_chain_calibration,
-                      relative_value_iteration)
+                      desk_terminal, desk_weights, format_policy_table_per_line,
+                      full_chain_calibration, relative_value_iteration)
 from uoi_sim import cli, harness, mdp
 from uoi_sim.core import FieldError, TerminalParams
 from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _age_rule_averages, _mirror, _uoi_rvi,
@@ -516,3 +516,13 @@ def test_format_policy_table_roundtrip_smoke():
     lines = text.strip().splitlines()
     assert lines[0].startswith("# cost_kind=uoi")
     assert len(lines) == 2 + 5 * 2 * 2
+
+
+@pytest.mark.parametrize("kind", ["uoi", "aoi"])
+def test_format_policy_table_writes_the_per_line_formatter_bytes(kind):
+    # the calibrated table on the default grid, randomized at rho = 0.25:
+    # fractional entries, negative q values and weights formatted by :g
+    params = desk_terminal()
+    grid = MdpGrid.default(params.sigma2, desk_weights().support())
+    table = calibrate_multiplier(grid, params, rho=0.25, cost_kind=kind)[1]
+    assert format_policy_table(table) == format_policy_table_per_line(table)

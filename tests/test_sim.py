@@ -1,11 +1,15 @@
 """Simulator loops against step-operation references and stream contracts."""
 
+import bisect
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (COLLISION, AoIState, ErrorQueue, ThresholdState, adapt_threshold_state,
                       certainty_equivalent_control, contention_window, decide_update,
@@ -161,6 +165,54 @@ def test_rvi_uoi_rejects_a_weight_outside_its_table(weights):
                                          r"weight_support \(\(1\.0, 0\.99\), \(100\.0, 0\.01\)\)"):
         run_single(desk_terminal(), weights, 0.25, 1.0, policy="rvi-uoi", horizon=5000,
                    factory=StreamFactory(4), policy_table=_fractional_table("uoi"))
+
+
+@pytest.mark.parametrize("cut", [
+    pytest.param(np.s_[:-1], id="short"),
+    pytest.param(np.s_[:, :1, :1], id="one-weight"),
+    pytest.param(None, id="long"),
+])
+def test_rvi_uoi_rejects_a_table_not_of_its_grid_shape(cut):
+    table = _fractional_table("uoi", q_max=2.0)
+    bad = (np.concatenate((table.table, table.table[:1])) if cut is None
+           else table.table[cut])
+    factory = StreamFactory(4)
+    with pytest.raises(ValueError, match=re.escape(
+            f"table has shape {bad.shape}, its grid needs {table.table.shape}")):
+        run_single(desk_terminal(), desk_weights(), 0.25, 1.0, policy="rvi-uoi", horizon=100,
+                   factory=factory, policy_table=replace(table, table=bad))
+    assert factory.draw_counts() == {}
+
+
+def _nearest_bin(q: float, q_max: float, q_step: float) -> int:
+    """The q bin of a uoi table row, as `table_lookup` finds it."""
+    return int(round((min(max(q, -q_max), q_max) + q_max) / q_step))
+
+
+_ENTRY = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, 0.5]),
+                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from([(25.0, 0.25), (8.0, 0.5), (3.0, 0.3)]), data=st.data())
+def test_q_runs_read_the_entry_of_the_nearest_bin_at_every_float(grid, data):
+    # the 0/1 entries as ints or floats, so that equal values of two types
+    # stay apart; the queries are every bin's half-step and its neighbours,
+    # the edges found and their lower neighbours, the clamp's bounds and
+    # the floats past them, the infinities, both zeros and random floats
+    q_max, q_step = grid
+    n = 2 * round(q_max / q_step) + 1
+    row = data.draw(st.lists(_ENTRY, min_size=1, max_size=8).flatmap(
+        lambda values: st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    edges, runs = sim._q_runs(row, q_max, q_step)
+    halves = [(k - 0.5) * q_step - q_max for k in range(1, n)]
+    queries = [*halves, *edges, q_max, -q_max, math.inf, -math.inf, 0.0, -0.0,
+               math.nextafter(q_max, math.inf), math.nextafter(-q_max, -math.inf),
+               *data.draw(st.lists(st.floats(allow_nan=False), max_size=50))]
+    queries += [math.nextafter(x, d) for x in halves + edges for d in (math.inf, -math.inf)]
+    for q in queries:
+        got, want = runs[bisect.bisect_right(edges, q)], row[_nearest_bin(q, q_max, q_step)]
+        assert (got.__class__, got) == (want.__class__, want), q
 
 
 @pytest.mark.parametrize("entry", [math.nan, -0.25, 1.5])
