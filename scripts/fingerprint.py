@@ -75,6 +75,11 @@ CONFIGS = {
     "multi-burst": {"scenario": "multi", "horizon": 1200, "n_batches": 7,
                     "policies": ["stationary", "centralized", "round-robin"],
                     "fleet": _fleet(5, k=3), "weights": BURST_WEIGHTS},
+    # equal p, so the age index ties in every slot and top K breaks ties by id
+    "multi-tied": {"scenario": "multi", "horizon": 3000, "replications": 2, "trace": True,
+                   "policies": ["aoi", "centralized"], "thresholds": {"1": 3.0, "100": 1.0},
+                   "fleet": {"n": 10, "k": 2, "p_min": 0.8, "p_max": 0.8, "sigma2": 1.0},
+                   "weights": FLEET_WEIGHTS},
     "csma-n10-w16": {"scenario": "csma", "horizon": 3000, "replications": 2, "trace": True,
                      "policies": ["distributed", "centralized"], "fleet": _fleet(10),
                      "contention": {"w": 16}, "weights": FLEET_WEIGHTS},

@@ -176,14 +176,12 @@ def _q_runs(row: list, q_max: float, q_step: float) -> tuple[list[float], list]:
     for k, u in enumerate(row):
         if u == runs[-1] and u.__class__ is runs[-1].__class__:
             continue
-        # walk from near the bin's lower half-step to the least float whose
-        # bin reaches k: bin(-q_max) = 0 < k <= bin(q_max), so both walks end
-        x = (k - 0.5) * q_step - q_max
-        while x > -q_max and _q_bin(x, q_max, q_step) >= k:
-            x = math.nextafter(x, -math.inf)
-        while _q_bin(x, q_max, q_step) < k:
-            x = math.nextafter(x, math.inf)
-        edges.append(x)
+        # bisect between the centres of bins k - 1 and k, keeping bin(lo) < k
+        # <= bin(hi), until lo and hi are neighbouring floats
+        lo, hi = (k - 1) * q_step - q_max, k * q_step - q_max
+        while (x := (lo + hi) / 2) != lo and x != hi:
+            lo, hi = (lo, x) if _q_bin(x, q_max, q_step) >= k else (x, hi)
+        edges.append(hi)
         runs.append(u)
     return edges, runs
 
@@ -383,10 +381,10 @@ class FleetLane(NamedTuple):
     window: int | None = None
 
 
-def _topk_ids(values: np.ndarray, k: int) -> np.ndarray:
-    """Largest-k ids along the last axis, ties to the lowest id (stable sort
-    on descending value)."""
-    return (-values).argsort(axis=-1, kind="stable")[..., :k]
+def _topk_ids(neg_values: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the k largest values along the last axis, given the negated
+    values, ties to the lowest id (stable ascending sort)."""
+    return neg_values.argsort(axis=-1, kind="stable")[..., :k]
 
 
 # Elements of one (lane, terminal, slot) block array: blocks get shorter as
@@ -448,16 +446,16 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     pi = waterfill(fleet).pi
 
     # Each distributed lane's slot scale, threshold step, expected window
-    # length, contention threshold (also as a column, for one compare per
-    # slot) and window monitors.  The distributed lanes' terminals share one
-    # flat id space, terminal i of distributed lane c being c * n + i, which
-    # indexes its backoff draw too.
+    # length, contention threshold (also negated as a column, for one compare
+    # per slot) and window monitors.  The distributed lanes' terminals share
+    # one flat id space, terminal i of distributed lane c being c * n + i,
+    # which indexes its backoff draw too.
     n_csma = r0 - x0
     scales = [c.slot_scale for c in windows]
     delta_j = [csma_mod.default_delta_j(omega_bar, sigma2 * s) for s in scales]
     expected = [c.expected_window for c in windows]
     j_th = [0.0] * n_csma
-    j_col = np.zeros((n_csma, 1))
+    neg_j_col = np.zeros((n_csma, 1))
     backoff = [Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
                for f, c in zip(factories[x0:r0], windows) for i in range(n)]
     lane_ends = [(c + 1) * n for c in range(n_csma)]
@@ -503,10 +501,13 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     batch_sums = np.zeros((L, nb))
     q = np.zeros((L, n))
     delta = np.ones((c0, n))   # ages of the aoi lanes, exact as floats
-    # Per-slot scores of lanes [0, r0): the aoi lanes' age index, then the
-    # update index of the centralized and distributed lanes.  The aoi and
-    # centralized rows, [0, x0), each send their top K.
+    neg_p = -p
+    # Per-slot negated scores of lanes [0, r0), exact as rounding is
+    # sign-symmetric: the aoi lanes' age index, then the update index of the
+    # centralized and distributed lanes.  The aoi and centralized rows,
+    # [0, x0), each send their top K.
     scores = np.empty((r0, n))
+    delivered = np.empty((L, n), dtype=bool)
     aoi_scores, index_scores, topk_scores = scores[:c0], scores[c0:], scores[:x0]
     topk_rows = np.arange(x0)[:, None]
     csma_scores = scores[x0:]
@@ -550,9 +551,10 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             for lane, scale in enumerate(scales, x0):
                 a_js[:, lane] *= math.sqrt(scale)
             s_js = np.ascontiguousarray(lanes_of(s_chunk, o0, o1).transpose(2, 0, 1))
-            if r0 > c0:  # the update index's factor, per slot
-                index_coef = index_factor(
+            if r0 > c0:  # the update index's factor, per slot, negated in place
+                neg_coef = index_factor(
                     w_blk[indexed, :, 1:].transpose(2, 0, 1), omega_bar, p, pi)
+                np.negative(neg_coef, out=neg_coef)
 
             # sent[j, lane] holds the lane's transmissions in slot t0 + j that
             # can deliver.  Round-robin and stationary never read the error,
@@ -575,13 +577,13 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                 sent_j = sent[j]
                 if r0 > c0:
                     q_ix = q[indexed]
-                    np.multiply(index_coef[j], q_ix * q_ix, out=index_scores)
+                    np.multiply(neg_coef[j], q_ix * q_ix, out=index_scores)
                 if c0:
-                    np.multiply(p * delta, delta + 1.0, out=aoi_scores)
+                    np.multiply(neg_p * delta, delta + 1.0, out=aoi_scores)
                 if x0:
                     sent_j[topk_rows, _topk_ids(topk_scores, k)] = True
                 if n_csma:
-                    np.greater(csma_scores, j_col, over)
+                    np.less(csma_scores, neg_j_col, over)
                     active = over_flat.nonzero()[0].tolist()
                     sent_c = csma_sent[j]
                     lo = 0
@@ -597,15 +599,20 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                             collider_sum[c] += len(colliders)
                         window_sum[c] += window_len
                         idle_sum[c] += idle
-                        j_th[c] = j_col[c, 0] = adapt_threshold(
+                        j_th[c] = adapt_threshold(
                             j_th[c], delta_j[c], idle, window_len, expected[c])
+                        neg_j_col[c, 0] = -j_th[c]
                         j_hist[c].append(j_th[c])
 
-                delivered = sent_j & s_js[j]
-                np.add(np.where(delivered, 0.0, q), a_js[j], out=q_hist[j + 1])
+                # a delivered q restarts at inc, not 0.0 + inc: only the sign
+                # of an exactly zero inc differs, and no output reads it
+                np.logical_and(sent_j, s_js[j], delivered)
+                q_next = q_hist[j + 1]
+                np.add(q, a_js[j], q_next)
+                np.putmask(q_next, delivered, a_js[j])
                 if c0:
                     delta += 1.0
-                    delta[delivered[:c0]] = 1.0
+                    np.putmask(delta, delivered[:c0], 1.0)
             q = q_hist[nblk]
 
             # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
@@ -622,11 +629,12 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             if collided:
                 np.add.at(csma_attempts, collided, 1)  # csma data sent and wasted
             if n_csma:
-                csma_idx = index_coef[:, x0 - c0:] * q2[x0:r0].transpose(1, 0, 2)
-                np.maximum(max_index, csma_idx.max(axis=(0, 2)), out=max_index)
-            if thresholds:
-                thr = _threshold_array(w_slots[:, :nblk], thresholds)
-                violations += np.count_nonzero(np.abs(q_lanes) > thr, axis=(1, 2))
+                neg_idx = neg_coef[:, x0 - c0:] * q2[x0:r0].transpose(1, 0, 2)
+                np.maximum(max_index, -neg_idx.min(axis=(0, 2)), out=max_index)
+            if thresholds:   # looked up per CRN group, then gathered to its lanes
+                thr = lanes_of(_threshold_array(w_chunk[:, :, o0:o1], thresholds), 0, nblk)
+                violations += np.count_nonzero(np.abs(q_lanes) > thr.transpose(0, 2, 1),
+                                               axis=(1, 2))
             for lane, trace in enumerate(rows):
                 if trace is not None:
                     aux = j_hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk

@@ -20,8 +20,9 @@ from uoi_sim.sim import _topk_ids
 
 
 def schedule_topk(values, k):
-    """The fleet simulator's top-K rule, as a list of ids."""
-    return _topk_ids(np.asarray(values, dtype=float), k).tolist()
+    """The fleet simulator's top-K rule, as a list of ids: it ranks the
+    negated values."""
+    return _topk_ids(-np.asarray(values, dtype=float), k).tolist()
 
 
 def test_waterfill_examples():

@@ -24,7 +24,7 @@ from uoi_sim.core import (ConstantWeights, FieldError, GaussianIncrements, Termi
 from uoi_sim.csma import ContentionConfig, default_delta_j
 from uoi_sim.harness import config_from_dict, run
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
-from uoi_sim.multi import waterfill
+from uoi_sim.multi import FleetConfig, waterfill
 from uoi_sim.rng import KINDS, StreamFactory
 from uoi_sim.sim import (POLICY_TABLE, FleetLane, age_threshold_for_budget, run_fleet_lanes,
                          run_single, stderr_from_batches)
@@ -215,6 +215,19 @@ def test_q_runs_read_the_entry_of_the_nearest_bin_at_every_float(grid, data):
         assert (got.__class__, got) == (want.__class__, want), q
 
 
+@pytest.mark.parametrize("k", [1, 399, 400, 401, 402, 800])
+def test_q_runs_find_an_edge_in_few_bin_reads(k, monkeypatch):
+    # 50 sigma / 0.125 sigma, 400 bins a side: a float-by-float walk read
+    # up to 260 bins for an edge next to q = 0 (k = 400, 401)
+    q_max, q_step = 50.0, 0.125
+    q_bin, reads = sim._q_bin, []
+    monkeypatch.setattr(sim, "_q_bin", lambda *args: reads.append(args) or q_bin(*args))
+    edges, runs = sim._q_runs([0] * k + [1] * (801 - k), q_max, q_step)
+    assert runs == [0, 1] and len(reads) <= 60
+    assert q_bin(math.nextafter(edges[0], -math.inf), q_max, q_step) < k
+    assert q_bin(edges[0], q_max, q_step) == k
+
+
 @pytest.mark.parametrize("entry", [math.nan, -0.25, 1.5])
 @pytest.mark.parametrize("policy", ["rvi-uoi", "rvi-aoi"])
 def test_table_rules_reject_an_entry_that_is_not_a_probability(policy, entry):
@@ -338,10 +351,21 @@ def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
     assert runs() == default
 
 
-def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centralized"):
-    """Centralized index, AoI, round-robin or stationary scheduling rebuilt
+FLEET_THRESHOLDS = {1.0: 4.0, 100.0: 1.5}
+
+
+def _violations(w, queues, t):
+    """Terminals whose |q| in slot t exceeds the FLEET_THRESHOLDS bound of
+    their weight w_t; a weight without a bound never violates."""
+    return sum(abs(queue.q) > FLEET_THRESHOLDS.get(w_i[t], math.inf)
+               for w_i, queue in zip(w, queues))
+
+
+def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centralized", rep=0):
+    """(average UoI, violation probability, per-terminal attempts) of
+    centralized index, AoI, round-robin or stationary scheduling rebuilt
     from the step operations."""
-    factory = StreamFactory(seed)
+    factory = StreamFactory(seed, rep)
     n = fleet.n
     w = [weights.sample_block(factory.stream("weight", i), 0, horizon + 1) for i in range(n)]
     inc = [GaussianIncrements(fleet.terminals[i].sigma2).sample_block(
@@ -352,8 +376,10 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
     queues = [ErrorQueue() for _ in range(n)]
     ages = AoIState.fresh(n)
     total = 0.0
+    violations, attempts = 0, [0] * n
     for t in range(horizon):
         total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
+        violations += _violations(w, queues, t)
         if scheduler == "aoi":
             chosen = set(schedule_aoi(ages, fleet))
         elif scheduler == "round-robin":
@@ -364,42 +390,48 @@ def _reference_fleet_run(fleet, weights, pi, horizon, seed, scheduler="centraliz
             indices = [multi_update_index(fleet.terminals[i], pi[i], w[i][t + 1], queues[i].q)
                        for i in range(n)]
             chosen = set(schedule_topk(indices, fleet.k))
+        for i in chosen:
+            attempts[i] += 1
         delivered = np.array([i in chosen and bool(s[i][t]) for i in range(n)])
         ages = step_aoi(ages, delivered)
         queues = [step_error(queues[i], int(i in chosen), int(s[i][t]), inc[i][t])
                   for i in range(n)]
-    return total / horizon
+    return total / horizon, violations / (n * horizon), attempts
+
+
+def _check_against_reference(fleet, scheduler, horizon, seed):
+    """Run one `scheduler` lane with FLEET_THRESHOLDS and check its average
+    UoI, violation probability and attempts against the step operations."""
+    weights = fleet_weights()
+    avg, violation_prob, attempts = _reference_fleet_run(
+        fleet, weights, waterfill(fleet).pi, horizon, seed, scheduler)
+    res = run_fleet_lanes(fleet, weights, [FleetLane(scheduler, StreamFactory(seed))],
+                          horizon=horizon, thresholds=FLEET_THRESHOLDS)[0]
+    assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
+    assert res.violation_prob == violation_prob > 0.0
+    assert (res.update_freq * horizon).round().astype(int).tolist() == attempts
 
 
 def test_run_fleet_matches_operation_reference():
-    fleet = make_fleet(4, k=2)
-    pi = waterfill(fleet).pi
-    weights = fleet_weights()
-    ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=31)
-    res = run_fleet_lanes(fleet, weights, [FleetLane("centralized", StreamFactory(31))],
-                          horizon=2000)[0]
-    assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+    _check_against_reference(make_fleet(4, k=2), "centralized", horizon=2000, seed=31)
 
 
 def test_run_fleet_aoi_matches_operation_reference():
-    fleet = make_fleet(5, k=2)
-    pi = waterfill(fleet).pi
-    weights = fleet_weights()
-    ref = _reference_fleet_run(fleet, weights, pi, horizon=2000, seed=32, scheduler="aoi")
-    res = run_fleet_lanes(fleet, weights, [FleetLane("aoi", StreamFactory(32))],
-                          horizon=2000)[0]
-    assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+    _check_against_reference(make_fleet(5, k=2), "aoi", horizon=2000, seed=32)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 7])
+@pytest.mark.parametrize("scheduler", ["aoi", "centralized"])
+def test_top_k_ties_go_to_the_lowest_id(scheduler, k):
+    # equal p: the age index ties in every slot, every update index ties at
+    # q = 0 in slot 0, and k >= N = 5 sends every terminal
+    fleet = FleetConfig.spread(5, k, 0.8, 0.8, 1.0, fleet_weights().mean)
+    _check_against_reference(fleet, scheduler, horizon=1000, seed=36)
 
 
 @pytest.mark.parametrize("scheduler", ["round-robin", "stationary"])
 def test_run_fleet_blind_schedulers_match_operation_reference(scheduler):
-    fleet = make_fleet(5, k=2)
-    pi = waterfill(fleet).pi
-    weights = fleet_weights()
-    ref = _reference_fleet_run(fleet, weights, pi, horizon=1000, seed=33, scheduler=scheduler)
-    res = run_fleet_lanes(fleet, weights, [FleetLane(scheduler, StreamFactory(33))],
-                          horizon=1000)[0]
-    assert res.avg_uoi == pytest.approx(ref, rel=1e-12)
+    _check_against_reference(make_fleet(5, k=2), scheduler, horizon=1000, seed=33)
 
 
 @pytest.mark.parametrize("elements,n_batches", [(37 * 5, 10), (300 * 5, 1), (1 << 17, 1)])
@@ -408,7 +440,7 @@ def test_stationary_coins_are_those_of_a_buffered_stream(elements, n_batches, mo
     # part) and one of 1000: the coins and the draw count are a Buffered's
     fleet = make_fleet(5, k=2)
     ref = _reference_fleet_run(fleet, fleet_weights(), waterfill(fleet).pi, horizon=1000,
-                               seed=33, scheduler="stationary")
+                               seed=33, scheduler="stationary")[0]
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", elements)
     factory = StreamFactory(33)
     res = run_fleet_lanes(fleet, fleet_weights(), [FleetLane("stationary", factory)],
@@ -417,11 +449,11 @@ def test_stationary_coins_are_those_of_a_buffered_stream(elements, n_batches, mo
     assert factory.draw_counts(("scheduler",)) == {("scheduler", 0): 1024}
 
 
-def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
-    """(average UoI, attempts, final threshold, window monitors) of the csma
-    scheduler rebuilt from the step operations, and the run's stream
-    factory."""
-    factory = StreamFactory(seed)
+def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed, rep=0):
+    """(average UoI, violation probability, attempts, final threshold,
+    largest update index, window monitors) of the csma scheduler rebuilt
+    from the step operations, and the run's stream factory."""
+    factory = StreamFactory(seed, rep)
     n = fleet.n
     scale = math.sqrt(cfg.slot_scale)
     w = [weights.sample_block(factory.stream("weight", i), 0, horizon + 1) for i in range(n)]
@@ -439,12 +471,15 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
     threshold = ThresholdState(j_th=0.0, delta_j=delta_j)
     attempts = [0] * n
     total = 0.0
-    window_len = colliders = idle = 0
+    violations = window_len = colliders = idle = 0
+    max_index = 0.0
     for t in range(horizon):
         total += sum(uoi(w[i][t], queues[i].q) for i in range(n)) / n
-        active = [i for i in range(n)
-                  if multi_update_index(fleet.terminals[i], pi[i], w[i][t + 1], queues[i].q)
-                  > threshold.j_th]
+        violations += _violations(w, queues, t)
+        indices = [multi_update_index(fleet.terminals[i], pi[i], w[i][t + 1], queues[i].q)
+                   for i in range(n)]
+        max_index = max(max_index, *indices)
+        active = [i for i in range(n) if indices[i] > threshold.j_th]
         window = contention_window({i: next(backoffs[i]) for i in active}, cfg.w, cfg.k)
         threshold = adapt_threshold_state(threshold, window, cfg)
         window_len += window.window_len
@@ -459,7 +494,12 @@ def _reference_csma_run(fleet, weights, pi, cfg, delta_j, horizon, seed):
                 "expected_window": cfg.expected_window,
                 "colliders_per_window": colliders / horizon,
                 "idle_channels_per_window": idle / horizon}
-    return total / horizon, attempts, threshold.j_th, monitors, factory
+    return (total / horizon, violations / (n * horizon), attempts, threshold.j_th, max_index,
+            monitors, factory)
+
+
+def _csma_delta_j(fleet, cfg):
+    return default_delta_j(fleet.array("omega_bar"), fleet.array("sigma2") * cfg.slot_scale)
 
 
 @pytest.mark.parametrize("w", [2, 4, 16])
@@ -468,22 +508,42 @@ def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
     pi = waterfill(fleet).pi
     weights = fleet_weights()
     cfg = ContentionConfig(w=w, k=2)
-    delta_j = default_delta_j(fleet.array("omega_bar"), fleet.array("sigma2") * cfg.slot_scale)
-    avg, attempts, j_th, monitors, ref_factory = _reference_csma_run(
+    delta_j = _csma_delta_j(fleet, cfg)
+    avg, violation_prob, attempts, j_th, max_index, monitors, ref_factory = _reference_csma_run(
         fleet, weights, pi, cfg, delta_j=delta_j, horizon=1500, seed=34)
     factory = StreamFactory(34)
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 97 * fleet.n)   # 97-slot blocks
     res = run_fleet_lanes(fleet, weights, [FleetLane("distributed", factory, window=w)],
-                          horizon=1500)[0]
+                          horizon=1500, thresholds=FLEET_THRESHOLDS)[0]
     assert res.avg_uoi == pytest.approx(avg, rel=1e-12)
+    assert res.violation_prob == violation_prob > 0.0
     assert (res.update_freq * 1500).round().astype(int).tolist() == attempts
     assert res.extras["final_j_th"] == pytest.approx(j_th, rel=1e-12)
+    assert res.extras["max_index"] == pytest.approx(max_index, rel=1e-12)
     assert res.extras["delta_j"] == delta_j
     assert {key: res.extras[key] for key in monitors} == monitors
     assert factory.draw_counts() == ref_factory.draw_counts()
 
 
-FLEET_THRESHOLDS = {1.0: 4.0, 100.0: 1.5}
+def test_fleet_violations_of_two_replications_match_the_references(monkeypatch):
+    # two (seed, replication) groups of five lanes each, one call: the
+    # bounds are looked up per group and gathered to its lanes
+    fleet = make_fleet(5, k=2)
+    pi = waterfill(fleet).pi
+    weights = fleet_weights()
+    cfg = ContentionConfig(w=4, k=2)
+    schedulers = ("centralized", "aoi", "round-robin", "stationary", "distributed")
+    lanes = [_lane(sched, StreamFactory(37, rep)) for rep in (0, 1) for sched in schedulers]
+    monkeypatch.setattr(sim, "_LANE_ELEMENTS", 61 * len(lanes) * fleet.n)   # 61-slot blocks
+    results = run_fleet_lanes(fleet, weights, lanes, horizon=400, thresholds=FLEET_THRESHOLDS)
+    for lane, res in zip(lanes, results):
+        rep = lane.factory.replication
+        if lane.policy == "distributed":
+            want = _reference_csma_run(fleet, weights, pi, cfg, _csma_delta_j(fleet, cfg),
+                                       horizon=400, seed=37, rep=rep)[1]
+        else:
+            want = _reference_fleet_run(fleet, weights, pi, 400, 37, lane.policy, rep=rep)[1]
+        assert res.violation_prob == want > 0.0, (lane.policy, rep)
 
 
 def _fleet_outputs(res, factory):
