@@ -95,6 +95,15 @@ CONFIGS = {
                    "policies": ["distributed", "centralized"], "fleet": _fleet(10),
                    "contention": {"w": 8}, "thresholds": {"1": 3.0, "100": 1.0},
                    "weights": FLEET_WEIGHTS},
+    # one sub-channel: every window closes at its first firing mini-slot
+    "csma-n8-k1-w4": {"scenario": "csma", "horizon": 3000, "replications": 2, "trace": True,
+                      "policies": ["distributed", "centralized"], "fleet": _fleet(8, k=1),
+                      "contention": {"w": 4}, "weights": FLEET_WEIGHTS},
+    # W = K: no window closes early, so the threshold stays at zero and most
+    # terminals contend, and collide, in most slots
+    "csma-storm-n12-w2": {"scenario": "csma", "horizon": 3000, "n_batches": 7,
+                          "policies": ["distributed"], "fleet": _fleet(12),
+                          "contention": {"w": 2}, "weights": FLEET_WEIGHTS},
     "csma-all": {"scenario": "csma", "horizon": 3000, "replications": 2,
                  "policies": ["distributed"] + MULTI, "fleet": _fleet(10),
                  "contention": {"w": 8}, "weights": FLEET_WEIGHTS},

@@ -3,7 +3,7 @@
 from .core import (ConstantWeights, GaussianIncrements, PeriodicBurstWeights,
                    TerminalParams, TwoPointWeights, WeightProcess,
                    sample_channel_block)
-from .csma import ContentionConfig, adapt_threshold, contend, default_delta_j
+from .csma import ContentionConfig, ContentionLanes, default_delta_j
 from .harness import (ConfigError, ExperimentConfig, RunMetrics,
                       config_from_dict, export, load_config, run)
 from .mdp import (MdpGrid, StationaryPolicyTable, calibrate_multiplier,

@@ -13,6 +13,7 @@ weight times the squared error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ class FieldError(ValueError):
         super().__init__(f"{field} {reason}")
         self.field = field
         self.reason = reason
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an integer; a bool is not, though Python counts it."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def require(ok: bool, field: str, value, requirement: str) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TerminalParams, require
+from .core import TerminalParams, is_integer, require
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class FleetConfig:
 
     def __post_init__(self):
         require(len(self.terminals) >= 1, "terminals", self.terminals, "nonempty")
-        require(self.k >= 1, "k", self.k, "at least 1")
+        require(is_integer(self.k) and self.k >= 1, "k", self.k, "an integer at least 1")
 
     @classmethod
     def spread(cls, n: int, k: int, p_min: float, p_max: float, sigma2: float,

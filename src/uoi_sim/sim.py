@@ -445,21 +445,16 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     omega_bar = fleet.array("omega_bar")
     pi = waterfill(fleet).pi
 
-    # Each distributed lane's slot scale, threshold step, expected window
-    # length, contention threshold (also negated as a column, for one compare
-    # per slot) and window monitors.  The distributed lanes' terminals share
-    # one flat id space, terminal i of distributed lane c being c * n + i,
-    # which indexes its backoff draw too.
+    # Each distributed lane's slot scale and threshold step, and the lanes'
+    # contention state; terminal i of distributed lane c has flat id c * n + i.
     n_csma = r0 - x0
     scales = [c.slot_scale for c in windows]
     delta_j = [csma_mod.default_delta_j(omega_bar, sigma2 * s) for s in scales]
-    expected = [c.expected_window for c in windows]
-    j_th = [0.0] * n_csma
-    neg_j_col = np.zeros((n_csma, 1))
-    backoff = [Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
-               for f, c in zip(factories[x0:r0], windows) for i in range(n)]
-    lane_ends = [(c + 1) * n for c in range(n_csma)]
-    window_sum, collider_sum, idle_sum = [0] * n_csma, [0] * n_csma, [0] * n_csma
+    contention = csma_mod.ContentionLanes(
+        windows, n, delta_j,
+        [Buffered(partial(f.stream("backoff", i).integers, high=c.w)).next
+         for f, c in zip(factories[x0:r0], windows) for i in range(n)],
+        [lanes[i].trace for i in order[x0:r0]])
     max_index = np.zeros(n_csma)
 
     # The stationary lanes' coins: a block draws the whole 256-variate buffers
@@ -508,12 +503,10 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     # [0, x0), each send their top K.
     scores = np.empty((r0, n))
     delivered = np.empty((L, n), dtype=bool)
+    delivered_aoi = delivered[:c0]
     aoi_scores, index_scores, topk_scores = scores[:c0], scores[c0:], scores[:x0]
-    topk_rows = np.arange(x0)[:, None]
+    topk_offsets = np.arange(0, x0 * n, n)[:, None]   # lane starts in a slot's flat row
     csma_scores = scores[x0:]
-    over = np.empty((n_csma, n), dtype=bool)   # csma contenders, by flat id
-    over_flat = over.reshape(-1)
-    contend, adapt_threshold = csma_mod.contend, csma_mod.adapt_threshold
     attempts = np.zeros((L, n), dtype=np.int64)
     csma_attempts = attempts[x0:r0].reshape(-1)
     violations = np.zeros(L, dtype=np.int64)
@@ -560,7 +553,8 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             # can deliver.  Round-robin and stationary never read the error,
             # so their whole block is decided up front.
             sent = np.zeros((nblk, L, n), dtype=bool)
-            csma_sent = sent.reshape(nblk, L * n)[:, x0 * n:r0 * n]   # by flat id
+            sent_flat = sent.reshape(nblk, L * n)
+            csma_sent = sent_flat[:, x0 * n:r0 * n]   # by flat id
             if s0 > r0:
                 sent[:, r0:s0] = schedule_round_robin(np.arange(t0, t1), n, k)[:, None]
             for c, stream in enumerate(coin_streams):
@@ -570,49 +564,29 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                 spare[c] = blk_coins[nblk:]
             q_hist = np.empty((nblk + 1, L, n))     # q_hist[j] is q of slot t0 + j
             q_hist[0] = q
-            j_hist = [[] for _ in range(n_csma)]
-            collided = []                           # flat ids of colliding csma terminals
             for j in range(nblk):
                 q = q_hist[j]
-                sent_j = sent[j]
+                a_j = a_js[j]
                 if r0 > c0:
                     q_ix = q[indexed]
                     np.multiply(neg_coef[j], q_ix * q_ix, out=index_scores)
                 if c0:
-                    np.multiply(neg_p * delta, delta + 1.0, out=aoi_scores)
+                    delta1 = delta + 1.0
+                    np.multiply(neg_p * delta, delta1, out=aoi_scores)
                 if x0:
-                    sent_j[topk_rows, _topk_ids(topk_scores, k)] = True
+                    sent_flat[j][_topk_ids(topk_scores, k) + topk_offsets] = True
                 if n_csma:
-                    np.less(csma_scores, neg_j_col, over)
-                    active = over_flat.nonzero()[0].tolist()
-                    sent_c = csma_sent[j]
-                    lo = 0
-                    for c in range(n_csma):
-                        hi = bisect_left(active, lane_ends[c], lo)
-                        winners, colliders, window_len, idle = contend(
-                            active[lo:hi], windows[c], backoff)
-                        lo = hi
-                        for tid in winners:   # faster than one fancy-index store
-                            sent_c[tid] = True
-                        if colliders:
-                            collided += colliders
-                            collider_sum[c] += len(colliders)
-                        window_sum[c] += window_len
-                        idle_sum[c] += idle
-                        j_th[c] = adapt_threshold(
-                            j_th[c], delta_j[c], idle, window_len, expected[c])
-                        neg_j_col[c, 0] = -j_th[c]
-                        j_hist[c].append(j_th[c])
+                    contention.step(csma_scores, csma_sent[j])
 
                 # a delivered q restarts at inc, not 0.0 + inc: only the sign
                 # of an exactly zero inc differs, and no output reads it
-                np.logical_and(sent_j, s_js[j], delivered)
+                np.logical_and(sent[j], s_js[j], delivered)
                 q_next = q_hist[j + 1]
-                np.add(q, a_js[j], q_next)
-                np.putmask(q_next, delivered, a_js[j])
-                if c0:
-                    delta += 1.0
-                    np.putmask(delta, delivered[:c0], 1.0)
+                np.add(q, a_j, q_next)
+                np.putmask(q_next, delivered, a_j)
+                if c0:   # ages: the delivered restart at 1
+                    np.putmask(delta1, delivered_aoi, 1.0)
+                    delta = delta1
             q = q_hist[nblk]
 
             # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
@@ -626,8 +600,9 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             if not np.isfinite(batch_sums[:, b]).all():  # every non-finite f reaches its sum
                 raise NonFiniteCost(f"a lane's batch cost sum is not finite after {t1} slots")
             attempts += sent.sum(axis=0)
-            if collided:
-                np.add.at(csma_attempts, collided, 1)  # csma data sent and wasted
+            if contention.collided:   # csma data sent and wasted
+                np.add.at(csma_attempts, contention.collided, 1)
+                contention.collided.clear()
             if n_csma:
                 neg_idx = neg_coef[:, x0 - c0:] * q2[x0:r0].transpose(1, 0, 2)
                 np.maximum(max_index, -neg_idx.min(axis=(0, 2)), out=max_index)
@@ -637,8 +612,9 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                                                axis=(1, 2))
             for lane, trace in enumerate(rows):
                 if trace is not None:
-                    aux = j_hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk
+                    aux = contention.hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk
                     trace.extend(zip(range(t0, t1), aux, f[lane].tolist()))
+                    aux.clear()
 
     out = [None] * L
     for lane, i in enumerate(order):
@@ -650,11 +626,11 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                   "mean_window_len": None, "expected_window": None,
                   "colliders_per_window": None, "idle_channels_per_window": None}
         if c is not None:
-            extras.update(final_j_th=j_th[c], max_index=float(max_index[c]),
-                          delta_j=delta_j[c], mean_window_len=window_sum[c] / T,
-                          expected_window=expected[c],
-                          colliders_per_window=collider_sum[c] / T,
-                          idle_channels_per_window=idle_sum[c] / T)
+            extras.update(final_j_th=contention.j_th[c], max_index=float(max_index[c]),
+                          delta_j=delta_j[c], mean_window_len=contention.window_sum[c] / T,
+                          expected_window=windows[c].expected_window,
+                          colliders_per_window=contention.collider_sum[c] / T,
+                          idle_channels_per_window=contention.idle_sum[c] / T)
         out[i] = SimResult(
             avg_uoi=total / T,
             batch_means=_batch_means(batch_sums[lane], T, batch_len),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uoi_sim.core import TerminalParams, TwoPointWeights
-from uoi_sim.csma import ContentionConfig
+from uoi_sim.csma import ContentionConfig, ContentionLanes
 from uoi_sim import mdp
 from uoi_sim.mdp import RviConvergenceError, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig
@@ -434,9 +434,28 @@ COLLISION = -1
 
 
 def fixed_backoffs(backoffs: dict[int, int]) -> dict:
-    """`contend`'s backoff draws for terminal -> backoff: each terminal
+    """`ContentionLanes`' backoff draws for flat id -> backoff: each terminal
     draws its own backoff, however often it is asked."""
     return {t: itertools.repeat(l).__next__ for t, l in backoffs.items()}
+
+
+def contention_step(lanes: ContentionLanes, n: int,
+                    active: list[list[int]]) -> list[tuple[list[int], list[int], int, int]]:
+    """One `lanes.step` of n terminals a lane in which exactly the terminals
+    active[c] of lane c contend, and per lane its (winners, colliders, window
+    length, idle sub-channels): terminals by their id in the lane, winners in
+    id order, colliders as `collided` lists them."""
+    neg_index = np.full((len(active), n), np.inf)
+    for c, ids in enumerate(active):
+        neg_index[c, ids] = -np.inf
+    sent = np.zeros(len(active) * n, dtype=bool)
+    window_sum, idle_sum = list(lanes.window_sum), list(lanes.idle_sum)
+    lanes.collided.clear()
+    lanes.step(neg_index, sent)
+    return [(sent[c * n:(c + 1) * n].nonzero()[0].tolist(),
+             [t - c * n for t in lanes.collided if t // n == c],
+             lanes.window_sum[c] - window_sum[c], lanes.idle_sum[c] - idle_sum[c])
+            for c in range(len(active))]
 
 
 class Window(NamedTuple):

@@ -13,7 +13,7 @@ import pytest
 from conftest import (desk_terminal, desk_weights, fleet_weights,
                       grid_min_objective, make_fleet)
 from uoi_sim.core import TerminalParams
-from uoi_sim.csma import ContentionConfig, contend
+from uoi_sim.csma import ContentionConfig, ContentionLanes
 from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, calibrate_multiplier
 from uoi_sim.multi import kkt_residual, fleet_uoi_bound, waterfill, waterfill_from_widths
@@ -123,12 +123,16 @@ def test_criterion_4_contention_window_law():
     for k, w in ((1, 8), (2, 16), (3, 16)):
         cfg = ContentionConfig(w=w, k=k)
         backoffs = _conditioned_backoffs(rng, k, w, draws)
-        active = list(range(k))
-        # each terminal draws its backoffs in order, one per window
-        backoff = [iter(column).__next__ for column in backoffs.T.tolist()]
-        lengths = np.empty(draws, dtype=np.int64)
-        for i in range(draws):
-            lengths[i] = contend(active, cfg, backoff)[2]
+        # a one-lane contention step in which all k terminals contend in
+        # every window, each drawing its backoffs in order, one per window
+        lanes = ContentionLanes([cfg], k, [1.0],
+                                [iter(column).__next__ for column in backoffs.T.tolist()])
+        every, sent = np.full((1, k), -np.inf), np.zeros(k, dtype=bool)
+        window_sums = []
+        for _ in range(draws):
+            lanes.step(every, sent)
+            window_sums.append(lanes.window_sum[0])
+        lengths = np.diff(window_sums, prepend=0)
         mean = lengths.mean()
         se = lengths.std(ddof=1) / math.sqrt(draws)
         target = cfg.expected_window

@@ -60,6 +60,16 @@ def test_waterfill_rejects_a_width_that_is_not_positive_and_finite(bad):
     assert err.value.field == "widths"
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_fleet_config_rejects_a_non_integral_k(k):
+    # a fractional K would first fail mid-run, slicing the top-K picks
+    terminals = tuple(TerminalParams(id=i, p=0.9, sigma2=1.0, omega_bar=1.0) for i in range(4))
+    with pytest.raises(FieldError, match="must be an integer") as err:
+        FleetConfig(terminals=terminals, k=k)
+    assert err.value.field == "k"
+    assert FleetConfig(terminals=terminals, k=np.int64(2)).k == 2
+
+
 def test_waterfill_proportional_case():
     # whenever max d_i / sum d <= 1/K the Cauchy-Schwarz split is optimal
     rng = np.random.default_rng(8)

@@ -502,12 +502,19 @@ def _csma_delta_j(fleet, cfg):
     return default_delta_j(fleet.array("omega_bar"), fleet.array("sigma2") * cfg.slot_scale)
 
 
-@pytest.mark.parametrize("w", [2, 4, 16])
-def test_run_fleet_csma_matches_operation_reference(w, monkeypatch):
-    fleet = make_fleet(6, k=2)
+@pytest.mark.parametrize("n,k,w", [
+    pytest.param(6, 2, 2, id="2"), pytest.param(6, 2, 4, id="4"),
+    pytest.param(6, 2, 16, id="16"), pytest.param(6, 1, 1, id="k1-w1"),
+    pytest.param(6, 1, 8, id="k1-w8"), pytest.param(6, 3, 3, id="k3-w3"),
+    pytest.param(6, 3, 16, id="k3-w16"),
+    # W = K = 2: a window never closes early, so the threshold never rises
+    # and most of the 12 terminals contend in most slots
+    pytest.param(12, 2, 2, id="storm-n12-k2-w2")])
+def test_run_fleet_csma_matches_operation_reference(n, k, w, monkeypatch):
+    fleet = make_fleet(n, k=k)
     pi = waterfill(fleet).pi
     weights = fleet_weights()
-    cfg = ContentionConfig(w=w, k=2)
+    cfg = ContentionConfig(w=w, k=k)
     delta_j = _csma_delta_j(fleet, cfg)
     avg, violation_prob, attempts, j_th, max_index, monitors, ref_factory = _reference_csma_run(
         fleet, weights, pi, cfg, delta_j=delta_j, horizon=1500, seed=34)
@@ -701,10 +708,12 @@ def test_a_window_goes_with_a_distributed_lane_only(policy):
     assert factory.draw_counts() == {}
 
 
-@pytest.mark.parametrize("k,window", [(2, 1), (3, 2), (5, 4)])
+@pytest.mark.parametrize("k,window", [(2, 1), (3, 2), (5, 4), (2, 16.5)])
 def test_distributed_window_below_k_is_a_field_error(k, window):
     # K comes from the fleet, and ContentionConfig checks the window against
-    # it before any lane builds a stream
+    # it before any lane builds a stream; a fractional W is rejected too, as
+    # numpy would floor it in the backoff draws while the slot scale and the
+    # expected window used it as given
     lanes = [FleetLane("centralized", StreamFactory(1)),
              FleetLane("distributed", StreamFactory(1), window=window)]
     with pytest.raises(FieldError) as exc:
