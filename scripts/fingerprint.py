@@ -80,6 +80,9 @@ CONFIGS = {
                    "policies": ["aoi", "centralized"], "thresholds": {"1": 3.0, "100": 1.0},
                    "fleet": {"n": 10, "k": 2, "p_min": 0.8, "p_max": 0.8, "sigma2": 1.0},
                    "weights": FLEET_WEIGHTS},
+    # an error variance other than the terminal default, set in the fleet section
+    "multi-sigma2": {"scenario": "multi", "horizon": 3000, "trace": True, "policies": MULTI,
+                     "fleet": dict(_fleet(10), sigma2=2.0), "weights": FLEET_WEIGHTS},
     "csma-n10-w16": {"scenario": "csma", "horizon": 3000, "replications": 2, "trace": True,
                      "policies": ["distributed", "centralized"], "fleet": _fleet(10),
                      "contention": {"w": 16}, "weights": FLEET_WEIGHTS},

@@ -72,13 +72,13 @@ def _policy_names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _section(d: dict, name: str, path: str = "") -> dict:
+def _section(d: dict, name: str) -> dict:
     """Pop a nested object; absent or null reads as empty."""
     value = d.pop(name, None)
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}{name}", f"must be a JSON object, got {value!r}")
+        raise ConfigError(name, f"must be a JSON object, got {value!r}")
     return dict(value)
 
 
@@ -219,18 +219,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     terminal = _section(d, "terminal")
     p = _take(terminal, "p", _real, 0.8, "terminal.")
-    sigma2 = _take(terminal, "sigma2", _real, 1.0, "terminal.")
+    terminal_sigma2 = _take(terminal, "sigma2", _real, None, "terminal.")
     _reject_unknown(terminal, "terminal.")
     fleet = _section(d, "fleet")
     spread = {"n": _take(fleet, "n", _integer, 10, "fleet."),
               "k": _take(fleet, "k", _integer, 2, "fleet."),
               "p_min": _take(fleet, "p_min", _real, 0.7, "fleet."),
               "p_max": _take(fleet, "p_max", _real, 1.0, "fleet.")}
-    sigma2 = _take(fleet, "sigma2", _real, sigma2, "fleet.")
+    sigma2 = _take(fleet, "sigma2", _real, terminal_sigma2, "fleet.")
+    sigma2 = 1.0 if sigma2 is None else sigma2
     _reject_unknown(fleet, "fleet.")
     # sigma2 may come from either section; omega_bar is the weights' mean
     params = _domain(TerminalParams, "terminal.", {"sigma2": "sigma2", "omega_bar": "weights"},
                      id=0, p=p, sigma2=sigma2, omega_bar=weights.mean)
+    if terminal_sigma2 not in (None, sigma2):
+        raise ConfigError("fleet.sigma2", f"is {sigma2}, but terminal.sigma2 is "
+                                          f"{terminal_sigma2}; set one of them")
     fleet_cfg = _domain(FleetConfig.spread, "fleet.", sigma2=sigma2,
                         omega_bar=params.omega_bar, **spread)
 

@@ -153,55 +153,14 @@ def gaussian_kernel(grid: MdpGrid, sigma2: float) -> tuple[np.ndarray, np.ndarra
 # --------------------------------------------------------------------------
 
 
-def _weights(grid: MdpGrid) -> tuple[np.ndarray, np.ndarray]:
+def _chain(grid: MdpGrid, sigma2: float) -> tuple[np.ndarray, ...]:
+    """(weight values, their probabilities, folded kernel Gf, half grid q = 0,
+    q_step, ..., q_max) of the uoi chain on |q|."""
     if not grid.weight_support:
         raise ValueError("uoi cost needs a finite weight support")
+    _, _, Gf = gaussian_kernel(grid, sigma2)
     return (np.array([w for w, _ in grid.weight_support]),
-            np.array([p for _, p in grid.weight_support]))
-
-
-def _require_uoi(cost_kind: str) -> None:
-    if cost_kind != "uoi":
-        raise ValueError(f"the chain solvers take cost kind 'uoi', got {cost_kind!r}; "
-                         f"calibrate_multiplier gives the 'aoi' table in closed form")
-
-
-def _uoi_rvi(grid: MdpGrid, params: TerminalParams, lam: float, h0: np.ndarray | None = None):
-    """Structured solver for the (|q|, w_now, w_next) chain with transmit
-    cost lam, from relative values h0 of shape (m + 1, nw, nw) (zero by
-    default).  Returns (gain, greedy table on the half grid q = 0, q_step,
-    ..., q_max, sweeps).
-
-    The slot cost w * q^2 is even in q, the kernel is symmetric and a
-    delivery resets q to 0, so the relative values of q and -q agree and
-    the chain on |q|, with the folded kernel Gf, carries them; h is
-    normalized at q = 0.  Only the q component depends on the action, and
-    the weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
-    """
-    w_vals, pw = _weights(grid)
-    _, _, Gf = gaussian_kernel(grid, params.sigma2)
-    nq, nw = len(Gf), len(w_vals)
-    q = grid.q_values[-nq:]
-    base = w_vals[None, :, None] * (q ** 2)[:, None, None]  # (nq, nw, 1)
-    base_lam = base + lam
-    p = params.p
-
-    h = np.zeros((nq, nw, nw)) if h0 is None else h0.copy()
-    span = math.inf
-    for it in range(1, _MAX_ITER + 1):
-        hbar = (h.reshape(-1, nw) @ pw).reshape(nq, nw)  # E over next-next weight
-        c0 = Gf @ hbar                     # continuation, no delivery
-        c1 = p * c0[0] + (1.0 - p) * c0    # c0[0]: continuation after a delivery
-        q0 = base + c0[:, None, :]
-        q1 = base_lam + c1[:, None, :]
-        th = np.minimum(q0, q1)
-        diff = th - h
-        hi, lo = float(diff.max()), float(diff.min())
-        span, gain = hi - lo, 0.5 * (hi + lo)
-        h = th - th[0, 0, 0]
-        if span < _SPAN_TOL:
-            return gain, (q1 < q0).astype(float), it
-    raise RviConvergenceError(span, _MAX_ITER)
+            np.array([p for _, p in grid.weight_support]), Gf, grid.q_values[-len(Gf):])
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:
@@ -225,7 +184,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return mu / mu.sum()
 
 
-def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
+def evaluate_policy(grid: MdpGrid, params: TerminalParams,
                     table: np.ndarray) -> tuple[float, float, float]:
     """(avg base cost, avg transmit frequency, edge mass) of the induced chain.
 
@@ -240,8 +199,7 @@ def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
     row by the delivery probability p * table[q, a, b].  The edge mass is
     nu's mass in the outermost bin |q| = q_max.
     """
-    _require_uoi(cost_kind)
-    nw = len(_weights(grid)[0])
+    nw = len(grid.weight_support)
     table = np.asarray(table, dtype=float)
     shape = (len(grid.q_values), nw, nw)
     if table.shape != shape:
@@ -257,11 +215,9 @@ def evaluate_policy(grid: MdpGrid, params: TerminalParams, cost_kind: str,
 @lru_cache(maxsize=64)
 def _uoi_averages(grid: MdpGrid, p: float, sigma2: float,
                   half_bytes: bytes) -> tuple[float, float, float]:
-    """evaluate_policy("uoi") of a half-grid table, cached on its contents."""
-    w_vals, pw = _weights(grid)
-    _, _, Gf = gaussian_kernel(grid, sigma2)
+    """evaluate_policy of a half-grid table, cached on its contents."""
+    w_vals, pw, Gf, q = _chain(grid, sigma2)
     nq, nw = len(Gf), len(w_vals)
-    q = grid.q_values[-nq:]
     table = np.frombuffer(half_bytes).reshape(nq, nw, nw)
     P = np.empty((nq, nw, nq, nw))
     for a in range(nw):
@@ -328,22 +284,46 @@ def _aoi_policy(grid: MdpGrid, p: float, rho: float) -> tuple[float, StationaryP
 # --------------------------------------------------------------------------
 
 
-def rvi_solve(grid: MdpGrid, params: TerminalParams, cost_kind: str,
-              lam: float) -> StationaryPolicyTable:
-    """Solve the average-cost problem with cost lam per transmission and
-    evaluate its greedy policy exactly on the discrete chain.
+def rvi_solve(grid: MdpGrid, params: TerminalParams, lam: float) -> StationaryPolicyTable:
+    """Solve the uoi chain with cost lam per transmission by relative value
+    iteration from zero until a sweep's span is below _SPAN_TOL, and evaluate
+    its greedy policy, mirrored onto the full q grid, exactly.
 
-    Relative value iteration from zero on |q| until the span is below
-    _SPAN_TOL; the table comes back mirrored onto the full q grid.
+    The slot cost w * q^2 is even in q, the kernel is symmetric and a
+    delivery resets q to 0, so the relative values of q and -q agree and the
+    chain on (|q|, w_now, w_next), with the folded kernel Gf, carries them; h
+    is normalized at q = 0.  Only the q component depends on the action, and
+    the weight pair shifts (w_now, w_next) -> (w_next, fresh draw).
     """
     require(0.0 <= lam < math.inf, "lam", lam, "nonnegative and finite")
-    _require_uoi(cost_kind)
-    gain, half, iters = _uoi_rvi(grid, params, lam)
-    table = _mirror(half)
-    avg_cost, avg_freq, edge_mass = evaluate_policy(grid, params, cost_kind, table)
-    return StationaryPolicyTable(cost_kind=cost_kind, table=table,
+    w_vals, pw, Gf, q = _chain(grid, params.sigma2)
+    nq, nw = len(Gf), len(w_vals)
+    base = w_vals[None, :, None] * (q ** 2)[:, None, None]  # (nq, nw, 1)
+    base_lam = base + lam
+    p = params.p
+
+    h = np.zeros((nq, nw, nw))
+    span = math.inf
+    for it in range(1, _MAX_ITER + 1):
+        hbar = (h.reshape(-1, nw) @ pw).reshape(nq, nw)  # E over next-next weight
+        c0 = Gf @ hbar                     # continuation, no delivery
+        c1 = p * c0[0] + (1.0 - p) * c0    # c0[0]: continuation after a delivery
+        q0 = base + c0[:, None, :]
+        q1 = base_lam + c1[:, None, :]
+        th = np.minimum(q0, q1)
+        diff = th - h
+        hi, lo = float(diff.max()), float(diff.min())
+        span, gain = hi - lo, 0.5 * (hi + lo)
+        h = th - th[0, 0, 0]
+        if span < _SPAN_TOL:
+            break
+    else:
+        raise RviConvergenceError(span, _MAX_ITER)
+    table = _mirror((q1 < q0).astype(float))
+    avg_cost, avg_freq, edge_mass = evaluate_policy(grid, params, table)
+    return StationaryPolicyTable(cost_kind="uoi", table=table,
                                  avg_cost=avg_cost, avg_freq=avg_freq, lam=lam,
-                                 grid=grid, gain=gain, iterations=iters, edge_mass=edge_mass)
+                                 grid=grid, gain=gain, iterations=it, edge_mass=edge_mass)
 
 
 def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
@@ -362,16 +342,17 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
+    require(cost_kind in ("uoi", "aoi"), "cost_kind", cost_kind, "'uoi' or 'aoi'")
     if cost_kind == "aoi":
         return _aoi_policy(grid, params.p, rho)
     tol = min(_FREQ_TOL, 0.01 * rho)
 
-    lo_tab = rvi_solve(grid, params, cost_kind, 0.0)
+    lo_tab = rvi_solve(grid, params, 0.0)
     if lo_tab.avg_freq <= rho + tol:
         return 0.0, lo_tab  # constraint slack at lam = 0
     # Never transmitting is the lam -> inf end: its Lagrangian is its cost.
     never = np.zeros_like(lo_tab.table)
-    cost, freq, edge = evaluate_policy(grid, params, cost_kind, never)
+    cost, freq, edge = evaluate_policy(grid, params, never)
     hi_tab = StationaryPolicyTable(cost_kind=cost_kind, table=never, avg_cost=cost,
                                    avg_freq=freq, lam=math.inf, grid=grid, gain=cost,
                                    iterations=0, edge_mass=edge)
@@ -382,7 +363,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
         lam = (hi_tab.avg_cost - lo_tab.avg_cost) / (lo_tab.avg_freq - hi_tab.avg_freq)
         if not lo_tab.lam < lam < hi_tab.lam:
             break  # the lines cross at a bracket end, up to rounding
-        cut_tab = rvi_solve(grid, params, cost_kind, lam)
+        cut_tab = rvi_solve(grid, params, lam)
         if abs(cut_tab.avg_freq - rho) < tol:
             return lam, cut_tab
         if (np.array_equal(cut_tab.table, lo_tab.table)
@@ -399,7 +380,7 @@ def calibrate_multiplier(grid: MdpGrid, params: TerminalParams, rho: float,
     for _ in range(60):
         eta = 0.5 * (eta_lo + eta_hi)
         mixed = eta * lo_tab.table + (1.0 - eta) * hi_tab.table
-        cost, freq, edge = evaluate_policy(grid, params, cost_kind, mixed)
+        cost, freq, edge = evaluate_policy(grid, params, mixed)
         if abs(freq - rho) < tol:
             break
         if freq > rho:

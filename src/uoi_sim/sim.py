@@ -65,11 +65,11 @@ class NonFiniteCost(ArithmeticError):
     """A simulator's running cost sum is no longer finite."""
 
 
-def _check_finite(slot: int, **sums: float) -> None:
-    """Raise NonFiniteCost for the first of the named running sums that is
-    not finite after `slot` slots."""
+def _check_finite(slot: int, **sums) -> None:
+    """Raise NonFiniteCost for the first of the named running sums, floats or
+    arrays of them, that is not all finite after `slot` slots."""
     for name, value in sums.items():
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise NonFiniteCost(f"the {name} cost sum is {value} after {slot} slots")
 
 
@@ -144,10 +144,11 @@ def _batch_means(sums: list[float], T: int, batch_len: int) -> np.ndarray:
     return np.array(sums) / ([batch_len] * (nb - 1) + [T - (nb - 1) * batch_len])
 
 
-def _running_sum(acc: float, f: np.ndarray) -> float:
-    """acc + f[0] + f[1] + ..., added one term at a time as `acc += f_t` in a
-    slot loop adds them, so the sum has that loop's bits."""
-    return float(np.add.accumulate(np.concatenate(([acc], f)))[-1])
+def _running_sum(acc, f: np.ndarray) -> np.ndarray:
+    """acc + f[..., 0] + f[..., 1] + ..., added one term at a time as `acc +=
+    f_t` in a slot loop adds them, so the sum has that loop's bits."""
+    return np.add.accumulate(np.concatenate((np.asarray(acc)[..., None], f), axis=-1),
+                             axis=-1)[..., -1]
 
 
 def _send_entries(probs: np.ndarray) -> list:
@@ -345,8 +346,8 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
             q_b = a * e_b + inc[t0:t1]   # the loop's q, bit for bit
             w_b = w[t0:t1]
             f = w_b * q_b * q_b
-            sums[b] = _running_sum(sums[b], f)
-            est_sums[b] = _running_sum(est_sums[b], w_b * e_b * e_b)
+            sums[b] = float(_running_sum(sums[b], f))
+            est_sums[b] = float(_running_sum(est_sums[b], w_b * e_b * e_b))
             if thr is not None:
                 violations += int(np.count_nonzero(np.abs(q_b) > thr[t0:t1]))
             if rows is not None:
@@ -591,14 +592,11 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
 
             # Slot costs w_t . q_t^2 / N, each one BLAS dot with the weights
             # strided: its summation order is part of the bitwise contract.
-            # The cumsum adds them into the batch slot by slot.
             q_lanes = q_hist[:nblk].transpose(1, 0, 2)   # (lane, slot, terminal) view
             q2 = q_lanes * q_lanes
             f = np.matmul(w_slots[:, :nblk, None, :], q2[:, :, :, None])[:, :, 0, 0] / n
-            batch_sums[:, b] = np.cumsum(np.concatenate([batch_sums[:, b, None], f], axis=1),
-                                         axis=1)[:, -1]
-            if not np.isfinite(batch_sums[:, b]).all():  # every non-finite f reaches its sum
-                raise NonFiniteCost(f"a lane's batch cost sum is not finite after {t1} slots")
+            batch_sums[:, b] = _running_sum(batch_sums[:, b], f)
+            _check_finite(t1, batch=batch_sums[:, b])  # every non-finite f reaches its sum
             attempts += sent.sum(axis=0)
             if contention.collided:   # csma data sent and wasted
                 np.add.at(csma_attempts, contention.collided, 1)

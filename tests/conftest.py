@@ -233,12 +233,11 @@ def full_chain_averages(grid, params: TerminalParams, table) -> tuple[float, flo
             float(np.sum(nu * (table @ pw))), float(nu[0].sum() + nu[-1].sum()))
 
 
-def full_chain_solve(grid, params: TerminalParams, cost_kind: str,
-                     lam: float) -> StationaryPolicyTable:
+def full_chain_solve(grid, params: TerminalParams, lam: float) -> StationaryPolicyTable:
     """rvi_solve on the full chain."""
     gain, table, sweeps = full_chain_rvi(grid, params, lam)
     cost, freq, edge = full_chain_averages(grid, params, table)
-    return StationaryPolicyTable(cost_kind=cost_kind, table=table, avg_cost=cost,
+    return StationaryPolicyTable(cost_kind="uoi", table=table, avg_cost=cost,
                                  avg_freq=freq, lam=lam, grid=grid, gain=gain,
                                  iterations=sweeps, edge_mass=edge)
 
@@ -248,8 +247,7 @@ def full_chain_calibration(grid, params: TerminalParams, rho: float):
     on the full chain."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mdp, "rvi_solve", full_chain_solve)
-        patch.setattr(mdp, "evaluate_policy",
-                      lambda grid, params, kind, table: full_chain_averages(grid, params, table))
+        patch.setattr(mdp, "evaluate_policy", full_chain_averages)
         return mdp.calibrate_multiplier(grid, params, rho, "uoi")
 
 

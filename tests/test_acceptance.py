@@ -117,22 +117,27 @@ def _conditioned_backoffs(rng, k: int, w: int, count: int) -> np.ndarray:
 
 def test_criterion_4_contention_window_law():
     rng = np.random.default_rng(271828)
-    draws = 10**6
+    draws, n_lanes = 10**6, 1000
+    rows = draws // n_lanes
     details = []
     ok = True
     for k, w in ((1, 8), (2, 16), (3, 16)):
         cfg = ContentionConfig(w=w, k=k)
         backoffs = _conditioned_backoffs(rng, k, w, draws)
-        # a one-lane contention step in which all k terminals contend in
-        # every window, each drawing its backoffs in order, one per window
-        lanes = ContentionLanes([cfg], k, [1.0],
-                                [iter(column).__next__ for column in backoffs.T.tolist()])
-        every, sent = np.full((1, k), -np.inf), np.zeros(k, dtype=bool)
+        # a contention step of n_lanes lanes in which all k terminals of every
+        # lane contend in every window: lane c takes backoff rows c * rows ...
+        # (c + 1) * rows - 1 in order, one per window, and terminal i of lane c
+        # (flat id c * k + i) draws column i of them
+        columns = backoffs.reshape(n_lanes, rows, k).transpose(0, 2, 1).reshape(-1, rows)
+        lanes = ContentionLanes([cfg] * n_lanes, k, [1.0] * n_lanes,
+                                [iter(column).__next__ for column in columns.tolist()])
+        every, sent = np.full((n_lanes, k), -np.inf), np.zeros(n_lanes * k, dtype=bool)
         window_sums = []
-        for _ in range(draws):
+        for _ in range(rows):
             lanes.step(every, sent)
-            window_sums.append(lanes.window_sum[0])
-        lengths = np.diff(window_sums, prepend=0)
+            window_sums.append(lanes.window_sum.copy())
+        # (slot, lane) window lengths, read lane by lane: the rows' order
+        lengths = np.diff(window_sums, axis=0, prepend=0).T.ravel()
         mean = lengths.mean()
         se = lengths.std(ddof=1) / math.sqrt(draws)
         target = cfg.expected_window

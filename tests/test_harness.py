@@ -161,6 +161,25 @@ def test_mdp_section_is_checked_in_every_scenario(scenario, tmp_path, capsys):
     assert "'mdp.q_step'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["single", "multi"])
+def test_cli_conflicting_sigma2_keys_exit_2(scenario, tmp_path, capsys):
+    # fleet.sigma2 used to override terminal.sigma2 silently in every scenario
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": scenario, "terminal": {"sigma2": 2.0},
+                                "fleet": {"sigma2": 3.0}}))
+    assert cli.main([scenario, "--config", str(path)]) == 2
+    assert "'fleet.sigma2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terminal,fleet", [({"sigma2": 2.0}, {}), ({}, {"sigma2": 2.0}),
+                                            ({"sigma2": 2.0}, {"sigma2": 2.0})],
+                         ids=["terminal", "fleet", "both-equal"])
+def test_one_or_two_equal_sigma2_keys_set_it(terminal, fleet):
+    cfg = config_from_dict({"scenario": "multi", "terminal": terminal, "fleet": fleet})
+    assert cfg.terminal.sigma2 == 2.0 and cfg.grid.q_max == 25.0 * math.sqrt(2.0)
+    assert (cfg.fleet.array("sigma2") == 2.0).all()
+
+
 def test_threshold_keys_parse_to_floats():
     cfg = _cfg(thresholds={"1": 15, "100": 5})
     assert cfg.thresholds == {1.0: 15.0, 100.0: 5.0}

@@ -11,7 +11,7 @@ from conftest import (age_chain_averages, age_chain_bias, age_rule_table, dense_
                       full_chain_calibration, relative_value_iteration)
 from uoi_sim import cli, harness, mdp
 from uoi_sim.core import FieldError, TerminalParams
-from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _age_rule_averages, _mirror, _uoi_rvi,
+from uoi_sim.mdp import (_FREQ_TOL, MdpGrid, _age_rule_averages,
                          age_threshold_for_budget, calibrate_multiplier, evaluate_policy,
                          format_policy_table, gaussian_kernel, rvi_solve,
                          stationary_distribution)
@@ -45,12 +45,11 @@ def test_grid_validation():
     assert hash(MdpGrid(q_max=1.0, q_step=0.5, weight_support=[[1.0, 1.0]])) == hash(grid)
 
 
-@pytest.mark.parametrize("cost_kind", ["uoi", "aoi"])
 @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
-def test_rvi_solve_rejects_a_bad_multiplier(cost_kind, lam):
+def test_rvi_solve_rejects_a_bad_multiplier(lam):
     grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),))
     with pytest.raises(ValueError, match="lam"):
-        rvi_solve(grid, desk_terminal(), cost_kind, lam)
+        rvi_solve(grid, desk_terminal(), lam)
 
 
 def test_gaussian_kernel_is_stochastic_and_centered():
@@ -168,7 +167,7 @@ def test_uoi_reduced_chain_matches_dense_oracle():
     m = len(grid.q_values) // 2
     table[:m] = table[:m:-1]  # even in q: the chain is solved on |q|
     G, g0, _ = gaussian_kernel(grid, params.sigma2)
-    cost, freq, _ = evaluate_policy(grid, params, "uoi", table)
+    cost, freq, _ = evaluate_policy(grid, params, table)
     ref_cost, ref_freq = dense_uoi_chain(grid.q_values, G, g0, support, params.p, table)
     assert cost == pytest.approx(ref_cost, rel=1e-12)
     assert freq == pytest.approx(ref_freq, rel=1e-12)
@@ -188,7 +187,7 @@ def test_gaussian_kernel_is_cached_and_read_only():
 def test_unconstrained_perfect_channel_updates_everywhere():
     params = TerminalParams(id=0, p=1.0, sigma2=1.0, omega_bar=1.0)
     grid = MdpGrid.default(1.0, ((1.0, 1.0),))
-    table = rvi_solve(grid, params, "uoi", 0.0)
+    table = rvi_solve(grid, params, 0.0)
     nonzero = grid.q_values != 0.0
     assert np.all(table.table[nonzero, 0, 0] == 1.0)
     # Q resets every slot, so the average UoI is omega_bar * sigma2 up to
@@ -196,18 +195,11 @@ def test_unconstrained_perfect_channel_updates_everywhere():
     assert table.avg_cost == pytest.approx(1.0, rel=0.02)
 
 
-def test_rvi_policy_stable_across_initializations():
-    params = desk_terminal()
-    grid = MdpGrid(q_max=10.0, q_step=0.25, weight_support=desk_weights().support())
-    t1 = rvi_solve(grid, params, "uoi", 3.0)
-    rng = np.random.default_rng(1)
-    h0 = rng.normal(size=(len(grid.q_values) // 2 + 1, 2, 2)) * 50.0  # on |q|
-    _, half2, _ = _uoi_rvi(grid, params, 3.0, h0=h0)
-    table2 = _mirror(half2)
-    agreement = np.mean(t1.table == table2)
-    assert agreement >= 0.99
-    cost2, _, _ = evaluate_policy(grid, params, "uoi", table2)
-    assert t1.avg_cost == pytest.approx(cost2, rel=1e-6)
+def test_calibrate_rejects_an_unknown_cost_kind():
+    grid = MdpGrid(q_max=1.0, q_step=0.5, weight_support=((1.0, 1.0),))
+    with pytest.raises(FieldError, match="cost_kind") as info:
+        calibrate_multiplier(grid, desk_terminal(), 0.25, "age")
+    assert info.value.field == "cost_kind"
 
 
 def test_calibrate_slack_budget_returns_zero_multiplier():
@@ -241,7 +233,7 @@ def test_calibration_cuts_to_the_breakpoint_in_few_solves(cost_kind, rho, monkey
     solves, evaluations = [], []
 
     def counted(*args):
-        solves.append(args[3])
+        solves.append(args[2])
         return rvi_solve(*args)
 
     def evaluated(*args):
@@ -266,7 +258,7 @@ def test_calibrated_table_is_lagrangian_optimal_at_its_multiplier(cost_kind, rho
     lam, table = calibrate_multiplier(grid, params, rho, cost_kind)
     assert table.lam == lam
     if cost_kind == "uoi":
-        assert table.gain == rvi_solve(grid, params, cost_kind, lam).gain
+        assert table.gain == rvi_solve(grid, params, lam).gain
     else:  # the best pure threshold on the oracle chain
         cost, freq = threshold_chain
         assert table.gain == pytest.approx((cost + lam * freq).min(), rel=1e-9)
@@ -364,8 +356,8 @@ def test_grid_refinement_changes_average_cost_little():
     support = desk_weights().support()
     default = MdpGrid(q_max=15.0, q_step=0.25, weight_support=support)
     halved = MdpGrid(q_max=15.0, q_step=0.125, weight_support=support)
-    c = rvi_solve(default, params, "uoi", 4.0)
-    f = rvi_solve(halved, params, "uoi", 4.0)
+    c = rvi_solve(default, params, 4.0)
+    f = rvi_solve(halved, params, 4.0)
     rel = abs(c.avg_cost - f.avg_cost) / f.avg_cost
     print(f"grid refinement diagnostic: default {c.avg_cost:.4f} halved {f.avg_cost:.4f} "
           f"rel change {rel:.4f}")
@@ -405,11 +397,11 @@ def test_evaluate_policy_always_vs_never():
     grid = MdpGrid(q_max=10.0, q_step=0.25, weight_support=((1.0, 1.0),))
     nq = len(grid.q_values)
     always = np.ones((nq, 1, 1))
-    cost_a, freq_a, _ = evaluate_policy(grid, params, "uoi", always)
+    cost_a, freq_a, _ = evaluate_policy(grid, params, always)
     assert freq_a == pytest.approx(1.0)
     assert cost_a == pytest.approx(1.0, rel=0.03)
     never = np.zeros((nq, 1, 1))
-    cost_n, freq_n, _ = evaluate_policy(grid, params, "uoi", never)
+    cost_n, freq_n, _ = evaluate_policy(grid, params, never)
     assert freq_n == 0.0
     assert cost_n > 20.0  # random walk pinned only by truncation
 
@@ -420,14 +412,14 @@ def test_evaluate_policy_reads_the_table_contents_on_every_call():
     grid = MdpGrid(q_max=5.0, q_step=0.5, weight_support=((1.0, 1.0),))
     table = np.zeros((len(grid.q_values), 1, 1))
     table[np.abs(grid.q_values) >= 2.0] = 1.0
-    first = evaluate_policy(grid, params, "uoi", table)
+    first = evaluate_policy(grid, params, table)
     table[np.abs(grid.q_values) >= 1.0] = 1.0
-    second = evaluate_policy(grid, params, "uoi", table)
+    second = evaluate_policy(grid, params, table)
     assert second[1] > first[1] and second[0] < first[0]
     dense = dense_uoi_chain(grid.q_values, *gaussian_kernel(grid, 1.0)[:2],
                             grid.weight_support, 0.8, table)
     assert second[:2] == pytest.approx(dense, rel=1e-10)
-    assert evaluate_policy(grid, params, "uoi", table.copy()) == second
+    assert evaluate_policy(grid, params, table.copy()) == second
 
 
 @pytest.mark.parametrize("table,problem", [
@@ -441,7 +433,7 @@ def test_evaluate_policy_rejects_a_table_it_cannot_evaluate(table, problem):
     grid = MdpGrid(q_max=2.0, q_step=0.5, weight_support=((1.0, 1.0),))
     params = TerminalParams(id=0, p=0.8, sigma2=1.0, omega_bar=1.0)
     with pytest.raises(ValueError, match=problem):
-        evaluate_policy(grid, params, "uoi", table)
+        evaluate_policy(grid, params, table)
 
 
 FOLD_CASES = [(25.0, 0.25, rho) for rho in (0.5, 0.25, 0.1, 0.01)] + [(50.0, 0.25, 0.25)]
@@ -512,7 +504,7 @@ def test_calibrated_table_header_carries_returned_multiplier():
 def test_format_policy_table_roundtrip_smoke():
     params = desk_terminal()
     grid = MdpGrid(q_max=2.0, q_step=1.0, weight_support=desk_weights().support())
-    text = format_policy_table(rvi_solve(grid, params, "uoi", 1.0))
+    text = format_policy_table(rvi_solve(grid, params, 1.0))
     lines = text.strip().splitlines()
     assert lines[0].startswith("# cost_kind=uoi")
     assert len(lines) == 2 + 5 * 2 * 2
