@@ -19,7 +19,7 @@ def main():
     ap.add_argument("--horizon", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--n", type=int, default=10)
-    ap.add_argument("--windows", type=int, nargs="+", default=[2, 4, 8, 16, 32, 64])
+    ap.add_argument("--windows", type=int, nargs="+", default=[3, 4, 8, 16, 32, 64])
     ap.add_argument("--out", default="fig_window_ratio.csv")
     args = ap.parse_args()
     require_writable(args.out)

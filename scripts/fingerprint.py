@@ -89,8 +89,8 @@ CONFIGS = {
     "csma-n30-w4": {"scenario": "csma", "horizon": 3000, "replications": 2,
                     "policies": ["distributed"], "fleet": _fleet(30),
                     "contention": {"w": 4}, "weights": FLEET_WEIGHTS},
-    "csma-n4-w2": {"scenario": "csma", "horizon": 1000, "policies": ["distributed"],
-                   "fleet": _fleet(4), "contention": {"w": 2}},
+    "csma-n4-w3": {"scenario": "csma", "horizon": 1000, "policies": ["distributed"],
+                   "fleet": _fleet(4), "contention": {"w": 3}},
     "csma-n20-k3-w8": {"scenario": "csma", "horizon": 8000, "n_batches": 7,
                        "policies": ["distributed"], "fleet": _fleet(20, k=3),
                        "contention": {"w": 8}, "weights": FLEET_WEIGHTS},
@@ -102,11 +102,11 @@ CONFIGS = {
     "csma-n8-k1-w4": {"scenario": "csma", "horizon": 3000, "replications": 2, "trace": True,
                       "policies": ["distributed", "centralized"], "fleet": _fleet(8, k=1),
                       "contention": {"w": 4}, "weights": FLEET_WEIGHTS},
-    # W = K: no window closes early, so the threshold stays at zero and most
-    # terminals contend, and collide, in most slots
-    "csma-storm-n12-w2": {"scenario": "csma", "horizon": 3000, "n_batches": 7,
-                          "policies": ["distributed"], "fleet": _fleet(12),
-                          "contention": {"w": 2}, "weights": FLEET_WEIGHTS},
+    # W = K + 1 at N = 30: collisions starve the deliveries, the threshold
+    # falls behind the index, and many terminals contend, and collide, per slot
+    "csma-storm-n30-w3": {"scenario": "csma", "horizon": 3000, "n_batches": 7,
+                          "policies": ["distributed"], "fleet": _fleet(30),
+                          "contention": {"w": 3}, "weights": FLEET_WEIGHTS},
     "csma-all": {"scenario": "csma", "horizon": 3000, "replications": 2,
                  "policies": ["distributed"] + MULTI, "fleet": _fleet(10),
                  "contention": {"w": 8}, "weights": FLEET_WEIGHTS},
@@ -115,12 +115,16 @@ CONFIGS = {
                 "control": {"a": 0.9, "b": 0.5}},
     "control-long": {"scenario": "control", "horizon": 10000, "n_batches": 1,
                      "policies": ["adaptive"]},
-    "mdp-uoi": {"scenario": "mdp", "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},
-    "mdp-aoi": {"scenario": "mdp", "mdp": {"cost": "aoi", "q_max": 8.0, "q_step": 0.5}},
-    "mdp-uoi-rare": {"scenario": "mdp", "rho": 0.004,
-                     "mdp": {"cost": "uoi", "q_max": 8.0, "q_step": 0.5}},
-    "mdp-aoi-rare": {"scenario": "mdp", "rho": 0.004,
-                     "mdp": {"cost": "aoi", "q_max": 8.0, "q_step": 0.5}},
+    "mdp-uoi": {"scenario": "mdp", "policies": ["rvi-uoi"],
+                "mdp": {"q_max": 8.0, "q_step": 0.5}},
+    "mdp-aoi": {"scenario": "mdp", "policies": ["rvi-aoi"],
+                "mdp": {"q_max": 8.0, "q_step": 0.5}},
+    "mdp-uoi-rare": {"scenario": "mdp", "rho": 0.004, "policies": ["rvi-uoi"],
+                     "mdp": {"q_max": 8.0, "q_step": 0.5}},
+    "mdp-aoi-rare": {"scenario": "mdp", "rho": 0.004, "policies": ["rvi-aoi"],
+                     "mdp": {"q_max": 8.0, "q_step": 0.5}},
+    "mdp-both": {"scenario": "mdp", "policies": ["rvi-aoi", "rvi-uoi"],
+                 "mdp": {"q_max": 8.0, "q_step": 0.5}},
     "waterfill": {"scenario": "waterfill", "fleet": _fleet(10), "weights": FLEET_WEIGHTS},
 }
 

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mdp", help="reference policies by relative value iteration")
     common(sp)
-    sp.add_argument("--cost", choices=("uoi", "aoi"))
     sp.add_argument("--rho", type=float)
     sp.add_argument("--qmax", type=float)
     sp.add_argument("--qstep", type=float)
@@ -91,7 +90,7 @@ _OVERRIDES = {
     "n": ("fleet", "n"), "k": ("fleet", "k"),
     "window": ("contention", "w"),
     "a": ("control", "a"), "b": ("control", "b"), "noise_var": ("control", "noise_var"),
-    "cost": ("mdp", "cost"), "qmax": ("mdp", "q_max"), "qstep": ("mdp", "q_step"),
+    "qmax": ("mdp", "q_max"), "qstep": ("mdp", "q_step"),
 }
 
 
@@ -178,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if config.scenario == "mdp":
-        table = rows[0].extras["policy_table"]
-        text = format_policy_table(table)
+        text = "".join(format_policy_table(m.extras["policy_table"]) for m in rows)
         if args.out:
             try:
                 with open(args.out, "w") as fh:
@@ -188,8 +186,9 @@ def main(argv: list[str] | None = None) -> int:
                 return _cannot_write(args.out, exc)
         else:
             sys.stdout.write(text)
-        print(f"avg_cost={table.avg_cost:.6f} avg_freq={table.avg_freq:.6f} "
-              f"lam={rows[0].extras['lam']:.6g}", file=sys.stderr)
+        for m in rows:
+            print(f"avg_cost={m.avg_uoi:.6f} avg_freq={m.avg_update_freq[0]:.6f} "
+                  f"lam={m.extras['lam']:.6g}", file=sys.stderr)
         return 0
 
     for m in rows:

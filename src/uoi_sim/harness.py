@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (ConstantWeights, FieldError, PeriodicBurstWeights, TerminalParams,
                    TwoPointWeights, WeightProcess)
-from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
@@ -139,7 +138,6 @@ class ExperimentConfig:
     policies: tuple[str, ...]            # empty: the scenario's default policy
     rho: float
     v: float
-    mdp_cost: str
     # metrics
     thresholds: dict[float, float]
     trace: bool
@@ -159,8 +157,6 @@ class ExperimentConfig:
             raise ConfigError("rho", f"must be in (0, 1], got {self.rho}")
         if not 0.0 <= self.v < math.inf:
             raise ConfigError("v", f"must be nonnegative and finite, got {self.v}")
-        if self.mdp_cost not in ("uoi", "aoi"):
-            raise ConfigError("mdp.cost", f"must be 'uoi' or 'aoi', got {self.mdp_cost!r}")
         if self.n_batches < 1:
             raise ConfigError("n_batches", f"must be at least 1, got {self.n_batches}")
         for w, bound in self.thresholds.items():
@@ -175,6 +171,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("policies", f"{unknown[0]!r} not valid for scenario "
                                           f"{self.scenario!r}")
+        # the uoi chain's state holds the weights; the aoi table never reads them
+        if "rvi-uoi" in self.policies and self.weights.support() is None:
+            raise ConfigError("weights.kind", "the rvi-uoi policy needs an i.i.d. "
+                                              "finite-support weight process")
         if self.trace and entry.simulator in ("mdp", "waterfill"):
             raise ConfigError("trace", f"no {self.scenario!r} run records a trace; "
                                        "single, multi, csma and control runs do")
@@ -241,8 +241,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     contention = _section(d, "contention")
     window = _take(contention, "w", _integer, 16, "contention.")
     _reject_unknown(contention, "contention.")
-    if window < 1:  # csma, the one scenario that contends, also needs w >= k
-        raise ConfigError("contention.w", f"must be at least 1, got {window}")
+    # csma, the one scenario that contends, needs w > k: at w = k no window
+    # closes before its expected length, so the threshold never rises
+    least = fleet_cfg.k + 1 if scenario == "csma" else 1
+    if window < least:
+        raise ConfigError("contention.w", f"must be at least {least}, got {window}")
 
     # every scenario checks the plant; under control its terminal runs, with
     # the plant's noise as the error variance
@@ -258,16 +261,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     id=0, p=p, sigma2=noise_var, omega_bar=weights.mean)
 
     mdp = _section(d, "mdp")
-    mdp_cost = _take(mdp, "cost", str, "uoi", "mdp.")
     default = MdpGrid.default(sigma2, ())
     bounds = {name: _take(mdp, name, _real, getattr(default, name), "mdp.")
               for name in ("q_max", "q_step")}
     _reject_unknown(mdp, "mdp.")
-    support = weights.support()
-    if support is None and (scenario == "mdp" or {"rvi-uoi", "rvi-aoi"} & set(policies)):
-        raise ConfigError("weights.kind", "reference policies need an i.i.d. "
-                                          "finite-support weight process")
-    grid = _domain(MdpGrid, "mdp.", weight_support=support or (), **bounds)
+    grid = _domain(MdpGrid, "mdp.", weight_support=weights.support() or (), **bounds)
 
     thr_raw = d.pop("thresholds", None)
     if thr_raw is None:
@@ -284,8 +282,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         scenario=scenario, terminal=plant if scenario == "control" else params,
         weights=weights, fleet=fleet_cfg, a=a if scenario == "control" else 1.0, b=b,
-        window=(_domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k).w
-                if scenario == "csma" else None),
+        window=window if scenario == "csma" else None,
         grid=grid,
         horizon=_take(d, "horizon", _integer, 1_000_000, ""),
         replications=_take(d, "replications", _integer, 1, ""),
@@ -293,7 +290,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         policies=policies,
         rho=_take(d, "rho", _real, 0.25, ""),
         v=_take(d, "v", _real, 1.0, ""),
-        mdp_cost=mdp_cost,
         thresholds=thresholds,
         trace=_take(d, "trace", _boolean, False, ""),
         n_batches=_take(d, "n_batches", _integer, 10, ""),
@@ -435,17 +431,19 @@ def _run_fleet_scenario(config: ExperimentConfig) -> list[RunMetrics]:
 
 
 def _run_mdp_scenario(config: ExperimentConfig) -> list[RunMetrics]:
-    lam, table = calibrate_multiplier(config.grid, config.terminal, config.rho,
-                                      config.mdp_cost)
-    return [RunMetrics(
-        scenario="mdp", policy=f"rvi-{config.mdp_cost}",
-        params={"rho": config.rho, "N": 1, "p": config.terminal.p,
-                "q_max": table.grid.q_max, "q_step": table.grid.q_step},
-        avg_uoi=table.avg_cost, stderr_uoi=0.0,
-        avg_update_freq=np.array([table.avg_freq]),
-        violation_prob=None, bound_value=None,
-        extras={"lam": lam, "gain": table.gain, "iterations": table.iterations,
-                "edge_mass": table.edge_mass, "policy_table": table})]
+    out = []
+    for pol in config.policies:
+        lam, table = calibrate_multiplier(config.grid, config.terminal, config.rho, pol[4:])
+        out.append(RunMetrics(
+            scenario="mdp", policy=pol,
+            params={"rho": config.rho, "N": 1, "p": config.terminal.p,
+                    "q_max": table.grid.q_max, "q_step": table.grid.q_step},
+            avg_uoi=table.avg_cost, stderr_uoi=0.0,
+            avg_update_freq=np.array([table.avg_freq]),
+            violation_prob=None, bound_value=None,
+            extras={"lam": lam, "gain": table.gain, "iterations": table.iterations,
+                    "edge_mass": table.edge_mass, "policy_table": table}))
+    return out
 
 
 def _run_waterfill_scenario(config: ExperimentConfig) -> list[RunMetrics]:

@@ -42,7 +42,7 @@ POLICY_TABLE = {
         "centralized", "aoi", "round-robin", "stationary")),
     "csma": ScenarioPolicies("fleet", "distributed", (
         "distributed", "centralized", "aoi", "round-robin", "stationary")),
-    "mdp": ScenarioPolicies("mdp", "rvi", ("rvi",)),
+    "mdp": ScenarioPolicies("mdp", "rvi-uoi", ("rvi-uoi", "rvi-aoi")),
     "control": ScenarioPolicies("single", "adaptive", (
         "adaptive", "periodic", "random", "age-threshold", "rvi-aoi")),
     "waterfill": ScenarioPolicies("waterfill", "stationary", ("stationary",)),

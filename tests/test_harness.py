@@ -125,6 +125,8 @@ def test_n_batches_validated():
     # a domain value of a section the scenario does not read
     ({"contention": {"w": 0}}, "contention.w"),
     ({"control": {"b": float("inf")}}, "control.b"),
+    # the policies name the mdp tables
+    ({"mdp": {"cost": "uoi"}}, "mdp.cost"),
 ])
 def test_invalid_model_parameters_name_the_field(raw, field, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -350,8 +352,8 @@ def test_rvi_rows_carry_their_calibrated_table(tmp_path):
 def test_mdp_row_carries_the_edge_mass_into_jsonl(cost, tmp_path):
     # the q_max = 8 grid holds about 9% of the uoi optimum's mass in its
     # boundary bins at a budget of 0.004; the aoi table has no q grid
-    cfg = config_from_dict({"scenario": "mdp", "rho": 0.004,
-                            "mdp": {"cost": cost, "q_max": 8.0, "q_step": 0.5}})
+    cfg = config_from_dict({"scenario": "mdp", "rho": 0.004, "policies": [f"rvi-{cost}"],
+                            "mdp": {"q_max": 8.0, "q_step": 0.5}})
     [row] = run(cfg)
     edge = row.extras["edge_mass"]
     assert edge == row.extras["policy_table"].edge_mass
@@ -359,6 +361,49 @@ def test_mdp_row_carries_the_edge_mass_into_jsonl(cost, tmp_path):
     path = tmp_path / "row.jsonl"
     export([row], "jsonl", str(path))
     assert json.loads(path.read_text())["extras"]["edge_mass"] == edge
+
+
+def test_mdp_rows_are_their_calibrated_tables_in_order():
+    cfg = config_from_dict({"scenario": "mdp", "rho": 0.3, "policies": ["rvi-aoi", "rvi-uoi"],
+                            "mdp": {"q_max": 5.0, "q_step": 0.5}})
+    rows = run(cfg)
+    assert [m.policy for m in rows] == ["rvi-aoi", "rvi-uoi"]
+    for row in rows:
+        lam, table = calibrate_multiplier(cfg.grid, cfg.terminal, cfg.rho, row.policy[4:])
+        carried = row.extras["policy_table"]
+        assert row.extras["lam"] == lam and carried.cost_kind == row.policy[4:]
+        assert (carried.avg_cost, carried.avg_freq, carried.lam, carried.gain) == (
+            table.avg_cost, table.avg_freq, table.lam, table.gain)
+        assert np.array_equal(carried.table, table.table)
+        assert row.avg_uoi == table.avg_cost
+        assert row.avg_update_freq.tolist() == [table.avg_freq]
+
+
+@pytest.mark.parametrize("raw", [
+    {"scenario": "single", "policies": ["adaptive", "rvi-uoi"]},
+    {"scenario": "mdp"},                      # rvi-uoi is its default
+], ids=["single", "mdp"])
+def test_rvi_uoi_rejects_weights_that_are_not_iid(raw, tmp_path, capsys):
+    # the uoi chain's state holds the weight pair (w_now, w_next)
+    cfgf = tmp_path / "burst.json"
+    cfgf.write_text(json.dumps(dict(raw, horizon=100, weights={"kind": "periodic-burst"})))
+    assert cli.main([raw["scenario"], "--config", str(cfgf)]) == 2
+    assert "config field 'weights.kind'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["single", "control", "mdp"])
+def test_rvi_aoi_runs_on_weights_that_are_not_iid(scenario):
+    # the age table is a closed form in p and rho that never reads the weights
+    raw = {"scenario": scenario, "horizon": 300, "rho": 0.3, "policies": ["rvi-aoi"],
+           "mdp": {"q_max": 5.0, "q_step": 0.5}}
+    cfg = config_from_dict(dict(raw, weights={"kind": "periodic-burst"}))
+    iid = config_from_dict(dict(raw, weights={"kind": "two-point"}))
+    [row] = run(cfg)
+    _, table = calibrate_multiplier(iid.grid, iid.terminal, iid.rho, "aoi")
+    carried = row.extras["policy_table"]
+    assert np.array_equal(carried.table, table.table)
+    assert (carried.avg_cost, carried.avg_freq, carried.lam, carried.gain) == (
+        table.avg_cost, table.avg_freq, table.lam, table.gain)
 
 
 def _row_fields(m: RunMetrics) -> dict:
@@ -465,9 +510,7 @@ def test_every_policy_of_the_table_runs_in_order():
                                 "policies": policies, "fleet": {"n": 4, "k": 2},
                                 "mdp": {"q_max": 5.0, "q_step": 0.5}})
         rows = run(cfg)
-        # the mdp scenario labels its row with the solved cost kind
-        labels = [f"rvi-{cfg.mdp_cost}" if p == "rvi" else p for p in policies]
-        assert [m.policy for m in rows] == labels, scenario
+        assert [m.policy for m in rows] == policies, scenario
 
 
 def test_cli_assert_bounds_exit_code(monkeypatch):
@@ -530,7 +573,7 @@ def test_cli_trace_of_a_run_that_records_none_is_config_error(tmp_path, capsys):
 
 def test_cli_mdp_emits_policy_table(tmp_path):
     out = tmp_path / "policy.txt"
-    code = cli.main(["mdp", "--cost", "aoi", "--rho", "0.5",
+    code = cli.main(["mdp", "--policy", "rvi-aoi", "--rho", "0.5",
                      "--qmax", "4", "--qstep", "0.5", "--out", str(out)])
     assert code == 0
     text = out.read_text()
@@ -538,9 +581,21 @@ def test_cli_mdp_emits_policy_table(tmp_path):
     assert "# age -> P(transmit)" in text
 
 
+def test_cli_mdp_prints_each_table_in_policy_order(capsys):
+    argv = ["mdp", "--rho", "0.3", "--qmax", "4", "--qstep", "0.5"]
+    single = {}
+    for pol in ("rvi-aoi", "rvi-uoi"):
+        assert cli.main(argv + ["--policy", pol]) == 0
+        single[pol] = capsys.readouterr()
+    assert cli.main(argv + ["--policy", "rvi-uoi", "--policy", "rvi-aoi"]) == 0
+    both = capsys.readouterr()
+    assert both.out == single["rvi-uoi"].out + single["rvi-aoi"].out
+    assert both.err == single["rvi-uoi"].err + single["rvi-aoi"].err
+
+
 @pytest.mark.parametrize("argv", [
     ["single", "--horizon", "10"],
-    ["mdp", "--cost", "aoi", "--qmax", "4", "--qstep", "0.5"],
+    ["mdp", "--policy", "rvi-aoi", "--qmax", "4", "--qstep", "0.5"],
 ])
 def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
@@ -641,6 +696,7 @@ def test_cli_negative_v_is_config_error(capsys):
     (["control", "--noise-var", "-1"], "control.noise_var"),
     (["single", "--seed", "-1"], "seed"),
     (["mdp", "--qstep", "inf"], "mdp.q_step"),
+    (["csma", "--window", "2", "--k", "2"], "contention.w"),
 ])
 def test_cli_invalid_domain_parameter_is_config_error(argv, field, capsys):
     assert cli.main(argv + ["--horizon", "10"]) == 2
@@ -700,6 +756,19 @@ def test_cli_overflowing_cost_sum_exits_2_without_output(raw, field, tmp_path, c
 def test_cli_multi_ignores_contention_window():
     # the window only constrains csma; k above the default W = 16 is fine here
     assert cli.main(["multi", "--n", "20", "--k", "17", "--horizon", "10"]) == 0
+
+
+def test_cli_csma_runs_at_one_window_past_k():
+    # W = K exits 2 (test_cli_invalid_domain_parameter_is_config_error)
+    assert cli.main(["csma", "--window", "3", "--k", "2", "--horizon", "10"]) == 0
+
+
+def test_cli_mdp_has_no_cost_flag(capsys):
+    # --policy rvi-aoi names the table
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mdp", "--cost", "aoi"])
+    assert exc.value.code == 2
+    assert "--cost" in capsys.readouterr().err
 
 
 def test_cli_mdp_header_carries_calibrated_multiplier(tmp_path, capsys):

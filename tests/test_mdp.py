@@ -283,7 +283,7 @@ def test_small_budget_is_met_to_one_percent(cost_kind, rho):
 def test_cli_aoi_optimum_is_right_past_200_ages(capsys):
     # the threshold is at age 312: the age chain capped at 200 ages printed
     # avg_cost=136.697513 avg_freq=0.003976
-    assert cli.main(["mdp", "--cost", "aoi", "--rho", "0.004", "--qmax", "8",
+    assert cli.main(["mdp", "--policy", "rvi-aoi", "--rho", "0.004", "--qmax", "8",
                      "--qstep", "0.5"]) == 0
     assert "avg_cost=156.750800 avg_freq=0.004000 " in capsys.readouterr().err
 
@@ -315,7 +315,7 @@ def test_aoi_table_cap_counts_ages(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["mdp", "--cost", "aoi", "--rho", "5e-324"],
+    ["mdp", "--policy", "rvi-aoi", "--rho", "5e-324"],
     ["single", "--policy", "rvi-aoi", "--rho", "1e-9", "--horizon", "100"],
 ])
 def test_cli_aoi_budget_past_the_table_cap_exits_2(argv, capsys):
