@@ -31,7 +31,7 @@ def main():
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "h", "q2", "uoi"])
-        for t, h, q, f in row.trace:
+        for t, h, q, f in row.trace.tolist():
             writer.writerow([t, f"{h:.6f}", f"{q * q:.6f}", f"{f:.6f}"])
     print(f"avg_uoi {row.avg_uoi:.4f}, freq {row.avg_update_freq[0]:.4f}; wrote {args.out}")
 

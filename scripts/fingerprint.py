@@ -137,6 +137,8 @@ def canonical(obj):
         return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.names:   # a trace: its rows as tuples
+        return canonical(obj.tolist())
     if isinstance(obj, np.ndarray):
         return [str(obj.dtype), list(obj.shape), canonical(obj.ravel().tolist())]
     if isinstance(obj, (list, tuple)):

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -327,7 +328,7 @@ class RunMetrics:
     violation_prob: float | None
     bound_value: float | None
     extras: dict = field(default_factory=dict)
-    trace: list | None = None
+    trace: np.ndarray | None = None   # sim.SINGLE_TRACE or sim.FLEET_TRACE rows
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +513,8 @@ def _csv_row(m: RunMetrics) -> list[str]:
 
 
 def _jsonable(m: RunMetrics) -> dict:
-    d = {
+    """The row's JSON object, but for its trace."""
+    return {
         "scenario": m.scenario,
         "policy": m.policy,
         "params": {k: v for k, v in m.params.items()},
@@ -524,9 +526,35 @@ def _jsonable(m: RunMetrics) -> dict:
         "bound": m.bound_value,
         "extras": {k: v for k, v in m.extras.items() if k != "policy_table"},
     }
-    if m.trace is not None:
-        d["trace"] = m.trace   # json writes the row tuples as arrays
-    return d
+
+
+# Trace rows the jsonl export encodes at a time, so that a long trace is
+# never held whole as a list of rows or as one string.
+_TRACE_CHUNK = 2048
+
+_dumps = partial(json.dumps, sort_keys=True, allow_nan=False)
+
+
+def _write_jsonl_row(fh, m: RunMetrics) -> None:
+    """Write a row's jsonl line: the bytes of _dumps of its object with
+    "trace": m.trace.tolist().  An array trace goes out _TRACE_CHUNK rows at
+    a time, between the keys that sort before and after "trace" (_jsonable
+    has both); the line is checked and encoded but for its trace rows before
+    any of it is written."""
+    obj = _jsonable(m)
+    if not isinstance(m.trace, np.ndarray):   # none, or a hand-built list of rows
+        if m.trace is not None:
+            obj["trace"] = m.trace
+        fh.write(_dumps(obj) + "\n")
+        return
+    if not all(np.isfinite(m.trace[name]).all() for name in m.trace.dtype.names):
+        raise ValueError("Out of range float values are not JSON compliant: trace")
+    head = _dumps({k: v for k, v in obj.items() if k < "trace"})
+    tail = _dumps({k: v for k, v in obj.items() if k > "trace"})
+    fh.write(head[:-1] + ', "trace": [')
+    for c0 in range(0, len(m.trace), _TRACE_CHUNK):
+        fh.write((", " if c0 else "") + _dumps(m.trace[c0:c0 + _TRACE_CHUNK].tolist())[1:-1])
+    fh.write("], " + tail[1:] + "\n")
 
 
 def export(rows: list[RunMetrics], fmt: str, path: str) -> list[str]:
@@ -547,7 +575,7 @@ def export(rows: list[RunMetrics], fmt: str, path: str) -> list[str]:
     if fmt == "jsonl":
         with open(path, "w") as fh:
             for m in rows:
-                fh.write(json.dumps(_jsonable(m), sort_keys=True, allow_nan=False) + "\n")
+                _write_jsonl_row(fh, m)
         return [path]
     if fmt == "plot":
         os.makedirs(path, exist_ok=True)

@@ -13,7 +13,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +49,13 @@ POLICY_TABLE = {
 # csma runs every fleet policy: multi's and distributed
 _FLEET_POLICIES = POLICY_TABLE["csma"].policies
 
+# A traced run's rows, one per slot t: a single or control run's virtual
+# queue h (0 under every rule but adaptive), error q and cost f; a fleet
+# lane's CSMA threshold j_th (0 in every lane but distributed) and cost f.
+# trace.tolist() gives the rows as tuples.
+SINGLE_TRACE = np.dtype([("t", np.int64), ("h", float), ("q", float), ("f", float)])
+FLEET_TRACE = np.dtype([("t", np.int64), ("j_th", float), ("f", float)])
+
 
 @dataclass
 class SimResult:
@@ -58,7 +64,7 @@ class SimResult:
     update_freq: np.ndarray          # per-terminal attempt frequency
     violation_prob: float | None
     extras: dict
-    trace: list | None = None
+    trace: np.ndarray | None = None   # SINGLE_TRACE or FLEET_TRACE rows
 
 
 class NonFiniteCost(ArithmeticError):
@@ -263,8 +269,8 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     e = h = credit = 0.0
     k, last = 0, len(send or ()) - 1   # send[k] holds the age rule at age k + 1
     violations = 0
-    rows = [] if trace else None
-    hs = repeat(0.0)   # H of each traced slot, which only the adaptive rule moves
+    rows = np.zeros(T, SINGLE_TRACE) if trace else None
+    hs = None   # H of each traced slot, which only the adaptive rule moves
 
     # Each slot loop decides, counts attempts and records e in one pass,
     # carrying only what the next decision reads; q, the costs, violations
@@ -351,7 +357,11 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
             if thr is not None:
                 violations += int(np.count_nonzero(np.abs(q_b) > thr[t0:t1]))
             if rows is not None:
-                rows.extend(zip(range(t0, t1), hs, q_b.tolist(), f.tolist()))
+                rows["t"][t0:t1] = np.arange(t0, t1)   # per block: no T-long temporary
+                rows["q"][t0:t1] = q_b
+                rows["f"][t0:t1] = f
+                if hs is not None:
+                    rows["h"][t0:t1] = hs
             _check_finite(t1, uoi=sums[b], estimation=est_sums[b])
 
     return SimResult(
@@ -511,7 +521,7 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     attempts = np.zeros((L, n), dtype=np.int64)
     csma_attempts = attempts[x0:r0].reshape(-1)
     violations = np.zeros(L, dtype=np.int64)
-    rows = [[] if lanes[i].trace else None for i in order]
+    rows = [np.zeros(T, FLEET_TRACE) if lanes[i].trace else None for i in order]
     size = max(1, _LANE_ELEMENTS // (L * n))
 
     u0 = u1 = 0   # the chunk in the arrays holds slots [u0, u1)
@@ -610,9 +620,12 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
                                                axis=(1, 2))
             for lane, trace in enumerate(rows):
                 if trace is not None:
-                    aux = contention.hist[lane - x0] if x0 <= lane < r0 else [0.0] * nblk
-                    trace.extend(zip(range(t0, t1), aux, f[lane].tolist()))
-                    aux.clear()
+                    trace["t"][t0:t1] = np.arange(t0, t1)
+                    trace["f"][t0:t1] = f[lane]
+                    if x0 <= lane < r0:   # a distributed lane's thresholds
+                        j_th = contention.hist[lane - x0]
+                        trace["j_th"][t0:t1] = j_th
+                        j_th.clear()
 
     out = [None] * L
     for lane, i in enumerate(order):

@@ -103,7 +103,7 @@ def test_control_at_unit_memory_is_the_single_terminal():
         assert c.stderr_uoi == s.stderr_uoi   # from the batch means
         assert np.array_equal(c.avg_update_freq, s.avg_update_freq)
         assert c.violation_prob == s.violation_prob
-        assert c.trace == s.trace
+        assert np.array_equal(c.trace, s.trace)
 
 
 def test_control_runs_the_aoi_optimal_comparator_at_any_memory():
@@ -124,7 +124,7 @@ def test_control_runs_the_aoi_optimal_comparator_at_any_memory():
     assert np.array_equal(row.avg_update_freq, res.update_freq)
     assert row.violation_prob == res.violation_prob
     assert row.extras["avg_est_cost"] == res.extras["avg_est_cost"]
-    assert row.trace == res.trace
+    assert np.array_equal(row.trace, res.trace)
 
 
 def test_cli_control_runs_rvi_aoi(capsys):

@@ -254,21 +254,50 @@ def test_export_jsonl_refuses_a_non_finite_number(tmp_path):
         export([row], "jsonl", str(tmp_path / "m.jsonl"))
 
 
-@pytest.mark.parametrize("raw", [
-    {"scenario": "single", "policies": ["adaptive", "periodic"]},
-    {"scenario": "multi", "fleet": {"n": 3, "k": 1}, "policies": ["centralized", "aoi"]},
-    {"scenario": "control", "control": {"a": 0.9}, "policies": ["adaptive", "random"]},
-], ids=["single", "multi", "control"])
-def test_export_jsonl_writes_trace_rows_as_arrays(tmp_path, raw):
-    # the trace rows go out as the run's tuples, in the bytes of the same
-    # rows as lists
-    rows = run(config_from_dict(dict(raw, horizon=300, seed=7, trace=True)))
+def test_export_jsonl_refuses_a_non_finite_trace_before_writing_its_line(tmp_path):
+    rows = run(_cfg(policies=["adaptive", "periodic"], trace=True))
+    rows[1].trace["q"][5] = float("nan")
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(ValueError):
+        export(rows, "jsonl", str(path))
+    # the first row's line is whole, and nothing of the second's is written
+    assert path.read_text() == json.dumps(
+        dict(harness._jsonable(rows[0]), trace=rows[0].trace.tolist()),
+        sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_export_jsonl_writes_a_hand_built_list_trace(tmp_path):
+    row = run(_cfg(policies=["adaptive"], trace=True))[0]
+    row.trace = row.trace.tolist()   # a list of (t, h, q, f) tuples
+    path = tmp_path / "m.jsonl"
+    export([row], "jsonl", str(path))
+    assert json.loads(path.read_text())["trace"] == [list(r) for r in row.trace]
+
+
+TRACED = {
+    "single": {"scenario": "single", "policies": ["adaptive", "periodic"]},
+    "multi": {"scenario": "multi", "fleet": {"n": 3, "k": 1}, "policies": ["centralized", "aoi"]},
+    "control": {"scenario": "control", "control": {"a": 0.9}, "policies": ["adaptive", "random"]},
+    "csma": {"scenario": "csma", "fleet": {"n": 3, "k": 1}, "policies": ["distributed", "aoi"]},
+}
+
+
+@pytest.mark.parametrize("scenario,horizon", [
+    *(pytest.param(s, 300, id=s) for s in TRACED),
+    # past two whole chunks of the export, and 7 rows into a third
+    *(pytest.param(s, 2 * harness._TRACE_CHUNK + 7, id=f"{s}-3-chunks") for s in TRACED),
+])
+def test_export_jsonl_writes_trace_rows_as_arrays(tmp_path, scenario, horizon):
+    # the trace goes out a chunk at a time, in the bytes of one json.dumps
+    # of the row with its trace's rows as lists
+    rows = run(config_from_dict(dict(TRACED[scenario], horizon=horizon, seed=7, trace=True)))
     path = tmp_path / "trace.jsonl"
     export(rows, "jsonl", str(path))
+    fields = ("t", "j_th", "f") if scenario in ("multi", "csma") else ("t", "h", "q", "f")
     expected = ""
     for m in rows:
-        assert len(m.trace) == 300 and all(type(row) is tuple for row in m.trace)
-        obj = dict(harness._jsonable(m), trace=[list(row) for row in m.trace])
+        assert len(m.trace) == horizon and m.trace.dtype.names == fields
+        obj = dict(harness._jsonable(m), trace=m.trace.tolist())
         expected += json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
     assert path.read_bytes() == expected.encode()
 
@@ -408,7 +437,7 @@ def test_rvi_aoi_runs_on_weights_that_are_not_iid(scenario):
 
 def _row_fields(m: RunMetrics) -> dict:
     """Every field of a metrics row but its scenario, arrays as lists."""
-    d = dict(vars(m), avg_update_freq=m.avg_update_freq.tolist())
+    d = dict(vars(m), avg_update_freq=m.avg_update_freq.tolist(), trace=m.trace.tolist())
     del d["scenario"]
     return d
 

@@ -22,7 +22,7 @@ from uoi_sim import sim
 from uoi_sim.core import (ConstantWeights, FieldError, GaussianIncrements, TerminalParams,
                           TwoPointWeights, sample_channel_block)
 from uoi_sim.csma import ContentionConfig, default_delta_j
-from uoi_sim.harness import config_from_dict, run
+from uoi_sim.harness import config_from_dict, export, run
 from uoi_sim.mdp import MdpGrid, StationaryPolicyTable
 from uoi_sim.multi import FleetConfig, waterfill
 from uoi_sim.rng import KINDS, StreamFactory
@@ -152,7 +152,7 @@ def test_run_single_matches_step_operation_reference(policy, q_max, horizon, n_b
     assert res.extras["final_h"] == pytest.approx(h_ref, rel=1e-12)
     assert res.extras["attempts"] == attempts_ref
     assert res.violation_prob == violation_ref
-    assert res.trace == rows_ref
+    assert res.trace.tolist() == rows_ref
 
 
 @pytest.mark.parametrize("weights", [TwoPointWeights(w_lo=1.0, w_hi=5.0, prob_hi=0.5),
@@ -329,7 +329,7 @@ def test_control_run_counts_the_plant_oracles_violations():
 
 def _outputs(res):
     return (res.avg_uoi, res.batch_means.tolist(), res.update_freq.tolist(),
-            res.violation_prob, res.extras, res.trace)
+            res.violation_prob, res.extras, res.trace.tolist())
 
 
 def test_single_terminal_loops_do_not_depend_on_the_block_length(monkeypatch):
@@ -557,7 +557,7 @@ def _fleet_outputs(res, factory):
     """Every output of a fleet run, floats as hex, and its stream draw counts."""
     return (res.avg_uoi.hex(), [x.hex() for x in res.batch_means],
             [x.hex() for x in res.update_freq], res.violation_prob, res.extras,
-            res.trace, factory.draw_counts())
+            None if res.trace is None else res.trace.tolist(), factory.draw_counts())
 
 
 def _predrawn(seed, rep):
@@ -760,7 +760,7 @@ def test_csma_threshold_stays_bounded():
     fleet = make_fleet(10, k=2)
     lane = FleetLane("distributed", StreamFactory(4), trace=True, window=16)
     res = run_fleet_lanes(fleet, fleet_weights(), [lane], horizon=20000)[0]
-    j_th = np.array([row[1] for row in res.trace])
+    j_th = res.trace["j_th"]
     assert np.isfinite(j_th).all()
     assert j_th.max() <= res.extras["max_index"] + res.extras["delta_j"]
 
@@ -815,6 +815,23 @@ def test_age_threshold_plan_memory_follows_the_horizon():
             tracemalloc.stop()
         assert peak < 10 * 2**20
         assert np.all(res.update_freq == 0.0)
+
+
+def test_a_long_trace_is_one_array_and_exports_in_chunks(tmp_path):
+    # a traced slot holds 32 bytes, (t, h, q, f), and the jsonl export never
+    # holds the whole trace as rows or as one string: at T = 10^5 its peak
+    # reads 1.1 MiB, where a list of row tuples encoded in one json.dumps
+    # peaked at 10.7 MiB
+    T = 10**5
+    rows = run(config_from_dict({"scenario": "single", "horizon": T, "seed": 3, "trace": True}))
+    assert rows[0].trace.nbytes == 32 * T
+    tracemalloc.start()
+    try:
+        export(rows, "jsonl", str(tmp_path / "trace.jsonl"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("policy,budget_slack", [
