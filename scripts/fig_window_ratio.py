@@ -7,9 +7,10 @@ per-slot error variance) by 1 + W/100.  Writes one curve of
 """
 
 import argparse
+import sys
 
 from uoi_sim.cli import require_writable
-from uoi_sim.harness import config_from_dict
+from uoi_sim.harness import ConfigError, config_from_dict
 from uoi_sim.rng import StreamFactory
 from uoi_sim.sim import FleetLane, run_fleet_lanes
 
@@ -24,16 +25,21 @@ def main():
     args = ap.parse_args()
     require_writable(args.out)
 
-    cfg = config_from_dict({
-        "scenario": "csma", "fleet": {"n": args.n, "k": 2},
-        "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
-                    "prob_hi": 0.05}})
+    try:   # each window's csma config, which rejects W <= K before the run
+        configs = [config_from_dict({
+            "scenario": "csma", "fleet": {"n": args.n, "k": 2}, "contention": {"w": w},
+            "weights": {"kind": "two-point", "w_lo": 1.0, "w_hi": 100.0,
+                        "prob_hi": 0.05}}) for w in args.windows]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    cfg = configs[0]
     # One lane call: the centralized lane and a distributed lane per window,
     # each on a fresh StreamFactory(seed), so all face the same random numbers.
     central, *distributed = run_fleet_lanes(
         cfg.fleet, cfg.weights,
         [FleetLane("centralized", StreamFactory(args.seed))]
-        + [FleetLane("distributed", StreamFactory(args.seed), window=w) for w in args.windows],
+        + [FleetLane("distributed", StreamFactory(args.seed), window=c.window) for c in configs],
         horizon=args.horizon)
     lines = ["w,ratio,avg_uoi_distributed,avg_uoi_centralized"]
     for w, res in zip(args.windows, distributed):

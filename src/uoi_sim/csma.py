@@ -32,8 +32,9 @@ class ContentionConfig:
 
     def __post_init__(self):
         require(is_integer(self.k) and self.k >= 1, "k", self.k, "an integer at least 1")
-        require(is_integer(self.w) and self.w >= self.k, "w", self.w,
-                f"an integer at least k = {self.k} so the winners fit in the window")
+        # every window of W = K runs to its expected length K: no threshold rises
+        require(is_integer(self.w) and self.w > self.k, "w", self.w,
+                f"an integer greater than k = {self.k}")
 
     @property
     def slot_scale(self) -> float:

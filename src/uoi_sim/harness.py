@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (ConstantWeights, FieldError, PeriodicBurstWeights, TerminalParams,
                    TwoPointWeights, WeightProcess)
+from .csma import ContentionConfig
 from .mdp import MdpGrid, calibrate_multiplier
 from .multi import FleetConfig, fleet_uoi_bound, waterfill
 from .rng import StreamFactory
@@ -242,11 +243,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     contention = _section(d, "contention")
     window = _take(contention, "w", _integer, 16, "contention.")
     _reject_unknown(contention, "contention.")
-    # csma, the one scenario that contends, needs w > k: at w = k no window
-    # closes before its expected length, so the threshold never rises
-    least = fleet_cfg.k + 1 if scenario == "csma" else 1
-    if window < least:
-        raise ConfigError("contention.w", f"must be at least {least}, got {window}")
+    if scenario == "csma":   # the one scenario that contends checks W as its lanes will
+        _domain(ContentionConfig, "contention.", w=window, k=fleet_cfg.k)
+    elif window < 1:   # the others never read W, but take none below 1
+        raise ConfigError("contention.w", f"must be at least 1, got {window}")
 
     # every scenario checks the plant; under control its terminal runs, with
     # the plant's noise as the error variance
@@ -536,17 +536,17 @@ _dumps = partial(json.dumps, sort_keys=True, allow_nan=False)
 
 
 def _write_jsonl_row(fh, m: RunMetrics) -> None:
-    """Write a row's jsonl line: the bytes of _dumps of its object with
-    "trace": m.trace.tolist().  An array trace goes out _TRACE_CHUNK rows at
-    a time, between the keys that sort before and after "trace" (_jsonable
-    has both); the line is checked and encoded but for its trace rows before
-    any of it is written."""
+    """Write a row's jsonl line: the bytes of _dumps of its object, with
+    "trace": m.trace.tolist() for a structured-array trace, which goes out
+    _TRACE_CHUNK rows at a time between the keys that sort before and after
+    "trace" (_jsonable has both).  Any trace but that or None raises TypeError;
+    the line is checked and encoded but for its trace rows before it is begun."""
     obj = _jsonable(m)
-    if not isinstance(m.trace, np.ndarray):   # none, or a hand-built list of rows
-        if m.trace is not None:
-            obj["trace"] = m.trace
+    if m.trace is None:
         fh.write(_dumps(obj) + "\n")
         return
+    if not (isinstance(m.trace, np.ndarray) and m.trace.dtype.names):
+        raise TypeError(f"a trace is a structured array or None, got {type(m.trace).__name__}")
     if not all(np.isfinite(m.trace[name]).all() for name in m.trace.dtype.names):
         raise ValueError("Out of range float values are not JSON compliant: trace")
     head = _dumps({k: v for k, v in obj.items() if k < "trace"})

@@ -99,13 +99,22 @@ _BUFFER = 256
 
 
 class Buffered:
-    """Amortized one-at-a-time draws from a stream: `draw(n)` returns the
-    stream's next n variates, e.g. `stream.uniform`.  `next()` returns the
-    next variate; the stream is drawn _BUFFER variates at a time, each block
-    only once the previous one is used up."""
+    """Amortized draws from a stream: `draw(n)` returns the stream's next n
+    variates, e.g. `stream.uniform`.  `next()` returns the next variate and
+    `take(n)` the next n as an array, each drawing whole _BUFFER-variate
+    blocks past its own spare ones: a Buffered serves one of them, not both."""
 
-    __slots__ = ("next",)
+    __slots__ = ("next", "_draw", "_spare")
 
     def __init__(self, draw: Callable[[int], np.ndarray]):
         blocks = iter(lambda: draw(_BUFFER).tolist(), None)  # lists are never None
         self.next = itertools.chain.from_iterable(blocks).__next__
+        self._draw, self._spare = draw, np.empty(0)
+
+    def take(self, n: int) -> np.ndarray:
+        spare = self._spare
+        if len(spare) < n:
+            drawn = self._draw(-((len(spare) - n) // _BUFFER) * _BUFFER)
+            spare = np.concatenate((spare, drawn)) if len(spare) else drawn
+        self._spare = spare[n:]
+        return spare[:n]

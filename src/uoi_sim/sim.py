@@ -22,7 +22,7 @@ from .core import (GaussianIncrements, TerminalParams, WeightProcess, index_fact
                    sample_channel_block)
 from .mdp import StationaryPolicyTable, age_threshold_for_budget
 from .multi import FleetConfig, schedule_round_robin, schedule_stationary, waterfill
-from .rng import _BUFFER, COMMON_KINDS, Buffered, StreamFactory
+from .rng import COMMON_KINDS, Buffered, StreamFactory
 
 
 class ScenarioPolicies(NamedTuple):
@@ -249,13 +249,13 @@ def run_single(params: TerminalParams, weights: WeightProcess, rho: float, v: fl
     s_good = sample_channel_block(factory.stream("channel", tid), params.p, T)
     thr = _threshold_array(w[:T], thresholds)
 
-    policy_stream = factory.stream("policy", tid)
-    flip = Buffered(policy_stream.uniform).next   # the rvi rules' fractional coins
+    coins = Buffered(factory.stream("policy", tid).uniform)
+    flip = coins.next   # the rvi rules' fractional coins
     attempts = 0
     send = None
     reach = s_good   # slots where a transmission would be delivered
-    if policy == "random":  # T coins in one draw, in whole buffers as Buffered takes them
-        sent = policy_stream.uniform(-(-T // _BUFFER) * _BUFFER)[:T] < rho
+    if policy == "random":  # a coin per slot
+        sent = coins.take(T) < rho
         attempts = int(sent.sum())
         reach = sent & s_good   # random decides up front: its deliveries
     elif policy == "age-threshold":  # ages past T + 1 are never reached
@@ -419,14 +419,14 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
     Lanes whose fresh factories address the same (seed, replication) face
     the same weight, increment and channel variates, so the first of them
     samples those and the others adopt its streams.  A distributed lane
-    contends in its own window of W >= K mini-slots, ContentionConfig(w=W,
+    contends in its own window of W > K mini-slots, ContentionConfig(w=W,
     k=fleet.k), which stretches its slot to (1 + W/100) ms: its error
     increments carry variance slot_scale * sigma2 and its threshold step is
     `csma.default_delta_j` of the stretched slot.  Its extras also hold its
     window monitors: the mean window length next to the window's
     `expected_window`, and the colliders and idle sub-channels per window.
-    Results come back in lane order; a batch cost sum that is not finite
-    raises NonFiniteCost.
+    Results come back in lane order; a window W <= K raises FieldError, a
+    batch cost sum that is not finite NonFiniteCost.
     """
     if not lanes:
         return []
@@ -468,10 +468,8 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
         [lanes[i].trace for i in order[x0:r0]])
     max_index = np.zeros(n_csma)
 
-    # The stationary lanes' coins: a block draws the whole 256-variate buffers
-    # it needs past the coins the last one left over, as a Buffered would.
-    coin_streams = [f.stream("scheduler", 0) for f in factories[s0:]]
-    spare = [np.empty(0)] * len(coin_streams)
+    # The stationary lanes' coins, taken a block's worth at a time.
+    coins = [Buffered(f.stream("scheduler", 0).uniform) for f in factories[s0:]]
 
     # Common-random-number groups: a factory that already holds a common
     # stream keeps its own, since its next variates are not a fresh one's.
@@ -568,11 +566,8 @@ def run_fleet_lanes(fleet: FleetConfig, weights: WeightProcess,
             csma_sent = sent_flat[:, x0 * n:r0 * n]   # by flat id
             if s0 > r0:
                 sent[:, r0:s0] = schedule_round_robin(np.arange(t0, t1), n, k)[:, None]
-            for c, stream in enumerate(coin_streams):
-                drawn = stream.uniform(-((len(spare[c]) - nblk) // _BUFFER) * _BUFFER)
-                blk_coins = np.concatenate((spare[c], drawn))
-                sent[:, s0 + c] = schedule_stationary(pi, blk_coins[:nblk])
-                spare[c] = blk_coins[nblk:]
+            for c, lane_coins in enumerate(coins):
+                sent[:, s0 + c] = schedule_stationary(pi, lane_coins.take(nblk))
             q_hist = np.empty((nblk + 1, L, n))     # q_hist[j] is q of slot t0 + j
             q_hist[0] = q
             for j in range(nblk):

@@ -11,7 +11,7 @@ from conftest import ErrorQueue, step_error, uoi
 from uoi_sim.core import (ConstantWeights, GaussianIncrements,
                           PeriodicBurstWeights, TerminalParams, TwoPointWeights,
                           sample_channel_block)
-from uoi_sim.rng import StreamFactory
+from uoi_sim.rng import Buffered, StreamFactory
 
 
 def test_uoi_examples():
@@ -175,6 +175,26 @@ def test_streams_deterministic_and_chunk_invariant():
     # distinct kinds and terminals give distinct streams
     other = proc.sample_block(StreamFactory(7).stream("weight", 4), 0, 5000)
     assert not np.array_equal(one, other)
+
+
+@pytest.mark.parametrize("draw", ["uniform", "integers"])
+def test_buffered_takes_are_a_fresh_streams_variates_in_whole_buffers(draw):
+    # takes that end inside a 256-variate buffer, span several, take none
+    # and take a whole one: together they are the stream's first variates,
+    # and the stream is drawn only in whole buffers, each once it is needed
+    def variates(stream, n):
+        return stream.uniform(n) if draw == "uniform" else stream.integers(n, 7)
+
+    stream = StreamFactory(7).stream("policy", 2)
+    coins = Buffered(lambda n: variates(stream, n))
+    takes, total = [], 0
+    for n in (37, 300, 0, 256, 1000, 1):
+        takes.append(coins.take(n))
+        total += n
+        assert len(takes[-1]) == n
+        assert stream.draws == -(-total // 256) * 256
+    fresh = variates(StreamFactory(7).stream("policy", 2), total)
+    assert np.array_equal(np.concatenate(takes), fresh)
 
 
 def test_adopted_streams_are_shared():

@@ -266,12 +266,20 @@ def test_export_jsonl_refuses_a_non_finite_trace_before_writing_its_line(tmp_pat
         sort_keys=True, allow_nan=False) + "\n"
 
 
-def test_export_jsonl_writes_a_hand_built_list_trace(tmp_path):
-    row = run(_cfg(policies=["adaptive"], trace=True))[0]
-    row.trace = row.trace.tolist()   # a list of (t, h, q, f) tuples
+@pytest.mark.parametrize("trace", [
+    pytest.param(lambda rows: rows.tolist(), id="list"),   # (t, h, q, f) tuples
+    pytest.param(lambda rows: rows["q"], id="unstructured"),
+])
+def test_export_jsonl_refuses_a_trace_not_a_structured_array(tmp_path, trace):
+    rows = run(_cfg(policies=["adaptive", "periodic"], trace=True))
+    rows[1].trace = trace(rows[1].trace)
     path = tmp_path / "m.jsonl"
-    export([row], "jsonl", str(path))
-    assert json.loads(path.read_text())["trace"] == [list(r) for r in row.trace]
+    with pytest.raises(TypeError, match="structured array or None"):
+        export(rows, "jsonl", str(path))
+    # the first row's line is whole, and nothing of the second's is written
+    assert path.read_text() == json.dumps(
+        dict(harness._jsonable(rows[0]), trace=rows[0].trace.tolist()),
+        sort_keys=True, allow_nan=False) + "\n"
 
 
 TRACED = {

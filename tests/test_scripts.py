@@ -79,6 +79,28 @@ def test_figure_script_rejects_an_unwritable_out_before_the_run(name, out, tmp_p
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("windows", [["2"], ["4", "1", "16"]], ids=["2", "4-1-16"])
+def test_window_ratio_rejects_a_window_not_past_k_before_the_run(windows, tmp_path,
+                                                                 monkeypatch, capsys):
+    # K = 2: a window of W = K never closes before its expected length K
+    script = _load("fig_window_ratio")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(script, "run_fleet_lanes", no_run)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["fig_window_ratio.py"] + HORIZON
+                        + ["--windows", *windows, "--out", "ratio.csv"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    bad = next(w for w in windows if int(w) <= 2)
+    assert capsys.readouterr().err == ("error: config field 'contention.w': must be an "
+                                       f"integer greater than k = 2, got {bad}\n")
+    assert not (tmp_path / "ratio.csv").exists()
+
+
 def test_single_rows_read_no_control_value():
     # the single and control scenarios share a runner: a valid control
     # section leaves every single row, trace and rvi-aoi table included,

@@ -503,13 +503,13 @@ def _csma_delta_j(fleet, cfg):
 
 
 @pytest.mark.parametrize("n,k,w", [
-    pytest.param(6, 2, 2, id="2"), pytest.param(6, 2, 4, id="4"),
-    pytest.param(6, 2, 16, id="16"), pytest.param(6, 1, 1, id="k1-w1"),
-    pytest.param(6, 1, 8, id="k1-w8"), pytest.param(6, 3, 3, id="k3-w3"),
+    pytest.param(6, 2, 3, id="3"), pytest.param(6, 2, 4, id="4"),
+    pytest.param(6, 2, 16, id="16"), pytest.param(6, 1, 2, id="k1-w2"),
+    pytest.param(6, 1, 8, id="k1-w8"), pytest.param(6, 3, 4, id="k3-w4"),
     pytest.param(6, 3, 16, id="k3-w16"),
-    # W = K = 2: a window never closes early, so the threshold never rises
-    # and most of the 12 terminals contend in most slots
-    pytest.param(12, 2, 2, id="storm-n12-k2-w2")])
+    # W = K + 1 = 3 at N = 30: collisions starve the deliveries, the
+    # threshold falls behind the index, and many terminals contend per slot
+    pytest.param(30, 2, 3, id="storm-n30-k2-w3")])
 def test_run_fleet_csma_matches_operation_reference(n, k, w, monkeypatch):
     fleet = make_fleet(n, k=k)
     pi = waterfill(fleet).pi
@@ -622,12 +622,12 @@ def test_fleet_chunk_and_block_slicing_invariance(monkeypatch):
 
 
 def test_fleet_lanes_match_their_one_lane_runs(monkeypatch):
-    # every policy, csma's centralized, distributed lanes at W = 2, 4 and 16
+    # every policy, csma's centralized, distributed lanes at W = 3, 4 and 16
     # in one call, 2 replications, trace on replication 0; lanes given out of
     # policy order; 37-slot blocks
     fleet = make_fleet(5, k=2)
     schedulers = (("stationary", 4), ("distributed", 4), ("aoi", 4), ("distributed", 16),
-                  ("round-robin", 4), ("centralized", 4), ("distributed", 2), ("centralized", 4))
+                  ("round-robin", 4), ("centralized", 4), ("distributed", 3), ("centralized", 4))
     lanes = [_lane(sched, StreamFactory(41, rep), trace=rep == 0, w=w)
              for sched, w in schedulers for rep in (0, 1)]
     monkeypatch.setattr(sim, "_LANE_ELEMENTS", 37 * len(lanes) * fleet.n)
@@ -686,8 +686,9 @@ def test_fleet_lanes_reject_bad_input():
                 sim.FleetLane("centralized", StreamFactory(1), window=4)):
         with pytest.raises(ValueError, match="distributed lane needs a window"):
             sim.run_fleet_lanes(fleet, weights, [lane, bad])
-    with pytest.raises(FieldError):   # W = 1 < K = 2
-        sim.run_fleet_lanes(fleet, weights, [lane._replace(window=1)])
+    for window in (1, 2):   # W < K = 2, and W = K, whose windows never close early
+        with pytest.raises(FieldError, match="greater than k = 2"):
+            sim.run_fleet_lanes(fleet, weights, [lane._replace(window=window)])
     shared = StreamFactory(1)
     with pytest.raises(ValueError, match="own StreamFactory"):
         sim.run_fleet_lanes(fleet, weights,
@@ -720,7 +721,7 @@ def test_distributed_window_below_k_is_a_field_error(k, window):
         run_fleet_lanes(make_fleet(k + 1, k=k), fleet_weights(), lanes, horizon=10)
     assert exc.value.field == "w"
     assert [lane.factory.draw_counts() for lane in lanes] == [{}, {}]
-    lanes[1] = lanes[1]._replace(window=k)   # W = K is the smallest window
+    lanes[1] = lanes[1]._replace(window=k + 1)   # W = K + 1 is the smallest window
     assert len(run_fleet_lanes(make_fleet(k + 1, k=k), fleet_weights(), lanes,
                                horizon=10)) == 2
 
@@ -745,12 +746,12 @@ def test_fleet_feasibility_every_scheduler():
 
 
 def test_csma_collisions_never_deliver():
-    # W = K forces every contender into the same two mini-slots: frequent
+    # W = K + 1 puts every contender in the same three mini-slots: frequent
     # collisions, and colliding data slots must never reset the error.
     fleet = make_fleet(4, k=2)
-    lane = FleetLane("distributed", StreamFactory(9), window=2)
+    lane = FleetLane("distributed", StreamFactory(9), window=3)
     res = run_fleet_lanes(fleet, fleet_weights(), [lane], horizon=3000)[0]
-    assert res.extras["slot_scale"] == pytest.approx(1.02)
+    assert res.extras["slot_scale"] == pytest.approx(1.03)
     assert res.avg_uoi > 0.0
 
 
